@@ -10,7 +10,6 @@ where the series fails are marked, never fatal to a whole scan.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +30,13 @@ from .fanstate import (
     SeriesControl,
     TrappedIon,
 )
-from .squeeze import SqueezeCoeffs, coefficients, squeeze_parameter, vacuum_benchmark
+from .squeeze import (
+    SqueezeCoeffs,
+    coefficients,
+    coefficients_row,
+    squeeze_parameter,
+    vacuum_benchmark,
+)
 
 STATUS_OK = "OK"
 STATUS_SINGULAR = "Singular"
@@ -95,19 +100,6 @@ def _model_for(kind: str, k: int, eta_sq: float) -> NonlinearModel:
     raise DomainError(f"unknown model kind {kind!r}")
 
 
-def _node_value(
-    kind: str, k: int, N: int, phi: float, xi_sq: float, eta_sq: float, ctl: SeriesControl
-) -> tuple[float, str]:
-    try:
-        cfg = FanConfig.from_xi_sq(k, xi_sq, _model_for(kind, k, eta_sq))
-        s = squeeze_parameter(coefficients(cfg, N, ctl), phi)
-        return s, STATUS_OK
-    except SingularNonlinearity:
-        return math.nan, STATUS_SINGULAR
-    except SeriesNotConverged:
-        return math.nan, STATUS_NOT_CONVERGED
-
-
 def scan(
     grid: GridSpec,
     model_kind: str = "trapped-ion",
@@ -116,30 +108,30 @@ def scan(
 ) -> PhaseDiagram:
     """Evaluate the squeeze parameter at every grid node.
 
-    Row order (eta_sq outer, xi_sq inner) is fixed and independent of
-    the thread count, so outputs are reproducible byte for byte.
+    Each eta_sq row is one call of `coefficients_row`, and rows run in
+    order (eta_sq outer, xi_sq inner), so outputs are reproducible byte
+    for byte.  threads is accepted for compatibility and ignored: the
+    rows are numpy work under one interpreter lock.
     """
     xi_vals = grid.xi_sq.values()
-    eta_vals = grid.eta_sq.values()
-
-    def one_row(eta_sq: float) -> tuple[list[float], list[str]]:
+    values: list[list[float]] = []
+    status: list[list[str]] = []
+    for eta_sq in grid.eta_sq.values():
+        model = _model_for(model_kind, grid.k, eta_sq)
         row_vals: list[float] = []
         row_status: list[str] = []
-        for xi_sq in xi_vals:
-            s, st = _node_value(model_kind, grid.k, grid.N, grid.phi, xi_sq, eta_sq, ctl)
-            row_vals.append(s)
-            row_status.append(st)
-        return row_vals, row_status
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_row, eta_vals))
-    else:
-        rows = [one_row(e) for e in eta_vals]
-
-    values = np.array([r[0] for r in rows], dtype=float)
-    status = [r[1] for r in rows]
-    return PhaseDiagram(grid=grid, values=values, status=status)
+        for c in coefficients_row(grid.k, xi_vals, model, grid.N, ctl):
+            if isinstance(c, SqueezeCoeffs):
+                row_vals.append(squeeze_parameter(c, grid.phi))
+                row_status.append(STATUS_OK)
+            else:
+                row_vals.append(math.nan)
+                row_status.append(
+                    STATUS_SINGULAR if isinstance(c, SingularNonlinearity) else STATUS_NOT_CONVERGED
+                )
+        values.append(row_vals)
+        status.append(row_status)
+    return PhaseDiagram(grid=grid, values=np.array(values, dtype=float), status=status)
 
 
 def _refine_crossing(

@@ -3,7 +3,7 @@ CSV/JSON output carrying a full parameter manifest.
 
 Output is written only after the computation succeeds, so a failing run
 never leaves a partial file.  Exit codes: 0 success, 2 invalid
-parameters, 3 convergence/singularity failure.
+parameters, 3 a computation that could not finish.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from .atlas import (
     scan,
     trace_boundary,
 )
-from .errors import (
-    DomainError,
-    EmptyBoundary,
-    SeriesNotConverged,
-    SingularNonlinearity,
-    TruncationTooSmall,
-)
+from .errors import DomainError, FansqError
 from .fanstate import (
     DriveParams,
     FanConfig,
@@ -580,7 +574,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DomainError as exc:
         print(f"fansq: invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (SingularNonlinearity, SeriesNotConverged, TruncationTooSmall, EmptyBoundary) as exc:
+    except FansqError as exc:
         print(f"fansq: computation failed: {exc}", file=sys.stderr)
         return 3
     if args.output:

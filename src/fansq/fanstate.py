@@ -17,17 +17,34 @@ Conventions fixed by this module:
   * series stop after `consecutive_small` successive terms fall below
     rel_tol times the accumulated sum, which rides out the exact zeros
     the interference factor inserts at odd summation indices.
+
+Two paths evaluate the series, chosen by the shape of the input:
+  * one point (`normalization`, `moment`): a scalar loop that visits
+    one term at a time and stops at the first term that completes the
+    tail test, memoized per configuration.
+  * a row of xi values that share k and the model (`moment_row`, which
+    grid scans use): every series the row needs, for every xi, becomes
+    one column of a 2-D numpy block of terms over the summation index.
+    The block grows by doubling, for the columns still running only.
+    Each column replays the scalar path: the same terms, the same
+    Neumaier sums (sequential cumulative sums plus their exact rounding
+    errors), the same stop rule counted over every index, and the same
+    overflow, pole and term-cap checks, so its value does not depend on
+    the block size or on which columns share the block.  A node whose
+    series fail reports the error the scalar path would raise first.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .errors import DomainError, SeriesNotConverged, SingularNonlinearity
+import numpy as np
+
+from .errors import DomainError, FansqError, SeriesNotConverged, SingularNonlinearity
 from .specfun import (
     SL_ONE,
     SL_ZERO,
@@ -36,6 +53,7 @@ from .specfun import (
     SignedLog,
     interference_factor,
     log_factorial,
+    log_factorials,
     signed_log,
 )
 
@@ -73,6 +91,20 @@ class TrappedIon:
 NonlinearModel = Union[Identity, TrappedIon]
 
 
+def _check_fan(k: int, model: NonlinearModel) -> None:
+    if not (isinstance(k, int) and k >= 1):
+        raise DomainError(f"fan order k must be a positive integer, got {k}")
+    if isinstance(model, TrappedIon) and model.quantum_order != 2 * k:
+        raise DomainError(
+            f"trapped-ion quantum_order must equal 2k = {2 * k}, got {model.quantum_order}"
+        )
+
+
+def _check_xi(xi: float) -> None:
+    if not (math.isfinite(xi) and xi >= 0):
+        raise DomainError(f"xi must be finite and >= 0, got {xi}")
+
+
 @dataclass(frozen=True)
 class FanConfig:
     """Everything that pins down one fan state: order k, eigenvalue magnitude, model."""
@@ -82,15 +114,8 @@ class FanConfig:
     model: NonlinearModel
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise DomainError(f"fan order k must be a positive integer, got {self.k}")
-        if not (math.isfinite(self.xi) and self.xi >= 0):
-            raise DomainError(f"xi must be finite and >= 0, got {self.xi}")
-        if isinstance(self.model, TrappedIon) and self.model.quantum_order != 2 * self.k:
-            raise DomainError(
-                f"trapped-ion quantum_order must equal 2k = {2 * self.k}, "
-                f"got {self.model.quantum_order}"
-            )
+        _check_fan(self.k, self.model)
+        _check_xi(self.xi)
 
     @property
     def xi_sq(self) -> float:
@@ -138,12 +163,21 @@ class SeriesControl:
     laguerre_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
+        # a tolerance of one or more accepts terms as large as the sum
+        if not (math.isfinite(self.rel_tol) and 0 < self.rel_tol < 1):
+            raise DomainError(f"rel_tol must be finite and in (0, 1), got {self.rel_tol}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
-        if self.consecutive_small < 1:
-            raise DomainError(f"consecutive_small must be >= 1, got {self.consecutive_small}")
+        # every odd summation index holds an exact zero, so a run of one
+        # small term would stop most series at their first zero
+        if self.consecutive_small < 2:
+            raise DomainError(f"consecutive_small must be >= 2, got {self.consecutive_small}")
+        # a NaN or negative floor turns pole detection off; an infinite
+        # one flags every product as a pole
+        if not (math.isfinite(self.laguerre_floor) and self.laguerre_floor >= 0):
+            raise DomainError(
+                f"laguerre_floor must be finite and >= 0, got {self.laguerre_floor}"
+            )
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -403,6 +437,236 @@ def moment(cfg: FanConfig, l: int, m: int, ctl: SeriesControl = DEFAULT_CONTROL)
     if l < m:
         l, m = m, l
     return _moment_cached(cfg, l, m, ctl)
+
+
+# ---------------------------------------------------------------------------
+# row engine: the series of a row of xi values as columns of one term block
+
+_FIRST_BLOCK = 16  # term rows in the first block; each later block doubles the total
+
+
+class _Lattice:
+    """Signed log-products of f at multiples of 2k, up to the first pole.
+
+    Entry i holds the product that `nonlinearity_product` returns at
+    Fock argument 2k*i, read from the same memo table.
+    """
+
+    def __init__(self, model: NonlinearModel, step: int, floor: float) -> None:
+        self.model = model
+        self.step = step
+        self.floor = floor
+        self.sign = np.ones(1)
+        self.logmag = np.zeros(1)
+        self.pole: Optional[int] = None  # first index whose product is singular
+        self.error: Optional[SingularNonlinearity] = None
+
+    def extend(self, j: int) -> None:
+        """Hold products up to index j, or up to the pole if it comes first."""
+        if j < self.sign.size or self.pole is not None:
+            return
+        if isinstance(self.model, TrappedIon):
+            # grow the tables in one step each: `nonlinearity_value` asks
+            # for one degree at a time, and each growth copies the table
+            top = j * self.step
+            log_factorial(top)
+            for alpha in (0, self.model.quantum_order):
+                _laguerre_table(self.model.eta_sq, alpha).value(top - self.model.quantum_order)
+        try:
+            products = _product_list(self.model, self.step, self.floor, j)
+        except SingularNonlinearity as exc:
+            self.pole, self.error = exc.index // self.step, exc
+            products = _product_list(self.model, self.step, self.floor, self.pole - 1)
+        self.sign = np.array([p.sign for p in products], dtype=float)
+        self.logmag = np.array([p.logmag for p in products])
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Per-column parameters of the term block (one series at one xi)."""
+
+    n0: np.ndarray  # first summation index
+    shift: np.ndarray  # lattice offset (l - m) / 2k of the second product
+    m: np.ndarray  # annihilation power; 0 for the normalization
+    norm: np.ndarray  # True for normalization columns
+    log_xi: np.ndarray
+
+    def take(self, cols: np.ndarray) -> "_Columns":
+        return _Columns(*(getattr(self, f.name)[cols] for f in fields(self)))
+
+
+def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns):
+    """Terms at summation offsets a..b-1 of every column, as in `_moment_cached`.
+
+    Returns (terms, singular, overflow): the terms, with zeros where the
+    scalar path raises, and where it raises which error.
+    """
+    n = np.arange(a, b)[:, None] + p.n0
+    top = n + p.shift
+    lat.extend(int(top.max()))
+    even = n % 2 == 0  # the interference factor is 2k here and 0 at odd n
+    singular = even & (top >= lat.pole) if lat.pole is not None else np.zeros_like(even)
+    ok = even & ~singular
+    i1 = np.where(ok, n, 0)
+    i2 = np.where(ok, top, 0)
+    lf = log_factorials(2 * k * int(n.max()))
+    logmag = (2 * math.log(2 * k) + (4 * k * n) * p.log_xi) - lf[2 * k * n - p.m]
+    p1 = lat.logmag[i1]
+    logmag = np.where(p.norm, logmag - 2 * p1, (logmag - p1) - lat.logmag[i2])
+    overflow = ok & (logmag > _LOG_HUGE)
+    ok &= ~overflow
+    terms = np.exp(np.where(ok, logmag, -np.inf)) * (lat.sign[i1] * lat.sign[i2])
+    # leading normalization term is exactly (2k)^2, as in `normalization`
+    terms[(n == 0) & p.norm] = float(4 * k * k)
+    return terms, singular, overflow
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Row of the first True in each column, or the row count if none."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), mask.shape[0])
+
+
+_RUNNING, _STOPPED, _SINGULAR, _OVERFLOW, _CAPPED = range(5)
+
+
+def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl):
+    """Per-column `_sum_series`: returns (sums, outcome codes)."""
+    width = p.n0.size
+    sums = np.full(width, np.nan)
+    outcome = np.full(width, _RUNNING)
+    cols = np.arange(width)
+    acc = np.zeros(width)  # Neumaier sum and compensation, carried
+    comp = np.zeros(width)
+    run = np.zeros(width, dtype=int)  # small terms ending the last block
+    a = 0
+    size = _FIRST_BLOCK
+    while cols.size:
+        b = min(a + size, ctl.n_max)
+        here = p.take(cols)
+        x, singular, overflow = _term_block(lat, k, a, b, here)
+        partial = np.cumsum(np.vstack((acc, x)), axis=0)
+        prev, s = partial[:-1], partial[1:]
+        err = np.where(np.abs(prev) >= np.abs(x), (prev - s) + x, (x - s) + prev)
+        c = np.cumsum(np.vstack((comp, err)), axis=0)[1:]
+        value = s + c
+        small = np.abs(x) <= ctl.rel_tol * np.abs(value)
+        rows = np.arange(b - a)[:, None]
+        streak = rows - np.maximum.accumulate(np.where(small, -1 - run, rows), axis=0)
+        fail_at = _first(singular | overflow)
+        stop_at = _first(streak >= ctl.consecutive_small)
+        # a failing term raises before it is added, so it beats a stop there
+        failed = (fail_at < b - a) & (fail_at <= stop_at)
+        stopped = stop_at < fail_at
+        idx = np.arange(cols.size)
+        outcome[cols[failed]] = np.where(
+            singular[fail_at[failed], idx[failed]], _SINGULAR, _OVERFLOW
+        )
+        outcome[cols[stopped]] = _STOPPED
+        sums[cols[stopped]] = value[stop_at[stopped], idx[stopped]]
+        rest = ~(failed | stopped)
+        if b == ctl.n_max:
+            outcome[cols[rest]] = _CAPPED
+            break
+        cols = cols[rest]
+        acc, comp, run = s[-1, rest], c[-1, rest], streak[-1, rest]
+        a, size = b, b
+    return sums, outcome
+
+
+@dataclass(frozen=True)
+class MomentRow:
+    """Moments of the fan states of one row: shared k and model, one per xi.
+
+    values[(l, m)][j] is `moment(FanConfig(k, xi[j], model), l, m, ctl)`
+    up to rounding.  errors[j] is the error the scalar path raises first
+    at xi[j] when it evaluates the pairs in the given order, else None;
+    values are NaN at such a node.
+    """
+
+    values: dict[tuple[int, int], np.ndarray]
+    errors: list[Optional[FansqError]]
+
+
+def moment_row(
+    k: int,
+    xi: Sequence[float],
+    model: NonlinearModel,
+    pairs: Sequence[tuple[int, int]],
+    ctl: SeriesControl = DEFAULT_CONTROL,
+) -> MomentRow:
+    """Normally-ordered moments for a row of xi values in one term block.
+
+    Each series the pairs need (the normalization and every moment not
+    zero by symmetry) is one column per positive xi.  Columns stop on
+    the scalar stop rule; the lattice of products is built once.
+    """
+    _check_fan(k, model)
+    for x in xi:
+        _check_xi(x)
+    for l, m in pairs:
+        if l < 0 or m < 0:
+            raise DomainError(f"moment powers must be nonnegative, got l={l}, m={m}")
+    step = 2 * k
+    xi_arr = np.array(xi, dtype=float)
+    live = np.flatnonzero(xi_arr > 0)
+    ordered = {(max(l, m), min(l, m)): None for l, m in pairs}
+    series = [lm for lm in ordered if (lm[0] - lm[1]) % (2 * step) == 0]
+    # the scalar path sums the first moment, then the normalization it
+    # divides by, then the others: that order decides which error a
+    # node reports
+    if series:
+        series.insert(1, None)
+    lat = _Lattice(model, step, ctl.laguerre_floor)
+    log_xi = np.array([math.log(xi[j]) for j in live])
+
+    def per_column(f):
+        return np.repeat([f(lm) for lm in series], live.size)
+
+    params = _Columns(
+        n0=per_column(lambda lm: 0 if lm is None else -(-lm[1] // step)),
+        shift=per_column(lambda lm: 0 if lm is None else (lm[0] - lm[1]) // step),
+        m=per_column(lambda lm: 0 if lm is None else lm[1]),
+        norm=per_column(lambda lm: lm is None),
+        log_xi=np.tile(log_xi, len(series)),
+    )
+    sums, outcome = _sum_columns(lat, k, params, ctl)
+    sums = sums.reshape(len(series), live.size)
+    outcome = outcome.reshape(len(series), live.size)
+
+    errors: list[Optional[FansqError]] = [None] * len(xi)
+    for s_idx, lm in enumerate(series):
+        what = (
+            f"normalization k={k}"
+            if lm is None
+            else f"moment l={lm[0]} m={lm[1]} k={k}"
+        )
+        for i in np.flatnonzero(outcome[s_idx] != _STOPPED):
+            j = int(live[i])
+            if errors[j] is not None:
+                continue
+            where = f"{what} xi={xi[j]}"
+            code = outcome[s_idx, i]
+            if code == _SINGULAR:
+                errors[j] = SingularNonlinearity(f"{where}: {lat.error}", index=lat.error.index)
+            elif code == _OVERFLOW:
+                errors[j] = SeriesNotConverged(f"{where}: a term exceeds float range")
+            else:
+                errors[j] = SeriesNotConverged(
+                    f"{where}: tail criterion not met after {ctl.n_max} terms"
+                )
+
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    values = {}
+    for l, m in pairs:
+        lm = (max(l, m), min(l, m))
+        v = np.where(xi_arr == 0.0, float(lm == (0, 0)), 0.0)
+        if lm in series:
+            diff = lm[0] - lm[1]
+            scale = np.array([xi[j] ** diff for j in live])
+            v[live] = scale * sums[series.index(lm)] / sums[1]
+        v[failed] = np.nan
+        values[(l, m)] = v
+    return MomentRow(values=values, errors=errors)
 
 
 def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CONTROL):

@@ -24,7 +24,7 @@ from .fanstate import (
     nonlinearity_value,
     normalization,
 )
-from .specfun import log_factorial
+from .specfun import log_factorial, log_factorials
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -139,7 +139,7 @@ def moment_oracle(v: FockVector, l: int, m: int) -> complex:
     if hi < lo:
         return 0.0 + 0.0j
     ns = np.arange(lo, hi + 1)
-    lf = np.array([log_factorial(int(i)) for i in range(v.dim + max(d, 0) + 1)])
+    lf = log_factorials(v.dim + max(d, 0))
     weight = np.exp(0.5 * ((lf[ns] - lf[ns - m]) + (lf[ns - m + l] - lf[ns - m])))
     # explicit real/imag kernel instead of complex multiply: elementwise
     # float products commute and subtraction negates exactly, so swapping

@@ -13,6 +13,8 @@ import math
 import threading
 from typing import NamedTuple
 
+import numpy as np
+
 
 class SignedLog(NamedTuple):
     """A real number stored as (sign, ln|value|).
@@ -74,6 +76,7 @@ class _LogFactorialTable:
 
     def __init__(self) -> None:
         self._table = [0.0, 0.0]  # ln 0!, ln 1!
+        self._array = np.zeros(0)
         self._lock = threading.Lock()
 
     def __call__(self, n: int) -> float:
@@ -94,8 +97,23 @@ class _LogFactorialTable:
             self._table = grown
             return grown[n]
 
+    def upto(self, n: int) -> np.ndarray:
+        """ln(0!) .. ln(n!) as a read-only array holding the table's values.
+
+        The array copy is rebuilt at (at least) twice its size when it
+        runs short, so slicing it costs no per-element Python work.
+        """
+        arr = self._array
+        if n >= arr.size:
+            self(max(n, 2 * arr.size))
+            arr = np.array(self._table)
+            arr.flags.writeable = False
+            self._array = arr
+        return arr[: n + 1]
+
 
 log_factorial = _LogFactorialTable()
+log_factorials = log_factorial.upto
 
 
 def double_factorial(n: int) -> int:

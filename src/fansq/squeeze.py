@@ -14,11 +14,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Any, Mapping, NamedTuple, Sequence, Union
 
 from ._optimize import bisect_root
-from .errors import DomainError
-from .fanstate import DEFAULT_CONTROL, FanConfig, SeriesControl, moment
+from .errors import DomainError, FansqError
+from .fanstate import (
+    DEFAULT_CONTROL,
+    FanConfig,
+    NonlinearModel,
+    SeriesControl,
+    moment,
+    moment_row,
+)
 from .specfun import double_factorial
 
 
@@ -50,14 +57,26 @@ class SqueezeCoeffs:
     harmonics: tuple[float, ...]
 
 
-@lru_cache(maxsize=None)
-def coefficients(
-    cfg: FanConfig, N: int, ctl: SeriesControl = DEFAULT_CONTROL
-) -> SqueezeCoeffs:
-    """Assemble the decomposition from normally-ordered moments."""
-    if N < 2 or N % 2 != 0:
-        raise DomainError(f"moment order must be even and >= 2, got {N}")
-    k = cfg.k
+def _moment_pairs(k: int, N: int) -> list[tuple[int, int]]:
+    """The moments (l, m) the decomposition needs.
+
+    The order is the scalar path's evaluation order, which decides the
+    error a failing node reports.
+    """
+    half = N // 2
+    pairs = [(m, m) for m in range(1, half + 1)]
+    for p in range(1, N // (4 * k) + 1):
+        pairs += [(m + 4 * p * k, m) for m in range(half - 2 * p * k + 1)]
+    return pairs
+
+
+def _assemble(
+    k: int, N: int, moments: Mapping[tuple[int, int], Any]
+) -> tuple[Any, list[Any]]:
+    """Constant and harmonics from the moments of `_moment_pairs`.
+
+    Each moment is a float, or an array over the nodes of a row.
+    """
     half = N // 2
     n_fact = math.factorial(N)
 
@@ -65,7 +84,7 @@ def coefficients(
     for m in range(1, half + 1):
         const += (
             2**m
-            * moment(cfg, m, m, ctl)
+            * moments[(m, m)]
             / (math.factorial(m) ** 2 * math.factorial(half - m))
         )
     const *= n_fact / 2**N
@@ -78,7 +97,7 @@ def coefficients(
         for m in range(0, m_top + 1):
             s += (
                 2**m
-                * moment(cfg, m + 4 * p * k, m, ctl)
+                * moments[(m + 4 * p * k, m)]
                 / (
                     math.factorial(m)
                     * math.factorial(m + 4 * p * k)
@@ -86,8 +105,51 @@ def coefficients(
                 )
             )
         harmonics.append(4 ** (p * k) * n_fact / 2 ** (N - 1) * s)
+    return const, harmonics
 
-    return SqueezeCoeffs(k=k, N=N, constant=const, harmonics=tuple(harmonics))
+
+def _check_order(N: int) -> None:
+    if N < 2 or N % 2 != 0:
+        raise DomainError(f"moment order must be even and >= 2, got {N}")
+
+
+@lru_cache(maxsize=None)
+def coefficients(
+    cfg: FanConfig, N: int, ctl: SeriesControl = DEFAULT_CONTROL
+) -> SqueezeCoeffs:
+    """Assemble the decomposition from normally-ordered moments."""
+    _check_order(N)
+    moments = {(l, m): moment(cfg, l, m, ctl) for l, m in _moment_pairs(cfg.k, N)}
+    const, harmonics = _assemble(cfg.k, N, moments)
+    return SqueezeCoeffs(k=cfg.k, N=N, constant=const, harmonics=tuple(harmonics))
+
+
+def coefficients_row(
+    k: int,
+    xi_sq: Sequence[float],
+    model: NonlinearModel,
+    N: int,
+    ctl: SeriesControl = DEFAULT_CONTROL,
+) -> list[Union[SqueezeCoeffs, FansqError]]:
+    """`coefficients` for a row of xi^2 values that share k and the model.
+
+    Entry j is what `coefficients(FanConfig.from_xi_sq(k, xi_sq[j],
+    model), N, ctl)` returns, up to rounding, or the error it raises.
+    All series of the row are summed together by `moment_row`.
+    """
+    _check_order(N)
+    for x in xi_sq:
+        if not (math.isfinite(x) and x >= 0):
+            raise DomainError(f"xi_sq must be finite and >= 0, got {x}")
+    row = moment_row(k, [math.sqrt(x) for x in xi_sq], model, _moment_pairs(k, N), ctl)
+    const, harmonics = _assemble(k, N, row.values)
+    const, harmonics = const.tolist(), [h.tolist() for h in harmonics]
+    return [
+        err
+        if err is not None
+        else SqueezeCoeffs(k=k, N=N, constant=const[j], harmonics=tuple(h[j] for h in harmonics))
+        for j, err in enumerate(row.errors)
+    ]
 
 
 def squeeze_parameter(coeffs: SqueezeCoeffs, phi: float) -> float:
@@ -95,15 +157,14 @@ def squeeze_parameter(coeffs: SqueezeCoeffs, phi: float) -> float:
 
     Negative values mean squeezing below the coherent benchmark; the
     construction bounds S from below by -benchmark, which is checked on
-    every evaluation.
+    every evaluation (FansqError if it fails).
     """
     s = coeffs.constant
     for p, b in enumerate(coeffs.harmonics, start=1):
         s += b * math.cos(4 * p * coeffs.k * phi)
     floor = -vacuum_benchmark(coeffs.N)
-    assert s >= floor - 1e-12 * max(1.0, -floor), (
-        f"S={s} fell below the moment positivity bound {floor}"
-    )
+    if not s >= floor - 1e-12 * max(1.0, -floor):
+        raise FansqError(f"S={s} fell below the moment positivity bound {floor}")
     return s
 
 

@@ -274,6 +274,23 @@ def test_bad_thread_env_is_exit_two(capsys, monkeypatch):
     assert "FANSQ_THREADS" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--consecutive-small", "1"],
+        ["--rel-tol", "inf"],
+        ["--rel-tol", "0.5e1"],
+        ["--laguerre-floor", "nan"],
+        ["--laguerre-floor=-1e-12"],
+    ],
+)
+def test_untrustworthy_series_control_is_exit_two(capsys, flags):
+    code = main(["squeeze", "--k", "1", "--N", "4", "--xi-sq", "2.0"] + flags)
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert "invalid parameters" in err
+
+
 def test_output_file_not_created_on_failure(capsys, tmp_path):
     target = tmp_path / "out.json"
     code = main(["squeeze", "--k", "1", "--N", "5", "--xi-sq", "0.1",

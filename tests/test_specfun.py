@@ -18,6 +18,7 @@ from fansq.specfun import (
     interference_factor,
     laguerre,
     log_factorial,
+    log_factorials,
     signed_log,
 )
 
@@ -102,6 +103,14 @@ def test_log_factorial_small_values_exact():
 def test_log_factorial_against_lgamma():
     for n in (10, 47, 300, 2000):
         assert log_factorial(n) == pytest.approx(math.lgamma(n + 1), rel=1e-13)
+
+
+def test_log_factorial_array_holds_the_table_values():
+    for n in (0, 1, 7, 40, 3000):
+        arr = log_factorials(n)
+        assert arr.size == n + 1
+        assert arr.tolist() == [log_factorial(i) for i in range(n + 1)]
+        assert not arr.flags.writeable
 
 
 def test_log_factorial_negative_rejected():

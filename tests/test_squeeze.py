@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fansq.errors import DomainError
+from fansq.errors import DomainError, FansqError
 from fansq.fanstate import FanConfig, Identity, TrappedIon, moment
 from fansq.specfun import double_factorial
 from fansq.squeeze import (
@@ -120,7 +120,7 @@ def test_squeeze_parameter_zero_state():
 
 def test_squeeze_parameter_guards_moment_positivity_bound():
     fake = SqueezeCoeffs(k=1, N=4, constant=-10.0, harmonics=(0.0,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(FansqError):
         squeeze_parameter(fake, 0.0)
 
 
