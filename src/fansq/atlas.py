@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -120,7 +120,7 @@ def scan(
         model = _model_for(model_kind, grid.k, eta_sq)
         row_vals: list[float] = []
         row_status: list[str] = []
-        for c in coefficients_row(grid.k, xi_vals, model, grid.N, ctl):
+        for c in coefficients_row(grid.k, xi_vals, [model] * len(xi_vals), grid.N, ctl):
             if isinstance(c, SqueezeCoeffs):
                 row_vals.append(squeeze_parameter(c, grid.phi))
                 row_status.append(STATUS_OK)
@@ -134,35 +134,89 @@ def scan(
     return PhaseDiagram(grid=grid, values=np.array(values, dtype=float), status=status)
 
 
-def _refine_crossing(
-    kind: str,
-    grid: GridSpec,
-    ctl: SeriesControl,
-    fixed: float,
-    lo: float,
-    hi: float,
-    s_lo: float,
-    s_hi: float,
-    vary: str,
-) -> Optional[tuple[float, float, float]]:
-    """Bisect one sign change of S along a grid line; None if it fails."""
+class _Crossing(NamedTuple):
+    """A sign change of S between two neighbouring OK grid nodes."""
 
-    def s_of(x: float) -> float:
-        if vary == "xi_sq":
-            xi_sq, eta_sq = x, fixed
-        else:
-            xi_sq, eta_sq = fixed, x
-        cfg = FanConfig.from_xi_sq(grid.k, xi_sq, _model_for(kind, grid.k, eta_sq))
-        return squeeze_parameter(coefficients(cfg, grid.N, ctl), grid.phi)
+    fixed: float  # the grid value of the other coordinate
+    lo: float
+    hi: float
+    s_lo: float
+    s_hi: float
+    along_xi: bool  # True when xi_sq varies and eta_sq is fixed
 
-    try:
-        root = bisect_root(s_of, lo, hi, 1e-12, fa=s_lo, fb=s_hi)
-        s_root = s_of(root)
-    except (SingularNonlinearity, SeriesNotConverged):
-        return None
-    if vary == "xi_sq":
-        return root, fixed, s_root
-    return fixed, root, s_root
+
+_XTOL = 1e-12  # absolute width at which a crossing counts as refined
+
+
+def _crossings(diagram: PhaseDiagram) -> list[_Crossing]:
+    """Sign changes along every eta_sq row, then along every xi_sq column."""
+    grid = diagram.grid
+    xi_vals = grid.xi_sq.values()
+    eta_vals = grid.eta_sq.values()
+    vals = diagram.values
+    ok = np.array([[st == STATUS_OK for st in row] for row in diagram.status], dtype=bool)
+    out: list[_Crossing] = []
+    for along_xi, fixed_vals, line_vals in ((True, eta_vals, xi_vals), (False, xi_vals, eta_vals)):
+        lines_s = vals if along_xi else vals.T
+        lines_ok = ok if along_xi else ok.T
+        for fixed, s, good in zip(fixed_vals, lines_s.tolist(), lines_ok):
+            for j in range(len(line_vals) - 1):
+                a, b = s[j], s[j + 1]
+                if good[j] and good[j + 1] and a != 0.0 and (a > 0) != (b > 0):
+                    out.append(_Crossing(fixed, line_vals[j], line_vals[j + 1], a, b, along_xi))
+    return out
+
+
+def _refine_crossings(
+    grid: GridSpec, kind: str, ctl: SeriesControl, crossings: list[_Crossing]
+) -> list[Optional[tuple[float, float]]]:
+    """Bisect every crossing in lockstep: one engine call per step.
+
+    Each crossing follows `bisect_root` to xtol 1e-12 (the same
+    midpoints, exits and exact-zero rule), then S is evaluated once more
+    at its root.  A crossing whose series fail at any of its points is
+    dropped (None).  Returns the (xi_sq, eta_sq) points in input order.
+    """
+    if not crossings:
+        return []
+    fixed, a, b, fa, fb, along_xi = (np.array(c) for c in zip(*crossings))
+    dropped = np.zeros(len(crossings), dtype=bool)
+    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    done = ~np.isnan(root)
+
+    def s_at(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """S at position x along the lines of `rows`, and where it failed."""
+        xi_sq = np.where(along_xi[rows], x, fixed[rows]).tolist()
+        eta_sq = np.where(along_xi[rows], fixed[rows], x).tolist()
+        models = [_model_for(kind, grid.k, e) for e in eta_sq]
+        row = coefficients_row(grid.k, xi_sq, models, grid.N, ctl)
+        fail = np.array([not isinstance(c, SqueezeCoeffs) for c in row], dtype=bool)
+        s = [math.nan if bad else squeeze_parameter(c, grid.phi) for c, bad in zip(row, fail)]
+        return np.array(s), fail
+
+    while True:
+        mid = 0.5 * (a + b)
+        rows = np.flatnonzero(~done & ~dropped & (b - a > _XTOL) & (mid > a) & (mid < b))
+        if not rows.size:
+            break
+        m = mid[rows]
+        fm, fail = s_at(m, rows)
+        dropped[rows[fail]] = True
+        zero = ~fail & (fm == 0.0)
+        done[rows[zero]] = True
+        root[rows[zero]] = m[zero]
+        to_a = ~fail & ~zero & ((fm > 0) == (fa[rows] > 0))
+        to_b = ~fail & ~zero & ~to_a
+        a[rows[to_a]], fa[rows[to_a]] = m[to_a], fm[to_a]
+        b[rows[to_b]] = m[to_b]
+    root = np.where(done, root, 0.5 * (a + b))
+    kept = np.flatnonzero(~dropped)
+    _, fail = s_at(root[kept], kept)
+    dropped[kept[fail]] = True
+    return [
+        None if dropped[c] else ((x, f) if along else (f, x))
+        for c, (x, f, along) in enumerate(zip(root.tolist(), fixed.tolist(), along_xi.tolist()))
+    ]
 
 
 def trace_boundary(
@@ -173,42 +227,16 @@ def trace_boundary(
 ) -> list[tuple[float, float]]:
     """Points where S = 0, refined along every grid row and column.
 
+    Every sign change of S between neighbouring OK nodes of the scan is
+    bisected to 1e-12 along its grid line, all of them in lockstep (one
+    engine call per bisection step).  Crossings whose series fail on
+    the way, such as sign changes across a Laguerre pole, are dropped.
     Returns the crossing points ordered by angle around their centroid,
     approximating the closed boundary curve of the squeezing region.
-    Raises EmptyBoundary when the scan shows no sign change at all.
+    Raises EmptyBoundary when no crossing survives.
     """
     diagram = scan(grid, model_kind, ctl, threads)
-    xi_vals = grid.xi_sq.values()
-    eta_vals = grid.eta_sq.values()
-    vals = diagram.values
-    status = diagram.status
-    points: list[tuple[float, float]] = []
-
-    for i, eta_sq in enumerate(eta_vals):
-        for j in range(len(xi_vals) - 1):
-            if status[i][j] != STATUS_OK or status[i][j + 1] != STATUS_OK:
-                continue
-            a, b = vals[i, j], vals[i, j + 1]
-            if a == 0.0 or (a > 0) == (b > 0):
-                continue
-            hit = _refine_crossing(
-                model_kind, grid, ctl, eta_sq, xi_vals[j], xi_vals[j + 1], a, b, "xi_sq"
-            )
-            if hit is not None:
-                points.append((hit[0], hit[1]))
-    for j, xi_sq in enumerate(xi_vals):
-        for i in range(len(eta_vals) - 1):
-            if status[i][j] != STATUS_OK or status[i + 1][j] != STATUS_OK:
-                continue
-            a, b = vals[i, j], vals[i + 1, j]
-            if a == 0.0 or (a > 0) == (b > 0):
-                continue
-            hit = _refine_crossing(
-                model_kind, grid, ctl, xi_sq, eta_vals[i], eta_vals[i + 1], a, b, "eta_sq"
-            )
-            if hit is not None:
-                points.append((hit[0], hit[1]))
-
+    points = [p for p in _refine_crossings(grid, model_kind, ctl, _crossings(diagram)) if p]
     if not points:
         raise EmptyBoundary("no sign change of the squeeze parameter on the grid")
 

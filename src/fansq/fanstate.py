@@ -22,16 +22,22 @@ Two paths evaluate the series, chosen by the shape of the input:
   * one point (`normalization`, `moment`): a scalar loop that visits
     one term at a time and stops at the first term that completes the
     tail test, memoized per configuration.
-  * a row of xi values that share k and the model (`moment_row`, which
-    grid scans use): every series the row needs, for every xi, becomes
-    one column of a 2-D numpy block of terms over the summation index.
-    The block grows by doubling, for the columns still running only.
-    Each column replays the scalar path: the same terms, the same
-    Neumaier sums (sequential cumulative sums plus their exact rounding
-    errors), the same stop rule counted over every index, and the same
-    overflow, pole and term-cap checks, so its value does not depend on
-    the block size or on which columns share the block.  A node whose
-    series fail reports the error the scalar path would raise first.
+  * a row of points of one order k, each with its own xi and model
+    (`moment_row`; grid scans pass one eta_sq row with a shared model,
+    boundary refinement one bisection midpoint per crossing): every
+    series a point needs becomes one column of a 2-D numpy block of
+    terms over the summation index.  The block grows by doubling, for
+    the columns still running only.  The products of the nonlinearity
+    come from a lattice with one column per distinct model, built in
+    numpy from Laguerre values equal bit for bit to the scalar path's,
+    so both find the same poles.  Each column replays the scalar path:
+    the same terms, the same Neumaier sums (sequential cumulative sums
+    plus their exact rounding errors), the same stop rule counted over
+    every index, and the same overflow, pole and term-cap checks, so its
+    value does not depend on the block size or on which columns or
+    models share the block.  A node whose series fail reports the error
+    the scalar path would raise first.  It fills none of the scalar
+    path's memo tables.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .specfun import (
     SL_ONE,
     SL_ZERO,
     CompensatedSum,
+    LaguerreRows,
     LaguerreTable,
     SignedLog,
     interference_factor,
@@ -259,10 +266,10 @@ def _product_list(model: NonlinearModel, step: int, floor: float, j: int) -> lis
 def nonlinearity_product(
     model: NonlinearModel, p: int, step: int, floor: float = 1e-12
 ) -> SignedLog:
-    """Running product f(p) f(p-step) ... with last factor at index >= step.
+    """Running product f(p) f(p-step) ... f(step) at a multiple p of step.
 
-    Exactly one for 0 <= p < step.  Memoized per (model, step) at the
-    multiples of step, which is the only case the fan-state series hit.
+    Exactly one for 0 <= p < step.  Memoized per (model, step).  Other
+    p raise DomainError: the fan-state series only visit multiples.
     """
     if step < 1:
         raise DomainError(f"step must be >= 1, got {step}")
@@ -271,20 +278,9 @@ def nonlinearity_product(
     if p < step:
         return SL_ONE
     q, r = divmod(p, step)
-    if r == 0:
-        return _product_list(model, step, floor, q)[q]
-    # off-lattice chain: f(p) f(p-step) ... f(step + r); not cached
-    out = SL_ONE
-    idx = p
-    while idx >= step:
-        factor = nonlinearity_value(model, idx, floor)
-        if factor.sign == 0:
-            raise SingularNonlinearity(
-                f"nonlinearity vanishes exactly at Fock argument {idx}", index=idx
-            )
-        out = out.mul(factor)
-        idx -= step
-    return out
+    if r:
+        raise DomainError(f"product index {p} is not a multiple of the step {step}")
+    return _product_list(model, step, floor, q)[q]
 
 
 def product_convention_diagnostic(
@@ -440,51 +436,88 @@ def moment(cfg: FanConfig, l: int, m: int, ctl: SeriesControl = DEFAULT_CONTROL)
 
 
 # ---------------------------------------------------------------------------
-# row engine: the series of a row of xi values as columns of one term block
+# row engine: the series of many points, each with its own model, as
+# columns of one term block
 
 _FIRST_BLOCK = 16  # term rows in the first block; each later block doubles the total
+_NO_POLE = np.iinfo(np.int64).max
 
 
 class _Lattice:
-    """Signed log-products of f at multiples of 2k, up to the first pole.
+    """Signed log-products of f at multiples of 2k, one column per distinct model.
 
-    Entry i holds the product that `nonlinearity_product` returns at
-    Fock argument 2k*i, read from the same memo table.
+    Entry [i, g] holds the product that `nonlinearity_product` returns
+    for model g at Fock argument 2k*i.  It is built from the same
+    Laguerre values and log-factorials in the same order, so only the
+    logs may round differently.  pole[g] is the first index whose
+    product is singular, or _NO_POLE; entries from there on are unused.
     """
 
-    def __init__(self, model: NonlinearModel, step: int, floor: float) -> None:
-        self.model = model
+    def __init__(self, models: Sequence[NonlinearModel], step: int, floor: float) -> None:
         self.step = step
         self.floor = floor
-        self.sign = np.ones(1)
-        self.logmag = np.zeros(1)
-        self.pole: Optional[int] = None  # first index whose product is singular
-        self.error: Optional[SingularNonlinearity] = None
+        self.ion = [g for g, model in enumerate(models) if isinstance(model, TrappedIon)]
+        self.eta_sq = [models[g].eta_sq for g in self.ion]
+        # the quantum order K is 2k = step: both Laguerre orders in one table
+        self.laguerre = LaguerreRows(np.repeat([0, step], len(self.ion)), np.tile(self.eta_sq, 2))
+        self.sign = np.ones((1, len(models)))
+        self.logmag = np.zeros((1, len(models)))
+        self.pole = np.full(len(models), _NO_POLE)
+        self.errors: list[Optional[SingularNonlinearity]] = [None] * len(models)
 
     def extend(self, j: int) -> None:
-        """Hold products up to index j, or up to the pole if it comes first."""
-        if j < self.sign.size or self.pole is not None:
+        """Hold products up to index j."""
+        size = self.sign.shape[0]
+        if j < size:
             return
-        if isinstance(self.model, TrappedIon):
-            # grow the tables in one step each: `nonlinearity_value` asks
-            # for one degree at a time, and each growth copies the table
-            top = j * self.step
-            log_factorial(top)
-            for alpha in (0, self.model.quantum_order):
-                _laguerre_table(self.model.eta_sq, alpha).value(top - self.model.quantum_order)
-        try:
-            products = _product_list(self.model, self.step, self.floor, j)
-        except SingularNonlinearity as exc:
-            self.pole, self.error = exc.index // self.step, exc
-            products = _product_list(self.model, self.step, self.floor, self.pole - 1)
-        self.sign = np.array([p.sign for p in products], dtype=float)
-        self.logmag = np.array([p.logmag for p in products])
+        step, count, ion = self.step, len(self.ion), self.ion
+        fock = step * np.arange(size, j + 1)[:, None]
+        sign = np.ones((fock.size, self.pole.size))
+        logmag = np.zeros((fock.size, self.pole.size))
+        if count:
+            # factor f(m) divides L^K by L^0, both of degree m - K
+            lag = self.laguerre.upto(step * (j - 1))[fock[:, 0] - step]
+            den, num = lag[:, :count], lag[:, count:]
+            low = np.abs(den) < self.floor
+            bad = low | (num == 0.0)
+            first = bad.argmax(axis=0)
+            new_pole = bad[first, np.arange(count)] & (self.pole[ion] == _NO_POLE)
+            # unused from the first pole on
+            bad |= np.arange(fock.size)[:, None] >= np.where(new_pole, first, fock.size)
+            bad[:, self.pole[ion] != _NO_POLE] = True
+            lf = log_factorials(step * j)
+            logf = (
+                (lf[fock - step] - lf[fock])
+                + np.log(np.where(bad, 1.0, np.abs(num)))
+                - np.log(np.where(bad, 1.0, np.abs(den)))
+            )
+            sign[:, ion] = np.where(bad | ((num > 0) == (den > 0)), 1.0, -1.0)
+            logmag[:, ion] = np.where(bad, 0.0, logf)
+            for r in np.flatnonzero(new_pole):
+                i = int(first[r])
+                m = int(fock[i, 0])
+                self.pole[ion[r]] = size + i
+                if low[i, r]:
+                    # the words of `nonlinearity_value`
+                    msg = (
+                        f"denominator Laguerre polynomial of degree {m - step} vanishes at "
+                        f"eta_sq={self.eta_sq[r]} (|value|={abs(den[i, r]):.3e} below "
+                        f"floor {self.floor})"
+                    )
+                else:
+                    msg = f"nonlinearity vanishes exactly at Fock argument {m}"
+                self.errors[ion[r]] = SingularNonlinearity(msg, index=m)
+        self.sign = np.vstack((self.sign, np.cumprod(np.vstack((self.sign[-1], sign)), axis=0)[1:]))
+        self.logmag = np.vstack(
+            (self.logmag, np.cumsum(np.vstack((self.logmag[-1], logmag)), axis=0)[1:])
+        )
 
 
 @dataclass(frozen=True)
 class _Columns:
     """Per-column parameters of the term block (one series at one xi)."""
 
+    g: np.ndarray  # lattice column of the column's model
     n0: np.ndarray  # first summation index
     shift: np.ndarray  # lattice offset (l - m) / 2k of the second product
     m: np.ndarray  # annihilation power; 0 for the normalization
@@ -505,17 +538,20 @@ def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns):
     top = n + p.shift
     lat.extend(int(top.max()))
     even = n % 2 == 0  # the interference factor is 2k here and 0 at odd n
-    singular = even & (top >= lat.pole) if lat.pole is not None else np.zeros_like(even)
+    singular = even & (top >= lat.pole[p.g])
     ok = even & ~singular
-    i1 = np.where(ok, n, 0)
-    i2 = np.where(ok, top, 0)
+    # flat positions of the two products in the lattice
+    groups = lat.pole.size
+    i1 = np.where(ok, n, 0) * groups + p.g
+    i2 = np.where(ok, top, 0) * groups + p.g
+    lat_logmag, lat_sign = lat.logmag.ravel(), lat.sign.ravel()
     lf = log_factorials(2 * k * int(n.max()))
     logmag = (2 * math.log(2 * k) + (4 * k * n) * p.log_xi) - lf[2 * k * n - p.m]
-    p1 = lat.logmag[i1]
-    logmag = np.where(p.norm, logmag - 2 * p1, (logmag - p1) - lat.logmag[i2])
+    p1 = lat_logmag[i1]
+    logmag = np.where(p.norm, logmag - 2 * p1, (logmag - p1) - lat_logmag[i2])
     overflow = ok & (logmag > _LOG_HUGE)
     ok &= ~overflow
-    terms = np.exp(np.where(ok, logmag, -np.inf)) * (lat.sign[i1] * lat.sign[i2])
+    terms = np.exp(np.where(ok, logmag, -np.inf)) * (lat_sign[i1] * lat_sign[i2])
     # leading normalization term is exactly (2k)^2, as in `normalization`
     terms[(n == 0) & p.norm] = float(4 * k * k)
     return terms, singular, overflow
@@ -575,12 +611,12 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl):
 
 @dataclass(frozen=True)
 class MomentRow:
-    """Moments of the fan states of one row: shared k and model, one per xi.
+    """Moments of a row of fan states of one order k, one per (xi, model).
 
-    values[(l, m)][j] is `moment(FanConfig(k, xi[j], model), l, m, ctl)`
-    up to rounding.  errors[j] is the error the scalar path raises first
-    at xi[j] when it evaluates the pairs in the given order, else None;
-    values are NaN at such a node.
+    values[(l, m)][j] is `moment(FanConfig(k, xi[j], models[j]), l, m,
+    ctl)` up to rounding.  errors[j] is the error the scalar path raises
+    first at node j when it evaluates the pairs in the given order, else
+    None; values are NaN at such a node.
     """
 
     values: dict[tuple[int, int], np.ndarray]
@@ -590,17 +626,21 @@ class MomentRow:
 def moment_row(
     k: int,
     xi: Sequence[float],
-    model: NonlinearModel,
+    models: Sequence[NonlinearModel],
     pairs: Sequence[tuple[int, int]],
     ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> MomentRow:
-    """Normally-ordered moments for a row of xi values in one term block.
+    """Normally-ordered moments at each xi[j], models[j], in one term block.
 
     Each series the pairs need (the normalization and every moment not
     zero by symmetry) is one column per positive xi.  Columns stop on
-    the scalar stop rule; the lattice of products is built once.
+    the scalar stop rule; the lattice of products is built once per
+    distinct model.
     """
-    _check_fan(k, model)
+    if len(models) != len(xi):
+        raise DomainError(f"need one model per xi, got {len(models)} for {len(xi)}")
+    for model in set(models):
+        _check_fan(k, model)
     for x in xi:
         _check_xi(x)
     for l, m in pairs:
@@ -616,13 +656,16 @@ def moment_row(
     # node reports
     if series:
         series.insert(1, None)
-    lat = _Lattice(model, step, ctl.laguerre_floor)
+    groups: dict[NonlinearModel, int] = {}
+    group = [groups.setdefault(models[j], len(groups)) for j in live]
+    lat = _Lattice(list(groups), step, ctl.laguerre_floor)
     log_xi = np.array([math.log(xi[j]) for j in live])
 
     def per_column(f):
         return np.repeat([f(lm) for lm in series], live.size)
 
     params = _Columns(
+        g=np.tile(np.array(group, dtype=int), len(series)),
         n0=per_column(lambda lm: 0 if lm is None else -(-lm[1] // step)),
         shift=per_column(lambda lm: 0 if lm is None else (lm[0] - lm[1]) // step),
         m=per_column(lambda lm: 0 if lm is None else lm[1]),
@@ -647,7 +690,8 @@ def moment_row(
             where = f"{what} xi={xi[j]}"
             code = outcome[s_idx, i]
             if code == _SINGULAR:
-                errors[j] = SingularNonlinearity(f"{where}: {lat.error}", index=lat.error.index)
+                pole = lat.errors[group[i]]
+                errors[j] = SingularNonlinearity(f"{where}: {pole}", index=pole.index)
             elif code == _OVERFLOW:
                 errors[j] = SeriesNotConverged(f"{where}: a term exceeds float range")
             else:

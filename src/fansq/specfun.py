@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -89,8 +90,10 @@ class _LogFactorialTable:
             t = self._table
             if n < len(t):
                 return t[n]
+            # grow to at least twice the length, so that asking for one
+            # more index per call copies the table O(log n) times
             grown = list(t)
-            for i in range(len(grown), n + 1):
+            for i in range(len(grown), max(n + 1, 2 * len(grown))):
                 grown.append(grown[-1] + math.log(i))
             # swap in fully-built list so lock-free readers never see a
             # partially extended table
@@ -154,7 +157,9 @@ class LaguerreTable:
     def __init__(self, m: int, x: float) -> None:
         self.m = m
         self.x = x
-        self._vals = [1.0]
+        # C doubles: a quarter of the memory of a list of floats, which
+        # pays for growing to twice the length
+        self._vals = array("d", [1.0])
         self._lock = threading.Lock()
 
     def value(self, n: int) -> float:
@@ -165,15 +170,63 @@ class LaguerreTable:
             vals = self._vals
             if n < len(vals):
                 return vals[n]
-            grown = list(vals)
-            m, x = self.m, self.x
-            if len(grown) == 1:
-                grown.append(1.0 + m - x)
-            while len(grown) <= n:
-                i = len(grown) - 1
-                grown.append(((2 * i + 1 + m - x) * grown[i] - (i + m) * grown[i - 1]) / (i + 1))
+            grown = array("d", vals)
+            # at least double, as `_LogFactorialTable` does
+            _grow_laguerre(grown, self.m, self.x, max(n, 2 * len(vals) - 1))
             self._vals = grown
             return grown[n]
+
+
+def _grow_laguerre(vals, m: int, x: float, n: int) -> None:
+    """Append degrees up to n to the values L_0^m(x), L_1^m(x), ... in vals."""
+    if len(vals) == 1:
+        vals.append(1.0 + m - x)
+    while len(vals) <= n:
+        i = len(vals) - 1
+        vals.append(((2 * i + 1 + m - x) * vals[i] - (i + m) * vals[i - 1]) / (i + 1))
+
+
+# up to this many pairs a float loop per pair costs less than numpy's
+# per-call overhead on every degree (one model per scan row has two)
+_FEW_PAIRS = 4
+
+
+class LaguerreRows:
+    """L_0^m[r](x[r]) .. L_n^m[r](x[r]) for many pairs (m[r], x[r]) at once.
+
+    Row i of `upto(n)` holds degree i of every pair.  The recurrence of
+    `LaguerreTable` runs on all pairs together, one numpy step per
+    degree, with the same operations in the same order, so each value is
+    the float the table holds.  A few pairs run the table's own loop.
+    """
+
+    def __init__(self, m: np.ndarray, x: np.ndarray) -> None:
+        self.m = np.asarray(m)
+        self.x = np.asarray(x, dtype=float)
+        self._vals = np.ones((1, self.x.size))
+
+    def upto(self, n: int) -> np.ndarray:
+        vals = self._vals
+        if n < vals.shape[0]:
+            return vals[: n + 1]
+        m, x = self.m, self.x
+        if 0 < x.size <= _FEW_PAIRS:
+            cols = vals.T.tolist()
+            for col, m_r, x_r in zip(cols, m.tolist(), x.tolist()):
+                _grow_laguerre(col, m_r, x_r, n)
+            vals = np.array(cols).T
+        else:
+            if vals.shape[0] == 1:
+                vals = np.vstack((vals, (1.0 + m) - x))
+            d = np.arange(vals.shape[0], n + 1)[:, None]  # degrees to add
+            rise = list(((2 * d - 1) + m) - x)
+            fall = list((d - 1 + m).astype(float))
+            rows = list(vals[-2:])
+            for r in range(d.size):
+                rows.append((rise[r] * rows[-1] - fall[r] * rows[-2]) / int(d[r, 0]))
+            vals = np.vstack([vals, *rows[2:]])
+        self._vals = vals
+        return vals
 
 
 def interference_factor(k: int, n: int) -> int:

@@ -127,21 +127,21 @@ def coefficients(
 def coefficients_row(
     k: int,
     xi_sq: Sequence[float],
-    model: NonlinearModel,
+    models: Sequence[NonlinearModel],
     N: int,
     ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> list[Union[SqueezeCoeffs, FansqError]]:
-    """`coefficients` for a row of xi^2 values that share k and the model.
+    """`coefficients` for a row of points of one order k.
 
     Entry j is what `coefficients(FanConfig.from_xi_sq(k, xi_sq[j],
-    model), N, ctl)` returns, up to rounding, or the error it raises.
-    All series of the row are summed together by `moment_row`.
+    models[j]), N, ctl)` returns, up to rounding, or the error it
+    raises.  All series of the row are summed together by `moment_row`.
     """
     _check_order(N)
     for x in xi_sq:
         if not (math.isfinite(x) and x >= 0):
             raise DomainError(f"xi_sq must be finite and >= 0, got {x}")
-    row = moment_row(k, [math.sqrt(x) for x in xi_sq], model, _moment_pairs(k, N), ctl)
+    row = moment_row(k, [math.sqrt(x) for x in xi_sq], models, _moment_pairs(k, N), ctl)
     const, harmonics = _assemble(k, N, row.values)
     const, harmonics = const.tolist(), [h.tolist() for h in harmonics]
     return [

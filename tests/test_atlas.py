@@ -6,19 +6,29 @@ import math
 import numpy as np
 import pytest
 
+import fansq.atlas
+import fansq.fanstate
+from fansq._optimize import bisect_root
 from fansq.atlas import (
     STATUS_NOT_CONVERGED,
     STATUS_OK,
     AxisRange,
     GridSpec,
+    _crossings,
+    _refine_crossings,
     find_intersections,
     max_squeeze_curve,
     polar_profile,
     scan,
     trace_boundary,
 )
-from fansq.errors import DomainError, EmptyBoundary
-from fansq.fanstate import FanConfig, Identity, SeriesControl, TrappedIon
+from fansq.errors import (
+    DomainError,
+    EmptyBoundary,
+    SeriesNotConverged,
+    SingularNonlinearity,
+)
+from fansq.fanstate import DEFAULT_CONTROL, FanConfig, Identity, SeriesControl, TrappedIon
 from fansq.squeeze import coefficients, squeeze_parameter, vacuum_benchmark
 
 GRID_K1 = GridSpec(
@@ -138,6 +148,86 @@ def test_trace_boundary_points_sit_on_zero_level():
         cfg = FanConfig.from_xi_sq(1, xi_sq, TrappedIon(eta_sq=eta_sq, quantum_order=2))
         s = squeeze_parameter(coefficients(cfg, 4), math.pi / 4)
         assert abs(s) <= 1e-8
+
+
+# k = 2: the eta_sq range spans the first zero of L_4^0 (about 0.3225)
+GRID_K2_POLE = GridSpec(
+    xi_sq=AxisRange(0.0, 1.0, 21),
+    eta_sq=AxisRange(0.05, 0.95, 21),
+    k=2,
+    N=8,
+    phi=math.pi / 8,
+)
+XTOL = 1e-12
+
+
+def _scalar_refinement(grid, crossing):
+    """One crossing refined alone: `bisect_root` over scalar `coefficients`."""
+
+    def s_of(x):
+        xi_sq, eta_sq = (x, crossing.fixed) if crossing.along_xi else (crossing.fixed, x)
+        model = TrappedIon(eta_sq=eta_sq, quantum_order=2 * grid.k)
+        cfg = FanConfig.from_xi_sq(grid.k, xi_sq, model)
+        return squeeze_parameter(coefficients(cfg, grid.N), grid.phi)
+
+    c = crossing
+    try:
+        root = bisect_root(s_of, c.lo, c.hi, XTOL, fa=c.s_lo, fb=c.s_hi)
+        s_of(root)
+    except (SingularNonlinearity, SeriesNotConverged):
+        return None
+    return (root, c.fixed) if c.along_xi else (c.fixed, root)
+
+
+@pytest.mark.parametrize("grid", [GRID_K1, GRID_K2_POLE], ids=["k1", "k2-pole"])
+def test_lockstep_refinement_matches_scalar_bisection(grid):
+    crossings = _crossings(scan(grid, "trapped-ion"))
+    got = _refine_crossings(grid, "trapped-ion", DEFAULT_CONTROL, crossings)
+    want = [_scalar_refinement(grid, c) for c in crossings]
+    assert [p is None for p in got] == [p is None for p in want]
+    assert 0 < sum(p is None for p in want) < len(want)  # some kept, some dropped
+    for g, w in zip(got, want):
+        if w is not None:
+            assert max(abs(g[0] - w[0]), abs(g[1] - w[1])) <= 2 * XTOL, (g, w)
+    kept = sorted(p for p in got if p is not None)
+    assert sorted(trace_boundary(grid, "trapped-ion")) == kept
+
+
+def test_lockstep_refinement_makes_one_engine_call_per_step(monkeypatch):
+    # the grid of gate c08: spacing 0.0099 halves below 1e-12 in 34 steps
+    grid = GridSpec(
+        xi_sq=AxisRange(0.01, 1.0, 101),
+        eta_sq=AxisRange(0.01, 1.0, 101),
+        k=1,
+        N=4,
+        phi=math.pi / 4,
+    )
+    crossings = _crossings(scan(grid, "trapped-ion"))
+    calls = []
+    engine = fansq.atlas.coefficients_row
+
+    def counted(k, xi_sq, models, N, ctl):
+        calls.append(len(xi_sq))
+        return engine(k, xi_sq, models, N, ctl)
+
+    monkeypatch.setattr(fansq.atlas, "coefficients_row", counted)
+    points = _refine_crossings(grid, "trapped-ion", DEFAULT_CONTROL, crossings)
+    assert len(crossings) == 263 and sum(p is not None for p in points) == 176
+    assert len(calls) <= 35 and calls[0] == 263
+
+
+def test_trace_boundary_fills_no_memo_table():
+    def sizes():
+        return (
+            len(fansq.fanstate._laguerre_tables),
+            len(fansq.fanstate._product_cache),
+            coefficients.cache_info().currsize,
+            fansq.fanstate.normalization.cache_info().currsize,
+        )
+
+    before = sizes()
+    assert trace_boundary(GRID_K1, "trapped-ion")
+    assert sizes() == before
 
 
 def test_trace_boundary_empty_below_threshold():

@@ -121,11 +121,12 @@ def test_nonlinearity_denominator_zero_aborts():
 
 
 def test_nonlinearity_numerator_zero_is_signed_zero_but_product_aborts():
-    # L_1^2(x) = 3 - x vanishes exactly at x = 3
-    model = TrappedIon(eta_sq=3.0, quantum_order=2)
-    assert nonlinearity_value(model, 3).sign == 0
-    with pytest.raises(SingularNonlinearity):
-        nonlinearity_product(model, 5, 2)
+    # L_2^2(x) = (x^2 - 8x + 12) / 2 vanishes exactly at x = 2
+    model = TrappedIon(eta_sq=2.0, quantum_order=2)
+    assert nonlinearity_value(model, 4).sign == 0
+    with pytest.raises(SingularNonlinearity) as exc:
+        nonlinearity_product(model, 4, 2)
+    assert exc.value.index == 4
 
 
 def test_product_short_chain_is_one():
@@ -140,19 +141,13 @@ def test_product_trapped_ion_exact_rational_point():
     assert got.to_real() == pytest.approx(float(F4_EXACT / 2), rel=1e-13)
 
 
-def test_product_off_lattice_matches_factorwise():
-    model = TrappedIon(eta_sq=0.2, quantum_order=2)
-    chain = nonlinearity_value(model, 5).mul(nonlinearity_value(model, 3))
-    got = nonlinearity_product(model, 5, 2)
-    assert got.sign == chain.sign
-    assert got.logmag == pytest.approx(chain.logmag, abs=1e-13)
-
-
 def test_product_rejects_bad_arguments():
     with pytest.raises(DomainError):
         nonlinearity_product(Identity(), 4, 0)
     with pytest.raises(DomainError):
         nonlinearity_product(Identity(), -1, 2)
+    with pytest.raises(DomainError):
+        nonlinearity_product(TrappedIon(eta_sq=0.2, quantum_order=2), 5, 2)
 
 
 def test_convention_diagnostic():

@@ -1,8 +1,9 @@
 """The row engine against the scalar path, and the guards that keep both honest.
 
-`coefficients_row` sums every series of an eta_sq row in one numpy term
-block; `coefficients` sums one point at a time.  The two must give the
-same status at every node and the same squeeze parameter up to rounding.
+`coefficients_row` sums every series of a row of points, each with its
+own model, in one numpy term block; `coefficients` sums one point at a
+time.  The two must give the same status at every node and the same
+squeeze parameter up to rounding.
 """
 
 import math
@@ -11,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fansq
@@ -44,13 +45,18 @@ def _scalar_node(k, xi_sq, model, N, ctl):
         return exc
 
 
-def assert_row_matches(k, xi_sq, model, N, ctl=DEFAULT_CONTROL):
-    """Compare every node of one row; return the status names."""
-    row = coefficients_row(k, xi_sq, model, N, ctl)
+def assert_row_matches(k, xi_sq, models, N, ctl=DEFAULT_CONTROL):
+    """Compare every node of one row; return the status names.
+
+    models is one model per node, or one model for the whole row.
+    """
+    if not isinstance(models, list):
+        models = [models] * len(xi_sq)
+    row = coefficients_row(k, xi_sq, models, N, ctl)
     assert len(row) == len(xi_sq)
     bench = vacuum_benchmark(N)
     names = []
-    for x, got in zip(xi_sq, row):
+    for x, model, got in zip(xi_sq, models, row):
         want = _scalar_node(k, x, model, N, ctl)
         assert type(got) is type(want), (x, got, want)
         if isinstance(want, SqueezeCoeffs):
@@ -79,10 +85,10 @@ def test_row_matches_scalar_path(kind, k, extra):
 
 def test_xi_zero_column_is_the_vacuum():
     for model in (Identity(), TrappedIon(eta_sq=0.3, quantum_order=2)):
-        (c,) = coefficients_row(1, [0.0], model, 8)
+        (c,) = coefficients_row(1, [0.0], [model], 8)
         assert c == coefficients(FanConfig(1, 0.0, model), 8)
         assert c.constant == 0.0 and all(b == 0.0 for b in c.harmonics)
-    row = moment_row(2, [0.0, 0.5], Identity(), [(0, 0), (1, 1), (8, 0)])
+    row = moment_row(2, [0.0, 0.5], [Identity()] * 2, [(0, 0), (1, 1), (8, 0)])
     assert [v[0] for v in row.values.values()] == [1.0, 0.0, 0.0]
 
 
@@ -139,19 +145,62 @@ def _same_node(a, b):
 def test_node_value_does_not_depend_on_its_row():
     model = _model("trapped-ion", 1, 0.95)
     xi_sq = [0.05 * i for i in range(21)] + [1.7]
-    full = coefficients_row(1, xi_sq, model, 8)
+    full = coefficients_row(1, xi_sq, [model] * len(xi_sq), 8)
     for j, x in enumerate(xi_sq):
-        (alone,) = coefficients_row(1, [x], model, 8)
+        (alone,) = coefficients_row(1, [x], [model], 8)
         assert _same_node(alone, full[j]), x
-    reversed_row = coefficients_row(1, xi_sq[::-1], model, 8)[::-1]
+    reversed_row = coefficients_row(1, xi_sq[::-1], [model] * len(xi_sq), 8)[::-1]
     assert all(_same_node(a, b) for a, b in zip(reversed_row, full))
+
+
+def test_row_of_mixed_models_matches_scalar_path():
+    # models alternate, repeat and straddle the L_2^0 pole at 2 - sqrt(2)
+    etas = [0.3, 0.9, 2 - math.sqrt(2), 0.3, 0.58, 0.59, 0.9]
+    xi_sq = [0.4, 0.4, 0.4, 1.2, 0.0, 0.8, 0.05]
+    for k in (1, 2):
+        models = [_model("trapped-ion", k, e) for e in etas] + [Identity()]
+        names = assert_row_matches(k, xi_sq + [0.6], models, 4 * k + 4)
+        if k == 1:
+            assert names[2] == "SingularNonlinearity"
+
+
+def _points(draw, k):
+    """Points of one call: models drawn from a small pool, so some repeat."""
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.just(Identity()),
+                st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(
+                    lambda e: TrappedIon(eta_sq=e, quantum_order=2 * k)
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    n = draw(st.integers(min_value=1, max_value=6))
+    xi_sq = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=n, max_size=n))
+    models = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return xi_sq, models
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.sampled_from([1, 2, 3]), extra=st.sampled_from([0, 4]))
+def test_engine_and_stop_rule_match_scalar_path_on_mixed_models(data, k, extra):
+    N = 4 * k + extra
+    xi_sq, models = _points(data.draw, k)
+    assert_row_matches(k, xi_sq, models, N)
+    full = coefficients_row(k, xi_sq, models, N)
+    for j, (x, model) in enumerate(zip(xi_sq, models)):
+        (alone,) = coefficients_row(k, [x], [model], N)
+        assert _same_node(alone, full[j]), (x, model)
 
 
 def test_moment_row_matches_moment_for_any_pairs():
     pairs = [(0, 0), (2, 0), (0, 4), (3, 1), (5, 1), (4, 4), (6, 2)]
     xi = [0.0, 0.3, 0.8, 1.1]
     for model in (Identity(), TrappedIon(eta_sq=0.25, quantum_order=2)):
-        row = moment_row(1, xi, model, pairs)
+        row = moment_row(1, xi, [model] * len(xi), pairs)
         assert row.errors == [None] * len(xi)
         for (l, m), values in row.values.items():
             for x, v in zip(xi, values.tolist()):
@@ -161,13 +210,15 @@ def test_moment_row_matches_moment_for_any_pairs():
 
 def test_row_rejects_bad_inputs():
     with pytest.raises(DomainError):
-        coefficients_row(1, [0.1, -0.2], Identity(), 4)
+        coefficients_row(1, [0.1, -0.2], [Identity()] * 2, 4)
     with pytest.raises(DomainError):
-        coefficients_row(1, [0.1, math.nan], Identity(), 4)
+        coefficients_row(1, [0.1, math.nan], [Identity()] * 2, 4)
     with pytest.raises(DomainError):
-        coefficients_row(1, [0.1], TrappedIon(eta_sq=0.2, quantum_order=4), 4)
+        coefficients_row(1, [0.1, 0.2], [Identity(), TrappedIon(eta_sq=0.2, quantum_order=4)], 4)
     with pytest.raises(DomainError):
-        coefficients_row(1, [0.1], Identity(), 5)
+        coefficients_row(1, [0.1], [Identity()], 5)
+    with pytest.raises(DomainError):
+        coefficients_row(1, [0.1, 0.2], [Identity()], 4)
 
 
 # ---------------------------------------------------------------------------

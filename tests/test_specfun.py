@@ -4,6 +4,7 @@ interference factor, and SignedLog arithmetic."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +13,9 @@ from fansq.specfun import (
     SL_ONE,
     SL_ZERO,
     CompensatedSum,
+    LaguerreRows,
     LaguerreTable,
+    _LogFactorialTable,
     SignedLog,
     double_factorial,
     interference_factor,
@@ -90,6 +93,30 @@ def test_laguerre_table_matches_direct_evaluation():
         assert tab.value(n) == pytest.approx(laguerre(n, 2, 0.3), rel=1e-13)
 
 
+def test_laguerre_table_grown_in_one_step_equals_grown_degree_by_degree():
+    for m, x in ((0, 0.3), (2, 2 - math.sqrt(2)), (6, 0.97)):
+        one_step = LaguerreTable(m, x)
+        one_step.value(300)
+        by_degree = LaguerreTable(m, x)
+        values = [by_degree.value(n) for n in range(301)]
+        assert values == [one_step.value(n) for n in range(301)]
+        assert values[300] == laguerre(300, m, x)
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 4, 5, 40])
+def test_laguerre_rows_hold_the_table_values_bit_for_bit(pairs):
+    # pairs near the L_2^0 and L_4^0 poles, where the floor test is decided
+    xs = [2 - math.sqrt(2), 0.3225476896193923, 0.2, 0.97, 1e-9] * 8
+    ms = [0, 4, 2, 6, 0] * 8
+    rows = LaguerreRows(np.array(ms[:pairs]), np.array(xs[:pairs]))
+    for n in (0, 1, 7, 8, 90):  # grown in steps, as the lattice grows
+        got = rows.upto(n)
+        assert got.shape == (n + 1, pairs)
+    for r, (m, x) in enumerate(zip(ms[:pairs], xs[:pairs])):
+        tab = LaguerreTable(m, x)
+        assert got[:, r].tolist() == [tab.value(i) for i in range(91)]
+
+
 # ---------------------------------------------------------------------------
 # factorials
 
@@ -111,6 +138,15 @@ def test_log_factorial_array_holds_the_table_values():
         assert arr.size == n + 1
         assert arr.tolist() == [log_factorial(i) for i in range(n + 1)]
         assert not arr.flags.writeable
+
+
+def test_log_factorial_table_grown_in_one_step_equals_grown_index_by_index():
+    one_step = _LogFactorialTable()
+    one_step(3000)
+    by_index = _LogFactorialTable()
+    values = [by_index(n) for n in range(3001)]
+    assert values == [one_step(n) for n in range(3001)]
+    assert values == [log_factorial(n) for n in range(3001)]
 
 
 def test_log_factorial_negative_rejected():
