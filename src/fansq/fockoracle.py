@@ -5,12 +5,18 @@ operators act as banded (single off-diagonal) linear maps, never as
 dense matrix powers.  Everything here is deliberately independent of
 the closed-form series in `fanstate`/`squeeze`: the two routes must
 agree, and this module is the referee.
+
+A `FockVector` owns a read-only complex copy of its amplitudes, so what
+it derives from them once cannot go stale: its support level, its real
+and imaginary parts, and, built on first use, its ladder images
+a^j psi.  A normally-ordered moment is then four dot products of two
+images.  The images live and die with the vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,23 +33,66 @@ from .fanstate import (
 from .specfun import log_factorial, log_factorials
 
 _SQRT2 = math.sqrt(2.0)
+_SUPPORT_CUTOFF = 1e-14  # default of `support_level`, cached on each vector
+
+
+def _highest_above(amps: np.ndarray, cutoff: float) -> int:
+    idx = np.nonzero(np.abs(amps) > cutoff)[0]
+    return int(idx[-1]) if idx.size else 0
 
 
 @dataclass(frozen=True)
 class FockVector:
-    """Truncated Fock-space state: amplitudes plus reported tail mass."""
+    """Truncated Fock-space state: amplitudes plus reported tail mass.
+
+    `amps` is a read-only complex128 copy of the array passed in, so
+    writing to it raises ValueError and changing the caller's array
+    changes nothing here.  `support` is the support level at the default
+    cutoff 1e-14; `ladder_image(j)` gives a^j psi, built once per j.
+    """
 
     dim: int
     amps: np.ndarray
     tail_mass: float
+    support: int = field(init=False, repr=False, compare=False)
+    _images: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.dim != self.amps.size:
-            raise DomainError(f"dim={self.dim} but amps has size {self.amps.size}")
+        amps = np.array(self.amps, dtype=np.complex128)
+        if amps.ndim != 1:
+            raise DomainError(f"amps must be one-dimensional, got shape {amps.shape}")
+        if self.dim != amps.size:
+            raise DomainError(f"dim={self.dim} but amps has size {amps.size}")
+        re, im = np.ascontiguousarray(amps.real), np.ascontiguousarray(amps.imag)
+        for a in (amps, re, im):
+            a.flags.writeable = False
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "support", _highest_above(amps, _SUPPORT_CUTOFF))
+        # image 0 is psi itself, as contiguous real and imaginary parts
+        object.__setattr__(self, "_images", {0: (re, im)})
 
     @property
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
+
+    def ladder_image(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of a^j psi, of length dim - j.
+
+        (a^j psi)_n = sqrt((n+j)!/n!) psi_{n+j}, with the weight taken as
+        exp of half a difference of exact log-factorials.
+        """
+        image = self._images.get(j)
+        if image is None:
+            if not 0 <= j <= self.dim:
+                raise DomainError(f"ladder power must be in [0, {self.dim}], got {j}")
+            re, im = self._images[0]
+            lf = log_factorials(self.dim)
+            weight = np.exp(0.5 * (lf[j : self.dim] - lf[: self.dim - j]))
+            image = (weight * re[j:], weight * im[j:])
+            for a in image:
+                a.flags.writeable = False
+            self._images[j] = image
+        return image
 
 
 def vacuum(dim: int) -> FockVector:
@@ -52,10 +101,11 @@ def vacuum(dim: int) -> FockVector:
     return FockVector(dim=dim, amps=amps, tail_mass=0.0)
 
 
-def support_level(v: FockVector, cutoff: float = 1e-14) -> int:
+def support_level(v: FockVector, cutoff: float = _SUPPORT_CUTOFF) -> int:
     """Highest occupation number with amplitude magnitude above cutoff."""
-    idx = np.nonzero(np.abs(v.amps) > cutoff)[0]
-    return int(idx[-1]) if idx.size else 0
+    if cutoff == _SUPPORT_CUTOFF:
+        return v.support
+    return _highest_above(v.amps, cutoff)
 
 
 def apply_annihilation(v: FockVector) -> tuple[np.ndarray, float]:
@@ -83,36 +133,38 @@ def apply_creation(v: FockVector) -> tuple[np.ndarray, float]:
     return out, leakage
 
 
-def _quadrature_apply(amps: np.ndarray, phi: float) -> np.ndarray:
-    """One application of (a e^{-i phi} + a-dagger e^{i phi}) / sqrt(2)."""
-    out = np.zeros_like(amps)
-    n = np.arange(1, amps.size)
-    root = np.sqrt(n)
-    out[:-1] += (np.exp(-1j * phi) / _SQRT2) * root * amps[1:]
-    out[1:] += (np.exp(1j * phi) / _SQRT2) * root * amps[:-1]
-    return out
-
-
 def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
     """Central moment of the rotated quadrature: <(X_phi - <X_phi>)^N>.
 
     Computed by N successive applications of (X_phi - mu) to the state,
     not by binomial expansion of raw moments, so large-N cancellation
-    never happens.  Requires enough guard rows that the repeated maps
-    stay clear of the truncation edge.
+    never happens.  X_phi = (a e^{-i phi} + a-dagger e^{i phi}) / sqrt(2)
+    is held as its two off-diagonals, built once per call.  Requires
+    enough guard rows that the repeated maps stay clear of the
+    truncation edge.
     """
     if N < 2 or N % 2 != 0:
         raise DomainError(f"moment order must be even and >= 2, got {N}")
-    if v.dim < support_level(v) + N:
+    if v.dim < v.support + N:
         raise TruncationTooSmall(
             f"dim={v.dim} leaves fewer than N={N} guard rows above "
-            f"support level {support_level(v)}"
+            f"support level {v.support}"
         )
+    root = np.sqrt(np.arange(1, v.dim))
+    lower = (np.exp(-1j * phi) / _SQRT2) * root  # a e^{-i phi} / sqrt(2)
+    upper = (np.exp(1j * phi) / _SQRT2) * root  # a-dagger e^{i phi} / sqrt(2)
+
+    def shifted(w: np.ndarray, mu: float) -> np.ndarray:
+        out = w * -mu
+        out[:-1] += lower * w[1:]
+        out[1:] += upper * w[:-1]
+        return out
+
     amps = v.amps
-    mu = np.vdot(amps, _quadrature_apply(amps, phi)).real
-    w = amps.copy()
+    mu = np.vdot(amps, shifted(amps, 0.0)).real
+    w = amps
     for _ in range(N):
-        w = _quadrature_apply(w, phi) - mu * w
+        w = shifted(w, mu)
     val = np.vdot(amps, w)
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
         raise ArithmeticError(f"central moment has imaginary residue {val.imag:.3e}")
@@ -122,33 +174,27 @@ def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
 def moment_oracle(v: FockVector, l: int, m: int) -> complex:
     """Normally-ordered moment from raw amplitudes: <(a-dagger)^l a^m>.
 
-    Direct sum over occupation numbers with exact half-log factorial
-    weights; serves as the independent check of the series route.
+    The inner product of the ladder images a^l psi and a^m psi over
+    their common length; serves as the independent check of the series
+    route.
     """
     if l < 0 or m < 0:
         raise DomainError(f"powers must be nonnegative, got l={l}, m={m}")
-    if v.dim < support_level(v) + l + m:
+    if v.dim < v.support + l + m:
         raise TruncationTooSmall(
             f"dim={v.dim} too small for powers l={l}, m={m} at "
-            f"support level {support_level(v)}"
+            f"support level {v.support}"
         )
-    amps = v.amps
-    d = l - m
-    lo = m
-    hi = v.dim - 1 - max(d, 0)
-    if hi < lo:
-        return 0.0 + 0.0j
-    ns = np.arange(lo, hi + 1)
-    lf = log_factorials(v.dim + max(d, 0))
-    weight = np.exp(0.5 * ((lf[ns] - lf[ns - m]) + (lf[ns - m + l] - lf[ns - m])))
+    n = v.dim - max(l, m)
+    xl, yl = v.ladder_image(l)
+    xm, ym = v.ladder_image(m)
+    xl, yl, xm, ym = xl[:n], yl[:n], xm[:n], ym[:n]
     # explicit real/imag kernel instead of complex multiply: elementwise
     # float products commute and subtraction negates exactly, so swapping
     # l and m conjugates the result bit for bit (hardware FMA breaks this
     # for the fused complex product)
-    xa, ya = amps.real[ns + d], amps.imag[ns + d]
-    xb, yb = amps.real[ns], amps.imag[ns]
-    re = np.sum((xa * xb + ya * yb) * weight)
-    im = np.sum((xa * yb - ya * xb) * weight)
+    re = np.dot(xl, xm) + np.dot(yl, ym)
+    im = np.dot(xl, ym) - np.dot(yl, xm)
     return complex(re, im)
 
 

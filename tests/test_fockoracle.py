@@ -24,6 +24,7 @@ from fansq.fockoracle import (
     support_level,
     vacuum,
 )
+from fansq.specfun import log_factorials
 
 CFG_ID = FanConfig.from_xi_sq(1, 0.5, Identity())
 
@@ -44,6 +45,53 @@ def test_vacuum_and_support_level():
     assert v.norm_sq == 1.0
     assert support_level(v) == 0
     assert support_level(_fock(10, 7)) == 7
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (1, 6)])
+def test_fockvector_rejects_amplitudes_not_one_dimensional(shape):
+    # a column holding psi_2 = 1 used to pass the size check and give
+    # <n> = 15; a row used to report support level 0
+    amps = np.zeros(shape, dtype=np.complex128)
+    amps.flat[2] = 1.0
+    with pytest.raises(DomainError):
+        FockVector(dim=6, amps=amps, tail_mass=0.0)
+
+
+def test_fockvector_takes_real_amplitudes():
+    amps = np.zeros(12)
+    amps[0] = amps[4] = 1 / math.sqrt(2)
+    v = FockVector(dim=12, amps=amps, tail_mass=0.0)
+    w = FockVector(dim=12, amps=amps.astype(np.complex128), tail_mass=0.0)
+    assert v.amps.dtype == np.complex128
+    assert quadrature_moment(v, 0.3, 4) == quadrature_moment(w, 0.3, 4)
+    assert moment_oracle(v, 1, 1) == moment_oracle(w, 1, 1) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_fockvector_amps_are_a_read_only_copy():
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=20) + 1j * rng.normal(size=20)
+    amps[14:] = 0.0
+    v = FockVector(dim=20, amps=amps, tail_mass=0.0)
+    before = [moment_oracle(v, l, m) for l in range(4) for m in range(4)]
+    q_before = quadrature_moment(v, 0.6, 4)
+    with pytest.raises(ValueError):
+        v.amps[0] = 0.0
+    amps[:] = 0.0
+    amps[19] = 1.0
+    assert [moment_oracle(v, l, m) for l in range(4) for m in range(4)] == before
+    assert quadrature_moment(v, 0.6, 4) == q_before
+    assert v.support == support_level(v) == 13
+
+
+def test_cached_support_level_matches_a_fresh_scan():
+    rng = np.random.default_rng(5)
+    for dim in (1, 7, 30):
+        amps = rng.normal(size=dim) * 10.0 ** rng.integers(-20, 0, size=dim)
+        v = FockVector(dim=dim, amps=amps, tail_mass=0.0)
+        idx = np.nonzero(np.abs(amps) > 1e-14)[0]
+        assert v.support == support_level(v) == (int(idx[-1]) if idx.size else 0)
+        idx = np.nonzero(np.abs(amps) > 1e-6)[0]
+        assert support_level(v, 1e-6) == (int(idx[-1]) if idx.size else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +160,49 @@ def test_quadrature_moment_truncation_insensitive():
     assert abs(a - b) < 1e-10
 
 
+def _dense_quadrature(dim: int, phi: float) -> np.ndarray:
+    """Truncated X_phi = (a e^{-i phi} + a-dagger e^{i phi}) / sqrt(2) as a matrix."""
+    x = np.zeros((dim, dim), dtype=np.complex128)
+    for n in range(dim - 1):
+        x[n, n + 1] = np.exp(-1j * phi) * math.sqrt(n + 1) / math.sqrt(2)
+        x[n + 1, n] = np.conj(x[n, n + 1])
+    return x
+
+
+def _random_vector(rng, dim: int, support: int) -> FockVector:
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[: support + 1] = rng.normal(size=support + 1) + 1j * rng.normal(size=support + 1)
+    amps /= np.linalg.norm(amps)
+    return FockVector(dim=dim, amps=amps, tail_mass=0.0)
+
+
+def test_quadrature_moment_matches_dense_matrix_powers():
+    rng = np.random.default_rng(11)
+    vectors = [
+        fock_coefficients(FanConfig.from_xi_sq(1, 0.3, Identity()), 40),
+        fock_coefficients(
+            FanConfig.from_xi_sq(1, 0.2, TrappedIon(eta_sq=0.5, quantum_order=2)), 36
+        ),
+        fock_coefficients(FanConfig.from_xi_sq(2, 0.4, Identity()), 40),
+        _random_vector(rng, 40, 27),
+        _random_vector(rng, 24, 9),
+        _random_vector(rng, 13, 0),
+    ]
+    for v in vectors:
+        assert np.allclose(np.linalg.norm(v.amps), 1.0, atol=1e-13)
+        for phi in (0.0, 0.37, math.pi / 4, 2.9):
+            x = _dense_quadrature(v.dim, phi)
+            mu = np.vdot(v.amps, x @ v.amps).real
+            shifted = x - mu * np.eye(v.dim)
+            w = v.amps
+            for N in range(1, 13):
+                w = shifted @ w
+                if N % 2 or v.dim < support_level(v) + N:
+                    continue
+                ref = np.vdot(v.amps, w).real
+                assert abs(quadrature_moment(v, phi, N) - ref) <= 1e-12 * abs(ref)
+
+
 def test_quadrature_moment_fan_periodicity():
     cfg = FanConfig.from_xi_sq(2, 0.3, Identity())
     v = fock_coefficients(cfg, 72)
@@ -123,6 +214,45 @@ def test_quadrature_moment_fan_periodicity():
 
 # ---------------------------------------------------------------------------
 # normally-ordered moment oracle
+
+
+def _moment_reference(amps: np.ndarray, l: int, m: int) -> complex:
+    """Per-term sum with log-factorial weights over the occupation numbers."""
+    dim = amps.size
+    d = l - m
+    hi = dim - 1 - max(d, 0)
+    if hi < m:
+        return 0.0 + 0.0j
+    ns = np.arange(m, hi + 1)
+    lf = log_factorials(dim + max(d, 0))
+    weight = np.exp(0.5 * ((lf[ns] - lf[ns - m]) + (lf[ns - m + l] - lf[ns - m])))
+    return complex(np.sum(np.conj(amps[ns + d]) * amps[ns] * weight))
+
+
+def test_moment_oracle_matches_per_term_reference():
+    rng = np.random.default_rng(17)
+    for support in (0, 3, 9, 16):
+        for l in range(9):
+            for m in range(9):
+                low = max(support + l + m, support + 1)
+                for dim in (low, 2 * low, 3 * low, 4 * low):
+                    v = _random_vector(rng, dim, support)
+                    ref = _moment_reference(v.amps, l, m)
+                    got = moment_oracle(v, l, m)
+                    scale = abs(ref) if abs(ref) >= 1e-12 else 1.0
+                    assert abs(got - ref) <= 1e-13 * scale, (support, l, m, dim)
+
+
+def test_ladder_images_are_built_once():
+    v = _fock(12, 5)
+    x, y = v.ladder_image(3)
+    assert v.ladder_image(3)[0] is x
+    assert x.size == y.size == 9
+    assert x[2] == pytest.approx(math.sqrt(60.0), rel=1e-14)  # sqrt(5!/2!)
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+    with pytest.raises(DomainError):
+        v.ladder_image(13)
 
 
 def test_moment_oracle_trivial_values():
