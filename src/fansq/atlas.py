@@ -104,14 +104,12 @@ def scan(
     grid: GridSpec,
     model_kind: str = "trapped-ion",
     ctl: SeriesControl = DEFAULT_CONTROL,
-    threads: Optional[int] = None,
 ) -> PhaseDiagram:
     """Evaluate the squeeze parameter at every grid node.
 
     Each eta_sq row is one call of `coefficients_row`, and rows run in
     order (eta_sq outer, xi_sq inner), so outputs are reproducible byte
-    for byte.  threads is accepted for compatibility and ignored: the
-    rows are numpy work under one interpreter lock.
+    for byte.
     """
     xi_vals = grid.xi_sq.values()
     values: list[list[float]] = []
@@ -223,7 +221,6 @@ def trace_boundary(
     grid: GridSpec,
     model_kind: str = "trapped-ion",
     ctl: SeriesControl = DEFAULT_CONTROL,
-    threads: Optional[int] = None,
 ) -> list[tuple[float, float]]:
     """Points where S = 0, refined along every grid row and column.
 
@@ -235,7 +232,7 @@ def trace_boundary(
     approximating the closed boundary curve of the squeezing region.
     Raises EmptyBoundary when no crossing survives.
     """
-    diagram = scan(grid, model_kind, ctl, threads)
+    diagram = scan(grid, model_kind, ctl)
     points = [p for p in _refine_crossings(grid, model_kind, ctl, _crossings(diagram)) if p]
     if not points:
         raise EmptyBoundary("no sign change of the squeeze parameter on the grid")
@@ -391,7 +388,6 @@ def max_squeeze_curve(
     grid: GridSpec,
     model_kind: str = "trapped-ion",
     ctl: SeriesControl = DEFAULT_CONTROL,
-    threads: Optional[int] = None,
     xtol: float = 1e-6,
 ) -> list[tuple[float, float, float]]:
     """Ridge of deepest squeezing: per xi_sq column, the minimizing eta_sq.
@@ -399,7 +395,7 @@ def max_squeeze_curve(
     Columns whose scan shows no negative squeeze parameter are omitted;
     raises EmptyBoundary when every column is empty.
     """
-    diagram = scan(grid, model_kind, ctl, threads)
+    diagram = scan(grid, model_kind, ctl)
     xi_vals = grid.xi_sq.values()
     eta_vals = grid.eta_sq.values()
     out: list[tuple[float, float, float]] = []

@@ -1,6 +1,14 @@
 """Command-line front end: every computation as a subcommand with
 CSV/JSON output carrying a full parameter manifest.
 
+Each `_cmd_*` only computes: it returns an `Output` with its JSON data,
+its CSV header and rows, and any manifest extras.  `main` does the rest
+in one place: it builds the `SeriesControl`, takes the manifest's
+parameters from the parsed arguments (every flag of the subcommand but
+the series-control and output flags), writes the requested format and
+maps errors to exit codes.  Flag blocks that several subcommands share
+are declared once, as argparse parent parsers.
+
 Output is written only after the computation succeeds, so a failing run
 never leaves a partial file.  Exit codes: 0 success, 2 invalid
 parameters, 3 a computation that could not finish.
@@ -9,19 +17,20 @@ parameters, 3 a computation that could not finish.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
 import os
 import sys
-from typing import Callable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .atlas import (
+    STATUS_OK,
     AxisRange,
     GridSpec,
     find_intersections,
-    max_squeeze_curve,
     polar_profile,
     scan,
     trace_boundary,
@@ -46,9 +55,24 @@ from .squeeze import (
     vacuum_benchmark,
 )
 
+# the series-control flags, named as the SeriesControl fields they set
+_SERIES_FLAGS = tuple(f.name for f in dataclasses.fields(SeriesControl))
+# namespace entries that are not parameters of the computation
+_NOT_PARAMETERS = frozenset({"cmd", "func", "format", "output", *_SERIES_FLAGS})
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+
+class Output(NamedTuple):
+    """What a subcommand computed, before it is written out.
+
+    `data` is the JSON document's data; `rows` hold the CSV cells under
+    `header`, floats written with 17 significant digits.  Either may
+    hold generators, so that only the requested format is built.
+    """
+
+    data: dict
+    header: Sequence[str]
+    rows: Iterable[Sequence]
+    extras: Optional[dict] = None
 
 
 def _axis_range(text: str) -> AxisRange:
@@ -82,84 +106,80 @@ def _timestamp() -> Optional[str]:
     ).isoformat()
 
 
-def _manifest(subcommand: str, params: dict, ctl: SeriesControl, **extras) -> dict:
-    man = {
+def _render(args: argparse.Namespace, ctl: SeriesControl, out: Output) -> str:
+    """The output text: the manifest, then the data in args.format."""
+    parameters = {
+        name: vars(value) if isinstance(value, AxisRange) else value
+        for name, value in vars(args).items()
+        if name not in _NOT_PARAMETERS
+    }
+    manifest = {
         "tool": "fansq",
         "version": __version__,
-        "subcommand": subcommand,
-        "parameters": params,
-        "series_control": {
-            "rel_tol": ctl.rel_tol,
-            "consecutive_small": ctl.consecutive_small,
-            "n_max": ctl.n_max,
-            "laguerre_floor": ctl.laguerre_floor,
-        },
+        "subcommand": args.cmd,
+        "parameters": parameters,
+        "series_control": dataclasses.asdict(ctl),
         "timestamp": _timestamp(),
     }
-    if extras:
-        man["extras"] = extras
-    return man
-
-
-def _to_json(manifest: dict, data) -> str:
-    return json.dumps({"manifest": manifest, "data": data}, sort_keys=True, indent=2) + "\n"
-
-
-def _to_csv(manifest: dict, header: list[str], rows: list[list[str]]) -> str:
-    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
-    lines.append(",".join(header))
-    lines.extend(",".join(r) for r in rows)
+    if out.extras:
+        manifest["extras"] = out.extras
+    if args.format == "json":
+        # default=list writes a generator as the list it yields
+        doc = {"manifest": manifest, "data": out.data}
+        return json.dumps(doc, sort_keys=True, indent=2, default=list) + "\n"
+    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(out.header)]
+    for row in out.rows:
+        lines.append(",".join([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row]))
     return "\n".join(lines) + "\n"
 
 
-def _control_from(args: argparse.Namespace) -> SeriesControl:
-    return SeriesControl(
-        rel_tol=args.rel_tol,
-        consecutive_small=args.consecutive_small,
-        n_max=args.n_max,
-        laguerre_floor=args.laguerre_floor,
-    )
+def _point_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FanConfig:
+    """State of a point command; eta-sq presence implies trapped-ion.
 
-
-def _scalar_model(args: argparse.Namespace, k: int, parser: argparse.ArgumentParser):
-    """Model for single-point commands; eta-sq presence implies trapped-ion."""
+    Writes the resolved model name back to args.model, so the manifest
+    records the model that was used.
+    """
     kind = args.model
     if kind is None:
         kind = "trapped-ion" if args.eta_sq is not None else "identity"
     if kind == "trapped-ion":
         if args.eta_sq is None:
             parser.error("--eta-sq is required with --model trapped-ion")
-        return TrappedIon(eta_sq=args.eta_sq, quantum_order=2 * k)
-    if args.eta_sq is not None:
+        model = TrappedIon(eta_sq=args.eta_sq, quantum_order=2 * args.k)
+    elif args.eta_sq is not None:
         parser.error("--eta-sq conflicts with --model identity")
-    return Identity()
+    else:
+        model = Identity()
+    args.model = kind
+    return FanConfig.from_xi_sq(args.k, args.xi_sq, model)
 
 
-def _model_name(model) -> str:
-    return "identity" if isinstance(model, Identity) else "trapped-ion"
+def _grid(args: argparse.Namespace) -> GridSpec:
+    """Grid of scan and boundary, then a check of FANSQ_THREADS.
 
-
-def _threads() -> Optional[int]:
+    The variable is still read and must be a positive integer, but
+    scans run row by row in one thread, so its value changes nothing.
+    """
+    grid = GridSpec(
+        xi_sq=args.xi_sq, eta_sq=args.eta_sq, k=args.k, N=args.N, phi=args.phi
+    )
     raw = os.environ.get("FANSQ_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"FANSQ_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise DomainError(f"FANSQ_THREADS must be >= 1, got {n}")
-    return n
+    if raw is not None:
+        try:
+            n = int(raw)
+        except ValueError:
+            raise DomainError(f"FANSQ_THREADS must be an integer, got {raw!r}") from None
+        if n < 1:
+            raise DomainError(f"FANSQ_THREADS must be >= 1, got {n}")
+    return grid
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns the full output text
+# subcommand implementations; each returns an Output
 
 
-def _cmd_squeeze(args, parser) -> str:
-    ctl = _control_from(args)
-    model = _scalar_model(args, args.k, parser)
-    cfg = FanConfig.from_xi_sq(args.k, args.xi_sq, model)
+def _cmd_squeeze(args, ctl, parser) -> Output:
+    cfg = _point_config(args, parser)
     coeffs = coefficients(cfg, args.N, ctl)
     bench = vacuum_benchmark(args.N)
     if args.phi is not None:
@@ -177,7 +197,7 @@ def _cmd_squeeze(args, parser) -> str:
         "N": args.N,
         "xi_sq": args.xi_sq,
         "eta_sq": args.eta_sq,
-        "model": _model_name(model),
+        "model": args.model,
         "constant": coeffs.constant,
         "harmonics": list(coeffs.harmonics),
         "benchmark": bench,
@@ -187,169 +207,78 @@ def _cmd_squeeze(args, parser) -> str:
     }
     if args.N < lowest:
         data["note"] = f"below minimum order {lowest}"
-    params = {
-        "k": args.k,
-        "N": args.N,
-        "xi_sq": args.xi_sq,
-        "eta_sq": args.eta_sq,
-        "model": _model_name(model),
-        "phi": args.phi,
-        "samples": args.samples,
-    }
-    man = _manifest("squeeze", params, ctl)
-    if args.format == "json":
-        return _to_json(man, data)
-    rows = [[_fmt(e["phi"]), _fmt(e["squeeze"]), _fmt(e["raw_moment"])] for e in evaluations]
-    return _to_csv(man, ["phi", "squeeze", "raw_moment"], rows)
+    rows = [(e["phi"], e["squeeze"], e["raw_moment"]) for e in evaluations]
+    return Output(data, ("phi", "squeeze", "raw_moment"), rows)
 
 
-def _grid_from(args) -> GridSpec:
-    return GridSpec(
-        xi_sq=args.xi_sq, eta_sq=args.eta_sq, k=args.k, N=args.N, phi=args.phi
-    )
-
-
-def _cmd_scan(args, parser) -> str:
-    ctl = _control_from(args)
-    grid = _grid_from(args)
-    diagram = scan(grid, args.model, ctl, threads=_threads())
-    params = {
-        "k": args.k,
-        "N": args.N,
-        "phi": args.phi,
-        "model": args.model,
-        "xi_sq": vars(args.xi_sq),
-        "eta_sq": vars(args.eta_sq),
-    }
-    man = _manifest("scan", params, ctl)
+def _cmd_scan(args, ctl, parser) -> Output:
+    grid = _grid(args)
+    diagram = scan(grid, args.model, ctl)
     xi_vals = grid.xi_sq.values()
-    eta_vals = grid.eta_sq.values()
-    if args.format == "json":
-        nodes = []
-        for i, e in enumerate(eta_vals):
-            for j, x in enumerate(xi_vals):
-                ok = diagram.status[i][j] == "OK"
-                nodes.append(
-                    {
-                        "xi_sq": x,
-                        "eta_sq": e,
-                        "squeeze": float(diagram.values[i, j]) if ok else None,
-                        "status": diagram.status[i][j],
-                    }
-                )
-        return _to_json(man, {"nodes": nodes})
-    rows = []
-    for i, e in enumerate(eta_vals):
-        for j, x in enumerate(xi_vals):
-            rows.append(
-                [_fmt(x), _fmt(e), _fmt(float(diagram.values[i, j])), diagram.status[i][j]]
-            )
-    return _to_csv(man, ["xi_sq", "eta_sq", "squeeze", "status"], rows)
-
-
-def _cmd_boundary(args, parser) -> str:
-    ctl = _control_from(args)
-    grid = _grid_from(args)
-    points = trace_boundary(grid, args.model, ctl, threads=_threads())
-    params = {
-        "k": args.k,
-        "N": args.N,
-        "phi": args.phi,
-        "model": args.model,
-        "xi_sq": vars(args.xi_sq),
-        "eta_sq": vars(args.eta_sq),
-    }
-    man = _manifest("boundary", params, ctl)
-    if args.format == "json":
-        return _to_json(
-            man, {"points": [{"xi_sq": p[0], "eta_sq": p[1]} for p in points]}
+    nodes = [
+        (x, e, s, status)
+        for e, values, statuses in zip(
+            grid.eta_sq.values(), diagram.values.tolist(), diagram.status
         )
-    rows = [[_fmt(p[0]), _fmt(p[1])] for p in points]
-    return _to_csv(man, ["xi_sq", "eta_sq"], rows)
-
-
-def _cmd_intersect(args, parser) -> str:
-    ctl = _control_from(args)
-    result = find_intersections(args.xi_sq, args.k, args.N, args.eta_sq, ctl)
-    params = {
-        "k": args.k,
-        "N": args.N,
-        "xi_sq": args.xi_sq,
-        "eta_sq": vars(args.eta_sq),
+        for x, s, status in zip(xi_vals, values, statuses)
+    ]
+    data = {
+        "nodes": (
+            {"xi_sq": x, "eta_sq": e, "squeeze": s if status == STATUS_OK else None,
+             "status": status}
+            for x, e, s, status in nodes
+        )
     }
-    man = _manifest("intersect", params, ctl)
+    return Output(data, ("xi_sq", "eta_sq", "squeeze", "status"), nodes)
+
+
+def _cmd_boundary(args, ctl, parser) -> Output:
+    points = trace_boundary(_grid(args), args.model, ctl)
+    data = {"points": [{"xi_sq": x, "eta_sq": e} for x, e in points]}
+    return Output(data, ("xi_sq", "eta_sq"), points)
+
+
+def _cmd_intersect(args, ctl, parser) -> Output:
+    result = find_intersections(args.xi_sq, args.k, args.N, args.eta_sq, ctl)
     data = {
         "roots": list(result.roots),
         "kinds": list(result.kinds),
         "signs": list(result.signs),
         "skipped": [{"eta_sq": e, "status": st} for e, st in result.skipped],
     }
-    if args.format == "json":
-        return _to_json(man, data)
-    rows = [[_fmt(r), kind] for r, kind in zip(result.roots, result.kinds)]
-    return _to_csv(man, ["eta_sq_root", "kind"], rows)
+    return Output(data, ("eta_sq_root", "kind"), zip(result.roots, result.kinds))
 
 
-def _cmd_polar(args, parser) -> str:
-    ctl = _control_from(args)
-    model = _scalar_model(args, args.k, parser)
-    cfg = FanConfig.from_xi_sq(args.k, args.xi_sq, model)
-    profile = polar_profile(cfg, args.N, args.samples, ctl)
-    params = {
-        "k": args.k,
-        "N": args.N,
-        "xi_sq": args.xi_sq,
-        "eta_sq": args.eta_sq,
-        "model": _model_name(model),
-        "samples": args.samples,
+def _cmd_polar(args, ctl, parser) -> Output:
+    profile = polar_profile(_point_config(args, parser), args.N, args.samples, ctl)
+    data = {
+        "benchmark": profile.benchmark,
+        "points": [{"phi": p, "squeeze": s, "raw_moment": r} for p, s, r in profile.points],
     }
-    man = _manifest("polar", params, ctl, benchmark=profile.benchmark)
-    if args.format == "json":
-        data = {
-            "benchmark": profile.benchmark,
-            "points": [
-                {"phi": p, "squeeze": s, "raw_moment": r} for p, s, r in profile.points
-            ],
-        }
-        return _to_json(man, data)
-    rows = [[_fmt(p), _fmt(s), _fmt(r)] for p, s, r in profile.points]
-    return _to_csv(man, ["phi", "squeeze", "raw_moment"], rows)
+    return Output(
+        data, ("phi", "squeeze", "raw_moment"), profile.points,
+        extras={"benchmark": profile.benchmark},
+    )
 
 
-def _cmd_directions(args, parser) -> str:
-    ctl = _control_from(args)
-    model = _scalar_model(args, args.k, parser)
-    cfg = FanConfig.from_xi_sq(args.k, args.xi_sq, model)
-    coeffs = coefficients(cfg, args.N, ctl)
+def _cmd_directions(args, ctl, parser) -> Output:
+    coeffs = coefficients(_point_config(args, parser), args.N, ctl)
     report = classify_directions(coeffs)
-    approx = squeeze_approx(coeffs, 0.0)
-    params = {
-        "k": args.k,
-        "N": args.N,
-        "xi_sq": args.xi_sq,
-        "eta_sq": args.eta_sq,
-        "model": _model_name(model),
-    }
-    man = _manifest("directions", params, ctl)
     data = {
         "regime": report.regime.value,
         "squeeze_angles": list(report.squeeze_angles),
         "stretch_angles": list(report.stretch_angles),
         "s_min": report.s_min,
         "s_max": report.s_max,
-        "harmonic_dominance": approx.dominance,
+        "harmonic_dominance": squeeze_approx(coeffs, 0.0).dominance,
     }
-    if args.format == "json":
-        return _to_json(man, data)
-    rows = [[_fmt(a), "squeeze"] for a in report.squeeze_angles]
-    rows += [[_fmt(a), "stretch"] for a in report.stretch_angles]
-    return _to_csv(man, ["angle", "kind"], rows)
+    rows = [(a, "squeeze") for a in report.squeeze_angles]
+    rows += [(a, "stretch") for a in report.stretch_angles]
+    return Output(data, ("angle", "kind"), rows)
 
 
-def _cmd_oracle_check(args, parser) -> str:
-    ctl = _control_from(args)
-    model = _scalar_model(args, args.k, parser)
-    cfg = FanConfig.from_xi_sq(args.k, args.xi_sq, model)
+def _cmd_oracle_check(args, ctl, parser) -> Output:
+    cfg = _point_config(args, parser)
     guard = max(args.N, 2 * args.max_power) + 2
     vec = oracle_vector(cfg, guard, ctl)
     bench = vacuum_benchmark(args.N)
@@ -390,40 +319,26 @@ def _cmd_oracle_check(args, parser) -> str:
             {"phi": phi, "series_plus_benchmark": series, "oracle": oracle, "rel_err": rel_err}
         )
 
-    params = {
-        "k": args.k,
-        "N": args.N,
-        "xi_sq": args.xi_sq,
-        "eta_sq": args.eta_sq,
-        "model": _model_name(model),
-        "max_power": args.max_power,
-    }
-    man = _manifest("oracle-check", params, ctl, oracle_dim=vec.dim)
     data = {
         "moments": moment_rows,
         "quadrature": quad_rows,
         "max_relative_discrepancy": max_rel,
         "max_absolute_discrepancy_at_zeros": max_abs_zero,
     }
-    if args.format == "json":
-        return _to_json(man, data)
     rows = [
-        ["moment", str(r["l"]), str(r["m"]), "", _fmt(r["series"]), _fmt(r["oracle"]),
-         _fmt(r["abs_err"]), _fmt(r["rel_err"])]
+        ("moment", r["l"], r["m"], "", r["series"], r["oracle"], r["abs_err"], r["rel_err"])
         for r in moment_rows
     ]
     rows += [
-        ["quadrature", "", "", _fmt(r["phi"]), _fmt(r["series_plus_benchmark"]),
-         _fmt(r["oracle"]), _fmt(abs(r["series_plus_benchmark"] - r["oracle"])), _fmt(r["rel_err"])]
+        ("quadrature", "", "", r["phi"], r["series_plus_benchmark"], r["oracle"],
+         abs(r["series_plus_benchmark"] - r["oracle"]), r["rel_err"])
         for r in quad_rows
     ]
-    return _to_csv(
-        man, ["kind", "l", "m", "phi", "series", "oracle", "abs_err", "rel_err"], rows
-    )
+    header = ("kind", "l", "m", "phi", "series", "oracle", "abs_err", "rel_err")
+    return Output(data, header, rows, extras={"oracle_dim": vec.dim})
 
 
-def _cmd_xi_from_drive(args, parser) -> str:
-    ctl = _control_from(args)
+def _cmd_xi_from_drive(args, ctl, parser) -> Output:
     drive = DriveParams(
         omega0=args.omega0,
         omega1=args.omega1,
@@ -432,44 +347,52 @@ def _cmd_xi_from_drive(args, parser) -> str:
         quantum_order=args.quantum_order,
     )
     xi = xi_from_drive(drive)
-    params = {
-        "omega0": args.omega0,
-        "omega1": args.omega1,
-        "eta": args.eta,
-        "phase": args.phase,
-        "quantum_order": args.quantum_order,
-    }
-    man = _manifest("xi-from-drive", params, ctl)
-    data = {"xi": xi, "xi_sq": xi * xi}
-    if args.format == "json":
-        return _to_json(man, data)
-    return _to_csv(man, ["xi", "xi_sq"], [[_fmt(xi), _fmt(xi * xi)]])
+    return Output({"xi": xi, "xi_sq": xi * xi}, ("xi", "xi_sq"), [(xi, xi * xi)])
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
+_MODELS = ("identity", "trapped-ion")
+_RANGE = "MIN:MAX[:COUNT]"
 
-def _add_series_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("series control")
+
+def _output_flags(default_format: str) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--format", choices=("csv", "json"), default=default_format)
+    p.add_argument("--output", help="write to this file instead of stdout")
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # flag blocks shared by several subcommands, added to each as parents
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--k", type=int, required=True)
+    order.add_argument("--N", type=int, required=True)
+
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--xi-sq", type=float, required=True)
+    point.add_argument("--eta-sq", type=float, default=None,
+                       help="squared Lamb-Dicke parameter (implies trapped-ion model)")
+    point.add_argument("--model", choices=_MODELS, default=None)
+
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--phi", type=float, required=True)
+    grid.add_argument("--xi-sq", type=_axis_range, required=True, metavar=_RANGE)
+    grid.add_argument("--eta-sq", type=_axis_range, required=True, metavar=_RANGE)
+    grid.add_argument("--model", choices=_MODELS, default="trapped-ion")
+
+    series = argparse.ArgumentParser(add_help=False)
+    g = series.add_argument_group("series control")
     g.add_argument("--rel-tol", type=float, default=1e-16)
     g.add_argument("--consecutive-small", type=int, default=3)
     g.add_argument("--n-max", type=int, default=5000)
     g.add_argument("--laguerre-floor", type=float, default=1e-12)
 
+    # one output block per default format: parents share their argument
+    # objects, so set_defaults on one subcommand would change the others
+    output = {fmt: _output_flags(fmt) for fmt in ("csv", "json")}
 
-def _add_output_flags(p: argparse.ArgumentParser, default_format: str) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default=default_format)
-    p.add_argument("--output", help="write to this file instead of stdout")
-
-
-def _add_scalar_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta-sq", type=float, default=None,
-                   help="squared Lamb-Dicke parameter (implies trapped-ion model)")
-    p.add_argument("--model", choices=("identity", "trapped-ion"), default=None)
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fansq",
         description="Higher-order amplitude squeezing of fan states",
@@ -477,91 +400,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fansq {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("squeeze", help="decomposition and squeeze parameter at a point")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--xi-sq", type=float, required=True)
-    _add_scalar_model_flags(p)
+    def command(name, func, help, fmt, *blocks) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[*blocks, series, output[fmt]])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("squeeze", _cmd_squeeze, "decomposition and squeeze parameter at a point",
+                "json", order, point)
     p.add_argument("--phi", type=float, default=None,
                    help="quadrature angle; omitted means sample one period")
     p.add_argument("--samples", type=int, default=17)
-    _add_series_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(func=_cmd_squeeze)
 
-    p = sub.add_parser("scan", help="squeeze parameter over a (xi_sq, eta_sq) grid")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--xi-sq", type=_axis_range, required=True, metavar="MIN:MAX[:COUNT]")
-    p.add_argument("--eta-sq", type=_axis_range, required=True, metavar="MIN:MAX[:COUNT]")
-    p.add_argument("--model", choices=("identity", "trapped-ion"), default="trapped-ion")
-    _add_series_flags(p)
-    _add_output_flags(p, "csv")
-    p.set_defaults(func=_cmd_scan)
+    command("scan", _cmd_scan, "squeeze parameter over a (xi_sq, eta_sq) grid",
+            "csv", order, grid)
+    command("boundary", _cmd_boundary, "trace the S = 0 boundary on a grid",
+            "csv", order, grid)
 
-    p = sub.add_parser("boundary", help="trace the S = 0 boundary on a grid")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--xi-sq", type=_axis_range, required=True, metavar="MIN:MAX[:COUNT]")
-    p.add_argument("--eta-sq", type=_axis_range, required=True, metavar="MIN:MAX[:COUNT]")
-    p.add_argument("--model", choices=("identity", "trapped-ion"), default="trapped-ion")
-    _add_series_flags(p)
-    _add_output_flags(p, "csv")
-    p.set_defaults(func=_cmd_boundary)
-
-    p = sub.add_parser(
-        "intersect",
-        help="eta_sq where the isotropic term equals the leading harmonic size",
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p = command("intersect", _cmd_intersect,
+                "eta_sq where the isotropic term equals the leading harmonic size",
+                "json", order)
     p.add_argument("--xi-sq", type=float, required=True)
     p.add_argument("--eta-sq", type=_axis_range, default=AxisRange(0.05, 0.45, 81),
-                   metavar="MIN:MAX[:COUNT]")
-    _add_series_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(func=_cmd_intersect)
+                   metavar=_RANGE)
 
-    p = sub.add_parser("polar", help="moment profile over the full quadrature circle")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--xi-sq", type=float, required=True)
-    _add_scalar_model_flags(p)
+    p = command("polar", _cmd_polar, "moment profile over the full quadrature circle",
+                "csv", order, point)
     p.add_argument("--samples", type=int, default=96)
-    _add_series_flags(p)
-    _add_output_flags(p, "csv")
-    p.set_defaults(func=_cmd_polar)
 
-    p = sub.add_parser("directions", help="squeeze/stretch angle classification")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--xi-sq", type=float, required=True)
-    _add_scalar_model_flags(p)
-    _add_series_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(func=_cmd_directions)
+    command("directions", _cmd_directions, "squeeze/stretch angle classification",
+            "json", order, point)
 
-    p = sub.add_parser("oracle-check", help="series vs truncated-Fock-space oracle")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--xi-sq", type=float, required=True)
-    _add_scalar_model_flags(p)
+    p = command("oracle-check", _cmd_oracle_check, "series vs truncated-Fock-space oracle",
+                "json", order, point)
     p.add_argument("--max-power", type=int, default=8)
-    _add_series_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(func=_cmd_oracle_check)
 
-    p = sub.add_parser("xi-from-drive", help="eigenvalue magnitude from drive settings")
+    p = command("xi-from-drive", _cmd_xi_from_drive,
+                "eigenvalue magnitude from drive settings", "json")
     p.add_argument("--omega0", type=float, required=True, help="carrier Rabi frequency")
     p.add_argument("--omega1", type=float, required=True, help="sideband Rabi frequency")
     p.add_argument("--eta", type=float, required=True, help="Lamb-Dicke parameter")
     p.add_argument("--phase", type=float, default=0.0)
     p.add_argument("--quantum-order", type=int, required=True)
-    _add_series_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(func=_cmd_xi_from_drive)
 
     return parser
 
@@ -570,7 +449,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args, parser)
+        ctl = SeriesControl(**{name: getattr(args, name) for name in _SERIES_FLAGS})
+        text = _render(args, ctl, args.func(args, ctl, parser))
     except DomainError as exc:
         print(f"fansq: invalid parameters: {exc}", file=sys.stderr)
         return 2

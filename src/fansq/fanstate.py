@@ -43,14 +43,19 @@ Two paths evaluate the series, chosen by the shape of the input:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, FansqError, SeriesNotConverged, SingularNonlinearity
+from .errors import (
+    DomainError,
+    FansqError,
+    SeriesNotConverged,
+    SingularNonlinearity,
+    TruncationTooSmall,
+)
 from .specfun import (
     SL_ONE,
     SL_ZERO,
@@ -194,15 +199,13 @@ DEFAULT_CONTROL = SeriesControl()
 # nonlinearity evaluation and running products
 
 _laguerre_tables: dict[tuple[float, int], LaguerreTable] = {}
-_tables_lock = threading.Lock()
 
 
 def _laguerre_table(eta_sq: float, alpha: int) -> LaguerreTable:
     key = (eta_sq, alpha)
     tab = _laguerre_tables.get(key)
     if tab is None:
-        with _tables_lock:
-            tab = _laguerre_tables.setdefault(key, LaguerreTable(alpha, eta_sq))
+        tab = _laguerre_tables[key] = LaguerreTable(alpha, eta_sq)
     return tab
 
 
@@ -232,7 +235,6 @@ def nonlinearity_value(model: NonlinearModel, m: int, floor: float = 1e-12) -> S
 
 
 _product_cache: dict[tuple[NonlinearModel, int, float], list[SignedLog]] = {}
-_product_lock = threading.Lock()
 
 
 def _product_list(model: NonlinearModel, step: int, floor: float, j: int) -> list[SignedLog]:
@@ -242,25 +244,19 @@ def _product_list(model: NonlinearModel, step: int, floor: float, j: int) -> lis
     """
     key = (model, step, floor)
     lst = _product_cache.get(key)
-    if lst is not None and j < len(lst):
-        return lst
-    with _product_lock:
-        lst = _product_cache.setdefault(key, [SL_ONE])
-        if j < len(lst):
-            return lst
-        grown = list(lst)
-        while len(grown) <= j:
-            i = len(grown)
-            factor = nonlinearity_value(model, i * step, floor)
-            if factor.sign == 0:
-                raise SingularNonlinearity(
-                    f"nonlinearity vanishes exactly at Fock argument {i * step}; "
-                    "downstream amplitude ratios are undefined",
-                    index=i * step,
-                )
-            grown.append(grown[-1].mul(factor))
-        _product_cache[key] = grown
-        return grown
+    if lst is None:
+        lst = _product_cache[key] = [SL_ONE]
+    while len(lst) <= j:
+        i = len(lst)
+        factor = nonlinearity_value(model, i * step, floor)
+        if factor.sign == 0:
+            raise SingularNonlinearity(
+                f"nonlinearity vanishes exactly at Fock argument {i * step}; "
+                "downstream amplitude ratios are undefined",
+                index=i * step,
+            )
+        lst.append(lst[-1].mul(factor))
+    return lst
 
 
 def nonlinearity_product(
@@ -723,8 +719,6 @@ def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CON
     TruncationTooSmall when the requested dim leaves tail mass >= 1e-14.
     """
     from .fockoracle import FockVector  # deferred: fockoracle builds on this module
-    import numpy as np
-    from .errors import TruncationTooSmall
 
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")

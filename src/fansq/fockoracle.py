@@ -27,10 +27,11 @@ from .fanstate import (
     Identity,
     SeriesControl,
     fock_coefficients,
+    nonlinearity_product,
     nonlinearity_value,
     normalization,
 )
-from .specfun import log_factorial, log_factorials
+from .specfun import log_factorial, log_factorials, signed_log
 
 _SQRT2 = math.sqrt(2.0)
 _SUPPORT_CUTOFF = 1e-14  # default of `support_level`, cached on each vector
@@ -41,7 +42,7 @@ def _highest_above(amps: np.ndarray, cutoff: float) -> int:
     return int(idx[-1]) if idx.size else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockVector:
     """Truncated Fock-space state: amplitudes plus reported tail mass.
 
@@ -49,13 +50,14 @@ class FockVector:
     writing to it raises ValueError and changing the caller's array
     changes nothing here.  `support` is the support level at the default
     cutoff 1e-14; `ladder_image(j)` gives a^j psi, built once per j.
+    Equality and hashing are by identity.
     """
 
     dim: int
     amps: np.ndarray
     tail_mass: float
-    support: int = field(init=False, repr=False, compare=False)
-    _images: dict = field(init=False, repr=False, compare=False)
+    support: int = field(init=False, repr=False)
+    _images: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         amps = np.array(self.amps, dtype=np.complex128)
@@ -215,9 +217,6 @@ def oracle_vector(
     k = cfg.k
     d = normalization(cfg, ctl)
     # walk the support weights until they fall below the target
-    from .fanstate import nonlinearity_product
-    from .specfun import signed_log
-
     xi_sl = signed_log(cfg.xi)
     n = 0
     last = 0
@@ -249,7 +248,8 @@ def eigen_residual(cfg: FanConfig, v: FockVector) -> float:
     G^2 v = xi^{4k} v: each component eigenvalue is a 4k-th root times
     xi, and squaring the 2k-quantum relation makes them all agree.
     Below the quantum order, f is taken as one (those entries are
-    annihilated by a^{2k} anyway).
+    annihilated by a^{2k} anyway).  G is one shift by 2k levels:
+    (G w)_n = sqrt((n+2k)!/n!) f(n+2k) w_{n+2k}, its weights built once.
     """
     k = cfg.k
     step = 2 * k
@@ -260,13 +260,12 @@ def eigen_residual(cfg: FanConfig, v: FockVector) -> float:
         for i in range(step, v.dim):
             fvals[i] = nonlinearity_value(cfg.model, i).to_real()
 
+    lf = log_factorials(v.dim)
+    weights = np.exp(0.5 * (lf[step : v.dim] - lf[: v.dim - step])) * fvals[step:]
+
     def apply_g(w: np.ndarray) -> np.ndarray:
-        out = fvals * w
-        for _ in range(step):
-            shifted = np.zeros_like(out)
-            n = np.arange(1, out.size)
-            shifted[:-1] = np.sqrt(n) * out[1:]
-            out = shifted
+        out = np.zeros_like(w)
+        out[:-step] = weights * w[step:]
         return out
 
     gg = apply_g(apply_g(v.amps))

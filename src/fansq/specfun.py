@@ -10,7 +10,6 @@ interference factor of the fan superposition, and compensated summation.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from typing import NamedTuple
 
@@ -78,27 +77,15 @@ class _LogFactorialTable:
     def __init__(self) -> None:
         self._table = [0.0, 0.0]  # ln 0!, ln 1!
         self._array = np.zeros(0)
-        self._lock = threading.Lock()
 
     def __call__(self, n: int) -> float:
         if n < 0:
             raise ValueError(f"factorial of negative index {n}")
         t = self._table
-        if n < len(t):
-            return t[n]
-        with self._lock:
-            t = self._table
-            if n < len(t):
-                return t[n]
-            # grow to at least twice the length, so that asking for one
-            # more index per call copies the table O(log n) times
-            grown = list(t)
-            for i in range(len(grown), max(n + 1, 2 * len(grown))):
-                grown.append(grown[-1] + math.log(i))
-            # swap in fully-built list so lock-free readers never see a
-            # partially extended table
-            self._table = grown
-            return grown[n]
+        if n >= len(t):
+            for i in range(len(t), n + 1):
+                t.append(t[-1] + math.log(i))
+        return t[n]
 
     def upto(self, n: int) -> np.ndarray:
         """ln(0!) .. ln(n!) as a read-only array holding the table's values.
@@ -157,24 +144,14 @@ class LaguerreTable:
     def __init__(self, m: int, x: float) -> None:
         self.m = m
         self.x = x
-        # C doubles: a quarter of the memory of a list of floats, which
-        # pays for growing to twice the length
+        # C doubles: a quarter of the memory of a list of floats
         self._vals = array("d", [1.0])
-        self._lock = threading.Lock()
 
     def value(self, n: int) -> float:
         vals = self._vals
-        if n < len(vals):
-            return vals[n]
-        with self._lock:
-            vals = self._vals
-            if n < len(vals):
-                return vals[n]
-            grown = array("d", vals)
-            # at least double, as `_LogFactorialTable` does
-            _grow_laguerre(grown, self.m, self.x, max(n, 2 * len(vals) - 1))
-            self._vals = grown
-            return grown[n]
+        if n >= len(vals):
+            _grow_laguerre(vals, self.m, self.x, n)
+        return vals[n]
 
 
 def _grow_laguerre(vals, m: int, x: float, n: int) -> None:

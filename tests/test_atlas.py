@@ -129,14 +129,6 @@ def test_scan_marks_nonconvergent_nodes_instead_of_raising():
     assert np.isnan(diagram.values).all()
 
 
-def test_scan_deterministic_across_thread_counts():
-    a = scan(GRID_K1, "trapped-ion", threads=None)
-    b = scan(GRID_K1, "trapped-ion", threads=4)
-    c = scan(GRID_K1, "trapped-ion", threads=2)
-    assert a.values.tobytes() == b.values.tobytes() == c.values.tobytes()
-    assert a.status == b.status == c.status
-
-
 # ---------------------------------------------------------------------------
 # boundary and ridge
 

@@ -4,12 +4,13 @@ Everything runs main() in process so exit codes, stdout and --output
 files can be inspected without spawning subprocesses.
 """
 
+import argparse
 import json
 import math
 
 import pytest
 
-from fansq.cli import main
+from fansq.cli import build_parser, main
 from fansq.fanstate import FanConfig, Identity
 from fansq.squeeze import coefficients, squeeze_parameter
 
@@ -316,6 +317,67 @@ def test_unwritable_output_is_exit_two(capsys, tmp_path):
     _, err = capsys.readouterr()
     assert code == 2
     assert "cannot write" in err
+
+
+# ---------------------------------------------------------------------------
+# manifest and CSV header of every subcommand
+
+# argv and the CSV header documented in the README, per subcommand
+SUBCOMMANDS = {
+    "squeeze": (["--k", "1", "--N", "4", "--xi-sq", "0.5", "--phi", "0.3"],
+                "phi,squeeze,raw_moment"),
+    "scan": (SCAN_ARGS[1:], "xi_sq,eta_sq,squeeze,status"),
+    "boundary": (["--k", "1", "--N", "4", "--phi", str(math.pi / 4),
+                  "--xi-sq", "0.05:0.95:7", "--eta-sq", "0.1:0.9:5"], "xi_sq,eta_sq"),
+    "intersect": (["--k", "1", "--N", "4", "--xi-sq", "0.3", "--eta-sq", "0.1:0.9:9"],
+                  "eta_sq_root,kind"),
+    "polar": (["--k", "1", "--N", "4", "--xi-sq", "0.2", "--eta-sq", "0.3",
+               "--samples", "8"], "phi,squeeze,raw_moment"),
+    "directions": (["--k", "1", "--N", "4", "--xi-sq", "0.5"], "angle,kind"),
+    "oracle-check": (["--k", "1", "--N", "4", "--xi-sq", "0.2", "--max-power", "2"],
+                     "kind,l,m,phi,series,oracle,abs_err,rel_err"),
+    "xi-from-drive": (["--omega0", "1.0", "--omega1", "2.0", "--eta", "0.3",
+                       "--quantum-order", "2"], "xi,xi_sq"),
+}
+
+
+def _subparsers() -> dict:
+    action = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def test_every_subcommand_is_covered():
+    assert set(_subparsers()) == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cmd", sorted(SUBCOMMANDS))
+def test_manifest_parameters_are_the_subcommands_own_flags(capsys, cmd, fmt):
+    sub = _subparsers()[cmd]
+    series = next(g for g in sub._action_groups if g.title == "series control")
+    series_flags = {a.dest for a in series._group_actions}
+    own_flags = {a.dest for a in sub._actions} - series_flags - {"help", "format", "output"}
+
+    argv, header = SUBCOMMANDS[cmd]
+    out, _ = run_cli(capsys, [cmd, *argv, "--format", fmt])
+    if fmt == "json":
+        man = json.loads(out)["manifest"]
+    else:
+        man = manifest_of_csv(out)
+        lines = out.splitlines()
+        assert lines[1] == header
+        assert len(lines) > 2
+        assert all(len(line.split(",")) == len(header.split(",")) for line in lines[2:])
+    assert man["subcommand"] == cmd
+    assert set(man["parameters"]) == own_flags
+    assert set(man["series_control"]) == series_flags
+    if "model" in own_flags:
+        assert man["parameters"]["model"] in ("identity", "trapped-ion")
+    for name in ("xi_sq", "eta_sq"):
+        if isinstance(man["parameters"].get(name), dict):
+            assert set(man["parameters"][name]) == {"min", "max", "count"}
 
 
 # ---------------------------------------------------------------------------

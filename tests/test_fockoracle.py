@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from fansq.errors import DomainError, TruncationTooSmall
-from fansq.fanstate import FanConfig, Identity, TrappedIon, fock_coefficients
+from fansq.fanstate import (
+    FanConfig,
+    Identity,
+    TrappedIon,
+    fock_coefficients,
+    nonlinearity_value,
+)
 from fansq.fockoracle import (
     FockVector,
     apply_annihilation,
@@ -92,6 +98,14 @@ def test_cached_support_level_matches_a_fresh_scan():
         assert v.support == support_level(v) == (int(idx[-1]) if idx.size else 0)
         idx = np.nonzero(np.abs(amps) > 1e-6)[0]
         assert support_level(v, 1e-6) == (int(idx[-1]) if idx.size else 0)
+
+
+def test_fockvector_equality_and_hash_are_identity():
+    a, b = vacuum(3), vacuum(3)
+    assert a == a
+    assert a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +343,32 @@ def test_eigen_residual_vacuum_is_zero():
 def test_eigen_residual_small_for_fan_states(cfg):
     v = oracle_vector(cfg, guard=4 * cfg.k + 2)
     assert eigen_residual(cfg, v) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CFG_ID,
+        FanConfig.from_xi_sq(1, 0.4, TrappedIon(eta_sq=0.3, quantum_order=2)),
+        FanConfig.from_xi_sq(2, 0.2, TrappedIon(eta_sq=0.3, quantum_order=4)),
+    ],
+)
+def test_eigen_residual_matches_dense_operator(cfg):
+    # residual of a vector that is no eigenstate, against G = a^{2k} f(n)
+    # built as dense matrices from single-quantum lowering maps
+    dim = 24
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = FockVector(dim=dim, amps=amps, tail_mass=0.0)
+    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    f = np.ones(dim)
+    if not isinstance(cfg.model, Identity):
+        f[2 * cfg.k :] = [
+            nonlinearity_value(cfg.model, i).to_real() for i in range(2 * cfg.k, dim)
+        ]
+    g = np.linalg.matrix_power(lower, 2 * cfg.k) @ np.diag(f)
+    want = np.linalg.norm(g @ g @ amps - cfg.xi ** (4 * cfg.k) * amps) / np.linalg.norm(amps)
+    assert eigen_residual(cfg, v) == pytest.approx(want, rel=1e-12)
 
 
 def test_support_check_fan_states():
