@@ -180,6 +180,8 @@ def _grid(args: argparse.Namespace) -> GridSpec:
 
 def _cmd_squeeze(args, ctl, parser) -> Output:
     cfg = _point_config(args, parser)
+    if args.phi is None and args.samples < 2:
+        raise DomainError(f"need at least 2 samples to span a period, got {args.samples}")
     coeffs = coefficients(cfg, args.N, ctl)
     bench = vacuum_benchmark(args.N)
     if args.phi is not None:
@@ -279,6 +281,8 @@ def _cmd_directions(args, ctl, parser) -> Output:
 
 def _cmd_oracle_check(args, ctl, parser) -> Output:
     cfg = _point_config(args, parser)
+    if args.max_power < 0:
+        raise DomainError(f"max-power must be >= 0, got {args.max_power}")
     guard = max(args.N, 2 * args.max_power) + 2
     vec = oracle_vector(cfg, guard, ctl)
     bench = vacuum_benchmark(args.N)

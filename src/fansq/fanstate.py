@@ -19,9 +19,12 @@ Conventions fixed by this module:
     the interference factor inserts at odd summation indices.
 
 Two paths evaluate the series, chosen by the shape of the input:
-  * one point (`normalization`, `moment`): a scalar loop that visits
-    one term at a time and stops at the first term that completes the
-    tail test, memoized per configuration.
+  * one point (`normalization`, `moment`): one loop per series over
+    the plain lists of the model's `ProductTable` (signs and
+    log-magnitudes of the running products, grown up to the first pole)
+    and the log-factorial table, with the compensation and every check
+    inline; it stops at the first term that completes the tail test.
+    Results and tables sit in bounded memo tables.
   * a row of points of one order k, each with its own xi and model
     (`moment_row`; grid scans pass one eta_sq row with a shared model,
     boundary refinement one bisection midpoint per crossing): every
@@ -42,10 +45,11 @@ Two paths evaluate the series, chosen by the shape of the input:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,13 +67,14 @@ from .specfun import (
     LaguerreRows,
     LaguerreTable,
     SignedLog,
-    interference_factor,
     log_factorial,
     log_factorials,
-    signed_log,
 )
 
 _LOG_HUGE = 700.0  # ln of near-overflow; a term this large means divergence
+
+# the live ln(n!) list the series loops index; they only read it
+_live_log_factorials = log_factorial.live
 
 
 @dataclass(frozen=True)
@@ -198,15 +203,27 @@ DEFAULT_CONTROL = SeriesControl()
 # ---------------------------------------------------------------------------
 # nonlinearity evaluation and running products
 
+# memo bounds; a trapped-ion model holds one product and two Laguerre tables
+_PRODUCT_TABLES, _LAGUERRE_TABLES = 64, 128
+
 _laguerre_tables: dict[tuple[float, int], LaguerreTable] = {}
 
 
+def _recall(table: dict, key, make, bound: int):
+    """table[key], made on a miss; past the bound the least recent entry goes."""
+    value = table.pop(key, None)
+    if value is None:
+        value = make()
+        if len(table) >= bound:
+            del table[next(iter(table))]
+    table[key] = value
+    return value
+
+
 def _laguerre_table(eta_sq: float, alpha: int) -> LaguerreTable:
-    key = (eta_sq, alpha)
-    tab = _laguerre_tables.get(key)
-    if tab is None:
-        tab = _laguerre_tables[key] = LaguerreTable(alpha, eta_sq)
-    return tab
+    return _recall(
+        _laguerre_tables, (eta_sq, alpha), lambda: LaguerreTable(alpha, eta_sq), _LAGUERRE_TABLES
+    )
 
 
 def nonlinearity_value(model: NonlinearModel, m: int, floor: float = 1e-12) -> SignedLog:
@@ -234,29 +251,72 @@ def nonlinearity_value(model: NonlinearModel, m: int, floor: float = 1e-12) -> S
     return SignedLog(sign, logmag)
 
 
-_product_cache: dict[tuple[NonlinearModel, int, float], list[SignedLog]] = {}
+def nonlinearity_values(model: TrappedIon, stop: int) -> np.ndarray:
+    """f(K) .. f(stop - 1) as floats, K the quantum order, in one numpy expression.
 
-
-def _product_list(model: NonlinearModel, step: int, floor: float, j: int) -> list[SignedLog]:
-    """Products of f at multiples of `step`, filled up to index j.
-
-    Entry i holds f(step)*f(2*step)*...*f(i*step); entry 0 is one.
+    `nonlinearity_value` at its default floor, up to rounding; raises
+    its error at the first pole, and its DomainError below K.
     """
+    if not isinstance(model, TrappedIon):
+        raise DomainError(f"nonlinearity_values needs a trapped-ion model, got {model!r}")
+    K = model.quantum_order
+    if stop < K:
+        raise DomainError(f"nonlinearity argument {stop} below quantum order {K}")
+    floor = DEFAULT_CONTROL.laguerre_floor
+    den = _laguerre_table(model.eta_sq, 0).upto(stop - 1 - K)
+    poles = np.flatnonzero(np.abs(den) < floor)
+    if poles.size:
+        nonlinearity_value(model, K + int(poles[0]), floor)
+    num = _laguerre_table(model.eta_sq, K).upto(stop - 1 - K)
+    lf = log_factorials(stop - 1)
+    return np.exp(lf[: stop - K] - lf[K:stop]) * (num / den)
+
+
+class ProductTable:
+    """Running products of f at multiples of `step` for one (model, step, floor).
+
+    sign[i] and logmag[i] hold f(step) f(2 step) ... f(i step), entry 0
+    is one.  The lists grow on demand up to the first index whose factor
+    is singular; `error` is what reaching that index raises.
+    """
+
+    __slots__ = ("model", "step", "floor", "sign", "logmag", "error")
+
+    def __init__(self, model: NonlinearModel, step: int, floor: float) -> None:
+        self.model, self.step, self.floor = model, step, floor
+        self.sign = [1]
+        self.logmag = [0.0]
+        self.error: Optional[FansqError] = None
+
+    def reach(self, j: int) -> None:
+        """Hold entries up to index j, or raise the error of a pole at or below j."""
+        sign, logmag = self.sign, self.logmag
+        while len(logmag) <= j and self.error is None:
+            m = len(logmag) * self.step
+            try:
+                factor = nonlinearity_value(self.model, m, self.floor)
+                if factor.sign == 0:
+                    raise SingularNonlinearity(
+                        f"nonlinearity vanishes exactly at Fock argument {m}; "
+                        "downstream amplitude ratios are undefined",
+                        index=m,
+                    )
+            except FansqError as exc:
+                self.error = exc.with_traceback(None)
+                break
+            sign.append(sign[-1] * factor.sign)
+            logmag.append(logmag[-1] + factor.logmag)
+        if len(logmag) <= j:
+            raise copy.copy(self.error)
+
+
+_product_cache: dict[tuple[NonlinearModel, int, float], ProductTable] = {}
+
+
+def product_table(model: NonlinearModel, step: int, floor: float) -> ProductTable:
+    """The memoized `ProductTable` of (model, step, floor)."""
     key = (model, step, floor)
-    lst = _product_cache.get(key)
-    if lst is None:
-        lst = _product_cache[key] = [SL_ONE]
-    while len(lst) <= j:
-        i = len(lst)
-        factor = nonlinearity_value(model, i * step, floor)
-        if factor.sign == 0:
-            raise SingularNonlinearity(
-                f"nonlinearity vanishes exactly at Fock argument {i * step}; "
-                "downstream amplitude ratios are undefined",
-                index=i * step,
-            )
-        lst.append(lst[-1].mul(factor))
-    return lst
+    return _recall(_product_cache, key, lambda: ProductTable(*key), _PRODUCT_TABLES)
 
 
 def nonlinearity_product(
@@ -264,7 +324,7 @@ def nonlinearity_product(
 ) -> SignedLog:
     """Running product f(p) f(p-step) ... f(step) at a multiple p of step.
 
-    Exactly one for 0 <= p < step.  Memoized per (model, step).  Other
+    Exactly one for 0 <= p < step.  Read from `product_table`.  Other
     p raise DomainError: the fan-state series only visit multiples.
     """
     if step < 1:
@@ -276,7 +336,9 @@ def nonlinearity_product(
     q, r = divmod(p, step)
     if r:
         raise DomainError(f"product index {p} is not a multiple of the step {step}")
-    return _product_list(model, step, floor, q)[q]
+    tab = product_table(model, step, floor)
+    tab.reach(q)
+    return SignedLog(tab.sign[q], tab.logmag[q])
 
 
 def product_convention_diagnostic(
@@ -306,28 +368,68 @@ def product_convention_diagnostic(
 # ---------------------------------------------------------------------------
 # series engine
 
-def _sum_series(terms: Iterator[float], ctl: SeriesControl, what: str) -> float:
-    """Neumaier-compensated sum with the consecutive-small-tail stop rule."""
-    acc = CompensatedSum()
-    small = 0
-    count = 0
-    for t in terms:
+
+def _series_sum(
+    cfg: FanConfig, ctl: SeriesControl, l: int = 0, m: int = 0, norm: bool = False
+) -> float:
+    """The normalization series (norm) or the (l, m) moment series, summed.
+
+    Term n is zero at odd n (the interference factor), else exp of
+    2 ln 2k + 4kn ln xi - ln (2kn - m)! minus the log-products at n and
+    n + (l - m)/2k, or twice the one at n for the normalization.  The
+    Neumaier sum stops after `consecutive_small` terms below rel_tol
+    times the sum; a pole, a term past float range or n_max terms raise.
+    """
+    k = cfg.k
+    step = 2 * k
+    tab = product_table(cfg.model, step, ctl.laguerre_floor)
+    sign, logp = tab.sign, tab.logmag
+    shift = (l - m) // step
+    n = -(-m // step)  # ceil(m / 2k): the first level the moment reaches
+    lead = 2 * math.log(step)
+    log_xi = math.log(cfg.xi) if cfg.xi > 0 else -math.inf
+    lf = _live_log_factorials(step * (n + 1))
+    rel_tol, run, n_max = ctl.rel_tol, ctl.consecutive_small, ctl.n_max
+    s = c = 0.0
+    small = count = 0
+    while True:
         count += 1
-        acc.add(t)
-        if abs(t) <= ctl.rel_tol * abs(acc.value):
-            small += 1
-            if small >= ctl.consecutive_small:
-                return acc.value
+        if n % 2:
+            small += 1  # a zero term changes neither sum nor compensation
         else:
-            small = 0
-        if count >= ctl.n_max:
+            top = n + shift
+            if top >= len(logp):
+                tab.reach(top)
+            i = step * n - m
+            if i >= len(lf):
+                _live_log_factorials(2 * i)
+            x = lead + (4 * k * n) * log_xi - lf[i]
+            x = x - 2 * logp[n] if norm else x - logp[n] - logp[top]
+            if x > _LOG_HUGE:
+                what = "normalization" if norm else f"moment ({l},{m})"
+                raise SeriesNotConverged(f"{what} term at index {n} exceeds float range")
+            if norm:  # the leading term is exactly (2k)^2: xi -> 0 stays exact
+                t = math.exp(x) if n else float(4 * k * k)
+            else:
+                t = sign[n] * sign[top] * math.exp(x)
+            u = s + t
+            if abs(s) >= abs(t):
+                c += (s - u) + t
+            else:
+                c += (t - u) + s
+            s = u
+            small = small + 1 if abs(t) <= rel_tol * abs(s + c) else 0
+        if small >= run:
+            return s + c
+        if count >= n_max:
+            what = f"normalization k={k}" if norm else f"moment l={l} m={m} k={k}"
             raise SeriesNotConverged(
-                f"{what}: tail criterion not met after {ctl.n_max} terms"
+                f"{what} xi={cfg.xi}: tail criterion not met after {n_max} terms"
             )
-    return acc.value
+        n += 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def normalization(cfg: FanConfig, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Squared norm of the unnormalized fan superposition; always > 0.
 
@@ -335,84 +437,17 @@ def normalization(cfg: FanConfig, ctl: SeriesControl = DEFAULT_CONTROL) -> float
     even summation indices, each weighted by xi^(4km) / ((2km)! times
     the squared running product).
     """
-    k = cfg.k
-    step = 2 * k
-    xi_sl = signed_log(cfg.xi)
-    floor = ctl.laguerre_floor
-
-    def terms() -> Iterator[float]:
-        # leading term is exactly (2k)^2: emitting it outside the
-        # log/exp roundtrip keeps the xi -> 0 limit exact
-        yield float(4 * k * k)
-        m = 1
-        while True:
-            jf = interference_factor(k, m)
-            if jf == 0:
-                yield 0.0
-            else:
-                prod = nonlinearity_product(cfg.model, step * m, step, floor)
-                t = xi_sl.pow_int(4 * k * m)
-                logmag = (
-                    t.logmag
-                    + 2 * math.log(jf)
-                    - log_factorial(step * m)
-                    - 2 * prod.logmag
-                )
-                if t.sign == 0:
-                    yield 0.0
-                elif logmag > _LOG_HUGE:
-                    raise SeriesNotConverged(
-                        f"normalization term at index {m} exceeds float range"
-                    )
-                else:
-                    yield math.exp(logmag)
-            m += 1
-
-    return _sum_series(terms(), ctl, f"normalization k={k} xi={cfg.xi}")
+    return _series_sum(cfg, ctl, norm=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _moment_cached(cfg: FanConfig, l: int, m: int, ctl: SeriesControl) -> float:
-    k = cfg.k
-    step = 2 * k
     diff = l - m
-    if diff % step != 0:
-        return 0.0
-    if (diff // step) % 2 != 0:
+    if diff % (4 * cfg.k) != 0:  # an odd multiple of 2k vanishes by interference
         return 0.0
     if cfg.xi == 0.0:
         return 1.0 if l == 0 and m == 0 else 0.0
-
-    log_xi = math.log(cfg.xi)
-    floor = ctl.laguerre_floor
-    n_min = -(-m // step)  # ceil(m / 2k)
-    model = cfg.model
-
-    def terms() -> Iterator[float]:
-        n = n_min
-        while True:
-            jf = interference_factor(k, n)
-            # offset diff/2k is even, so n and n + diff/2k share parity
-            if jf == 0:
-                yield 0.0
-            else:
-                p1 = nonlinearity_product(model, step * n, step, floor)
-                p2 = nonlinearity_product(model, step * n + diff, step, floor)
-                logmag = (
-                    2 * math.log(jf)
-                    + (4 * k * n) * log_xi
-                    - log_factorial(step * n - m)
-                    - p1.logmag
-                    - p2.logmag
-                )
-                if logmag > _LOG_HUGE:
-                    raise SeriesNotConverged(
-                        f"moment ({l},{m}) term at index {n} exceeds float range"
-                    )
-                yield p1.sign * p2.sign * math.exp(logmag)
-            n += 1
-
-    total = _sum_series(terms(), ctl, f"moment l={l} m={m} k={k} xi={cfg.xi}")
+    total = _series_sum(cfg, ctl, l, m)
     d = normalization(cfg, ctl)
     return (cfg.xi**diff) * total / d
 
@@ -525,7 +560,7 @@ class _Columns:
 
 
 def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns):
-    """Terms at summation offsets a..b-1 of every column, as in `_moment_cached`.
+    """Terms at summation offsets a..b-1 of every column, as in `_series_sum`.
 
     Returns (terms, singular, overflow): the terms, with zeros where the
     scalar path raises, and where it raises which error.
@@ -562,7 +597,7 @@ _RUNNING, _STOPPED, _SINGULAR, _OVERFLOW, _CAPPED = range(5)
 
 
 def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl):
-    """Per-column `_sum_series`: returns (sums, outcome codes)."""
+    """Per-column `_series_sum`: returns (sums, outcome codes)."""
     width = p.n0.size
     sums = np.full(width, np.nan)
     outcome = np.full(width, _RUNNING)
@@ -723,33 +758,22 @@ def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CON
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
     k = cfg.k
-    step = 2 * k
     d = normalization(cfg, ctl)
     log_d_half = 0.5 * math.log(d)
-    xi_sl = signed_log(cfg.xi)
+    top = (dim - 1) // (4 * k)  # the last support level below dim
+    tab = product_table(cfg.model, 2 * k, ctl.laguerre_floor)
+    tab.reach(2 * top)
+    lf = _live_log_factorials(4 * k * top)
     amps = np.zeros(dim, dtype=np.complex128)
     captured = CompensatedSum()
-    n = 0
-    while 4 * k * n < dim:
+    # at xi = 0 the state is the vacuum
+    for n in range(top + 1 if cfg.xi > 0 else 1):
         level = 4 * k * n
-        prod = nonlinearity_product(cfg.model, level, step, ctl.laguerre_floor)
-        t = xi_sl.pow_int(level)
-        if t.sign != 0:
-            logmag = (
-                math.log(2 * k)
-                - log_d_half
-                + t.logmag
-                - 0.5 * log_factorial(level)
-                - prod.logmag
-            )
-            c = prod.sign * math.exp(logmag)
-            amps[level] = c
-            captured.add(c * c)
-        elif level == 0:
-            # xi == 0: the state is vacuum
-            amps[0] = 2 * k / math.exp(log_d_half)
-            captured.add(abs(amps[0]) ** 2)
-        n += 1
+        t = level * math.log(cfg.xi) if level else 0.0
+        logmag = math.log(2 * k) - log_d_half + t - 0.5 * lf[level] - tab.logmag[2 * n]
+        c = tab.sign[2 * n] * math.exp(logmag)
+        amps[level] = c
+        captured.add(c * c)
     tail = 1.0 - captured.value
     if tail >= 1e-14:
         raise TruncationTooSmall(

@@ -27,11 +27,11 @@ from .fanstate import (
     Identity,
     SeriesControl,
     fock_coefficients,
-    nonlinearity_product,
-    nonlinearity_value,
+    nonlinearity_values,
     normalization,
+    product_table,
 )
-from .specfun import log_factorial, log_factorials, signed_log
+from .specfun import log_factorial, log_factorials
 
 _SQRT2 = math.sqrt(2.0)
 _SUPPORT_CUTOFF = 1e-14  # default of `support_level`, cached on each vector
@@ -216,27 +216,27 @@ def oracle_vector(
         raise DomainError(f"guard must be >= 0, got {guard}")
     k = cfg.k
     d = normalization(cfg, ctl)
-    # walk the support weights until they fall below the target
-    xi_sl = signed_log(cfg.xi)
-    n = 0
+    # walk the support weights until they fall below the target (xi = 0: level 0 only)
     last = 0
-    while True:
-        t = xi_sl.pow_int(8 * k * n)
-        if t.sign == 0 and n > 0:
-            last = n - 1
-            break
-        prod = nonlinearity_product(cfg.model, 4 * k * n, 2 * k, ctl.laguerre_floor)
-        logw = (
-            math.log(4 * k * k) + t.logmag - log_factorial(4 * k * n) - 2 * prod.logmag
-        ) - math.log(d)
-        if n > 0 and logw < math.log(tail_target) - math.log(100.0):
-            last = n
-            break
-        n += 1
-        if n > ctl.n_max:
-            raise TruncationTooSmall(
-                f"support weights not below {tail_target} within {ctl.n_max} levels"
-            )
+    if cfg.xi > 0:
+        tab = product_table(cfg.model, 2 * k, ctl.laguerre_floor)
+        lead, log_xi, log_d = math.log(4 * k * k), math.log(cfg.xi), math.log(d)
+        cut = math.log(tail_target) - math.log(100.0)
+        n = 1
+        while True:
+            tab.reach(2 * n)
+            level = 4 * k * n
+            logw = (
+                lead + 2 * level * log_xi - log_factorial(level) - 2 * tab.logmag[2 * n]
+            ) - log_d
+            if logw < cut:
+                last = n
+                break
+            n += 1
+            if n > ctl.n_max:
+                raise TruncationTooSmall(
+                    f"support weights not below {tail_target} within {ctl.n_max} levels"
+                )
     dim = 4 * k * last + guard + 1
     return fock_coefficients(cfg, dim, ctl)
 
@@ -257,9 +257,7 @@ def eigen_residual(cfg: FanConfig, v: FockVector) -> float:
         raise TruncationTooSmall(f"dim={v.dim} cannot hold a {step}-quantum map")
     fvals = np.ones(v.dim)
     if not isinstance(cfg.model, Identity):
-        for i in range(step, v.dim):
-            fvals[i] = nonlinearity_value(cfg.model, i).to_real()
-
+        fvals[step:] = nonlinearity_values(cfg.model, v.dim)
     lf = log_factorials(v.dim)
     weights = np.exp(0.5 * (lf[step : v.dim] - lf[: v.dim - step])) * fvals[step:]
 

@@ -25,46 +25,9 @@ class SignedLog(NamedTuple):
     sign: int
     logmag: float
 
-    def to_real(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.logmag)
-
-    def mul(self, other: "SignedLog") -> "SignedLog":
-        s = self.sign * other.sign
-        if s == 0:
-            return SL_ZERO
-        return SignedLog(s, self.logmag + other.logmag)
-
-    def div(self, other: "SignedLog") -> "SignedLog":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by a zero SignedLog")
-        if self.sign == 0:
-            return SL_ZERO
-        return SignedLog(self.sign * other.sign, self.logmag - other.logmag)
-
-    def pow_int(self, e: int) -> "SignedLog":
-        # 0**0 == ONE by convention, so xi = 0 flows through series terms
-        # the same way any other value does.
-        if e == 0:
-            return SL_ONE
-        if self.sign == 0:
-            if e < 0:
-                raise ZeroDivisionError("negative power of a zero SignedLog")
-            return SL_ZERO
-        sign = self.sign if e % 2 else 1
-        return SignedLog(sign, self.logmag * e)
-
 
 SL_ONE = SignedLog(1, 0.0)
 SL_ZERO = SignedLog(0, float("-inf"))
-
-
-def signed_log(x: float) -> SignedLog:
-    """Encode an ordinary float as a SignedLog."""
-    if x == 0.0:
-        return SL_ZERO
-    return SignedLog(1 if x > 0 else -1, math.log(abs(x)))
 
 
 class _LogFactorialTable:
@@ -86,6 +49,15 @@ class _LogFactorialTable:
             for i in range(len(t), n + 1):
                 t.append(t[-1] + math.log(i))
         return t[n]
+
+    def live(self, n: int) -> list[float]:
+        """The live table itself, not a copy, grown to hold ln(n!).
+
+        For hot loops that index it directly.  A write to it would change
+        every later value of this table, so callers only read it.
+        """
+        self(n)
+        return self._table
 
     def upto(self, n: int) -> np.ndarray:
         """ln(0!) .. ln(n!) as a read-only array holding the table's values.
@@ -152,6 +124,11 @@ class LaguerreTable:
         if n >= len(vals):
             _grow_laguerre(vals, self.m, self.x, n)
         return vals[n]
+
+    def upto(self, n: int) -> np.ndarray:
+        """L_0^m(x) .. L_n^m(x) as a new array."""
+        self.value(n)
+        return np.array(self._vals[: n + 1])
 
 
 def _grow_laguerre(vals, m: int, x: float, n: int) -> None:

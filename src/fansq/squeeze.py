@@ -113,7 +113,7 @@ def _check_order(N: int) -> None:
         raise DomainError(f"moment order must be even and >= 2, got {N}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def coefficients(
     cfg: FanConfig, N: int, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> SqueezeCoeffs:

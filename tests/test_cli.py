@@ -292,6 +292,30 @@ def test_untrustworthy_series_control_is_exit_two(capsys, flags):
     assert "invalid parameters" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["squeeze", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--samples", "1"],
+        ["squeeze", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--samples", "0"],
+        ["squeeze", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--samples", "-3"],
+        ["oracle-check", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--max-power", "-1"],
+    ],
+)
+def test_sampling_and_power_counts_that_give_no_rows_are_exit_two(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "invalid parameters" in err
+
+
+def test_zero_max_power_checks_the_norm_only(capsys):
+    doc = run_json(
+        capsys, ["oracle-check", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--max-power", "0"]
+    )
+    assert len(doc["data"]["moments"]) == 1
+
+
 def test_output_file_not_created_on_failure(capsys, tmp_path):
     target = tmp_path / "out.json"
     code = main(["squeeze", "--k", "1", "--N", "5", "--xi-sq", "0.1",

@@ -31,6 +31,7 @@ from fansq.fanstate import (
     xi_from_drive,
 )
 from fansq.specfun import SL_ONE
+from signed_log_ref import to_real
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +100,12 @@ def test_nonlinearity_identity_is_one():
 def test_nonlinearity_at_quantum_order_is_inverse_factorial():
     for K, eta_sq in ((2, 0.2), (2, 0.9), (4, 0.3), (6, 0.17)):
         v = nonlinearity_value(TrappedIon(eta_sq=eta_sq, quantum_order=K), K)
-        assert v.to_real() == pytest.approx(1.0 / math.factorial(K), rel=1e-13)
+        assert to_real(v) == pytest.approx(1.0 / math.factorial(K), rel=1e-13)
 
 
 def test_nonlinearity_trapped_ion_exact_rational_point():
     v = nonlinearity_value(TrappedIon(eta_sq=0.2, quantum_order=2), 4)
-    assert v.to_real() == pytest.approx(float(F4_EXACT), rel=1e-13)
+    assert to_real(v) == pytest.approx(float(F4_EXACT), rel=1e-13)
 
 
 def test_nonlinearity_below_quantum_order_rejected():
@@ -138,7 +139,7 @@ def test_product_short_chain_is_one():
 def test_product_trapped_ion_exact_rational_point():
     # f(4) * f(2) with f(2) = 1/2! exactly
     got = nonlinearity_product(TrappedIon(eta_sq=0.2, quantum_order=2), 4, 2)
-    assert got.to_real() == pytest.approx(float(F4_EXACT / 2), rel=1e-13)
+    assert to_real(got) == pytest.approx(float(F4_EXACT / 2), rel=1e-13)
 
 
 def test_product_rejects_bad_arguments():
