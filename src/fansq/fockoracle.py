@@ -7,10 +7,12 @@ the closed-form series in `fanstate`/`squeeze`: the two routes must
 agree, and this module is the referee.
 
 A `FockVector` owns a read-only complex copy of its amplitudes, so what
-it derives from them once cannot go stale: its support level, its real
-and imaginary parts, and, built on first use, its ladder images
-a^j psi.  A normally-ordered moment is then four dot products of two
-images.  The images live and die with the vector.
+it derives from them once cannot go stale: its support level, whether
+it is real, its real and imaginary parts, and, built on first use, its
+ladder images a^j psi and, for its last few phases, its quadrature
+chains (X_phi - mu)^j psi.  A normally-ordered moment is four dot
+products of two images, one for a real vector.  Images and chains live
+and die with the vector.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .specfun import log_factorial, log_factorials
 
 _SQRT2 = math.sqrt(2.0)
 _SUPPORT_CUTOFF = 1e-14  # default of `support_level`, cached on each vector
+_CHAIN_PHASES = 8  # quadrature chains one vector keeps, least recently used out
 
 
 def _highest_above(amps: np.ndarray, cutoff: float) -> int:
@@ -49,7 +52,9 @@ class FockVector:
     `amps` is a read-only complex128 copy of the array passed in, so
     writing to it raises ValueError and changing the caller's array
     changes nothing here.  `support` is the support level at the default
-    cutoff 1e-14; `ladder_image(j)` gives a^j psi, built once per j.
+    cutoff 1e-14; `real` is true when every imaginary part is zero;
+    `ladder_image(j)` gives a^j psi, built once per j.  `_chains` holds
+    the chains of `quadrature_moment` by phase, the newest last.
     Equality and hashing are by identity.
     """
 
@@ -57,7 +62,9 @@ class FockVector:
     amps: np.ndarray
     tail_mass: float
     support: int = field(init=False, repr=False)
+    real: bool = field(init=False, repr=False)
     _images: dict = field(init=False, repr=False)
+    _chains: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         amps = np.array(self.amps, dtype=np.complex128)
@@ -70,8 +77,10 @@ class FockVector:
             a.flags.writeable = False
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "support", _highest_above(amps, _SUPPORT_CUTOFF))
+        object.__setattr__(self, "real", not im.any())
         # image 0 is psi itself, as contiguous real and imaginary parts
         object.__setattr__(self, "_images", {0: (re, im)})
+        object.__setattr__(self, "_chains", {})
 
     @property
     def norm_sq(self) -> float:
@@ -90,7 +99,8 @@ class FockVector:
             re, im = self._images[0]
             lf = log_factorials(self.dim)
             weight = np.exp(0.5 * (lf[j : self.dim] - lf[: self.dim - j]))
-            image = (weight * re[j:], weight * im[j:])
+            # weights leave zeros as they are: a real vector shares psi's
+            image = (weight * re[j:], im[j:] if self.real else weight * im[j:])
             for a in image:
                 a.flags.writeable = False
             self._images[j] = image
@@ -110,43 +120,23 @@ def support_level(v: FockVector, cutoff: float = _SUPPORT_CUTOFF) -> int:
     return _highest_above(v.amps, cutoff)
 
 
-def apply_annihilation(v: FockVector) -> tuple[np.ndarray, float]:
-    """Lowering map: out[n] = sqrt(n+1) amps[n+1]; returns (vector, leakage).
-
-    Lowering cannot push amplitude past the truncation edge, so the
-    leakage estimate is zero; it is reported for symmetry with raising.
-    """
-    if v.dim < 2:
-        raise DomainError("need dim >= 2 to apply a ladder map")
-    out = np.zeros_like(v.amps)
-    n = np.arange(1, v.dim)
-    out[:-1] = np.sqrt(n) * v.amps[1:]
-    return out, 0.0
-
-
-def apply_creation(v: FockVector) -> tuple[np.ndarray, float]:
-    """Raising map: out[n] = sqrt(n) amps[n-1]; top amplitude leaks out."""
-    if v.dim < 2:
-        raise DomainError("need dim >= 2 to apply a ladder map")
-    out = np.zeros_like(v.amps)
-    n = np.arange(1, v.dim)
-    out[1:] = np.sqrt(n) * v.amps[:-1]
-    leakage = v.dim * abs(v.amps[-1]) ** 2
-    return out, leakage
-
-
 def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
     """Central moment of the rotated quadrature: <(X_phi - <X_phi>)^N>.
 
-    Computed by N successive applications of (X_phi - mu) to the state,
-    not by binomial expansion of raw moments, so large-N cancellation
-    never happens.  X_phi = (a e^{-i phi} + a-dagger e^{i phi}) / sqrt(2)
-    is held as its two off-diagonals, built once per call.  Requires
-    enough guard rows that the repeated maps stay clear of the
-    truncation edge.
+    The truncated X_phi = (a e^{-i phi} + a-dagger e^{i phi}) / sqrt(2)
+    is Hermitian, so the moment is ||(X_phi - mu)^{N/2} psi||^2: N/2
+    applications of (X_phi - mu) to the state and one norm, never a
+    binomial expansion of raw moments with its large-N cancellation.
+    X_phi is held as its two off-diagonals, built once per call.  The
+    vector keeps (mu, j, (X_phi - mu)^j psi) for its last `_CHAIN_PHASES`
+    phases: a higher order continues from there, a lower one starts again
+    from psi, and the value is the same either way.  Requires enough
+    guard rows that the repeated maps stay clear of the truncation edge.
     """
     if N < 2 or N % 2 != 0:
         raise DomainError(f"moment order must be even and >= 2, got {N}")
+    if not math.isfinite(phi):
+        raise DomainError(f"phase must be finite, got {phi}")
     if v.dim < v.support + N:
         raise TruncationTooSmall(
             f"dim={v.dim} leaves fewer than N={N} guard rows above "
@@ -162,12 +152,19 @@ def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
         out[1:] += upper * w[:-1]
         return out
 
-    amps = v.amps
-    mu = np.vdot(amps, shifted(amps, 0.0)).real
-    w = amps
-    for _ in range(N):
+    amps, half = v.amps, N // 2
+    chains = v._chains
+    mu, j, w = chains.pop(phi, (None, 0, amps))  # re-inserted as the newest
+    if mu is None:
+        mu = np.vdot(amps, shifted(amps, 0.0)).real
+    if j > half:
+        j, w = 0, amps
+    for _ in range(half - j):
         w = shifted(w, mu)
-    val = np.vdot(amps, w)
+    chains[phi] = (mu, half, w)
+    if len(chains) > _CHAIN_PHASES:
+        del chains[next(iter(chains))]
+    val = np.vdot(w, w)
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
         raise ArithmeticError(f"central moment has imaginary residue {val.imag:.3e}")
     return float(val.real)
@@ -190,6 +187,10 @@ def moment_oracle(v: FockVector, l: int, m: int) -> complex:
     n = v.dim - max(l, m)
     xl, yl = v.ladder_image(l)
     xm, ym = v.ladder_image(m)
+    if v.real and n > 1:
+        # the kernel below with every y zero, bit for bit: a dot of two or
+        # more zero products is +0.0 (of one, it keeps that product's sign)
+        return complex(np.dot(xl[:n], xm[:n]) + 0.0, 0.0)
     xl, yl, xm, ym = xl[:n], yl[:n], xm[:n], ym[:n]
     # explicit real/imag kernel instead of complex multiply: elementwise
     # float products commute and subtraction negates exactly, so swapping
@@ -214,6 +215,8 @@ def oracle_vector(
     """
     if guard < 0:
         raise DomainError(f"guard must be >= 0, got {guard}")
+    if not (math.isfinite(tail_target) and tail_target > 0):
+        raise DomainError(f"tail_target must be finite and > 0, got {tail_target}")
     k = cfg.k
     d = normalization(cfg, ctl)
     # walk the support weights until they fall below the target (xi = 0: level 0 only)

@@ -1,4 +1,4 @@
-"""Truncated-Fock-space oracle: ladder maps, quadrature central moments,
+"""Truncated-Fock-space oracle: ladder images, quadrature central moments,
 normally-ordered moments from raw amplitudes, eigen/support checks.
 
 The point of this module is independence from the closed-form series,
@@ -19,9 +19,8 @@ from fansq.fanstate import (
     nonlinearity_value,
 )
 from fansq.fockoracle import (
+    _CHAIN_PHASES,
     FockVector,
-    apply_annihilation,
-    apply_creation,
     eigen_residual,
     moment_oracle,
     oracle_vector,
@@ -110,39 +109,6 @@ def test_fockvector_equality_and_hash_are_identity():
 
 
 # ---------------------------------------------------------------------------
-# ladder maps
-
-
-def test_annihilation_on_vacuum_is_zero():
-    out, leak = apply_annihilation(vacuum(6))
-    assert not out.any()
-    assert leak == 0.0
-
-
-def test_annihilation_on_one_quantum():
-    out, _ = apply_annihilation(_fock(6, 1))
-    assert out[0] == 1.0
-    assert not out[1:].any()
-
-
-def test_annihilation_on_superposition():
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = amps[4] = 1 / math.sqrt(2)
-    v = FockVector(dim=8, amps=amps, tail_mass=0.0)
-    out, leak = apply_annihilation(v)
-    assert out[3] == pytest.approx(2 / math.sqrt(2), rel=1e-15)
-    assert leak == 0.0
-
-
-def test_creation_map_and_leakage():
-    out, leak = apply_creation(_fock(6, 3))
-    assert out[4] == pytest.approx(2.0, rel=1e-15)
-    assert leak == 0.0
-    _, leak_top = apply_creation(_fock(6, 5))
-    assert leak_top > 0.0
-
-
-# ---------------------------------------------------------------------------
 # quadrature central moments
 
 
@@ -166,6 +132,14 @@ def test_quadrature_moment_rejects_odd_order():
 def test_quadrature_moment_needs_guard_rows():
     with pytest.raises(TruncationTooSmall):
         quadrature_moment(_fock(8, 6), 0.0, 4)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_quadrature_moment_rejects_a_non_finite_phase(phi):
+    v = vacuum(12)
+    with pytest.raises(DomainError):
+        quadrature_moment(v, phi, 4)
+    assert not v._chains
 
 
 def test_quadrature_moment_truncation_insensitive():
@@ -218,6 +192,42 @@ def test_quadrature_moment_matches_dense_matrix_powers():
                 assert abs(quadrature_moment(v, phi, N) - ref) <= 1e-12 * abs(ref)
 
 
+def _real_vector(rng, dim: int, support: int) -> FockVector:
+    amps = np.zeros(dim)
+    amps[: support + 1] = rng.normal(size=support + 1)
+    amps /= np.linalg.norm(amps)
+    return FockVector(dim=dim, amps=amps, tail_mass=0.0)
+
+
+def test_quadrature_moment_does_not_depend_on_call_order():
+    # every value must be the one a fresh vector gives, whatever chain the
+    # call found: decreasing orders, repeated and evicted phases
+    rng = np.random.default_rng(23)
+    vectors = [
+        fock_coefficients(FanConfig.from_xi_sq(1, 0.4, Identity()), 40),
+        fock_coefficients(
+            FanConfig.from_xi_sq(2, 0.3, TrappedIon(eta_sq=0.4, quantum_order=4)), 40
+        ),
+        _random_vector(rng, 36, 20),
+        _real_vector(rng, 30, 14),
+    ]
+    phases = [0.0, math.pi / 8, math.pi / 4, 0.37, 1.1, 2.9, -0.6] + list(
+        rng.uniform(-math.pi, math.pi, size=_CHAIN_PHASES)
+    )
+    for v in vectors:
+        calls = [
+            (phi, N)
+            for phi in phases
+            for N in range(2, 13, 2)
+            if v.dim >= v.support + N
+        ] * 2
+        rng.shuffle(calls)
+        for phi, N in calls:
+            fresh = FockVector(dim=v.dim, amps=v.amps, tail_mass=v.tail_mass)
+            assert quadrature_moment(v, phi, N) == quadrature_moment(fresh, phi, N)
+            assert len(v._chains) <= _CHAIN_PHASES
+
+
 def test_quadrature_moment_fan_periodicity():
     cfg = FanConfig.from_xi_sq(2, 0.3, Identity())
     v = fock_coefficients(cfg, 72)
@@ -256,6 +266,64 @@ def test_moment_oracle_matches_per_term_reference():
                     got = moment_oracle(v, l, m)
                     scale = abs(ref) if abs(ref) >= 1e-12 else 1.0
                     assert abs(got - ref) <= 1e-13 * scale, (support, l, m, dim)
+
+
+def _four_dot_moment(v: FockVector, l: int, m: int) -> complex:
+    """The complex kernel: re = x_l.x_m + y_l.y_m, im = x_l.y_m - y_l.x_m."""
+    n = v.dim - max(l, m)
+    xl, yl = (a[:n] for a in v.ladder_image(l))
+    xm, ym = (a[:n] for a in v.ladder_image(m))
+    return complex(np.dot(xl, xm) + np.dot(yl, ym), np.dot(xl, ym) - np.dot(yl, xm))
+
+
+def test_real_flag_follows_the_imaginary_parts():
+    rng = np.random.default_rng(29)
+    assert fock_coefficients(CFG_ID, 32).real
+    assert _real_vector(rng, 12, 5).real
+    assert FockVector(dim=3, amps=np.array([1.0, -0.0j, 0.5 - 0.0j]), tail_mass=0.0).real
+    assert not _random_vector(rng, 12, 5).real
+    assert not FockVector(dim=3, amps=np.array([1.0, 1e-300j, 0.0]), tail_mass=0.0).real
+
+
+def test_moment_oracle_on_real_vectors_is_the_four_dot_kernel():
+    rng = np.random.default_rng(31)
+    negative = np.zeros(20)
+    negative[:9] = -rng.uniform(size=9)
+    vectors = [
+        fock_coefficients(CFG_ID, 40),
+        fock_coefficients(
+            FanConfig.from_xi_sq(3, 0.2, TrappedIon(eta_sq=0.3, quantum_order=6)), 48
+        ),
+        _real_vector(rng, 30, 12),
+        _real_vector(rng, 9, 0),
+        FockVector(dim=20, amps=negative, tail_mass=0.0),
+        vacuum(17),
+        # dims where some pair leaves one product, whose zeros keep a sign
+        FockVector(dim=2, amps=np.array([0.6, -0.8]), tail_mass=0.0),
+        FockVector(dim=3, amps=np.array([-0.6 - 0.0j, 0.0, 0.8 - 0.0j]), tail_mass=0.0),
+    ]
+    for v in vectors:
+        assert v.real
+        for l in range(9):
+            for m in range(9):
+                if v.dim < v.support + l + m:
+                    continue
+                got, want = moment_oracle(v, l, m), _four_dot_moment(v, l, m)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_moment_oracle_on_complex_fan_state_matches_reference():
+    # a global phase makes the imaginary parts nonzero, so the four-dot kernel runs
+    fan = fock_coefficients(FanConfig.from_xi_sq(1, 0.3, Identity()), 40)
+    v = FockVector(dim=fan.dim, amps=fan.amps * np.exp(0.7j), tail_mass=0.0)
+    assert not v.real
+    for l in range(9):
+        for m in range(9):
+            if v.dim < v.support + l + m:
+                continue
+            ref = _moment_reference(v.amps, l, m)
+            scale = abs(ref) if abs(ref) >= 1e-12 else 1.0
+            assert abs(moment_oracle(v, l, m) - ref) <= 1e-13 * scale, (l, m)
 
 
 def test_ladder_images_are_built_once():
@@ -322,6 +390,12 @@ def test_oracle_vector_tail_and_support():
 def test_oracle_vector_rejects_negative_guard():
     with pytest.raises(DomainError):
         oracle_vector(CFG_ID, guard=-1)
+
+
+@pytest.mark.parametrize("tail_target", [0.0, -1.0, math.nan, math.inf])
+def test_oracle_vector_rejects_a_tail_target_that_is_not_positive_and_finite(tail_target):
+    with pytest.raises(DomainError):
+        oracle_vector(CFG_ID, guard=4, tail_target=tail_target)
 
 
 # ---------------------------------------------------------------------------

@@ -46,21 +46,32 @@ def test_laguerre_low_degree_closed_forms(n, m, x, expected):
     assert laguerre(n, m, x) == pytest.approx(expected, rel=1e-15)
 
 
-def _laguerre_exact(n: int, m: int, x: Fraction) -> Fraction:
-    # explicit polynomial sum, exact rational arithmetic
-    total = Fraction(0)
-    for i in range(n + 1):
-        total += (-1) ** i * math.comb(n + m, n - i) * x**i / math.factorial(i)
-    return total
+_LAGUERRE_DEGREES = 26  # n in [0, 26) for m in [0, 11) and x = 0, 0.1, ..., 2
+# common denominator of x^i / i! for every tenth x and every i < 26
+_LAGUERRE_DENOM = 10 ** (_LAGUERRE_DEGREES - 1) * math.factorial(_LAGUERRE_DEGREES - 1)
+
+
+def _scaled_powers(x: Fraction) -> list[int]:
+    """The integers _LAGUERRE_DENOM * x^i / i! for i < 26, exactly."""
+    scaled = [_LAGUERRE_DENOM * x**i / math.factorial(i) for i in range(_LAGUERRE_DEGREES)]
+    assert all(t.denominator == 1 for t in scaled)
+    return [t.numerator for t in scaled]
+
+
+def _laguerre_exact(n: int, m: int, scaled_powers: list[int]) -> Fraction:
+    # explicit polynomial sum, exact integer arithmetic over one denominator
+    total = sum((-1) ** i * math.comb(n + m, n - i) * scaled_powers[i] for i in range(n + 1))
+    return Fraction(total, _LAGUERRE_DENOM)
 
 
 def test_laguerre_recurrence_matches_explicit_sum():
     worst = 0.0
-    for n in range(0, 26):
-        for m in range(0, 11):
-            for tenth_x in range(0, 21):
-                x = Fraction(tenth_x, 10)
-                ref = _laguerre_exact(n, m, x)
+    for tenth_x in range(0, 21):
+        x = Fraction(tenth_x, 10)
+        scaled_powers = _scaled_powers(x)
+        for n in range(0, _LAGUERRE_DEGREES):
+            for m in range(0, 11):
+                ref = _laguerre_exact(n, m, scaled_powers)
                 got = laguerre(n, m, float(x))
                 if ref == 0:
                     assert abs(got) <= 1e-10
