@@ -29,7 +29,6 @@ from .fanstate import (
     nonlinearity_product,
     nonlinearity_value,
     normalization,
-    product_convention_diagnostic,
     xi_from_drive,
 )
 from .fockoracle import (
@@ -64,7 +63,6 @@ from .atlas import (
     PhaseDiagram,
     PolarProfile,
     find_intersections,
-    max_squeeze_curve,
     polar_profile,
     scan,
     trace_boundary,
@@ -91,7 +89,6 @@ __all__ = [
     "nonlinearity_product",
     "nonlinearity_value",
     "normalization",
-    "product_convention_diagnostic",
     "xi_from_drive",
     "FockVector",
     "eigen_residual",
@@ -120,7 +117,6 @@ __all__ = [
     "PhaseDiagram",
     "PolarProfile",
     "find_intersections",
-    "max_squeeze_curve",
     "polar_profile",
     "scan",
     "trace_boundary",

@@ -1,4 +1,4 @@
-"""Scalar bisection and golden-section search.
+"""Scalar bisection.
 
 Hand-rolled so tolerance semantics are exactly what the callers state
 (absolute interval widths, no hidden relative tolerances).
@@ -6,10 +6,7 @@ Hand-rolled so tolerance semantics are exactly what the callers state
 
 from __future__ import annotations
 
-import math
 from typing import Callable
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def bisect_root(
@@ -44,24 +41,3 @@ def bisect_root(
             b, fb = mid, fm
     return 0.5 * (a + b)
 
-
-def golden_min(
-    f: Callable[[float], float], a: float, b: float, xtol: float
-) -> tuple[float, float]:
-    """Minimum of a unimodal f on [a, b]; returns (x, f(x))."""
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while d - c > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd)

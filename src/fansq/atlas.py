@@ -3,8 +3,8 @@
 Produces plottable survey data: squeeze-parameter scans over
 (xi^2, eta^2), squeezing-region boundary tracing, the crossing points
 of the isotropic term against the leading harmonic magnitude, polar
-profiles of the moment, and the ridge of maximal squeezing.  Nodes
-where the series fails are marked, never fatal to a whole scan.
+and polar profiles of the moment.  Nodes where the series fails are
+marked, never fatal to a whole scan.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._optimize import bisect_root, golden_min
+from ._optimize import bisect_root
 from .errors import (
     DomainError,
     EmptyBoundary,
@@ -81,6 +81,9 @@ class GridSpec:
             raise DomainError(f"moment order must be even and >= 2, got {self.N}")
         if self.xi_sq.min < 0:
             raise DomainError("xi_sq axis must be nonnegative")
+        # checked here too: a grid whose nodes all fail never evaluates S
+        if not math.isfinite(self.phi):
+            raise DomainError(f"phase must be finite, got {self.phi}")
 
 
 @dataclass
@@ -264,14 +267,16 @@ class IntersectionSet:
     skipped: tuple[tuple[float, str], ...]
 
 
+_ROOT_XTOL = 1e-9  # absolute width to which an intersection is bisected
+_TOUCH_TOL = 1e-8  # |gap| at a harmonic sign flip that makes it a tangent root
+
+
 def find_intersections(
     xi_sq: float,
     k: int,
     N: int,
     eta_range: AxisRange,
     ctl: SeriesControl = DEFAULT_CONTROL,
-    xtol: float = 1e-9,
-    tangent_tol: float = 1e-8,
     model_kind: str = "trapped-ion",
 ) -> IntersectionSet:
     """Locate where the isotropic term equals the leading harmonic.
@@ -281,7 +286,7 @@ def find_intersections(
     gap changing sign: there the nonlinearity has a pole, the state
     collapses toward vacuum, and both terms reach zero together.  Such
     a root is pinned by bisecting the harmonic itself and accepted only
-    if the gap at that point is within tangent_tol of zero.
+    if the gap at that point is within `_TOUCH_TOL` of zero.
     """
     if N < 4 * k:
         raise DomainError(f"need N >= 4k for a harmonic term, got N={N}, k={k}")
@@ -325,15 +330,15 @@ def find_intersections(
             found.append((nodes[i], "crossing"))
             continue
         if (g0 > 0) != (g1 > 0):
-            root = bisect_root(gap_at, nodes[i], nodes[i + 1], xtol, fa=g0, fb=g1)
+            root = bisect_root(gap_at, nodes[i], nodes[i + 1], _ROOT_XTOL, fa=g0, fb=g1)
             found.append((root, "crossing"))
         elif h0 is not None and h1 is not None and h0 != 0.0 and (h0 > 0) != (h1 > 0):
-            pole = bisect_root(harmonic_at, nodes[i], nodes[i + 1], xtol, fa=h0, fb=h1)
+            pole = bisect_root(harmonic_at, nodes[i], nodes[i + 1], _ROOT_XTOL, fa=h0, fb=h1)
             try:
                 touch = abs(gap_at(pole))
             except (SingularNonlinearity, SeriesNotConverged):
                 touch = math.inf
-            if touch <= tangent_tol:
+            if touch <= _TOUCH_TOL:
                 found.append((pole, "tangent"))
 
     found.sort(key=lambda t: t[0])
@@ -383,51 +388,3 @@ def polar_profile(
         pts.append((phi, s, s + bench))
     return PolarProfile(points=tuple(pts), benchmark=bench)
 
-
-def max_squeeze_curve(
-    grid: GridSpec,
-    model_kind: str = "trapped-ion",
-    ctl: SeriesControl = DEFAULT_CONTROL,
-    xtol: float = 1e-6,
-) -> list[tuple[float, float, float]]:
-    """Ridge of deepest squeezing: per xi_sq column, the minimizing eta_sq.
-
-    Columns whose scan shows no negative squeeze parameter are omitted;
-    raises EmptyBoundary when every column is empty.
-    """
-    diagram = scan(grid, model_kind, ctl)
-    xi_vals = grid.xi_sq.values()
-    eta_vals = grid.eta_sq.values()
-    out: list[tuple[float, float, float]] = []
-
-    for j, xi_sq in enumerate(xi_vals):
-        column = diagram.values[:, j]
-        best_i = None
-        best = 0.0
-        for i in range(len(eta_vals)):
-            if diagram.status[i][j] == STATUS_OK and column[i] < best:
-                best = column[i]
-                best_i = i
-        if best_i is None:
-            continue
-
-        def s_of(eta_sq: float) -> float:
-            cfg = FanConfig.from_xi_sq(
-                grid.k, xi_sq, _model_for(model_kind, grid.k, eta_sq)
-            )
-            return squeeze_parameter(coefficients(cfg, grid.N, ctl), grid.phi)
-
-        lo = eta_vals[max(0, best_i - 1)]
-        hi = eta_vals[min(len(eta_vals) - 1, best_i + 1)]
-        try:
-            if lo < hi:
-                e_min, s_min = golden_min(s_of, lo, hi, xtol)
-            else:
-                e_min, s_min = eta_vals[best_i], best
-        except (SingularNonlinearity, SeriesNotConverged):
-            e_min, s_min = eta_vals[best_i], best
-        out.append((xi_sq, e_min, s_min))
-
-    if not out:
-        raise EmptyBoundary("no negative squeeze parameter anywhere on the grid")
-    return out

@@ -155,23 +155,8 @@ def _point_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _grid(args: argparse.Namespace) -> GridSpec:
-    """Grid of scan and boundary, then a check of FANSQ_THREADS.
-
-    The variable is still read and must be a positive integer, but
-    scans run row by row in one thread, so its value changes nothing.
-    """
-    grid = GridSpec(
-        xi_sq=args.xi_sq, eta_sq=args.eta_sq, k=args.k, N=args.N, phi=args.phi
-    )
-    raw = os.environ.get("FANSQ_THREADS")
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise DomainError(f"FANSQ_THREADS must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise DomainError(f"FANSQ_THREADS must be >= 1, got {n}")
-    return grid
+    """Grid of scan and boundary."""
+    return GridSpec(xi_sq=args.xi_sq, eta_sq=args.eta_sq, k=args.k, N=args.N, phi=args.phi)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,8 @@ class DriveParams:
                 raise DomainError(f"{name} must be finite and > 0, got {v}")
         if not (isinstance(self.quantum_order, int) and self.quantum_order >= 1):
             raise DomainError(f"quantum_order must be a positive integer, got {self.quantum_order}")
+        if not math.isfinite(self.phase):
+            raise DomainError(f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "phase", self.phase % (2 * math.pi))
 
 
@@ -203,27 +205,10 @@ DEFAULT_CONTROL = SeriesControl()
 # ---------------------------------------------------------------------------
 # nonlinearity evaluation and running products
 
-# memo bounds; a trapped-ion model holds one product and two Laguerre tables
-_PRODUCT_TABLES, _LAGUERRE_TABLES = 64, 128
-
-_laguerre_tables: dict[tuple[float, int], LaguerreTable] = {}
-
-
-def _recall(table: dict, key, make, bound: int):
-    """table[key], made on a miss; past the bound the least recent entry goes."""
-    value = table.pop(key, None)
-    if value is None:
-        value = make()
-        if len(table) >= bound:
-            del table[next(iter(table))]
-    table[key] = value
-    return value
-
-
+# twice the bound of `product_table`: a trapped-ion model holds two Laguerre tables
+@lru_cache(maxsize=128)
 def _laguerre_table(eta_sq: float, alpha: int) -> LaguerreTable:
-    return _recall(
-        _laguerre_tables, (eta_sq, alpha), lambda: LaguerreTable(alpha, eta_sq), _LAGUERRE_TABLES
-    )
+    return LaguerreTable(alpha, eta_sq)
 
 
 def nonlinearity_value(model: NonlinearModel, m: int, floor: float = 1e-12) -> SignedLog:
@@ -310,13 +295,10 @@ class ProductTable:
             raise copy.copy(self.error)
 
 
-_product_cache: dict[tuple[NonlinearModel, int, float], ProductTable] = {}
-
-
+@lru_cache(maxsize=64)
 def product_table(model: NonlinearModel, step: int, floor: float) -> ProductTable:
     """The memoized `ProductTable` of (model, step, floor)."""
-    key = (model, step, floor)
-    return _recall(_product_cache, key, lambda: ProductTable(*key), _PRODUCT_TABLES)
+    return ProductTable(model, step, floor)
 
 
 def nonlinearity_product(
@@ -339,30 +321,6 @@ def nonlinearity_product(
     tab = product_table(model, step, floor)
     tab.reach(q)
     return SignedLog(tab.sign[q], tab.logmag[q])
-
-
-def product_convention_diagnostic(
-    model: NonlinearModel, k: int, n: int, floor: float = 1e-12
-) -> dict:
-    """Compare the two readings of the generalized factorial at level 4kn.
-
-    The composition of the fan state out of 2k-quantum components gives a
-    step-2k product at each support level; a step-4k reading also appears
-    in print.  Both are returned so the difference is visible instead of
-    silently chosen.  They coincide for the identity model.
-    """
-    level = 4 * k * n
-    narrow = nonlinearity_product(model, level, 2 * k, floor)
-    wide = nonlinearity_product(model, level, 4 * k, floor)
-    gap = None
-    if narrow.sign != 0 and wide.sign != 0:
-        gap = (narrow.sign * wide.sign, narrow.logmag - wide.logmag)
-    return {
-        "level": level,
-        "step_2k": narrow,
-        "step_4k": wide,
-        "ratio_sign_and_log": gap,
-    }
 
 
 # ---------------------------------------------------------------------------

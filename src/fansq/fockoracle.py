@@ -36,13 +36,9 @@ from .fanstate import (
 from .specfun import log_factorial, log_factorials
 
 _SQRT2 = math.sqrt(2.0)
-_SUPPORT_CUTOFF = 1e-14  # default of `support_level`, cached on each vector
+_SUPPORT_CUTOFF = 1e-14  # amplitude magnitude above which a level counts as support
 _CHAIN_PHASES = 8  # quadrature chains one vector keeps, least recently used out
-
-
-def _highest_above(amps: np.ndarray, cutoff: float) -> int:
-    idx = np.nonzero(np.abs(amps) > cutoff)[0]
-    return int(idx[-1]) if idx.size else 0
+_TAIL_TARGET = 1e-30  # support weight below which `oracle_vector` truncates
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +72,8 @@ class FockVector:
         for a in (amps, re, im):
             a.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "support", _highest_above(amps, _SUPPORT_CUTOFF))
+        idx = np.flatnonzero(np.abs(amps) > _SUPPORT_CUTOFF)
+        object.__setattr__(self, "support", int(idx[-1]) if idx.size else 0)
         object.__setattr__(self, "real", not im.any())
         # image 0 is psi itself, as contiguous real and imaginary parts
         object.__setattr__(self, "_images", {0: (re, im)})
@@ -113,11 +110,9 @@ def vacuum(dim: int) -> FockVector:
     return FockVector(dim=dim, amps=amps, tail_mass=0.0)
 
 
-def support_level(v: FockVector, cutoff: float = _SUPPORT_CUTOFF) -> int:
-    """Highest occupation number with amplitude magnitude above cutoff."""
-    if cutoff == _SUPPORT_CUTOFF:
-        return v.support
-    return _highest_above(v.amps, cutoff)
+def support_level(v: FockVector) -> int:
+    """Highest occupation number with amplitude magnitude above 1e-14."""
+    return v.support
 
 
 def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
@@ -205,18 +200,15 @@ def oracle_vector(
     cfg: FanConfig,
     guard: int,
     ctl: SeriesControl = DEFAULT_CONTROL,
-    tail_target: float = 1e-30,
 ) -> FockVector:
     """Fan-state Fock vector sized for oracle use.
 
     Chooses the smallest support depth whose analytic tail mass is below
-    tail_target, then adds `guard` extra rows so repeated ladder maps
+    `_TAIL_TARGET`, then adds `guard` extra rows so repeated ladder maps
     never touch the truncation edge.
     """
     if guard < 0:
         raise DomainError(f"guard must be >= 0, got {guard}")
-    if not (math.isfinite(tail_target) and tail_target > 0):
-        raise DomainError(f"tail_target must be finite and > 0, got {tail_target}")
     k = cfg.k
     d = normalization(cfg, ctl)
     # walk the support weights until they fall below the target (xi = 0: level 0 only)
@@ -224,7 +216,7 @@ def oracle_vector(
     if cfg.xi > 0:
         tab = product_table(cfg.model, 2 * k, ctl.laguerre_floor)
         lead, log_xi, log_d = math.log(4 * k * k), math.log(cfg.xi), math.log(d)
-        cut = math.log(tail_target) - math.log(100.0)
+        cut = math.log(_TAIL_TARGET) - math.log(100.0)
         n = 1
         while True:
             tab.reach(2 * n)
@@ -238,7 +230,7 @@ def oracle_vector(
             n += 1
             if n > ctl.n_max:
                 raise TruncationTooSmall(
-                    f"support weights not below {tail_target} within {ctl.n_max} levels"
+                    f"support weights not below {_TAIL_TARGET} within {ctl.n_max} levels"
                 )
     dim = 4 * k * last + guard + 1
     return fock_coefficients(cfg, dim, ctl)

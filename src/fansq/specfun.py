@@ -89,23 +89,6 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def laguerre(n: int, m: int, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^m(x), ascending recurrence in n.
-
-    The recurrence is well-conditioned for the small arguments used here
-    (x = eta^2 of order one).
-    """
-    if n < 0 or m < 0:
-        raise ValueError(f"Laguerre indices must be nonnegative, got n={n}, m={m}")
-    prev = 1.0
-    if n == 0:
-        return prev
-    cur = 1.0 + m - x
-    for i in range(1, n):
-        prev, cur = cur, ((2 * i + 1 + m - x) * cur - (i + m) * prev) / (i + 1)
-    return cur
-
-
 class LaguerreTable:
     """Incrementally extended values L_0^m(x) .. L_n^m(x) for fixed (m, x).
 

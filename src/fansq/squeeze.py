@@ -157,8 +157,11 @@ def squeeze_parameter(coeffs: SqueezeCoeffs, phi: float) -> float:
 
     Negative values mean squeezing below the coherent benchmark; the
     construction bounds S from below by -benchmark, which is checked on
-    every evaluation (FansqError if it fails).
+    every evaluation (FansqError if it fails).  A non-finite phi is a
+    DomainError.
     """
+    if not math.isfinite(phi):
+        raise DomainError(f"phase must be finite, got {phi}")
     s = coeffs.constant
     for p, b in enumerate(coeffs.harmonics, start=1):
         s += b * math.cos(4 * p * coeffs.k * phi)

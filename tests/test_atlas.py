@@ -1,5 +1,5 @@
 """Parameter-space sweeps: phase-diagram scans, boundary tracing,
-isotropic-vs-harmonic intersections, polar profiles, ridge following."""
+isotropic-vs-harmonic intersections, polar profiles."""
 
 import math
 
@@ -17,7 +17,6 @@ from fansq.atlas import (
     _crossings,
     _refine_crossings,
     find_intersections,
-    max_squeeze_curve,
     polar_profile,
     scan,
     trace_boundary,
@@ -70,6 +69,9 @@ def test_grid_spec_validation():
         GridSpec(xi_sq=ax, eta_sq=ax, k=1, N=5, phi=0.0)
     with pytest.raises(DomainError):
         GridSpec(xi_sq=AxisRange(-0.2, 0.5, 3), eta_sq=ax, k=1, N=4, phi=0.0)
+    for phi in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            GridSpec(xi_sq=ax, eta_sq=ax, k=1, N=4, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ def test_scan_marks_nonconvergent_nodes_instead_of_raising():
 
 
 # ---------------------------------------------------------------------------
-# boundary and ridge
+# boundary
 
 
 def test_trace_boundary_points_sit_on_zero_level():
@@ -211,8 +213,8 @@ def test_lockstep_refinement_makes_one_engine_call_per_step(monkeypatch):
 def test_trace_boundary_fills_no_memo_table():
     def sizes():
         return (
-            len(fansq.fanstate._laguerre_tables),
-            len(fansq.fanstate._product_cache),
+            fansq.fanstate._laguerre_table.cache_info().currsize,
+            fansq.fanstate.product_table.cache_info().currsize,
             coefficients.cache_info().currsize,
             fansq.fanstate.normalization.cache_info().currsize,
         )
@@ -232,30 +234,6 @@ def test_trace_boundary_empty_below_threshold():
     )
     with pytest.raises(EmptyBoundary):
         trace_boundary(grid, "trapped-ion")
-
-
-def test_max_squeeze_curve_minima_negative_and_zero_column_dropped():
-    curve = max_squeeze_curve(GRID_K1, "trapped-ion")
-    assert curve
-    xi_values = {round(x, 12) for x, _, _ in curve}
-    assert 0.0 not in xi_values  # vacuum column reports no squeezing
-    for xi_sq, eta_sq, s_min in curve:
-        assert s_min < 0
-        cfg = FanConfig.from_xi_sq(1, xi_sq, TrappedIon(eta_sq=eta_sq, quantum_order=2))
-        s = squeeze_parameter(coefficients(cfg, 4), math.pi / 4)
-        assert s == pytest.approx(s_min, abs=1e-9)
-
-
-def test_max_squeeze_curve_empty_when_no_negative_nodes():
-    grid = GridSpec(
-        xi_sq=AxisRange(0.1, 0.9, 4),
-        eta_sq=AxisRange(0.1, 0.9, 4),
-        k=1,
-        N=2,
-        phi=0.0,
-    )
-    with pytest.raises(EmptyBoundary):
-        max_squeeze_curve(grid, "identity")
 
 
 # ---------------------------------------------------------------------------

@@ -267,14 +267,6 @@ def test_bad_axis_range_syntax_is_argparse_error(capsys):
     assert exc.value.code == 2
 
 
-def test_bad_thread_env_is_exit_two(capsys, monkeypatch):
-    monkeypatch.setenv("FANSQ_THREADS", "abc")
-    code = main(SCAN_ARGS)
-    _, err = capsys.readouterr()
-    assert code == 2
-    assert "FANSQ_THREADS" in err
-
-
 @pytest.mark.parametrize(
     "flags",
     [
@@ -299,6 +291,16 @@ def test_untrustworthy_series_control_is_exit_two(capsys, flags):
         ["squeeze", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--samples", "0"],
         ["squeeze", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--samples", "-3"],
         ["oracle-check", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--max-power", "-1"],
+        # non-finite angles
+        ["squeeze", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--phi", "inf"],
+        ["squeeze", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--phi", "nan"],
+        [*SCAN_ARGS[:6], "inf", *SCAN_ARGS[7:]],
+        [*SCAN_ARGS[:6], "nan", *SCAN_ARGS[7:]],
+        ["boundary", *SCAN_ARGS[1:6], "inf", *SCAN_ARGS[7:]],
+        # no node converges, so S is never evaluated
+        [*SCAN_ARGS[:6], "nan", *SCAN_ARGS[7:], "--n-max", "2"],
+        ["xi-from-drive", "--omega0", "1", "--omega1", "1", "--eta", "0.5",
+         "--quantum-order", "2", "--phase", "nan"],
     ],
 )
 def test_sampling_and_power_counts_that_give_no_rows_are_exit_two(capsys, argv):

@@ -27,7 +27,6 @@ from fansq.fanstate import (
     nonlinearity_product,
     nonlinearity_value,
     normalization,
-    product_convention_diagnostic,
     xi_from_drive,
 )
 from fansq.specfun import SL_ONE
@@ -70,6 +69,9 @@ def test_drive_params_validation_and_phase_reduction():
         kwargs[bad] = 0.0
         with pytest.raises(DomainError):
             DriveParams(**kwargs)
+    for phase in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            DriveParams(omega0=1.0, omega1=1.0, eta=0.5, phase=phase, quantum_order=2)
     d = DriveParams(omega0=1.0, omega1=1.0, eta=0.5, phase=7.0, quantum_order=2)
     assert 0.0 <= d.phase < 2 * math.pi
     assert d.phase == pytest.approx(7.0 - 2 * math.pi, rel=1e-12)
@@ -149,20 +151,6 @@ def test_product_rejects_bad_arguments():
         nonlinearity_product(Identity(), -1, 2)
     with pytest.raises(DomainError):
         nonlinearity_product(TrappedIon(eta_sq=0.2, quantum_order=2), 5, 2)
-
-
-def test_convention_diagnostic():
-    diag = product_convention_diagnostic(Identity(), 2, 3)
-    assert diag["level"] == 24
-    assert diag["step_2k"] == SL_ONE
-    assert diag["step_4k"] == SL_ONE
-    assert diag["ratio_sign_and_log"] == (1, 0.0)
-
-    # at level 4 the two chains differ by exactly f(2) = 1/2
-    diag = product_convention_diagnostic(TrappedIon(eta_sq=0.2, quantum_order=2), 1, 1)
-    sign, logratio = diag["ratio_sign_and_log"]
-    assert sign == 1
-    assert logratio == pytest.approx(math.log(0.5), abs=1e-13)
 
 
 # ---------------------------------------------------------------------------

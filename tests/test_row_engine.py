@@ -26,7 +26,6 @@ from fansq.fanstate import (
     moment,
     moment_row,
 )
-from fansq.specfun import laguerre
 from fansq.squeeze import (
     SqueezeCoeffs,
     coefficients,
@@ -34,6 +33,7 @@ from fansq.squeeze import (
     squeeze_parameter,
     vacuum_benchmark,
 )
+from laguerre_ref import laguerre
 
 XI_SQ = [0.0, 0.02, 0.15, 0.4, 0.7, 1.0, 1.6]
 

@@ -35,10 +35,10 @@ from fansq.specfun import (
     SL_ONE,
     CompensatedSum,
     interference_factor,
-    laguerre,
     log_factorial,
 )
 from fansq.squeeze import coefficients
+from laguerre_ref import laguerre
 from signed_log_ref import mul, pow_int, signed_log, to_real
 
 _LOG_HUGE = 700.0
@@ -365,15 +365,15 @@ def test_memo_tables_stay_within_their_bounds():
         "normalization": lambda: normalization.cache_info().currsize,
         "moment": lambda: fanstate._moment_cached.cache_info().currsize,
         "coefficients": lambda: coefficients.cache_info().currsize,
-        "products": lambda: len(fanstate._product_cache),
-        "laguerre": lambda: len(fanstate._laguerre_tables),
+        "products": lambda: fanstate.product_table.cache_info().currsize,
+        "laguerre": lambda: fanstate._laguerre_table.cache_info().currsize,
     }
     bounds = {
         "normalization": normalization.cache_info().maxsize,
         "moment": fanstate._moment_cached.cache_info().maxsize,
         "coefficients": coefficients.cache_info().maxsize,
-        "products": fanstate._PRODUCT_TABLES,
-        "laguerre": fanstate._LAGUERRE_TABLES,
+        "products": fanstate.product_table.cache_info().maxsize,
+        "laguerre": fanstate._laguerre_table.cache_info().maxsize,
     }
     assert all(b is not None for b in bounds.values())
     first = FanConfig.from_xi_sq(1, 0.3, TrappedIon(eta_sq=0.5, quantum_order=2))

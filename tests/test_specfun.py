@@ -19,10 +19,10 @@ from fansq.specfun import (
     SignedLog,
     double_factorial,
     interference_factor,
-    laguerre,
     log_factorial,
     log_factorials,
 )
+from laguerre_ref import laguerre
 from signed_log_ref import div, mul, pow_int, signed_log, to_real
 
 finite = st.floats(

@@ -124,6 +124,13 @@ def test_squeeze_parameter_guards_moment_positivity_bound():
         squeeze_parameter(fake, 0.0)
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_squeeze_parameter_rejects_a_non_finite_phase(phi):
+    c = SqueezeCoeffs(k=1, N=4, constant=0.3, harmonics=(-0.1,))
+    with pytest.raises(DomainError, match="phase must be finite"):
+        squeeze_parameter(c, phi)
+
+
 @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
 def test_squeeze_parameter_periodic_and_even(phi):
     c = coefficients(FanConfig.from_xi_sq(1, 0.4, Identity()), 12)  # three harmonics
