@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._optimize import bisect_root
+from ._optimize import bisect_root, itp_probe
 from .errors import (
     DomainError,
     EmptyBoundary,
@@ -150,39 +150,52 @@ _XTOL = 1e-12  # absolute width at which a crossing counts as refined
 
 
 def _crossings(diagram: PhaseDiagram) -> list[_Crossing]:
-    """Sign changes along every eta_sq row, then along every xi_sq column."""
+    """Sign changes along every eta_sq row, then along every xi_sq column.
+
+    S changes sign between neighbouring OK nodes of opposite signs, and
+    through an OK node where S is exactly 0.0 whose OK neighbours have
+    opposite signs; that crossing is the zero node and its right
+    neighbour, so it refines to the node.  A zero that S only touches,
+    or a zero with a zero or failed neighbour, is no crossing.
+    """
     grid = diagram.grid
     xi_vals = grid.xi_sq.values()
     eta_vals = grid.eta_sq.values()
-    vals = diagram.values
     ok = np.array([[st == STATUS_OK for st in row] for row in diagram.status], dtype=bool)
+    sign = np.where(ok, np.sign(diagram.values), np.nan)  # NaN compares False
     out: list[_Crossing] = []
     for along_xi, fixed_vals, line_vals in ((True, eta_vals, xi_vals), (False, xi_vals, eta_vals)):
-        lines_s = vals if along_xi else vals.T
-        lines_ok = ok if along_xi else ok.T
-        for fixed, s, good in zip(fixed_vals, lines_s.tolist(), lines_ok):
-            for j in range(len(line_vals) - 1):
-                a, b = s[j], s[j + 1]
-                if good[j] and good[j + 1] and a != 0.0 and (a > 0) != (b > 0):
-                    out.append(_Crossing(fixed, line_vals[j], line_vals[j + 1], a, b, along_xi))
+        lines = sign if along_xi else sign.T
+        vals = (diagram.values if along_xi else diagram.values.T).tolist()
+        change = lines[:, :-1] * lines[:, 1:] < 0
+        change[:, 1:] |= (lines[:, 1:-1] == 0) & (lines[:, :-2] * lines[:, 2:] < 0)
+        for i, j in zip(*np.nonzero(change)):
+            lo, hi = line_vals[j], line_vals[j + 1]
+            out.append(_Crossing(fixed_vals[i], lo, hi, vals[i][j], vals[i][j + 1], along_xi))
     return out
 
 
 def _refine_crossings(
     grid: GridSpec, kind: str, ctl: SeriesControl, crossings: list[_Crossing]
 ) -> list[Optional[tuple[float, float]]]:
-    """Bisect every crossing in lockstep: one engine call per step.
+    """Refine every crossing by ITP in lockstep: one engine call per step.
 
-    Each crossing follows `bisect_root` to xtol 1e-12 (the same
-    midpoints, exits and exact-zero rule), then S is evaluated once more
-    at its root.  A crossing whose series fail at any of its points is
-    dropped (None).  Returns the (xi_sq, eta_sq) points in input order.
+    Each crossing keeps its own bracket and end values, seeded by the
+    scan, and each step evaluates S at the `itp_probe` of every open
+    crossing in one `coefficients_row` call.  A crossing stops when its
+    bracket is at most 1e-12 wide (at its midpoint), when S is exactly
+    0.0 at a probe (at the probe), or when its midpoint is no longer
+    strictly inside the bracket; it never takes more steps than
+    bisection would.  S is then evaluated once more at every root.  A
+    crossing whose series fail at any of its points is dropped (None).
+    Returns the (xi_sq, eta_sq) points in input order.
     """
     if not crossings:
         return []
     fixed, a, b, fa, fb, along_xi = (np.array(c) for c in zip(*crossings))
+    width0 = b - a
     dropped = np.zeros(len(crossings), dtype=bool)
-    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    root = np.where(fa == 0.0, a, np.nan)  # a crossing through a zero node
     done = ~np.isnan(root)
 
     def s_at(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,25 +208,28 @@ def _refine_crossings(
         s = [math.nan if bad else squeeze_parameter(c, grid.phi) for c, bad in zip(row, fail)]
         return np.array(s), fail
 
+    step = 0
     while True:
         mid = 0.5 * (a + b)
         rows = np.flatnonzero(~done & ~dropped & (b - a > _XTOL) & (mid > a) & (mid < b))
         if not rows.size:
             break
-        m = mid[rows]
-        fm, fail = s_at(m, rows)
+        x = itp_probe(a[rows], b[rows], fa[rows], fb[rows], width0[rows], step, _XTOL)
+        fx, fail = s_at(x, rows)
         dropped[rows[fail]] = True
-        zero = ~fail & (fm == 0.0)
+        zero = ~fail & (fx == 0.0)
         done[rows[zero]] = True
-        root[rows[zero]] = m[zero]
-        to_a = ~fail & ~zero & ((fm > 0) == (fa[rows] > 0))
+        root[rows[zero]] = x[zero]
+        to_a = ~fail & ~zero & ((fx > 0) == (fa[rows] > 0))
         to_b = ~fail & ~zero & ~to_a
-        a[rows[to_a]], fa[rows[to_a]] = m[to_a], fm[to_a]
-        b[rows[to_b]] = m[to_b]
+        a[rows[to_a]], fa[rows[to_a]] = x[to_a], fx[to_a]
+        b[rows[to_b]], fb[rows[to_b]] = x[to_b], fx[to_b]
+        step += 1
     root = np.where(done, root, 0.5 * (a + b))
     kept = np.flatnonzero(~dropped)
-    _, fail = s_at(root[kept], kept)
-    dropped[kept[fail]] = True
+    if kept.size:
+        _, fail = s_at(root[kept], kept)
+        dropped[kept[fail]] = True
     return [
         None if dropped[c] else ((x, f) if along else (f, x))
         for c, (x, f, along) in enumerate(zip(root.tolist(), fixed.tolist(), along_xi.tolist()))
@@ -228,9 +244,10 @@ def trace_boundary(
     """Points where S = 0, refined along every grid row and column.
 
     Every sign change of S between neighbouring OK nodes of the scan is
-    bisected to 1e-12 along its grid line, all of them in lockstep (one
-    engine call per bisection step).  Crossings whose series fail on
-    the way, such as sign changes across a Laguerre pole, are dropped.
+    refined by ITP to 1e-12 along its grid line, all of them in lockstep
+    (one engine call per step, never more steps than bisection).
+    Crossings whose series fail on the way, such as sign changes across
+    a Laguerre pole, are dropped.
     Returns the crossing points ordered by angle around their centroid,
     approximating the closed boundary curve of the squeezing region.
     Raises EmptyBoundary when no crossing survives.
@@ -290,6 +307,8 @@ def find_intersections(
     """
     if N < 4 * k:
         raise DomainError(f"need N >= 4k for a harmonic term, got N={N}, k={k}")
+    if not xi_sq > 0:  # at xi = 0 the state is the vacuum and the gap is 0 everywhere
+        raise DomainError(f"xi_sq must be positive, got {xi_sq}")
 
     def coeffs_at(eta_sq: float) -> SqueezeCoeffs:
         cfg = FanConfig.from_xi_sq(k, xi_sq, _model_for(model_kind, k, eta_sq))
@@ -320,16 +339,15 @@ def find_intersections(
             harms.append(None)
             skipped.append((e, STATUS_NOT_CONVERGED))
 
-    found: list[tuple[float, str]] = []
+    # a node where the gap is exactly 0.0 is a root; sign changes are
+    # bisected only between nonzero gaps, so no root is found twice
+    found = [(e, "crossing") for e, g in zip(nodes, gaps) if g == 0.0]
     for i in range(len(nodes) - 1):
         g0, g1 = gaps[i], gaps[i + 1]
         h0, h1 = harms[i], harms[i + 1]
         if g0 is None or g1 is None:
             continue
-        if g0 == 0.0:
-            found.append((nodes[i], "crossing"))
-            continue
-        if (g0 > 0) != (g1 > 0):
+        if g0 != 0.0 and g1 != 0.0 and (g0 > 0) != (g1 > 0):
             root = bisect_root(gap_at, nodes[i], nodes[i + 1], _ROOT_XTOL, fa=g0, fb=g1)
             found.append((root, "crossing"))
         elif h0 is not None and h1 is not None and h0 != 0.0 and (h0 > 0) != (h1 > 0):

@@ -12,8 +12,10 @@ from fansq._optimize import bisect_root
 from fansq.atlas import (
     STATUS_NOT_CONVERGED,
     STATUS_OK,
+    STATUS_SINGULAR,
     AxisRange,
     GridSpec,
+    PhaseDiagram,
     _crossings,
     _refine_crossings,
     find_intersections,
@@ -28,7 +30,7 @@ from fansq.errors import (
     SingularNonlinearity,
 )
 from fansq.fanstate import DEFAULT_CONTROL, FanConfig, Identity, SeriesControl, TrappedIon
-from fansq.squeeze import coefficients, squeeze_parameter, vacuum_benchmark
+from fansq.squeeze import SqueezeCoeffs, coefficients, squeeze_parameter, vacuum_benchmark
 
 GRID_K1 = GridSpec(
     xi_sq=AxisRange(0.0, 1.0, 21),
@@ -144,6 +146,51 @@ def test_trace_boundary_points_sit_on_zero_level():
         assert abs(s) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "row, want",
+    [
+        ((1.0, 0.0, -1.0), [(0.5, 1.0, 0.0, -1.0)]),
+        ((-1.0, 0.0, 1.0), [(0.5, 1.0, 0.0, 1.0)]),
+        ((1.0, 0.0, 1.0), []),
+        ((-1.0, 0.0, -1.0), []),
+    ],
+    ids=["+0-", "-0+", "+0+", "-0-"],
+)
+def test_crossing_through_an_exact_zero_node(row, want):
+    # one OK eta_sq row; the failed second row adds no column crossings
+    grid = GridSpec(
+        xi_sq=AxisRange(0.0, 1.0, 3), eta_sq=AxisRange(0.2, 0.4, 2), k=1, N=4, phi=0.0
+    )
+    diagram = PhaseDiagram(
+        grid, np.array([row, [math.nan] * 3]), [[STATUS_OK] * 3, [STATUS_SINGULAR] * 3]
+    )
+    crossings = _crossings(diagram)
+    assert [(c.lo, c.hi, c.s_lo, c.s_hi) for c in crossings] == want
+    assert [tuple(c) for c in crossings] == _loop_crossings(diagram)
+    if want:  # a sign change through the node refines to the node
+        assert _refine_crossings(grid, "trapped-ion", DEFAULT_CONTROL, crossings) == [(0.5, 0.2)]
+
+
+def _loop_crossings(diagram):
+    """The crossing rule of `_crossings`, one pair of neighbours at a time."""
+    grid = diagram.grid
+    xi_vals, eta_vals = grid.xi_sq.values(), grid.eta_sq.values()
+    out = []
+    for along_xi, fixed_vals, line_vals in ((True, eta_vals, xi_vals), (False, xi_vals, eta_vals)):
+        vals = diagram.values if along_xi else diagram.values.T
+        status = diagram.status if along_xi else list(zip(*diagram.status))
+        for fixed, s, st in zip(fixed_vals, vals.tolist(), status):
+            sign = [(v > 0) - (v < 0) if x == STATUS_OK else None for v, x in zip(s, st)]
+            for j in range(len(s) - 1):
+                lo, hi = sign[j], sign[j + 1]
+                left = sign[j - 1] if j > 0 else None
+                change = lo is not None and hi is not None and lo * hi < 0
+                through = lo == 0 and left is not None and hi is not None and left * hi < 0
+                if change or through:
+                    out.append((fixed, line_vals[j], line_vals[j + 1], s[j], s[j + 1], along_xi))
+    return out
+
+
 # k = 2: the eta_sq range spans the first zero of L_4^0 (about 0.3225)
 GRID_K2_POLE = GridSpec(
     xi_sq=AxisRange(0.0, 1.0, 21),
@@ -174,6 +221,13 @@ def _scalar_refinement(grid, crossing):
 
 
 @pytest.mark.parametrize("grid", [GRID_K1, GRID_K2_POLE], ids=["k1", "k2-pole"])
+def test_crossings_match_the_loop_over_neighbours(grid):
+    # GRID_K1 starts at xi_sq = 0, where S is exactly 0 on the whole column
+    diagram = scan(grid, "trapped-ion")
+    assert [tuple(c) for c in _crossings(diagram)] == _loop_crossings(diagram)
+
+
+@pytest.mark.parametrize("grid", [GRID_K1, GRID_K2_POLE], ids=["k1", "k2-pole"])
 def test_lockstep_refinement_matches_scalar_bisection(grid):
     crossings = _crossings(scan(grid, "trapped-ion"))
     got = _refine_crossings(grid, "trapped-ion", DEFAULT_CONTROL, crossings)
@@ -187,16 +241,23 @@ def test_lockstep_refinement_matches_scalar_bisection(grid):
     assert sorted(trace_boundary(grid, "trapped-ion")) == kept
 
 
-def test_lockstep_refinement_makes_one_engine_call_per_step(monkeypatch):
-    # the grid of gate c08: spacing 0.0099 halves below 1e-12 in 34 steps
-    grid = GridSpec(
-        xi_sq=AxisRange(0.01, 1.0, 101),
-        eta_sq=AxisRange(0.01, 1.0, 101),
-        k=1,
-        N=4,
-        phi=math.pi / 4,
-    )
-    crossings = _crossings(scan(grid, "trapped-ion"))
+# the grid of gate c08: spacing 0.0099 halves below 1e-12 in 34 steps
+GRID_C08 = GridSpec(
+    xi_sq=AxisRange(0.01, 1.0, 101),
+    eta_sq=AxisRange(0.01, 1.0, 101),
+    k=1,
+    N=4,
+    phi=math.pi / 4,
+)
+
+
+@pytest.fixture(scope="module")
+def c08_crossings():
+    return _crossings(scan(GRID_C08, "trapped-ion"))
+
+
+def _counting_engine(monkeypatch):
+    """Record the number of points of every `coefficients_row` call."""
     calls = []
     engine = fansq.atlas.coefficients_row
 
@@ -205,9 +266,25 @@ def test_lockstep_refinement_makes_one_engine_call_per_step(monkeypatch):
         return engine(k, xi_sq, models, N, ctl)
 
     monkeypatch.setattr(fansq.atlas, "coefficients_row", counted)
-    points = _refine_crossings(grid, "trapped-ion", DEFAULT_CONTROL, crossings)
-    assert len(crossings) == 263 and sum(p is not None for p in points) == 176
+    return calls
+
+
+def test_lockstep_refinement_makes_one_engine_call_per_step(monkeypatch, c08_crossings):
+    calls = _counting_engine(monkeypatch)
+    points = _refine_crossings(GRID_C08, "trapped-ion", DEFAULT_CONTROL, c08_crossings)
+    assert len(c08_crossings) == 263 and sum(p is not None for p in points) == 176
     assert len(calls) <= 35 and calls[0] == 263
+    assert sum(calls) <= 3000  # bisection to the same xtol evaluates 9,031 points
+
+
+def test_each_crossing_refined_alone_gives_the_batch_result(monkeypatch, c08_crossings):
+    batch = _refine_crossings(GRID_C08, "trapped-ion", DEFAULT_CONTROL, c08_crossings)
+    calls = _counting_engine(monkeypatch)
+    for c, want in zip(c08_crossings, batch):
+        del calls[:]
+        assert _refine_crossings(GRID_C08, "trapped-ion", DEFAULT_CONTROL, [c]) == [want]
+        steps = len(calls) - (want is not None)  # the check call follows the steps
+        assert steps <= math.ceil(math.log2((c.hi - c.lo) / XTOL))
 
 
 def test_trace_boundary_fills_no_memo_table():
@@ -265,6 +342,31 @@ def test_find_intersections_roots_satisfy_their_equation():
 def test_find_intersections_signs_record_harmonic_exchange():
     result = find_intersections(0.1, 3, 12, AxisRange(0.05, 0.45, 81))
     assert result.signs == (1, -1)
+
+
+@pytest.mark.parametrize(
+    "gaps",
+    [(1.0, 0.0, -1.0), (-1.0, 0.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],
+)
+def test_find_intersections_reports_an_exact_zero_gap_once(monkeypatch, gaps):
+    eta_range = AxisRange(0.1, 0.1 * len(gaps), len(gaps))
+    gap_at = dict(zip(eta_range.values(), gaps))
+
+    def fake(cfg, N, ctl):  # constant - |harmonic| is the tabulated gap
+        return SqueezeCoeffs(cfg.k, N, 1.0 + gap_at[cfg.model.eta_sq], (1.0,))
+
+    monkeypatch.setattr(fansq.atlas, "coefficients", fake)
+    result = find_intersections(0.1, 1, 4, eta_range)
+    zero = eta_range.values()[gaps.index(0.0)]
+    assert result.roots == (zero,)
+    assert result.kinds == ("crossing",)
+
+
+@pytest.mark.parametrize("xi_sq", [0.0, -0.1, math.nan])
+def test_find_intersections_rejects_a_vacuum_or_invalid_drive(xi_sq):
+    # at xi = 0 the gap is 0 at every node
+    with pytest.raises(DomainError):
+        find_intersections(xi_sq, 3, 12, AxisRange(0.05, 0.45, 11))
 
 
 def test_find_intersections_rejects_below_threshold():

@@ -147,6 +147,14 @@ def test_intersect_returns_three_roots(capsys):
     assert data["roots"] == sorted(data["roots"])
 
 
+def test_intersect_at_zero_xi_is_exit_two(capsys):
+    code = main(["intersect", "--k", "3", "--N", "12", "--xi-sq", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "xi_sq must be positive" in err
+
+
 def test_boundary_empty_is_exit_three(capsys, tmp_path):
     target = tmp_path / "never.csv"
     code = main(
