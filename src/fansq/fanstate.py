@@ -29,18 +29,18 @@ Two paths evaluate the series, chosen by the shape of the input:
     (`moment_row`; grid scans pass one eta_sq row with a shared model,
     boundary refinement one bisection midpoint per crossing): every
     series a point needs becomes one column of a 2-D numpy block of
-    terms over the summation index.  The block grows by doubling, for
-    the columns still running only.  The products of the nonlinearity
-    come from a lattice with one column per distinct model, built in
-    numpy from Laguerre values equal bit for bit to the scalar path's,
-    so both find the same poles.  Each column replays the scalar path:
-    the same terms, the same Neumaier sums (sequential cumulative sums
-    plus their exact rounding errors), the same stop rule counted over
-    every index, and the same overflow, pole and term-cap checks, so its
-    value does not depend on the block size or on which columns or
-    models share the block.  A node whose series fail reports the error
-    the scalar path would raise first.  It fills none of the scalar
-    path's memo tables.
+    terms over the even summation indices (the odd ones are exact
+    zeros).  The block grows by doubling, for the columns still running
+    only.  The products of the nonlinearity come from a lattice with one
+    column per distinct model, built in numpy from Laguerre values equal
+    bit for bit to the scalar path's, so both find the same poles.  Each
+    column replays the scalar path: the same terms, the same Neumaier
+    sums (sequential cumulative sums plus their exact rounding errors),
+    the same stop rule with the odd indices counted in closed form, and
+    the same overflow, pole and term-cap checks, so its value does not
+    depend on the block size or on which columns or models share the
+    block.  A node whose series fail reports the error the scalar path
+    would raise first.  It fills none of the scalar path's memo tables.
 """
 
 from __future__ import annotations
@@ -185,6 +185,9 @@ class SeriesControl:
         # a tolerance of one or more accepts terms as large as the sum
         if not (math.isfinite(self.rel_tol) and 0 < self.rel_tol < 1):
             raise DomainError(f"rel_tol must be finite and in (0, 1), got {self.rel_tol}")
+        for name in ("n_max", "consecutive_small"):  # no float, NaN or bool count
+            if type(getattr(self, name)) is not int:
+                raise DomainError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
         # every odd summation index holds an exact zero, so a run of one
@@ -345,7 +348,7 @@ def _series_sum(
     shift = (l - m) // step
     n = -(-m // step)  # ceil(m / 2k): the first level the moment reaches
     lead = 2 * math.log(step)
-    log_xi = math.log(cfg.xi) if cfg.xi > 0 else -math.inf
+    log_xi = math.log(cfg.xi)
     lf = _live_log_factorials(step * (n + 1))
     rel_tol, run, n_max = ctl.rel_tol, ctl.consecutive_small, ctl.n_max
     s = c = 0.0
@@ -395,6 +398,8 @@ def normalization(cfg: FanConfig, ctl: SeriesControl = DEFAULT_CONTROL) -> float
     even summation indices, each weighted by xi^(4km) / ((2km)! times
     the squared running product).
     """
+    if cfg.xi == 0.0:  # the vacuum: no product is read, so no pole can fail it
+        return float(4 * cfg.k * cfg.k)
     return _series_sum(cfg, ctl, norm=True)
 
 
@@ -428,7 +433,7 @@ def moment(cfg: FanConfig, l: int, m: int, ctl: SeriesControl = DEFAULT_CONTROL)
 # row engine: the series of many points, each with its own model, as
 # columns of one term block
 
-_FIRST_BLOCK = 16  # term rows in the first block; each later block doubles the total
+_FIRST_BLOCK = 8  # even rows (16 indices) in the first block; each later block doubles the total
 _NO_POLE = np.iinfo(np.int64).max
 
 
@@ -518,17 +523,17 @@ class _Columns:
 
 
 def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns):
-    """Terms at summation offsets a..b-1 of every column, as in `_series_sum`.
+    """Terms at rows a..b-1 of every column, as in `_series_sum`.
 
+    Row r is the even summation index n0 + 2r, n0 rounded up to even.
     Returns (terms, singular, overflow): the terms, with zeros where the
     scalar path raises, and where it raises which error.
     """
-    n = np.arange(a, b)[:, None] + p.n0
+    n = 2 * np.arange(a, b)[:, None] + (p.n0 + p.n0 % 2)
     top = n + p.shift
     lat.extend(int(top.max()))
-    even = n % 2 == 0  # the interference factor is 2k here and 0 at odd n
-    singular = even & (top >= lat.pole[p.g])
-    ok = even & ~singular
+    singular = top >= lat.pole[p.g]
+    ok = ~singular
     # flat positions of the two products in the lattice
     groups = lat.pole.size
     i1 = np.where(ok, n, 0) * groups + p.g
@@ -555,18 +560,26 @@ _RUNNING, _STOPPED, _SINGULAR, _OVERFLOW, _CAPPED = range(5)
 
 
 def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl):
-    """Per-column `_series_sum`: returns (sums, outcome codes)."""
+    """Per-column `_series_sum`: returns (sums, outcome codes).
+
+    An odd term is an exact zero that only lengthens the run of small
+    terms, so the streak counts every index the scalar path visits.
+    """
     width = p.n0.size
     sums = np.full(width, np.nan)
     outcome = np.full(width, _RUNNING)
     cols = np.arange(width)
     acc = np.zeros(width)  # Neumaier sum and compensation, carried
     comp = np.zeros(width)
-    run = np.zeros(width, dtype=int)  # small terms ending the last block
+    odd = p.n0 % 2
+    # small indices before the next row: the odd first index, or -1 so
+    # that a run from an even first index counts 2c - 1 indices
+    run = odd - 1
+    last = (ctl.n_max + 1) // 2
     a = 0
     size = _FIRST_BLOCK
     while cols.size:
-        b = min(a + size, ctl.n_max)
+        b = min(a + size, last)
         here = p.take(cols)
         x, singular, overflow = _term_block(lat, k, a, b, here)
         partial = np.cumsum(np.vstack((acc, x)), axis=0)
@@ -575,10 +588,15 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl):
         c = np.cumsum(np.vstack((comp, err)), axis=0)[1:]
         value = s + c
         small = np.abs(x) <= ctl.rel_tol * np.abs(value)
-        rows = np.arange(b - a)[:, None]
-        streak = rows - np.maximum.accumulate(np.where(small, -1 - run, rows), axis=0)
-        fail_at = _first(singular | overflow)
-        stop_at = _first(streak >= ctl.consecutive_small)
+        twice = 2 * np.arange(b - a)[:, None]
+        streak = twice - np.maximum.accumulate(np.where(small, -2 - run, twice), axis=0)
+        # a column stops at a row, or at the odd index after it, within n_max indices
+        offset = 2 * np.arange(a, b)[:, None] + odd[cols]  # index - n0
+        reached = offset < ctl.n_max
+        fail_at = _first((singular | overflow) & reached)
+        run_end = (streak >= ctl.consecutive_small) & reached
+        run_end |= (streak + 1 >= ctl.consecutive_small) & (offset + 1 < ctl.n_max)
+        stop_at = _first(run_end)
         # a failing term raises before it is added, so it beats a stop there
         failed = (fail_at < b - a) & (fail_at <= stop_at)
         stopped = stop_at < fail_at
@@ -589,7 +607,7 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl):
         outcome[cols[stopped]] = _STOPPED
         sums[cols[stopped]] = value[stop_at[stopped], idx[stopped]]
         rest = ~(failed | stopped)
-        if b == ctl.n_max:
+        if b == last:
             outcome[cols[rest]] = _CAPPED
             break
         cols = cols[rest]
@@ -711,10 +729,12 @@ def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CON
     product carries a sign for the trapped-ion model).  Raises
     TruncationTooSmall when the requested dim leaves tail mass >= 1e-14.
     """
-    from .fockoracle import FockVector  # deferred: fockoracle builds on this module
+    from .fockoracle import FockVector, vacuum  # deferred: fockoracle builds on this module
 
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
+    if cfg.xi == 0.0:  # no product is read, as in `normalization`
+        return vacuum(dim)
     k = cfg.k
     d = normalization(cfg, ctl)
     log_d_half = 0.5 * math.log(d)
@@ -724,11 +744,10 @@ def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CON
     lf = _live_log_factorials(4 * k * top)
     amps = np.zeros(dim, dtype=np.complex128)
     captured = CompensatedSum()
-    # at xi = 0 the state is the vacuum
-    for n in range(top + 1 if cfg.xi > 0 else 1):
+    log_xi = math.log(cfg.xi)
+    for n in range(top + 1):
         level = 4 * k * n
-        t = level * math.log(cfg.xi) if level else 0.0
-        logmag = math.log(2 * k) - log_d_half + t - 0.5 * lf[level] - tab.logmag[2 * n]
+        logmag = math.log(2 * k) - log_d_half + level * log_xi - 0.5 * lf[level] - tab.logmag[2 * n]
         c = tab.sign[2 * n] * math.exp(logmag)
         amps[level] = c
         captured.add(c * c)

@@ -214,6 +214,18 @@ def test_oracle_check_discrepancies_within_gate(capsys):
     assert doc["manifest"]["extras"]["oracle_dim"] >= 10
 
 
+def test_oracle_check_at_xi_zero_is_the_vacuum_even_at_a_pole(capsys):
+    # eta^2 = 2 - sqrt(2) is the zero of L_2^0: the vacuum reads no product
+    doc = run_json(
+        capsys,
+        ["oracle-check", "--k", "1", "--N", "4", "--xi-sq", "0",
+         "--eta-sq", repr(2 - math.sqrt(2))],
+    )
+    data = doc["data"]
+    assert data["moments"][0]["series"] == data["moments"][0]["oracle"] == 1.0
+    assert data["max_absolute_discrepancy_at_zeros"] == 0.0
+
+
 def test_xi_from_drive_balanced_drive(capsys):
     doc = run_json(
         capsys,

@@ -17,6 +17,7 @@ from fansq.fanstate import (
     TrappedIon,
     fock_coefficients,
     nonlinearity_value,
+    normalization,
 )
 from fansq.fockoracle import (
     _CHAIN_PHASES,
@@ -383,6 +384,16 @@ def test_oracle_vector_tail_and_support():
         assert v.tail_mass < 1e-14
         assert support_check(v, cfg.k)
         assert v.dim >= support_level(v) + 16
+
+
+def test_xi_zero_is_the_vacuum_on_the_oracle_path_at_a_pole():
+    # the zero of L_2^0: every product from Fock argument 4 on is singular
+    cfg = FanConfig(k=1, xi=0.0, model=TrappedIon(eta_sq=2 - math.sqrt(2), quantum_order=2))
+    assert normalization(cfg) == 4.0
+    for v in (fock_coefficients(cfg, 9), oracle_vector(cfg, guard=8)):
+        assert v.dim == 9
+        assert v.amps[0] == 1.0 and not v.amps[1:].any() and v.tail_mass == 0.0
+        assert moment_oracle(v, 0, 0) == 1.0
 
 
 def test_oracle_vector_rejects_negative_guard():

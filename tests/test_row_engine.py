@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fansq
+import fansq.fanstate as fanstate
+from fansq.atlas import AxisRange, GridSpec, scan
 from fansq.errors import DomainError, SeriesNotConverged, SingularNonlinearity
 from fansq.fanstate import (
     DEFAULT_CONTROL,
@@ -208,6 +210,86 @@ def test_moment_row_matches_moment_for_any_pairs():
                 assert abs(v - want) <= 1e-13 * max(abs(want), 1e-300), (l, m, x)
 
 
+# k = 1 pairs; their first summation index ceil(m / 2) is 1, 2, 1, 1, 0
+EDGE_PAIRS = [(1, 1), (3, 3), (5, 1), (2, 2), (4, 0)]
+
+
+def _scalar_moment(cfg, lm, ctl):
+    try:
+        return moment(cfg, *lm, ctl)
+    except (SingularNonlinearity, SeriesNotConverged) as exc:
+        return exc
+
+
+def _assert_moment_row_matches(k, xi, models, lm, ctl):
+    """Compare one pair on a row with `moment`; return the status names."""
+    row = moment_row(k, xi, models, [lm], ctl)
+    names = []
+    for j, (x, model) in enumerate(zip(xi, models)):
+        want = _scalar_moment(FanConfig(k, x, model), lm, ctl)
+        got = row.values[lm][j]
+        if isinstance(want, float):
+            assert row.errors[j] is None, (x, model, lm, ctl, row.errors[j])
+            assert abs(got - want) <= 1e-13 * abs(want), (x, model, lm, ctl)
+        else:
+            assert type(row.errors[j]) is type(want), (x, model, lm, ctl, want)
+            if "tail criterion" in str(want):  # names the series that hit the cap
+                assert str(row.errors[j]) == str(want)
+            assert math.isnan(got)
+        names.append(type(want).__name__)
+    return names
+
+
+@pytest.mark.parametrize("run", [2, 3, 4, 5])
+def test_even_rows_stop_and_cap_where_the_scalar_path_does(run):
+    # every term cap and run length around the first block, first indices
+    # of both parities, and a model whose first product is a pole; at
+    # xi = 1e-60 the first term of (3, 3) underflows to a small zero, so
+    # its run starts at an even first index
+    pole = 2 - math.sqrt(2)
+    xi, models = [], []
+    for model in (Identity(), _model("trapped-ion", 1, 0.3), _model("trapped-ion", 1, pole)):
+        for x in (0.0, 1e-60, 0.01, 0.1, 0.4, 0.8, 1.2):
+            xi.append(x)
+            models.append(model)
+    seen = set()
+    for n_max in range(1, 13):
+        ctl = SeriesControl(n_max=n_max, consecutive_small=run)
+        for lm in EDGE_PAIRS:
+            seen.update(_assert_moment_row_matches(1, xi, models, lm, ctl))
+    assert seen == {"float", "SeriesNotConverged", "SingularNonlinearity"}
+
+
+@pytest.mark.parametrize("lm, n_max", [((4, 0), 3), ((2, 2), 4)])
+def test_a_stop_on_the_odd_index_past_the_cap_is_capped(lm, n_max):
+    # at xi = 0.01 only the first nonzero term is large; with a run of 3
+    # the scalar path would stop at the odd index n0 + n_max, one past the
+    # last index it may visit
+    xi, models = [0.01], [Identity()]
+    capped = SeriesControl(n_max=n_max, consecutive_small=3)
+    stops = SeriesControl(n_max=n_max + 1, consecutive_small=3)
+    assert _assert_moment_row_matches(1, xi, models, lm, capped) == ["SeriesNotConverged"]
+    assert _assert_moment_row_matches(1, xi, models, lm, stops) == ["float"]
+
+
+def test_c08_scan_builds_only_even_term_rows(monkeypatch):
+    cells = []
+    block = fanstate._term_block
+
+    def counting(*args):
+        terms, singular, overflow = block(*args)
+        cells.append(terms.size)
+        return terms, singular, overflow
+
+    monkeypatch.setattr(fanstate, "_term_block", counting)
+    grid = GridSpec(
+        xi_sq=AxisRange(0.01, 1.0, 101), eta_sq=AxisRange(0.01, 1.0, 101), k=1, N=4, phi=math.pi / 4
+    )
+    scan(grid, "trapped-ion")
+    # 1,432,464 cells when the odd indices, all exact zeros, were built too
+    assert 0 < sum(cells) <= 720_000
+
+
 def test_row_rejects_bad_inputs():
     with pytest.raises(DomainError):
         coefficients_row(1, [0.1, -0.2], [Identity()] * 2, 4)
@@ -225,24 +307,37 @@ def test_row_rejects_bad_inputs():
 # series-control validation and the positivity guard
 
 
-def _valid_control(rel_tol, run, floor):
+def _valid_control(rel_tol, run, n_max, floor):
     return (
-        math.isfinite(rel_tol) and 0 < rel_tol < 1 and run >= 2 and math.isfinite(floor) and floor >= 0
+        math.isfinite(rel_tol)
+        and 0 < rel_tol < 1
+        and type(run) is int
+        and run >= 2
+        and type(n_max) is int
+        and n_max >= 1
+        and math.isfinite(floor)
+        and floor >= 0
     )
+
+
+# counts that are not ints: bools, and floats whole, fractional or not finite
+NOT_INT = st.sampled_from([True, False, 2.0, 2.5, 3.0, math.nan, math.inf])
 
 
 @given(
     rel_tol=st.one_of(st.floats(), st.sampled_from([1e-16, 0.5, 1.0, 2.0])),
-    run=st.integers(min_value=-2, max_value=6),
+    run=st.one_of(st.integers(min_value=-2, max_value=6), NOT_INT),
+    n_max=st.one_of(st.integers(min_value=-2, max_value=6), NOT_INT),
     floor=st.one_of(st.floats(), st.sampled_from([0.0, 1e-12, -1e-12])),
 )
-def test_series_control_accepts_exactly_the_valid_settings(rel_tol, run, floor):
-    if _valid_control(rel_tol, run, floor):
-        ctl = SeriesControl(rel_tol=rel_tol, consecutive_small=run, laguerre_floor=floor)
-        assert ctl.consecutive_small == run
+def test_series_control_accepts_exactly_the_valid_settings(rel_tol, run, n_max, floor):
+    kwargs = dict(rel_tol=rel_tol, consecutive_small=run, n_max=n_max, laguerre_floor=floor)
+    if _valid_control(rel_tol, run, n_max, floor):
+        ctl = SeriesControl(**kwargs)
+        assert (ctl.consecutive_small, ctl.n_max) == (run, n_max)
     else:
         with pytest.raises(DomainError):
-            SeriesControl(rel_tol=rel_tol, consecutive_small=run, laguerre_floor=floor)
+            SeriesControl(**kwargs)
 
 
 def test_positivity_guard_survives_optimized_mode():

@@ -87,6 +87,8 @@ def ref_sum_series(terms: Iterator[float], ctl: SeriesControl, what: str) -> flo
 
 def ref_normalization(cfg, ctl=DEFAULT_CONTROL):
     k = cfg.k
+    if cfg.xi == 0.0:  # the vacuum: the leading term alone, as in `ref_moment`
+        return float(4 * k * k)
     step = 2 * k
     xi_sl = signed_log(cfg.xi)
     floor = ctl.laguerre_floor
