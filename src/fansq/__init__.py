@@ -24,16 +24,14 @@ from .fanstate import (
     NonlinearModel,
     SeriesControl,
     TrappedIon,
-    fock_coefficients,
     moment,
-    nonlinearity_product,
-    nonlinearity_value,
     normalization,
     xi_from_drive,
 )
 from .fockoracle import (
     FockVector,
     eigen_residual,
+    fock_coefficients,
     moment_oracle,
     oracle_vector,
     quadrature_moment,
@@ -84,14 +82,12 @@ __all__ = [
     "NonlinearModel",
     "SeriesControl",
     "TrappedIon",
-    "fock_coefficients",
     "moment",
-    "nonlinearity_product",
-    "nonlinearity_value",
     "normalization",
     "xi_from_drive",
     "FockVector",
     "eigen_residual",
+    "fock_coefficients",
     "moment_oracle",
     "oracle_vector",
     "quadrature_moment",

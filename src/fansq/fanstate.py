@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import copy
 import math
+from array import array
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -58,18 +59,8 @@ from .errors import (
     FansqError,
     SeriesNotConverged,
     SingularNonlinearity,
-    TruncationTooSmall,
 )
-from .specfun import (
-    SL_ONE,
-    SL_ZERO,
-    CompensatedSum,
-    LaguerreRows,
-    LaguerreTable,
-    SignedLog,
-    log_factorial,
-    log_factorials,
-)
+from .specfun import LaguerreRows, _grow_laguerre, log_factorial, log_factorials
 
 _LOG_HUGE = 700.0  # ln of near-overflow; a term this large means divergence
 
@@ -182,6 +173,9 @@ class SeriesControl:
     laguerre_floor: float = 1e-12
 
     def __post_init__(self) -> None:
+        for name in ("rel_tol", "laguerre_floor"):  # True would pass as 1.0
+            if isinstance(getattr(self, name), bool):
+                raise DomainError(f"{name} must be a float, got {getattr(self, name)!r}")
         # a tolerance of one or more accepts terms as large as the sum
         if not (math.isfinite(self.rel_tol) and 0 < self.rel_tol < 1):
             raise DomainError(f"rel_tol must be finite and in (0, 1), got {self.rel_tol}")
@@ -206,44 +200,26 @@ DEFAULT_CONTROL = SeriesControl()
 
 
 # ---------------------------------------------------------------------------
-# nonlinearity evaluation and running products
-
-# twice the bound of `product_table`: a trapped-ion model holds two Laguerre tables
-@lru_cache(maxsize=128)
-def _laguerre_table(eta_sq: float, alpha: int) -> LaguerreTable:
-    return LaguerreTable(alpha, eta_sq)
+# nonlinearity values and running products
 
 
-def nonlinearity_value(model: NonlinearModel, m: int, floor: float = 1e-12) -> SignedLog:
-    """f(m) as a SignedLog; may be negative for the trapped-ion model."""
-    if isinstance(model, Identity):
-        return SL_ONE
-    K = model.quantum_order
-    if m < K:
-        raise DomainError(f"nonlinearity argument {m} below quantum order {K}")
-    j = m - K
-    den = _laguerre_table(model.eta_sq, 0).value(j)
-    if abs(den) < floor:
-        raise SingularNonlinearity(
-            f"denominator Laguerre polynomial of degree {j} vanishes at "
-            f"eta_sq={model.eta_sq} (|value|={abs(den):.3e} below floor {floor})",
-            index=m,
-        )
-    num = _laguerre_table(model.eta_sq, K).value(j)
-    if num == 0.0:
-        return SL_ZERO
-    sign = (1 if num > 0 else -1) * (1 if den > 0 else -1)
-    logmag = (
-        log_factorial(j) - log_factorial(m) + math.log(abs(num)) - math.log(abs(den))
+def _denominator_pole(
+    eta_sq: float, degree: int, value: float, floor: float, index: int
+) -> SingularNonlinearity:
+    """The error of a factor whose L_degree^0(eta_sq) = value is below the floor."""
+    return SingularNonlinearity(
+        f"denominator Laguerre polynomial of degree {degree} vanishes at "
+        f"eta_sq={eta_sq} (|value|={abs(value):.3e} below floor {floor})",
+        index=index,
     )
-    return SignedLog(sign, logmag)
 
 
 def nonlinearity_values(model: TrappedIon, stop: int) -> np.ndarray:
     """f(K) .. f(stop - 1) as floats, K the quantum order, in one numpy expression.
 
-    `nonlinearity_value` at its default floor, up to rounding; raises
-    its error at the first pole, and its DomainError below K.
+    Built from the Laguerre values of the model's product table at the
+    default floor, so it meets the same poles; raises the table's error
+    at the first denominator pole, and DomainError below K.
     """
     if not isinstance(model, TrappedIon):
         raise DomainError(f"nonlinearity_values needs a trapped-ion model, got {model!r}")
@@ -251,11 +227,11 @@ def nonlinearity_values(model: TrappedIon, stop: int) -> np.ndarray:
     if stop < K:
         raise DomainError(f"nonlinearity argument {stop} below quantum order {K}")
     floor = DEFAULT_CONTROL.laguerre_floor
-    den = _laguerre_table(model.eta_sq, 0).upto(stop - 1 - K)
+    den, num = product_table(model, K, floor).laguerre(stop - 1 - K)
     poles = np.flatnonzero(np.abs(den) < floor)
     if poles.size:
-        nonlinearity_value(model, K + int(poles[0]), floor)
-    num = _laguerre_table(model.eta_sq, K).upto(stop - 1 - K)
+        j = int(poles[0])
+        raise _denominator_pole(model.eta_sq, j, den[j], floor, K + j)
     lf = log_factorials(stop - 1)
     return np.exp(lf[: stop - K] - lf[K:stop]) * (num / den)
 
@@ -265,35 +241,63 @@ class ProductTable:
 
     sign[i] and logmag[i] hold f(step) f(2 step) ... f(i step), entry 0
     is one.  The lists grow on demand up to the first index whose factor
-    is singular; `error` is what reaching that index raises.
+    is singular; `error` is what reaching that index raises.  For the
+    trapped-ion model (quantum order K = step) the table also holds the
+    Laguerre values L_j^0(eta_sq) and L_j^K(eta_sq) its factors divide,
+    as C doubles: f(m) = (m-K)! L_j^K / (m! L_j^0) at degree j = m - K.
     """
 
-    __slots__ = ("model", "step", "floor", "sign", "logmag", "error")
+    __slots__ = ("model", "step", "floor", "sign", "logmag", "error", "_den", "_num")
 
     def __init__(self, model: NonlinearModel, step: int, floor: float) -> None:
         self.model, self.step, self.floor = model, step, floor
         self.sign = [1]
         self.logmag = [0.0]
         self.error: Optional[FansqError] = None
+        ion = isinstance(model, TrappedIon)
+        self._den = array("d", [1.0]) if ion else None
+        self._num = array("d", [1.0]) if ion else None
+
+    def _grow(self, n: int) -> tuple[array, array]:
+        den, num = self._den, self._num
+        if n >= len(den):
+            _grow_laguerre(den, 0, self.model.eta_sq, n)
+            _grow_laguerre(num, self.step, self.model.eta_sq, n)
+        return den, num
+
+    def laguerre(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """L_0^0 .. L_n^0 and L_0^K .. L_n^K at the model's eta_sq, as new arrays."""
+        den, num = self._grow(n)
+        return np.array(den[: n + 1]), np.array(num[: n + 1])
 
     def reach(self, j: int) -> None:
         """Hold entries up to index j, or raise the error of a pole at or below j."""
         sign, logmag = self.sign, self.logmag
-        while len(logmag) <= j and self.error is None:
-            m = len(logmag) * self.step
-            try:
-                factor = nonlinearity_value(self.model, m, self.floor)
-                if factor.sign == 0:
-                    raise SingularNonlinearity(
+        size = len(logmag)
+        if size <= j and self._den is None:  # the identity model: every factor is one
+            sign.extend([1] * (j + 1 - size))
+            logmag.extend([0.0] * (j + 1 - size))
+        elif size <= j and self.error is None:
+            step, floor = self.step, self.floor
+            den, num = self._grow(step * (j - 1))
+            lf = _live_log_factorials(step * j)
+            for m in range(step * size, step * j + 1, step):
+                d, u = den[m - step], num[m - step]
+                if abs(d) < floor:
+                    self.error = _denominator_pole(self.model.eta_sq, m - step, d, floor, m)
+                    break
+                if u == 0.0:
+                    self.error = SingularNonlinearity(
                         f"nonlinearity vanishes exactly at Fock argument {m}; "
                         "downstream amplitude ratios are undefined",
                         index=m,
                     )
-            except FansqError as exc:
-                self.error = exc.with_traceback(None)
-                break
-            sign.append(sign[-1] * factor.sign)
-            logmag.append(logmag[-1] + factor.logmag)
+                    break
+                sign.append(sign[-1] if (u > 0) == (d > 0) else -sign[-1])
+                logmag.append(
+                    logmag[-1]
+                    + (lf[m - step] - lf[m] + math.log(abs(u)) - math.log(abs(d)))
+                )
         if len(logmag) <= j:
             raise copy.copy(self.error)
 
@@ -302,28 +306,6 @@ class ProductTable:
 def product_table(model: NonlinearModel, step: int, floor: float) -> ProductTable:
     """The memoized `ProductTable` of (model, step, floor)."""
     return ProductTable(model, step, floor)
-
-
-def nonlinearity_product(
-    model: NonlinearModel, p: int, step: int, floor: float = 1e-12
-) -> SignedLog:
-    """Running product f(p) f(p-step) ... f(step) at a multiple p of step.
-
-    Exactly one for 0 <= p < step.  Read from `product_table`.  Other
-    p raise DomainError: the fan-state series only visit multiples.
-    """
-    if step < 1:
-        raise DomainError(f"step must be >= 1, got {step}")
-    if p < 0:
-        raise DomainError(f"product index must be >= 0, got {p}")
-    if p < step:
-        return SL_ONE
-    q, r = divmod(p, step)
-    if r:
-        raise DomainError(f"product index {p} is not a multiple of the step {step}")
-    tab = product_table(model, step, floor)
-    tab.reach(q)
-    return SignedLog(tab.sign[q], tab.logmag[q])
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +422,8 @@ _NO_POLE = np.iinfo(np.int64).max
 class _Lattice:
     """Signed log-products of f at multiples of 2k, one column per distinct model.
 
-    Entry [i, g] holds the product that `nonlinearity_product` returns
-    for model g at Fock argument 2k*i.  It is built from the same
+    Entry [i, g] holds the product that `ProductTable` holds at index i
+    for model g, f(2k) f(4k) ... f(2k i).  It is built from the same
     Laguerre values and log-factorials in the same order, so only the
     logs may round differently.  pole[g] is the first index whose
     product is singular, or _NO_POLE; entries from there on are unused.
@@ -492,15 +474,12 @@ class _Lattice:
                 m = int(fock[i, 0])
                 self.pole[ion[r]] = size + i
                 if low[i, r]:
-                    # the words of `nonlinearity_value`
-                    msg = (
-                        f"denominator Laguerre polynomial of degree {m - step} vanishes at "
-                        f"eta_sq={self.eta_sq[r]} (|value|={abs(den[i, r]):.3e} below "
-                        f"floor {self.floor})"
-                    )
+                    err = _denominator_pole(self.eta_sq[r], m - step, den[i, r], self.floor, m)
                 else:
-                    msg = f"nonlinearity vanishes exactly at Fock argument {m}"
-                self.errors[ion[r]] = SingularNonlinearity(msg, index=m)
+                    err = SingularNonlinearity(
+                        f"nonlinearity vanishes exactly at Fock argument {m}", index=m
+                    )
+                self.errors[ion[r]] = err
         self.sign = np.vstack((self.sign, np.cumprod(np.vstack((self.sign[-1], sign)), axis=0)[1:]))
         self.logmag = np.vstack(
             (self.logmag, np.cumsum(np.vstack((self.logmag[-1], logmag)), axis=0)[1:])
@@ -718,45 +697,6 @@ def moment_row(
         v[failed] = np.nan
         values[(l, m)] = v
     return MomentRow(values=values, errors=errors)
-
-
-def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CONTROL):
-    """Truncated Fock expansion of the normalized fan state.
-
-    Amplitudes sit only at levels 4kn:
-        c_{4kn} = 2k * D^{-1/2} * xi^{4kn} / ( sqrt((4kn)!) * product(4kn) )
-    with the step-2k running product.  Real and possibly negative (the
-    product carries a sign for the trapped-ion model).  Raises
-    TruncationTooSmall when the requested dim leaves tail mass >= 1e-14.
-    """
-    from .fockoracle import FockVector, vacuum  # deferred: fockoracle builds on this module
-
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
-    if cfg.xi == 0.0:  # no product is read, as in `normalization`
-        return vacuum(dim)
-    k = cfg.k
-    d = normalization(cfg, ctl)
-    log_d_half = 0.5 * math.log(d)
-    top = (dim - 1) // (4 * k)  # the last support level below dim
-    tab = product_table(cfg.model, 2 * k, ctl.laguerre_floor)
-    tab.reach(2 * top)
-    lf = _live_log_factorials(4 * k * top)
-    amps = np.zeros(dim, dtype=np.complex128)
-    captured = CompensatedSum()
-    log_xi = math.log(cfg.xi)
-    for n in range(top + 1):
-        level = 4 * k * n
-        logmag = math.log(2 * k) - log_d_half + level * log_xi - 0.5 * lf[level] - tab.logmag[2 * n]
-        c = tab.sign[2 * n] * math.exp(logmag)
-        amps[level] = c
-        captured.add(c * c)
-    tail = 1.0 - captured.value
-    if tail >= 1e-14:
-        raise TruncationTooSmall(
-            f"dim={dim} leaves tail mass {tail:.3e} >= 1e-14 for k={k}, xi={cfg.xi}"
-        )
-    return FockVector(dim=dim, amps=amps, tail_mass=max(tail, 0.0))
 
 
 def xi_from_drive(d: DriveParams) -> float:

@@ -2,9 +2,11 @@
 
 States are dense amplitude vectors indexed by occupation number; ladder
 operators act as banded (single off-diagonal) linear maps, never as
-dense matrix powers.  Everything here is deliberately independent of
-the closed-form series in `fanstate`/`squeeze`: the two routes must
-agree, and this module is the referee.
+dense matrix powers.  Only the state's amplitudes (`fock_coefficients`)
+come from the normalization and products of `fanstate`; everything
+computed from them is deliberately independent of the closed-form
+series in `fanstate`/`squeeze`: the two routes must agree, and this
+module is the referee.
 
 A `FockVector` owns a read-only complex copy of its amplitudes, so what
 it derives from them once cannot go stale: its support level, whether
@@ -28,12 +30,14 @@ from .fanstate import (
     FanConfig,
     Identity,
     SeriesControl,
-    fock_coefficients,
     nonlinearity_values,
     normalization,
     product_table,
 )
-from .specfun import log_factorial, log_factorials
+from .specfun import CompensatedSum, log_factorial, log_factorials
+
+# the live ln(n!) list `fock_coefficients` indexes; it only reads it
+_live_log_factorials = log_factorial.live
 
 _SQRT2 = math.sqrt(2.0)
 _SUPPORT_CUTOFF = 1e-14  # amplitude magnitude above which a level counts as support
@@ -108,6 +112,43 @@ def vacuum(dim: int) -> FockVector:
     amps = np.zeros(dim, dtype=np.complex128)
     amps[0] = 1.0
     return FockVector(dim=dim, amps=amps, tail_mass=0.0)
+
+
+def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CONTROL):
+    """Truncated Fock expansion of the normalized fan state.
+
+    Amplitudes sit only at levels 4kn:
+        c_{4kn} = 2k * D^{-1/2} * xi^{4kn} / ( sqrt((4kn)!) * product(4kn) )
+    with the step-2k running product.  Real and possibly negative (the
+    product carries a sign for the trapped-ion model).  Raises
+    TruncationTooSmall when the requested dim leaves tail mass >= 1e-14.
+    """
+    if dim < 1:
+        raise DomainError(f"dim must be >= 1, got {dim}")
+    if cfg.xi == 0.0:  # no product is read, as in `normalization`
+        return vacuum(dim)
+    k = cfg.k
+    d = normalization(cfg, ctl)
+    log_d_half = 0.5 * math.log(d)
+    top = (dim - 1) // (4 * k)  # the last support level below dim
+    tab = product_table(cfg.model, 2 * k, ctl.laguerre_floor)
+    tab.reach(2 * top)
+    lf = _live_log_factorials(4 * k * top)
+    amps = np.zeros(dim, dtype=np.complex128)
+    captured = CompensatedSum()
+    log_xi = math.log(cfg.xi)
+    for n in range(top + 1):
+        level = 4 * k * n
+        logmag = math.log(2 * k) - log_d_half + level * log_xi - 0.5 * lf[level] - tab.logmag[2 * n]
+        c = tab.sign[2 * n] * math.exp(logmag)
+        amps[level] = c
+        captured.add(c * c)
+    tail = 1.0 - captured.value
+    if tail >= 1e-14:
+        raise TruncationTooSmall(
+            f"dim={dim} leaves tail mass {tail:.3e} >= 1e-14 for k={k}, xi={cfg.xi}"
+        )
+    return FockVector(dim=dim, amps=amps, tail_mass=max(tail, 0.0))
 
 
 def support_level(v: FockVector) -> int:

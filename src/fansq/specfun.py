@@ -1,33 +1,14 @@
 """Numerically stable special functions shared by every series in the package.
 
-Provides sign-and-log-magnitude scalars (the carrier for factorial and
-Laguerre products that overflow doubles long before a series converges),
-generalized Laguerre polynomials via the ascending three-term recurrence,
-an exact cumulative log-factorial table, double factorials, the even/odd
-interference factor of the fan superposition, and compensated summation.
+Provides generalized Laguerre polynomials via the ascending three-term
+recurrence, an exact cumulative log-factorial table, double factorials,
+and compensated summation.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from typing import NamedTuple
-
 import numpy as np
-
-
-class SignedLog(NamedTuple):
-    """A real number stored as (sign, ln|value|).
-
-    sign is -1, 0 or +1; logmag is meaningless when sign == 0.
-    """
-
-    sign: int
-    logmag: float
-
-
-SL_ONE = SignedLog(1, 0.0)
-SL_ZERO = SignedLog(0, float("-inf"))
 
 
 class _LogFactorialTable:
@@ -89,31 +70,6 @@ def double_factorial(n: int) -> int:
     return out
 
 
-class LaguerreTable:
-    """Incrementally extended values L_0^m(x) .. L_n^m(x) for fixed (m, x).
-
-    Series over Fock levels evaluate Laguerre polynomials at consecutive
-    degrees; keeping the recurrence state amortizes each new degree to O(1).
-    """
-
-    def __init__(self, m: int, x: float) -> None:
-        self.m = m
-        self.x = x
-        # C doubles: a quarter of the memory of a list of floats
-        self._vals = array("d", [1.0])
-
-    def value(self, n: int) -> float:
-        vals = self._vals
-        if n >= len(vals):
-            _grow_laguerre(vals, self.m, self.x, n)
-        return vals[n]
-
-    def upto(self, n: int) -> np.ndarray:
-        """L_0^m(x) .. L_n^m(x) as a new array."""
-        self.value(n)
-        return np.array(self._vals[: n + 1])
-
-
 def _grow_laguerre(vals, m: int, x: float, n: int) -> None:
     """Append degrees up to n to the values L_0^m(x), L_1^m(x), ... in vals."""
     if len(vals) == 1:
@@ -132,9 +88,9 @@ class LaguerreRows:
     """L_0^m[r](x[r]) .. L_n^m[r](x[r]) for many pairs (m[r], x[r]) at once.
 
     Row i of `upto(n)` holds degree i of every pair.  The recurrence of
-    `LaguerreTable` runs on all pairs together, one numpy step per
+    `_grow_laguerre` runs on all pairs together, one numpy step per
     degree, with the same operations in the same order, so each value is
-    the float the table holds.  A few pairs run the table's own loop.
+    the float the scalar loop gives.  A few pairs run that loop itself.
     """
 
     def __init__(self, m: np.ndarray, x: np.ndarray) -> None:
@@ -164,17 +120,6 @@ class LaguerreRows:
             vals = np.vstack([vals, *rows[2:]])
         self._vals = vals
         return vals
-
-
-def interference_factor(k: int, n: int) -> int:
-    """Closed form of the 2k-armed phase sum: 2k for even n, 0 for odd n.
-
-    Summing the complex exponentials directly would leave spurious
-    imaginary residue; the closed form is exact.
-    """
-    if k < 1:
-        raise ValueError(f"fan order must be >= 1, got {k}")
-    return 2 * k if n % 2 == 0 else 0
 
 
 class CompensatedSum:

@@ -1,9 +1,13 @@
-"""One Laguerre value at a time, for the reference paths of the tests.
+"""Laguerre values by the plain ascending recurrence, for the reference paths of the tests.
 
-The package keeps Laguerre values in tables (`LaguerreTable`,
-`LaguerreRows`).  The tests check those tables against this plain
-evaluation of the same ascending recurrence, and use it to locate poles.
+The package keeps Laguerre values in tables (the lists of
+`fanstate.ProductTable`, and `specfun.LaguerreRows`).  The tests check
+those tables against this plain evaluation of the same recurrence, and
+use it to locate poles.
 """
+
+# ascending lists L_0^m(x), L_1^m(x), ... of `laguerre_upto`, by (m, x)
+_ascending: dict = {}
 
 
 def laguerre(n: int, m: int, x: float) -> float:
@@ -21,3 +25,16 @@ def laguerre(n: int, m: int, x: float) -> float:
     for i in range(1, n):
         prev, cur = cur, ((2 * i + 1 + m - x) * cur - (i + m) * prev) / (i + 1)
     return cur
+
+
+def laguerre_upto(n: int, m: int, x: float) -> list:
+    """L_0^m(x) .. L_n^m(x) (or more): `laguerre` at each degree, kept per (m, x).
+
+    The same operations in the same order as `laguerre`, so each value
+    is the float it returns, at O(1) per new degree.
+    """
+    vals = _ascending.setdefault((m, x), [1.0, 1.0 + m - x])
+    while len(vals) <= n:
+        i = len(vals) - 1
+        vals.append(((2 * i + 1 + m - x) * vals[i] - (i + m) * vals[i - 1]) / (i + 1))
+    return vals

@@ -289,8 +289,8 @@ def test_each_crossing_refined_alone_gives_the_batch_result(monkeypatch, c08_cro
 
 def test_trace_boundary_fills_no_memo_table():
     def sizes():
+        # product tables hold the Laguerre values of the scalar path too
         return (
-            fansq.fanstate._laguerre_table.cache_info().currsize,
             fansq.fanstate.product_table.cache_info().currsize,
             coefficients.cache_info().currsize,
             fansq.fanstate.normalization.cache_info().currsize,

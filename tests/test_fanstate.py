@@ -21,16 +21,14 @@ from fansq.fanstate import (
     FanConfig,
     Identity,
     SeriesControl,
+    ProductTable,
     TrappedIon,
-    fock_coefficients,
     moment,
-    nonlinearity_product,
-    nonlinearity_value,
+    nonlinearity_values,
     normalization,
     xi_from_drive,
 )
-from fansq.specfun import SL_ONE
-from signed_log_ref import to_real
+from fansq.fockoracle import fock_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -94,63 +92,86 @@ def test_series_control_validation():
 F4_EXACT = Fraction(87, 124)
 
 
+def _products(model, step=2):
+    """A fresh product table of the model at the default floor."""
+    return ProductTable(model, step, DEFAULT_CONTROL.laguerre_floor)
+
+
 def test_nonlinearity_identity_is_one():
-    for m in (0, 1, 7, 300):
-        assert nonlinearity_value(Identity(), m) == SL_ONE
+    tab = _products(Identity())
+    tab.reach(300)
+    assert tab.sign == [1] * 301 and tab.logmag == [0.0] * 301
 
 
 def test_nonlinearity_at_quantum_order_is_inverse_factorial():
     for K, eta_sq in ((2, 0.2), (2, 0.9), (4, 0.3), (6, 0.17)):
-        v = nonlinearity_value(TrappedIon(eta_sq=eta_sq, quantum_order=K), K)
-        assert to_real(v) == pytest.approx(1.0 / math.factorial(K), rel=1e-13)
+        model = TrappedIon(eta_sq=eta_sq, quantum_order=K)
+        assert nonlinearity_values(model, K + 1)[0] == pytest.approx(
+            1.0 / math.factorial(K), rel=1e-13
+        )
+        tab = _products(model, K)
+        tab.reach(1)
+        assert tab.sign[1] == 1
+        assert tab.logmag[1] == pytest.approx(-math.log(math.factorial(K)), rel=1e-13)
 
 
 def test_nonlinearity_trapped_ion_exact_rational_point():
-    v = nonlinearity_value(TrappedIon(eta_sq=0.2, quantum_order=2), 4)
-    assert to_real(v) == pytest.approx(float(F4_EXACT), rel=1e-13)
+    v = nonlinearity_values(TrappedIon(eta_sq=0.2, quantum_order=2), 5)[4 - 2]
+    assert v == pytest.approx(float(F4_EXACT), rel=1e-13)
 
 
 def test_nonlinearity_below_quantum_order_rejected():
     with pytest.raises(DomainError):
-        nonlinearity_value(TrappedIon(eta_sq=0.2, quantum_order=2), 1)
+        nonlinearity_values(TrappedIon(eta_sq=0.2, quantum_order=2), 1)
 
 
 def test_nonlinearity_denominator_zero_aborts():
-    # L_1^0(x) = 1 - x vanishes exactly at x = 1
-    model = TrappedIon(eta_sq=1.0, quantum_order=2)
-    with pytest.raises(SingularNonlinearity) as exc:
-        nonlinearity_value(model, 3)
-    assert exc.value.index == 3
+    # L_1^0(x) = 1 - x vanishes exactly at x = 1, in the factor at Fock argument K + 1
+    words = (
+        "denominator Laguerre polynomial of degree 1 vanishes at eta_sq=1.0 "
+        "(|value|=0.000e+00 below floor 1e-12)"
+    )
+    for K in (1, 2):
+        with pytest.raises(SingularNonlinearity) as exc:
+            nonlinearity_values(TrappedIon(eta_sq=1.0, quantum_order=K), K + 2)
+        assert (str(exc.value), exc.value.index) == (words, K + 1)
+    # a product table steps by K, so it meets degree 1 only for K = 1
+    tab = _products(TrappedIon(eta_sq=1.0, quantum_order=1), 1)
+    for _ in range(2):  # the second call raises the remembered error
+        with pytest.raises(SingularNonlinearity) as exc:
+            tab.reach(5)
+        assert (str(exc.value), exc.value.index) == (words, 2)
+    assert len(tab.logmag) == 2  # grown up to the pole, not past it
 
 
 def test_nonlinearity_numerator_zero_is_signed_zero_but_product_aborts():
     # L_2^2(x) = (x^2 - 8x + 12) / 2 vanishes exactly at x = 2
     model = TrappedIon(eta_sq=2.0, quantum_order=2)
-    assert nonlinearity_value(model, 4).sign == 0
+    assert nonlinearity_values(model, 5)[4 - 2] == 0.0
     with pytest.raises(SingularNonlinearity) as exc:
-        nonlinearity_product(model, 4, 2)
+        _products(model).reach(2)
     assert exc.value.index == 4
+    assert str(exc.value) == (
+        "nonlinearity vanishes exactly at Fock argument 4; "
+        "downstream amplitude ratios are undefined"
+    )
 
 
 def test_product_short_chain_is_one():
-    assert nonlinearity_product(Identity(), 3, 4) == SL_ONE
-    assert nonlinearity_product(TrappedIon(eta_sq=0.2, quantum_order=4), 3, 4) == SL_ONE
-    assert nonlinearity_product(Identity(), 12, 2) == SL_ONE
+    for model, step in ((Identity(), 4), (TrappedIon(eta_sq=0.2, quantum_order=4), 4)):
+        tab = _products(model, step)
+        tab.reach(0)
+        assert (tab.sign, tab.logmag) == ([1], [0.0])
+    tab = _products(Identity())
+    tab.reach(6)
+    assert tab.sign[6] == 1 and tab.logmag[6] == 0.0
 
 
 def test_product_trapped_ion_exact_rational_point():
     # f(4) * f(2) with f(2) = 1/2! exactly
-    got = nonlinearity_product(TrappedIon(eta_sq=0.2, quantum_order=2), 4, 2)
-    assert to_real(got) == pytest.approx(float(F4_EXACT / 2), rel=1e-13)
-
-
-def test_product_rejects_bad_arguments():
-    with pytest.raises(DomainError):
-        nonlinearity_product(Identity(), 4, 0)
-    with pytest.raises(DomainError):
-        nonlinearity_product(Identity(), -1, 2)
-    with pytest.raises(DomainError):
-        nonlinearity_product(TrappedIon(eta_sq=0.2, quantum_order=2), 5, 2)
+    tab = _products(TrappedIon(eta_sq=0.2, quantum_order=2))
+    tab.reach(2)
+    assert tab.sign[2] * math.exp(tab.logmag[2]) == pytest.approx(float(F4_EXACT / 2), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

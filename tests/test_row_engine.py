@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fansq
@@ -309,12 +309,14 @@ def test_row_rejects_bad_inputs():
 
 def _valid_control(rel_tol, run, n_max, floor):
     return (
-        math.isfinite(rel_tol)
+        type(rel_tol) is not bool
+        and math.isfinite(rel_tol)
         and 0 < rel_tol < 1
         and type(run) is int
         and run >= 2
         and type(n_max) is int
         and n_max >= 1
+        and type(floor) is not bool
         and math.isfinite(floor)
         and floor >= 0
     )
@@ -325,11 +327,15 @@ NOT_INT = st.sampled_from([True, False, 2.0, 2.5, 3.0, math.nan, math.inf])
 
 
 @given(
-    rel_tol=st.one_of(st.floats(), st.sampled_from([1e-16, 0.5, 1.0, 2.0])),
+    rel_tol=st.one_of(st.floats(), st.sampled_from([1e-16, 0.5, 1.0, 2.0, True, False])),
     run=st.one_of(st.integers(min_value=-2, max_value=6), NOT_INT),
     n_max=st.one_of(st.integers(min_value=-2, max_value=6), NOT_INT),
-    floor=st.one_of(st.floats(), st.sampled_from([0.0, 1e-12, -1e-12])),
+    floor=st.one_of(st.floats(), st.sampled_from([0.0, 1e-12, -1e-12, True, False])),
 )
+# a bool float setting with every other setting valid: True is 1.0, False is 0.0
+@example(rel_tol=True, run=3, n_max=5000, floor=1e-12)
+@example(rel_tol=1e-16, run=3, n_max=5000, floor=True)
+@example(rel_tol=1e-16, run=3, n_max=5000, floor=False)
 def test_series_control_accepts_exactly_the_valid_settings(rel_tol, run, n_max, floor):
     kwargs = dict(rel_tol=rel_tol, consecutive_small=run, n_max=n_max, laguerre_floor=floor)
     if _valid_control(rel_tol, run, n_max, floor):

@@ -3,7 +3,7 @@
 `normalization` and `moment` sum their series in one loop over the
 product table of the model.  The reference below is the earlier form
 of the same sums: a generator of terms per series, built from
-`nonlinearity_value` products and `SignedLog` powers, and a separate
+`ref_nonlinearity_value` products and `SignedLog` powers, and a separate
 Neumaier summation with the stop rule.  The two must agree bit for bit,
 errors included (type, message and Fock index).
 """
@@ -24,22 +24,16 @@ from fansq.fanstate import (
     Identity,
     SeriesControl,
     TrappedIon,
-    fock_coefficients,
     moment,
-    nonlinearity_value,
     nonlinearity_values,
     normalization,
+    product_table,
 )
-from fansq.fockoracle import eigen_residual
-from fansq.specfun import (
-    SL_ONE,
-    CompensatedSum,
-    interference_factor,
-    log_factorial,
-)
+from fansq.fockoracle import eigen_residual, fock_coefficients
+from fansq.specfun import CompensatedSum, log_factorial
 from fansq.squeeze import coefficients
 from laguerre_ref import laguerre
-from signed_log_ref import mul, pow_int, signed_log, to_real
+from signed_log_ref import SL_ONE, mul, pow_int, ref_nonlinearity_value, signed_log, to_real
 
 _LOG_HUGE = 700.0
 
@@ -49,6 +43,17 @@ _LOG_HUGE = 700.0
 _ref_products: dict = {}
 
 
+def interference_factor(k: int, n: int) -> int:
+    """Closed form of the 2k-armed phase sum: 2k for even n, 0 for odd n.
+
+    Summing the complex exponentials directly would leave spurious
+    imaginary residue; the closed form is exact.
+    """
+    if k < 1:
+        raise ValueError(f"fan order must be >= 1, got {k}")
+    return 2 * k if n % 2 == 0 else 0
+
+
 def ref_product(model, p, step, floor):
     """f(p) f(p - step) ... f(step), multiplied up one SignedLog at a time."""
     if p < step:
@@ -56,7 +61,7 @@ def ref_product(model, p, step, floor):
     lst = _ref_products.setdefault((model, step, floor), [SL_ONE])
     while len(lst) <= p // step:
         i = len(lst)
-        factor = nonlinearity_value(model, i * step, floor)
+        factor = ref_nonlinearity_value(model, i * step, floor)
         if factor.sign == 0:
             raise SingularNonlinearity(
                 f"nonlinearity vanishes exactly at Fock argument {i * step}; "
@@ -318,7 +323,7 @@ def test_nonlinearity_values_match_the_scalar_values(k, eta_sq):
     model = TrappedIon(eta_sq=eta_sq, quantum_order=2 * k)
     dim = 2500
     got = nonlinearity_values(model, dim)
-    want = np.array([to_real(nonlinearity_value(model, n)) for n in range(2 * k, dim)])
+    want = np.array([to_real(ref_nonlinearity_value(model, n)) for n in range(2 * k, dim)])
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
@@ -327,10 +332,13 @@ def test_nonlinearity_values_match_the_scalar_values(k, eta_sq):
 def test_nonlinearity_values_raise_the_scalar_error_at_a_pole(j):
     model = TrappedIon(eta_sq=_smallest_root(j), quantum_order=2)
     with pytest.raises(SingularNonlinearity) as want:
-        nonlinearity_value(model, j + 2)
+        ref_nonlinearity_value(model, j + 2)
     with pytest.raises(SingularNonlinearity) as got:
         nonlinearity_values(model, j + 40)
+    with pytest.raises(SingularNonlinearity) as products:
+        product_table(model, 2, DEFAULT_CONTROL.laguerre_floor).reach(j // 2 + 5)
     assert (str(got.value), got.value.index) == (str(want.value), want.value.index)
+    assert (str(products.value), products.value.index) == (str(want.value), want.value.index)
     assert nonlinearity_values(model, j + 2).shape == (j,)  # stops short of the pole
 
 
@@ -338,11 +346,8 @@ def test_nonlinearity_values_reject_the_identity_model_and_a_stop_below_k():
     with pytest.raises(DomainError, match="trapped-ion model"):
         nonlinearity_values(Identity(), 10)
     model = TrappedIon(eta_sq=0.3, quantum_order=4)
-    with pytest.raises(DomainError) as got:
+    with pytest.raises(DomainError, match="nonlinearity argument 3 below quantum order 4"):
         nonlinearity_values(model, 3)
-    with pytest.raises(DomainError) as want:
-        nonlinearity_value(model, 3)
-    assert str(got.value) == str(want.value)
     assert nonlinearity_values(model, 4).shape == (0,)
 
 
@@ -368,20 +373,19 @@ def test_memo_tables_stay_within_their_bounds():
         "moment": lambda: fanstate._moment_cached.cache_info().currsize,
         "coefficients": lambda: coefficients.cache_info().currsize,
         "products": lambda: fanstate.product_table.cache_info().currsize,
-        "laguerre": lambda: fanstate._laguerre_table.cache_info().currsize,
     }
     bounds = {
         "normalization": normalization.cache_info().maxsize,
         "moment": fanstate._moment_cached.cache_info().maxsize,
         "coefficients": coefficients.cache_info().maxsize,
         "products": fanstate.product_table.cache_info().maxsize,
-        "laguerre": fanstate._laguerre_table.cache_info().maxsize,
     }
     assert all(b is not None for b in bounds.values())
     first = FanConfig.from_xi_sq(1, 0.3, TrappedIon(eta_sq=0.5, quantum_order=2))
     first_value = moment(first, 4, 0)
-    # more models than product and Laguerre tables, more points than
-    # normalizations and coefficients, more pairs than moments
+    # more models than product tables, more points than normalizations
+    # and coefficients, more pairs than moments; a product table holds
+    # its model's Laguerre values, so the "products" bound covers them
     etas = np.linspace(0.05, 0.95, bounds["products"] + 3)
     points = 0
     for i, eta in enumerate(etas):
@@ -396,7 +400,7 @@ def test_memo_tables_stay_within_their_bounds():
         for name, size in tables.items():
             assert size() <= bounds[name], name
     assert points > bounds["coefficients"] and points > bounds["normalization"]
-    assert points * 105 > bounds["moment"] and 2 * len(etas) > bounds["laguerre"]
+    assert points * 105 > bounds["moment"]
     for name, size in tables.items():
         assert size() == bounds[name], name  # full, and evicting
     assert moment(first, 4, 0) == first_value  # rebuilt tables give the same bits

@@ -1,5 +1,6 @@
-"""Special-function layer: Laguerre recurrence, factorial tables,
-interference factor, and the SignedLog arithmetic of the test references."""
+"""Special-function layer: Laguerre recurrence and the Laguerre lists of the
+product tables, factorial tables, and the interference factor and SignedLog
+arithmetic of the test references."""
 
 import math
 from fractions import Fraction
@@ -9,21 +10,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fansq.fanstate import ProductTable, TrappedIon
 from fansq.specfun import (
-    SL_ONE,
-    SL_ZERO,
     CompensatedSum,
     LaguerreRows,
-    LaguerreTable,
     _LogFactorialTable,
-    SignedLog,
     double_factorial,
-    interference_factor,
     log_factorial,
     log_factorials,
 )
 from laguerre_ref import laguerre
-from signed_log_ref import div, mul, pow_int, signed_log, to_real
+from signed_log_ref import SL_ONE, SL_ZERO, SignedLog, div, mul, pow_int, signed_log, to_real
+from test_series_loop import interference_factor
 
 finite = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300
@@ -97,21 +95,32 @@ def test_laguerre_rejects_negative_indices():
         laguerre(2, -3, 0.5)
 
 
+def _table(K: int, x: float) -> ProductTable:
+    """A trapped-ion product table: it holds L_j^0(x) and L_j^K(x)."""
+    return ProductTable(TrappedIon(eta_sq=x, quantum_order=K), K, 1e-12)
+
+
 def test_laguerre_table_matches_direct_evaluation():
-    tab = LaguerreTable(2, 0.3)
+    tab = _table(2, 0.3)
     # ask out of order to exercise incremental growth
     for n in (7, 0, 3, 40, 12):
-        assert tab.value(n) == pytest.approx(laguerre(n, 2, 0.3), rel=1e-13)
+        den, num = tab.laguerre(n)
+        assert den.shape == num.shape == (n + 1,)
+        assert den[n] == pytest.approx(laguerre(n, 0, 0.3), rel=1e-13)
+        assert num[n] == pytest.approx(laguerre(n, 2, 0.3), rel=1e-13)
+    assert [a.size for a in tab.laguerre(-1)] == [0, 0]
 
 
 def test_laguerre_table_grown_in_one_step_equals_grown_degree_by_degree():
-    for m, x in ((0, 0.3), (2, 2 - math.sqrt(2)), (6, 0.97)):
-        one_step = LaguerreTable(m, x)
-        one_step.value(300)
-        by_degree = LaguerreTable(m, x)
-        values = [by_degree.value(n) for n in range(301)]
-        assert values == [one_step.value(n) for n in range(301)]
-        assert values[300] == laguerre(300, m, x)
+    for K, x in ((2, 0.3), (2, 2 - math.sqrt(2)), (6, 0.97)):
+        one_step = _table(K, x)
+        want = [a.tolist() for a in one_step.laguerre(300)]
+        by_degree = _table(K, x)
+        for n in range(301):
+            den, num = by_degree.laguerre(n)
+            assert (den[n], num[n]) == (want[0][n], want[1][n])
+        assert [a.tolist() for a in by_degree.laguerre(300)] == want
+        assert want[0][300] == laguerre(300, 0, x) and want[1][300] == laguerre(300, K, x)
 
 
 @pytest.mark.parametrize("pairs", [1, 2, 4, 5, 40])
@@ -124,8 +133,8 @@ def test_laguerre_rows_hold_the_table_values_bit_for_bit(pairs):
         got = rows.upto(n)
         assert got.shape == (n + 1, pairs)
     for r, (m, x) in enumerate(zip(ms[:pairs], xs[:pairs])):
-        tab = LaguerreTable(m, x)
-        assert got[:, r].tolist() == [tab.value(i) for i in range(91)]
+        den, num = _table(m or 2, x).laguerre(90)  # order 0 is every table's denominator
+        assert got[:, r].tolist() == (num if m else den).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +188,7 @@ def test_double_factorial_below_minus_one_rejected():
 
 
 # ---------------------------------------------------------------------------
-# interference factor
+# interference factor of the generator reference (tests/test_series_loop.py)
 
 
 @pytest.mark.parametrize("k, n, expected", [(1, 0, 2), (3, 5, 0), (2, 4, 4)])
