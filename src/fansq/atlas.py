@@ -19,6 +19,7 @@ from ._optimize import bisect_root, itp_probe
 from .errors import (
     DomainError,
     EmptyBoundary,
+    FansqError,
     SeriesNotConverged,
     SingularNonlinearity,
 )
@@ -103,6 +104,11 @@ def _model_for(kind: str, k: int, eta_sq: float) -> NonlinearModel:
     raise DomainError(f"unknown model kind {kind!r}")
 
 
+def _status(err: FansqError) -> str:
+    """The status that marks a point whose series failed with err."""
+    return STATUS_SINGULAR if isinstance(err, SingularNonlinearity) else STATUS_NOT_CONVERGED
+
+
 def scan(
     grid: GridSpec,
     model_kind: str = "trapped-ion",
@@ -127,9 +133,7 @@ def scan(
                 row_status.append(STATUS_OK)
             else:
                 row_vals.append(math.nan)
-                row_status.append(
-                    STATUS_SINGULAR if isinstance(c, SingularNonlinearity) else STATUS_NOT_CONVERGED
-                )
+                row_status.append(_status(c))
         values.append(row_vals)
         status.append(row_status)
     return PhaseDiagram(grid=grid, values=np.array(values, dtype=float), status=status)
@@ -303,7 +307,9 @@ def find_intersections(
     gap changing sign: there the nonlinearity has a pole, the state
     collapses toward vacuum, and both terms reach zero together.  Such
     a root is pinned by bisecting the harmonic itself and accepted only
-    if the gap at that point is within `_TOUCH_TOL` of zero.
+    if the gap at that point is within `_TOUCH_TOL` of zero.  The grid
+    nodes are one `coefficients_row` call; the bisections evaluate the
+    scalar `coefficients` off the grid.
     """
     if N < 4 * k:
         raise DomainError(f"need N >= 4k for a harmonic term, got N={N}, k={k}")
@@ -322,22 +328,18 @@ def find_intersections(
         return coeffs_at(eta_sq).harmonics[0]
 
     nodes = eta_range.values()
+    models = [_model_for(model_kind, k, e) for e in nodes]
     gaps: list[Optional[float]] = []
     harms: list[Optional[float]] = []
     skipped: list[tuple[float, str]] = []
-    for e in nodes:
-        try:
-            c = coeffs_at(e)
+    for e, c in zip(nodes, coefficients_row(k, [xi_sq] * len(nodes), models, N, ctl)):
+        if isinstance(c, SqueezeCoeffs):
             gaps.append(c.constant - abs(c.harmonics[0]))
             harms.append(c.harmonics[0])
-        except SingularNonlinearity:
+        else:
             gaps.append(None)
             harms.append(None)
-            skipped.append((e, STATUS_SINGULAR))
-        except SeriesNotConverged:
-            gaps.append(None)
-            harms.append(None)
-            skipped.append((e, STATUS_NOT_CONVERGED))
+            skipped.append((e, _status(c)))
 
     # a node where the gap is exactly 0.0 is a root; sign changes are
     # bisected only between nonzero gaps, so no root is found twice

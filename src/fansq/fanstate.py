@@ -203,14 +203,21 @@ DEFAULT_CONTROL = SeriesControl()
 # nonlinearity values and running products
 
 
-def _denominator_pole(
-    eta_sq: float, degree: int, value: float, floor: float, index: int
+def _singular_factor(
+    eta_sq: float, m: int, step: int, den: float, floor: float
 ) -> SingularNonlinearity:
-    """The error of a factor whose L_degree^0(eta_sq) = value is below the floor."""
+    """The error of a factor f(m), which divides L_{m-step}^step by
+    L_{m-step}^0(eta_sq) = den: a pole if |den| is below the floor, else a zero."""
+    if abs(den) < floor:
+        return SingularNonlinearity(
+            f"denominator Laguerre polynomial of degree {m - step} vanishes at "
+            f"eta_sq={eta_sq} (|value|={abs(den):.3e} below floor {floor})",
+            index=m,
+        )
     return SingularNonlinearity(
-        f"denominator Laguerre polynomial of degree {degree} vanishes at "
-        f"eta_sq={eta_sq} (|value|={abs(value):.3e} below floor {floor})",
-        index=index,
+        f"nonlinearity vanishes exactly at Fock argument {m}; "
+        "downstream amplitude ratios are undefined",
+        index=m,
     )
 
 
@@ -231,7 +238,7 @@ def nonlinearity_values(model: TrappedIon, stop: int) -> np.ndarray:
     poles = np.flatnonzero(np.abs(den) < floor)
     if poles.size:
         j = int(poles[0])
-        raise _denominator_pole(model.eta_sq, j, den[j], floor, K + j)
+        raise _singular_factor(model.eta_sq, K + j, K, den[j], floor)
     lf = log_factorials(stop - 1)
     return np.exp(lf[: stop - K] - lf[K:stop]) * (num / den)
 
@@ -283,15 +290,8 @@ class ProductTable:
             lf = _live_log_factorials(step * j)
             for m in range(step * size, step * j + 1, step):
                 d, u = den[m - step], num[m - step]
-                if abs(d) < floor:
-                    self.error = _denominator_pole(self.model.eta_sq, m - step, d, floor, m)
-                    break
-                if u == 0.0:
-                    self.error = SingularNonlinearity(
-                        f"nonlinearity vanishes exactly at Fock argument {m}; "
-                        "downstream amplitude ratios are undefined",
-                        index=m,
-                    )
+                if abs(d) < floor or u == 0.0:
+                    self.error = _singular_factor(self.model.eta_sq, m, step, d, floor)
                     break
                 sign.append(sign[-1] if (u > 0) == (d > 0) else -sign[-1])
                 logmag.append(
@@ -454,8 +454,7 @@ class _Lattice:
             # factor f(m) divides L^K by L^0, both of degree m - K
             lag = self.laguerre.upto(step * (j - 1))[fock[:, 0] - step]
             den, num = lag[:, :count], lag[:, count:]
-            low = np.abs(den) < self.floor
-            bad = low | (num == 0.0)
+            bad = (np.abs(den) < self.floor) | (num == 0.0)
             first = bad.argmax(axis=0)
             new_pole = bad[first, np.arange(count)] & (self.pole[ion] == _NO_POLE)
             # unused from the first pole on
@@ -473,13 +472,9 @@ class _Lattice:
                 i = int(first[r])
                 m = int(fock[i, 0])
                 self.pole[ion[r]] = size + i
-                if low[i, r]:
-                    err = _denominator_pole(self.eta_sq[r], m - step, den[i, r], self.floor, m)
-                else:
-                    err = SingularNonlinearity(
-                        f"nonlinearity vanishes exactly at Fock argument {m}", index=m
-                    )
-                self.errors[ion[r]] = err
+                self.errors[ion[r]] = _singular_factor(
+                    self.eta_sq[r], m, step, den[i, r], self.floor
+                )
         self.sign = np.vstack((self.sign, np.cumprod(np.vstack((self.sign[-1], sign)), axis=0)[1:]))
         self.logmag = np.vstack(
             (self.logmag, np.cumsum(np.vstack((self.logmag[-1], logmag)), axis=0)[1:])

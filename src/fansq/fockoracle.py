@@ -286,14 +286,18 @@ def eigen_residual(cfg: FanConfig, v: FockVector) -> float:
     Below the quantum order, f is taken as one (those entries are
     annihilated by a^{2k} anyway).  G is one shift by 2k levels:
     (G w)_n = sqrt((n+2k)!/n!) f(n+2k) w_{n+2k}, its weights built once.
+    f is built up to the last nonzero amplitude only (one above it, where
+    the weights multiply zeros), so the vacuum needs no f, even at a pole.
     """
     k = cfg.k
     step = 2 * k
     if v.dim < step + 1:
         raise TruncationTooSmall(f"dim={v.dim} cannot hold a {step}-quantum map")
     fvals = np.ones(v.dim)
-    if not isinstance(cfg.model, Identity):
-        fvals[step:] = nonlinearity_values(cfg.model, v.dim)
+    idx = np.flatnonzero(v.amps)
+    top = int(idx[-1]) if idx.size else 0
+    if not isinstance(cfg.model, Identity) and top >= step:
+        fvals[step : top + 1] = nonlinearity_values(cfg.model, top + 1)
     lf = log_factorials(v.dim)
     weights = np.exp(0.5 * (lf[step : v.dim] - lf[: v.dim - step])) * fvals[step:]
 

@@ -5,7 +5,8 @@ part plus harmonics in cos(4pk * phi); squeezing means the total dips
 below the coherent-state benchmark (N-1)!! / 2^(N/2).  This module
 assembles that decomposition from the moment series, provides the
 small-xi leading-order form for the identity nonlinearity, and
-classifies squeezing/stretching directions.
+classifies squeezing/stretching directions from the roots of one
+polynomial in cos(4k phi), with no sampling of phi.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Any, Mapping, NamedTuple, Sequence, Union
 
-from ._optimize import bisect_root
+import numpy as np
+
 from .errors import DomainError, FansqError
 from .fanstate import (
     DEFAULT_CONTROL,
@@ -266,84 +268,53 @@ class DirectionReport:
     s_max: float
 
 
-def _stationary_values(coeffs: SqueezeCoeffs) -> tuple[float, float, float, float]:
-    """Extrema of S over one period.
+def _stationary_values(coeffs: SqueezeCoeffs) -> list[float]:
+    """S at phi = 0, at pi/4k, then at every other stationary point of a period.
 
-    Every multiple of pi/4k is a stationary point of the harmonic sum;
-    additional stationary points between lattice points are located by
-    bisecting the derivative.  Returns (s_min, s_max, argmin, argmax).
+    In x = cos(4k phi), S = constant + sum_p b_p T_p(x), since
+    T_p(cos t) = cos(p t).  dS/dphi vanishes where sin(4k phi) does
+    (x = +-1) and at the real roots in (-1, 1) of dS/dx =
+    sum_p p b_p U_{p-1}(x), taken from `np.roots` in the power basis.
     """
-    k = coeffs.k
-    lattice = math.pi / (4 * k)
-
-    def deriv(phi: float) -> float:
-        return -sum(
-            4 * p * k * b * math.sin(4 * p * k * phi)
-            for p, b in enumerate(coeffs.harmonics, start=1)
-        )
-
-    candidates = [0.0, lattice]
-    # interior stationary points on (0, pi/4k) and (pi/4k, pi/2k)
-    probes = 8 * max(1, len(coeffs.harmonics))
-    for base in (0.0, lattice):
-        xs = [base + lattice * (i + 1) / (probes + 1) for i in range(probes)]
-        vals = [deriv(x) for x in xs]
-        for (x0, d0), (x1, d1) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-            if d0 == 0.0:
-                candidates.append(x0)
-            elif (d0 > 0) != (d1 > 0):
-                candidates.append(bisect_root(deriv, x0, x1, 1e-14, fa=d0, fb=d1))
-
-    values = [squeeze_parameter(coeffs, x) for x in candidates]
-    i_min = min(range(len(values)), key=values.__getitem__)
-    i_max = max(range(len(values)), key=values.__getitem__)
-    return values[i_min], values[i_max], candidates[i_min], candidates[i_max]
+    k, harmonics = coeffs.k, coeffs.harmonics
+    angles = [0.0, math.pi / (4 * k)]
+    if len(harmonics) > 1:  # a single harmonic has no interior stationary point
+        # ascending powers of x, from U_{-1} = 0 and U_0 = 1 by
+        # U_p = 2x U_{p-1} - U_{p-2}
+        u_prev, u, dsdx = np.zeros(len(harmonics)), np.eye(1, len(harmonics))[0], 0.0
+        for p, b in enumerate(harmonics, start=1):
+            dsdx = dsdx + p * b * u
+            u_prev, u = u, np.append(0.0, 2.0 * u[:-1]) - u_prev
+        # a leading coefficient at rounding level of the largest moves no
+        # root in [-1, 1] beyond rounding, and np.roots would overflow on it
+        big = np.flatnonzero(np.abs(dsdx) > 2.0**-52 * np.abs(dsdx).max())
+        roots = np.roots(dsdx[big[-1] :: -1]) if big.size else np.zeros(0)
+        inside = roots.real[(roots.imag == 0) & (np.abs(roots.real) < 1.0)]
+        angles += [math.acos(x) / (4 * k) for x in inside.tolist()]
+    return [squeeze_parameter(coeffs, phi) for phi in angles]
 
 
 def classify_directions(coeffs: SqueezeCoeffs) -> DirectionReport:
-    """Classify the angular layout of squeezing from the computed extrema.
+    """Classify the angular layout of squeezing from the extrema of S.
 
-    The lattice phi = n pi/4k always holds stationary points; whichever
-    lattice family (odd or even multiples) attains the smaller S gives
-    the squeeze angles, the other family the stretch angles.  The
+    s_min and s_max are the extremes of `_stationary_values`.  S is
+    stationary on the lattice phi = n pi/4k, where it equals S(0) for
+    even n and S(pi/4k) for odd n; the family with the smaller value
+    gives the squeeze angles, the other family the stretch angles.  The
     regime label records the sign of the leading harmonic implied by
-    that layout; no squeezing anywhere leaves both lists empty.
+    that layout; no squeezing anywhere, or no harmonic, leaves both
+    lists empty.
     """
     k = coeffs.k
-    if not coeffs.harmonics or all(b == 0.0 for b in coeffs.harmonics):
-        s = coeffs.constant
-        return DirectionReport(
-            regime=Regime.NO_SQUEEZING,
-            squeeze_angles=(),
-            stretch_angles=(),
-            s_min=s,
-            s_max=s,
-        )
+    flat = not any(coeffs.harmonics)
+    values = [coeffs.constant] if flat else _stationary_values(coeffs)
+    s_min, s_max = min(values), max(values)
+    if flat or s_min >= 0.0:
+        return DirectionReport(Regime.NO_SQUEEZING, (), (), s_min, s_max)
 
-    s_min, s_max, _, _ = _stationary_values(coeffs)
-    if s_min >= 0.0:
-        return DirectionReport(
-            regime=Regime.NO_SQUEEZING,
-            squeeze_angles=(),
-            stretch_angles=(),
-            s_min=s_min,
-            s_max=s_max,
-        )
-
-    s_even = squeeze_parameter(coeffs, 0.0)
-    s_odd = squeeze_parameter(coeffs, math.pi / (4 * k))
+    s_even, s_odd = values[:2]
     odd_family = tuple((1 + 2 * n) * math.pi / (4 * k) for n in range(2 * k))
     even_family = tuple(n * math.pi / (2 * k) for n in range(2 * k))
     if s_odd <= s_even:
-        regime = Regime.LEADING_POSITIVE
-        squeeze_angles, stretch_angles = odd_family, even_family
-    else:
-        regime = Regime.LEADING_NEGATIVE
-        squeeze_angles, stretch_angles = even_family, odd_family
-    return DirectionReport(
-        regime=regime,
-        squeeze_angles=squeeze_angles,
-        stretch_angles=stretch_angles,
-        s_min=s_min,
-        s_max=s_max,
-    )
+        return DirectionReport(Regime.LEADING_POSITIVE, odd_family, even_family, s_min, s_max)
+    return DirectionReport(Regime.LEADING_NEGATIVE, even_family, odd_family, s_min, s_max)

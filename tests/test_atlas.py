@@ -355,7 +355,11 @@ def test_find_intersections_reports_an_exact_zero_gap_once(monkeypatch, gaps):
     def fake(cfg, N, ctl):  # constant - |harmonic| is the tabulated gap
         return SqueezeCoeffs(cfg.k, N, 1.0 + gap_at[cfg.model.eta_sq], (1.0,))
 
+    def fake_row(k, xi_sq, models, N, ctl):  # the grid nodes
+        return [fake(FanConfig.from_xi_sq(k, x, m), N, ctl) for x, m in zip(xi_sq, models)]
+
     monkeypatch.setattr(fansq.atlas, "coefficients", fake)
+    monkeypatch.setattr(fansq.atlas, "coefficients_row", fake_row)
     result = find_intersections(0.1, 1, 4, eta_range)
     zero = eta_range.values()[gaps.index(0.0)]
     assert result.roots == (zero,)

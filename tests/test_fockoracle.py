@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fansq.errors import DomainError, TruncationTooSmall
+from fansq.errors import DomainError, SingularNonlinearity, TruncationTooSmall
 from fansq.fanstate import (
     FanConfig,
     Identity,
@@ -407,6 +407,15 @@ def test_oracle_vector_rejects_negative_guard():
 def test_eigen_residual_vacuum_is_zero():
     cfg = FanConfig(k=1, xi=0.0, model=Identity())
     assert eigen_residual(cfg, fock_coefficients(cfg, 16)) == 0.0
+
+
+def test_eigen_residual_of_the_vacuum_at_a_pole_is_zero():
+    # L_2^0 vanishes at eta^2 = 2 - sqrt(2), so f(4) is a pole; the vacuum
+    # has no amplitude that f multiplies, a state at level 4 has one
+    cfg = FanConfig(k=1, xi=0.0, model=TrappedIon(eta_sq=2 - math.sqrt(2), quantum_order=2))
+    assert eigen_residual(cfg, oracle_vector(cfg, 8)) == 0.0
+    with pytest.raises(SingularNonlinearity):
+        eigen_residual(cfg, _fock(9, 4))
 
 
 @pytest.mark.parametrize(

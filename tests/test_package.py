@@ -1,7 +1,11 @@
-"""Package structure: every module imports what it needs at load time."""
+"""Package structure: every module imports what it needs at load time,
+and nothing it does not."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import fansq
 
@@ -32,3 +36,21 @@ def test_no_module_of_the_package_imports_inside_a_function():
     }
     assert found == {}
 
+
+
+def test_importing_the_package_loads_neither_numpy_polynomial_nor_scipy():
+    # numpy.polynomial costs about 5 ms and 0.8 MB per process, and scipy
+    # is a test-only dependency
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import fansq\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -363,3 +363,18 @@ def test_positivity_guard_survives_optimized_mode():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def test_both_engines_word_an_exact_zero_numerator_alike():
+    # L_2^2(x) = (x^2 - 8x + 12) / 2 vanishes exactly at x = 2: f(4) = 0
+    model = TrappedIon(eta_sq=2.0, quantum_order=2)
+    words = (
+        "nonlinearity vanishes exactly at Fock argument 4; "
+        "downstream amplitude ratios are undefined"
+    )
+    with pytest.raises(SingularNonlinearity) as exc:
+        coefficients(FanConfig.from_xi_sq(1, 0.5, model), 4)
+    (row,) = coefficients_row(1, [0.5], [model], 4)
+    assert isinstance(row, SingularNonlinearity)
+    for err in (exc.value, row):
+        assert str(err).endswith(words) and err.index == 4

@@ -29,7 +29,7 @@ from fansq.fanstate import (
     normalization,
     product_table,
 )
-from fansq.fockoracle import eigen_residual, fock_coefficients
+from fansq.fockoracle import FockVector, eigen_residual, fock_coefficients
 from fansq.specfun import CompensatedSum, log_factorial
 from fansq.squeeze import coefficients
 from laguerre_ref import laguerre
@@ -352,13 +352,17 @@ def test_nonlinearity_values_reject_the_identity_model_and_a_stop_below_k():
 
 
 def test_eigen_residual_raises_the_scalar_error_at_a_pole():
-    # the amplitudes stop at level 20, short of the pole at Fock argument
-    # 22; the residual's f runs to dim - 1 = 22 and meets it
+    # the fan state's amplitudes stop at level 20, short of the pole at
+    # Fock argument 22, so its residual needs no f there; an amplitude at
+    # level 22 makes the residual's f run to the pole and meet it
     model = TrappedIon(eta_sq=_smallest_root(20), quantum_order=2)
     cfg = FanConfig.from_xi_sq(1, 0.02, model)
     vec = fock_coefficients(cfg, 23)
+    assert eigen_residual(cfg, vec) <= 1e-12
+    amps = vec.amps.copy()
+    amps[22] = 1e-3
     with pytest.raises(SingularNonlinearity) as exc:
-        eigen_residual(cfg, vec)
+        eigen_residual(cfg, FockVector(dim=23, amps=amps, tail_mass=0.0))
     assert exc.value.index == 22
     assert "denominator Laguerre polynomial of degree 20" in str(exc.value)
 

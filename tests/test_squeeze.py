@@ -4,8 +4,9 @@ values, small-xi limits, and direction classification."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fansq.errors import DomainError, FansqError
@@ -289,3 +290,48 @@ def test_directions_report_structure():
             below = min((stretch - sq) % period for sq in rep.squeeze_angles)
             above = min((sq - stretch) % period for sq in rep.squeeze_angles)
             assert abs(below - above) <= 1e-9
+
+
+def _dense_extremes(c, points):
+    """Min and max of S on a uniform phi grid over [0, pi/4k], half a period."""
+    phi = np.linspace(0.0, math.pi / (4 * c.k), points)
+    s = c.constant + sum(b * np.cos(4 * p * c.k * phi) for p, b in enumerate(c.harmonics, 1))
+    return float(s.min()), float(s.max())
+
+
+def test_directions_find_a_maximum_next_to_a_lattice_angle():
+    # S peaks at phi = 0.7401, between pi/4 and the last point of a
+    # 16-point probe grid, which reported s_max 1.9e-5 low
+    cfg = FanConfig.from_xi_sq(1, 0.3, TrappedIon(eta_sq=0.8223905976494124, quantum_order=2))
+    c = coefficients(cfg, 8)
+    rep = classify_directions(c)
+    lo, hi = _dense_extremes(c, 200_001)
+    assert rep.s_max == pytest.approx(hi, rel=1e-12)
+    assert rep.s_min == pytest.approx(lo, rel=1e-12)
+
+
+@given(
+    k=st.sampled_from((1, 2, 3)),
+    harmonics=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+)
+@example(k=1, harmonics=[-1.5589162070217832 / 9.91, -0.39620141982108875 / 9.91])
+@example(k=1, harmonics=[0.5, 5e-324])  # dS/dx has a subnormal leading coefficient
+def test_directions_extremes_bound_s_and_sit_at_stationary_points(k, harmonics):
+    # the constant keeps S >= 0, clear of the positivity bound
+    c = SqueezeCoeffs(
+        k=k, N=4 * k * len(harmonics), constant=sum(map(abs, harmonics)), harmonics=tuple(harmonics)
+    )
+    rep = classify_directions(c)
+    tol = 1e-12 * c.constant + 1e-300
+    lo, hi = _dense_extremes(c, 20_001)
+    assert rep.s_min <= lo + tol and hi <= rep.s_max + tol
+    # reference stationary points in x = cos(4k phi): x = +-1 and the
+    # real roots of the derivative of the Chebyshev series, whose top
+    # coefficients at rounding level of the largest are dropped
+    cheb = np.polynomial.chebyshev
+    series = cheb.chebtrim([c.constant, *harmonics], 2.0**-52 * max(map(abs, harmonics)))
+    roots = cheb.chebroots(cheb.chebder(series))
+    xs = [1.0, -1.0] + [r.real for r in roots if abs(r.imag) <= 1e-7 and abs(r.real) <= 1.0]
+    values = [squeeze_parameter(c, math.acos(x) / (4 * k)) for x in xs]
+    assert min(abs(rep.s_min - v) for v in values) <= tol
+    assert min(abs(rep.s_max - v) for v in values) <= tol
