@@ -116,26 +116,18 @@ def scan(
 ) -> PhaseDiagram:
     """Evaluate the squeeze parameter at every grid node.
 
-    Each eta_sq row is one call of `coefficients_row`, and rows run in
-    order (eta_sq outer, xi_sq inner), so outputs are reproducible byte
-    for byte.
+    Each eta_sq row is one call of `coefficients_row` and one
+    evaluation of S over its arrays, and rows run in order (eta_sq
+    outer, xi_sq inner), so outputs are reproducible byte for byte.
     """
     xi_vals = grid.xi_sq.values()
-    values: list[list[float]] = []
+    values: list[np.ndarray] = []
     status: list[list[str]] = []
     for eta_sq in grid.eta_sq.values():
         model = _model_for(model_kind, grid.k, eta_sq)
-        row_vals: list[float] = []
-        row_status: list[str] = []
-        for c in coefficients_row(grid.k, xi_vals, [model] * len(xi_vals), grid.N, ctl):
-            if isinstance(c, SqueezeCoeffs):
-                row_vals.append(squeeze_parameter(c, grid.phi))
-                row_status.append(STATUS_OK)
-            else:
-                row_vals.append(math.nan)
-                row_status.append(_status(c))
-        values.append(row_vals)
-        status.append(row_status)
+        row = coefficients_row(grid.k, xi_vals, [model] * len(xi_vals), grid.N, ctl)
+        values.append(row.squeeze_parameter(grid.phi))
+        status.append([STATUS_OK if err is None else _status(err) for err in row.errors])
     return PhaseDiagram(grid=grid, values=np.array(values, dtype=float), status=status)
 
 
@@ -208,9 +200,7 @@ def _refine_crossings(
         eta_sq = np.where(along_xi[rows], fixed[rows], x).tolist()
         models = [_model_for(kind, grid.k, e) for e in eta_sq]
         row = coefficients_row(grid.k, xi_sq, models, grid.N, ctl)
-        fail = np.array([not isinstance(c, SqueezeCoeffs) for c in row], dtype=bool)
-        s = [math.nan if bad else squeeze_parameter(c, grid.phi) for c, bad in zip(row, fail)]
-        return np.array(s), fail
+        return row.squeeze_parameter(grid.phi), ~row.ok
 
     step = 0
     while True:
@@ -332,14 +322,17 @@ def find_intersections(
     gaps: list[Optional[float]] = []
     harms: list[Optional[float]] = []
     skipped: list[tuple[float, str]] = []
-    for e, c in zip(nodes, coefficients_row(k, [xi_sq] * len(nodes), models, N, ctl)):
-        if isinstance(c, SqueezeCoeffs):
-            gaps.append(c.constant - abs(c.harmonics[0]))
-            harms.append(c.harmonics[0])
+    row = coefficients_row(k, [xi_sq] * len(nodes), models, N, ctl)
+    row_gaps = (row.constant - np.abs(row.harmonics[0])).tolist()
+    row_harms = row.harmonics[0].tolist()
+    for e, err, g, h in zip(nodes, row.errors, row_gaps, row_harms):
+        if err is None:
+            gaps.append(g)
+            harms.append(h)
         else:
             gaps.append(None)
             harms.append(None)
-            skipped.append((e, _status(c)))
+            skipped.append((e, _status(err)))
 
     # a node where the gap is exactly 0.0 is a root; sign changes are
     # bisected only between nonzero gaps, so no root is found twice

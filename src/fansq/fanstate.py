@@ -30,17 +30,22 @@ Two paths evaluate the series, chosen by the shape of the input:
     boundary refinement one bisection midpoint per crossing): every
     series a point needs becomes one column of a 2-D numpy block of
     terms over the even summation indices (the odd ones are exact
-    zeros).  The block grows by doubling, for the columns still running
-    only.  The products of the nonlinearity come from a lattice with one
-    column per distinct model, built in numpy from Laguerre values equal
-    bit for bit to the scalar path's, so both find the same poles.  Each
-    column replays the scalar path: the same terms, the same Neumaier
-    sums (sequential cumulative sums plus their exact rounding errors),
-    the same stop rule with the odd indices counted in closed form, and
-    the same overflow, pole and term-cap checks, so its value does not
-    depend on the block size or on which columns or models share the
-    block.  A node whose series fail reports the error the scalar path
-    would raise first.  It fills none of the scalar path's memo tables.
+    zeros).  `convergence_depth` predicts from rho = xi^2 eta^2 where
+    each point's series stop.  The block grows by doubling, for the
+    columns still running only, with one block boundary put at the
+    deepest predicted stop of those columns.  The products of the
+    nonlinearity come from a lattice with one column per distinct model,
+    built once up front to the deepest predicted index, in numpy, from
+    Laguerre values equal bit for bit to the scalar path's, so both find
+    the same poles.  Each column replays the scalar path: the same
+    terms, the same Neumaier sums (sequential cumulative sums plus their
+    exact rounding errors), the same stop rule with the odd indices
+    counted in closed form, and the same overflow, pole and term-cap
+    checks, so its value does not depend on the block sizes, on the
+    prediction or on which columns or models share the block.  A node
+    whose series fail reports the error the scalar path would raise
+    first, in the same words.  It fills none of the scalar path's memo
+    tables.
 """
 
 from __future__ import annotations
@@ -411,6 +416,58 @@ def moment(cfg: FanConfig, l: int, m: int, ctl: SeriesControl = DEFAULT_CONTROL)
     return _moment_cached(cfg, l, m, ctl)
 
 
+_DEPTH_FACTOR = 1.25  # the bare count falls up to 30% short of the deepest stop of a c08 row
+_DEPTH_PAD = 8  # summation indices added after the margin
+
+
+def convergence_depth(
+    k: int,
+    xi: Sequence[float],
+    models: Sequence[NonlinearModel],
+    ctl: SeriesControl = DEFAULT_CONTROL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """rho and the predicted stop index of the series of each point (xi[j], models[j]).
+
+    For `TrappedIon(eta_sq, 2k)`, Fejer's asymptotics of the Laguerre
+    polynomials (Szego, Orthogonal Polynomials, 8.22) give f(m) ~
+    (m eta_sq)^-k, so the terms of every series fall like rho^(2kn) in
+    the summation index n, with rho = xi^2 eta_sq: they converge for
+    rho < 1 only.  The prediction is
+
+        1.25 (ln(1/rel_tol) + ln(1/(1 - rho^2k))) / (2k ln(1/rho)) + 8,
+
+    the second logarithm standing for the tail past the last term.  For
+    rho > 1 the terms grow as fast, and the series fails at the first
+    one past e^700: the same count with 700 in place of both logarithms
+    over 2k ln(rho).  At rho = 1 neither ends it, so the prediction is
+    n_max.  The identity model's series are entire (rho = 0): a term
+    xi^2m / m! with m = 2kn is below rel_tol once m >= max(e^2 xi^2,
+    ln(1/rel_tol)), by ln m! >= m ln(m/e).  Indices are at most n_max.
+    The row engine sizes its blocks from these; no value depends on
+    them.
+    """
+    if len(models) != len(xi):
+        raise DomainError(f"need one model per xi, got {len(models)} for {len(xi)}")
+    # models repeat along a scan row: check each object once, unhashed
+    for model in {id(model): model for model in models}.values():
+        _check_fan(k, model)
+    xi_arr = np.array(xi, dtype=float)
+    bad = ~(np.isfinite(xi_arr) & (xi_arr >= 0))
+    if bad.any():
+        _check_xi(float(xi_arr[bad.argmax()]))
+    eta_sq = np.array([getattr(model, "eta_sq", 0.0) for model in models])
+    ion = eta_sq > 0
+    log_tol = -math.log(ctl.rel_tol)
+    with np.errstate(all="ignore"):  # the tail is NaN past rho = 1, unused
+        xi_sq = xi_arr * xi_arr
+        rho = np.where(ion, xi_sq * eta_sq, 0.0)
+        tail = -np.log1p(-(rho ** (2 * k)))
+        reach = np.where(rho < 1, log_tol + tail, _LOG_HUGE)
+        geometric = _DEPTH_FACTOR * reach / (2 * k * np.abs(np.log(rho)))
+    depth = np.where(ion, geometric, np.maximum(math.e**2 * xi_sq, log_tol) / (2 * k))
+    return rho, np.minimum(np.ceil(depth) + _DEPTH_PAD, ctl.n_max).astype(int)
+
+
 # ---------------------------------------------------------------------------
 # row engine: the series of many points, each with its own model, as
 # columns of one term block
@@ -533,15 +590,20 @@ def _first(mask: np.ndarray) -> np.ndarray:
 _RUNNING, _STOPPED, _SINGULAR, _OVERFLOW, _CAPPED = range(5)
 
 
-def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl):
-    """Per-column `_series_sum`: returns (sums, outcome codes).
+def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: np.ndarray):
+    """Per-column `_series_sum`: returns (sums, outcome codes, last rows).
 
     An odd term is an exact zero that only lengthens the run of small
     terms, so the streak counts every index the scalar path visits.
+    ends[c] is the row after the predicted stop of column c: a block
+    that would run past the deepest end of the running columns ends
+    there, and the blocks double again after it.  rows[c] is the row
+    where column c stopped or failed, or its last row if capped.
     """
     width = p.n0.size
     sums = np.full(width, np.nan)
     outcome = np.full(width, _RUNNING)
+    rows = np.zeros(width, dtype=int)
     cols = np.arange(width)
     acc = np.zeros(width)  # Neumaier sum and compensation, carried
     comp = np.zeros(width)
@@ -554,6 +616,9 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl):
     size = _FIRST_BLOCK
     while cols.size:
         b = min(a + size, last)
+        deepest = int(ends[cols].max())
+        if a < deepest < b:
+            b = deepest
         here = p.take(cols)
         x, singular, overflow = _term_block(lat, k, a, b, here)
         partial = np.cumsum(np.vstack((acc, x)), axis=0)
@@ -580,6 +645,7 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl):
         )
         outcome[cols[stopped]] = _STOPPED
         sums[cols[stopped]] = value[stop_at[stopped], idx[stopped]]
+        rows[cols] = a + np.minimum(np.minimum(fail_at, stop_at), b - a - 1)
         rest = ~(failed | stopped)
         if b == last:
             outcome[cols[rest]] = _CAPPED
@@ -587,7 +653,7 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl):
         cols = cols[rest]
         acc, comp, run = s[-1, rest], c[-1, rest], streak[-1, rest]
         a, size = b, b
-    return sums, outcome
+    return sums, outcome, rows
 
 
 @dataclass(frozen=True)
@@ -596,8 +662,8 @@ class MomentRow:
 
     values[(l, m)][j] is `moment(FanConfig(k, xi[j], models[j]), l, m,
     ctl)` up to rounding.  errors[j] is the error the scalar path raises
-    first at node j when it evaluates the pairs in the given order, else
-    None; values are NaN at such a node.
+    first at node j when it evaluates the pairs in the given order, in
+    its words, else None; values are NaN at such a node.
     """
 
     values: dict[tuple[int, int], np.ndarray]
@@ -616,14 +682,10 @@ def moment_row(
     Each series the pairs need (the normalization and every moment not
     zero by symmetry) is one column per positive xi.  Columns stop on
     the scalar stop rule; the lattice of products is built once per
-    distinct model.
+    distinct model, up front to the deepest index `convergence_depth`
+    predicts.
     """
-    if len(models) != len(xi):
-        raise DomainError(f"need one model per xi, got {len(models)} for {len(xi)}")
-    for model in set(models):
-        _check_fan(k, model)
-    for x in xi:
-        _check_xi(x)
+    _, depth = convergence_depth(k, xi, models, ctl)
     for l, m in pairs:
         if l < 0 or m < 0:
             raise DomainError(f"moment powers must be nonnegative, got l={l}, m={m}")
@@ -653,31 +715,36 @@ def moment_row(
         norm=per_column(lambda lm: lm is None),
         log_xi=np.tile(log_xi, len(series)),
     )
-    sums, outcome = _sum_columns(lat, k, params, ctl)
+    # row r of a column is the even index e0 + 2r; a block ends after
+    # the row of the predicted stop, within the term cap
+    e0 = params.n0 + params.n0 % 2
+    last_row = (ctl.n_max + 1) // 2 - 1
+    stop_row = np.clip((np.tile(depth[live], len(series)) - e0) // 2, 0, last_row)
+    if stop_row.size:
+        lat.extend(int((e0 + 2 * stop_row + params.shift).max()))
+    sums, outcome, rows = _sum_columns(lat, k, params, ctl, stop_row + 1)
     sums = sums.reshape(len(series), live.size)
     outcome = outcome.reshape(len(series), live.size)
+    index = (e0 + 2 * rows).reshape(len(series), live.size)
 
     errors: list[Optional[FansqError]] = [None] * len(xi)
     for s_idx, lm in enumerate(series):
-        what = (
-            f"normalization k={k}"
-            if lm is None
-            else f"moment l={lm[0]} m={lm[1]} k={k}"
-        )
         for i in np.flatnonzero(outcome[s_idx] != _STOPPED):
             j = int(live[i])
             if errors[j] is not None:
                 continue
-            where = f"{what} xi={xi[j]}"
             code = outcome[s_idx, i]
             if code == _SINGULAR:
-                pole = lat.errors[group[i]]
-                errors[j] = SingularNonlinearity(f"{where}: {pole}", index=pole.index)
+                errors[j] = copy.copy(lat.errors[group[i]])
             elif code == _OVERFLOW:
-                errors[j] = SeriesNotConverged(f"{where}: a term exceeds float range")
-            else:
+                what = "normalization" if lm is None else f"moment ({lm[0]},{lm[1]})"
                 errors[j] = SeriesNotConverged(
-                    f"{where}: tail criterion not met after {ctl.n_max} terms"
+                    f"{what} term at index {index[s_idx, i]} exceeds float range"
+                )
+            else:
+                what = f"normalization k={k}" if lm is None else f"moment l={lm[0]} m={lm[1]} k={k}"
+                errors[j] = SeriesNotConverged(
+                    f"{what} xi={xi[j]}: tail criterion not met after {ctl.n_max} terms"
                 )
 
     failed = np.array([e is not None for e in errors], dtype=bool)
@@ -687,7 +754,8 @@ def moment_row(
         v = np.where(xi_arr == 0.0, float(lm == (0, 0)), 0.0)
         if lm in series:
             diff = lm[0] - lm[1]
-            scale = np.array([xi[j] ** diff for j in live])
+            # xi^diff may pass float range at a failed node, which is NaN anyway
+            scale = np.array([0.0 if errors[j] is not None else xi[j] ** diff for j in live])
             v[live] = scale * sums[series.index(lm)] / sums[1]
         v[failed] = np.nan
         values[(l, m)] = v

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -126,18 +126,53 @@ def coefficients(
     return SqueezeCoeffs(k=cfg.k, N=N, constant=const, harmonics=tuple(harmonics))
 
 
+@dataclass(frozen=True)
+class SqueezeRow:
+    """`SqueezeCoeffs` of a row of points of one order k, as arrays over the nodes.
+
+    constant[j] and harmonics[p-1][j] belong to node j.  errors[j] is
+    the error its series raised, else None; its coefficients are NaN
+    then.
+    """
+
+    k: int
+    N: int
+    constant: np.ndarray
+    harmonics: tuple[np.ndarray, ...]
+    errors: list[Optional[FansqError]]
+
+    @property
+    def ok(self) -> np.ndarray:
+        """True at the nodes whose series converged."""
+        return np.array([e is None for e in self.errors], dtype=bool)
+
+    def squeeze_parameter(self, phi: float) -> np.ndarray:
+        """`squeeze_parameter` at every node, bit for bit; NaN where the series failed.
+
+        Raises the FansqError of the first converged node, in row order,
+        below the positivity bound.
+        """
+        s = _cosine_sum(self.constant, self.harmonics, self.k, phi)
+        ok = self.ok
+        low = ok & ~(s >= _lower_bound(self.N))
+        if low.any():
+            raise _below_bound(float(s[low.argmax()]), self.N)
+        return np.where(ok, s, np.nan)
+
+
 def coefficients_row(
     k: int,
     xi_sq: Sequence[float],
     models: Sequence[NonlinearModel],
     N: int,
     ctl: SeriesControl = DEFAULT_CONTROL,
-) -> list[Union[SqueezeCoeffs, FansqError]]:
-    """`coefficients` for a row of points of one order k.
+) -> SqueezeRow:
+    """`coefficients` for a row of points of one order k, as arrays.
 
-    Entry j is what `coefficients(FanConfig.from_xi_sq(k, xi_sq[j],
+    Node j holds what `coefficients(FanConfig.from_xi_sq(k, xi_sq[j],
     models[j]), N, ctl)` returns, up to rounding, or the error it
-    raises.  All series of the row are summed together by `moment_row`.
+    raises, in the same words.  All series of the row are summed
+    together by `moment_row`; no per-node object is built.
     """
     _check_order(N)
     for x in xi_sq:
@@ -145,13 +180,32 @@ def coefficients_row(
             raise DomainError(f"xi_sq must be finite and >= 0, got {x}")
     row = moment_row(k, [math.sqrt(x) for x in xi_sq], models, _moment_pairs(k, N), ctl)
     const, harmonics = _assemble(k, N, row.values)
-    const, harmonics = const.tolist(), [h.tolist() for h in harmonics]
-    return [
-        err
-        if err is not None
-        else SqueezeCoeffs(k=k, N=N, constant=const[j], harmonics=tuple(h[j] for h in harmonics))
-        for j, err in enumerate(row.errors)
-    ]
+    return SqueezeRow(k=k, N=N, constant=const, harmonics=tuple(harmonics), errors=row.errors)
+
+
+def _cosine_sum(constant: Any, harmonics: Sequence[Any], k: int, phi: float) -> Any:
+    """constant + sum_p harmonics[p-1] cos(4pk phi), for a float or an array of nodes.
+
+    The cosine is taken once per harmonic, then multiplied and added in
+    the same order for either, so a node gets the bits of the float.
+    """
+    if not math.isfinite(phi):
+        raise DomainError(f"phase must be finite, got {phi}")
+    s = constant
+    for p, b in enumerate(harmonics, start=1):
+        s = s + b * math.cos(4 * p * k * phi)
+    return s
+
+
+@lru_cache(maxsize=64)
+def _lower_bound(N: int) -> float:
+    """The least S the positivity check accepts: -benchmark, less rounding."""
+    floor = -vacuum_benchmark(N)
+    return floor - 1e-12 * max(1.0, -floor)
+
+
+def _below_bound(s: float, N: int) -> FansqError:
+    return FansqError(f"S={s} fell below the moment positivity bound {-vacuum_benchmark(N)}")
 
 
 def squeeze_parameter(coeffs: SqueezeCoeffs, phi: float) -> float:
@@ -162,14 +216,9 @@ def squeeze_parameter(coeffs: SqueezeCoeffs, phi: float) -> float:
     every evaluation (FansqError if it fails).  A non-finite phi is a
     DomainError.
     """
-    if not math.isfinite(phi):
-        raise DomainError(f"phase must be finite, got {phi}")
-    s = coeffs.constant
-    for p, b in enumerate(coeffs.harmonics, start=1):
-        s += b * math.cos(4 * p * coeffs.k * phi)
-    floor = -vacuum_benchmark(coeffs.N)
-    if not s >= floor - 1e-12 * max(1.0, -floor):
-        raise FansqError(f"S={s} fell below the moment positivity bound {floor}")
+    s = _cosine_sum(coeffs.constant, coeffs.harmonics, coeffs.k, phi)
+    if not s >= _lower_bound(coeffs.N):
+        raise _below_bound(s, coeffs.N)
     return s
 
 

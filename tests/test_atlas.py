@@ -30,7 +30,13 @@ from fansq.errors import (
     SingularNonlinearity,
 )
 from fansq.fanstate import DEFAULT_CONTROL, FanConfig, Identity, SeriesControl, TrappedIon
-from fansq.squeeze import SqueezeCoeffs, coefficients, squeeze_parameter, vacuum_benchmark
+from fansq.squeeze import (
+    SqueezeCoeffs,
+    SqueezeRow,
+    coefficients,
+    squeeze_parameter,
+    vacuum_benchmark,
+)
 
 GRID_K1 = GridSpec(
     xi_sq=AxisRange(0.0, 1.0, 21),
@@ -356,7 +362,10 @@ def test_find_intersections_reports_an_exact_zero_gap_once(monkeypatch, gaps):
         return SqueezeCoeffs(cfg.k, N, 1.0 + gap_at[cfg.model.eta_sq], (1.0,))
 
     def fake_row(k, xi_sq, models, N, ctl):  # the grid nodes
-        return [fake(FanConfig.from_xi_sq(k, x, m), N, ctl) for x, m in zip(xi_sq, models)]
+        nodes = [fake(FanConfig.from_xi_sq(k, x, m), N, ctl) for x, m in zip(xi_sq, models)]
+        constant = np.array([c.constant for c in nodes])
+        harmonics = (np.array([c.harmonics[0] for c in nodes]),)
+        return SqueezeRow(k, N, constant, harmonics, [None] * len(nodes))
 
     monkeypatch.setattr(fansq.atlas, "coefficients", fake)
     monkeypatch.setattr(fansq.atlas, "coefficients_row", fake_row)

@@ -6,30 +6,37 @@ time.  The two must give the same status at every node and the same
 squeeze parameter up to rounding.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fansq
+import fansq.atlas
 import fansq.fanstate as fanstate
+import fansq.specfun
+import fansq.squeeze as squeeze
 from fansq.atlas import AxisRange, GridSpec, scan
-from fansq.errors import DomainError, SeriesNotConverged, SingularNonlinearity
+from fansq.errors import DomainError, FansqError, SeriesNotConverged, SingularNonlinearity
 from fansq.fanstate import (
     DEFAULT_CONTROL,
     FanConfig,
     Identity,
     SeriesControl,
     TrappedIon,
+    convergence_depth,
     moment,
     moment_row,
 )
 from fansq.squeeze import (
     SqueezeCoeffs,
+    SqueezeRow,
     coefficients,
     coefficients_row,
     squeeze_parameter,
@@ -38,6 +45,17 @@ from fansq.squeeze import (
 from laguerre_ref import laguerre
 
 XI_SQ = [0.0, 0.02, 0.15, 0.4, 0.7, 1.0, 1.6]
+
+
+def _nodes(row):
+    """The arrays of a `coefficients_row` result as one `SqueezeCoeffs`, or error, per node."""
+    const, harmonics = row.constant.tolist(), [h.tolist() for h in row.harmonics]
+    return [
+        err
+        if err is not None
+        else SqueezeCoeffs(row.k, row.N, const[j], tuple(h[j] for h in harmonics))
+        for j, err in enumerate(row.errors)
+    ]
 
 
 def _scalar_node(k, xi_sq, model, N, ctl):
@@ -54,18 +72,25 @@ def assert_row_matches(k, xi_sq, models, N, ctl=DEFAULT_CONTROL):
     """
     if not isinstance(models, list):
         models = [models] * len(xi_sq)
-    row = coefficients_row(k, xi_sq, models, N, ctl)
+    arrays = coefficients_row(k, xi_sq, models, N, ctl)
+    row = _nodes(arrays)
     assert len(row) == len(xi_sq)
+    phis = (0.0, math.pi / (8 * k), math.pi / (4 * k), 0.3)
+    # S of the whole row carries the bits of S of each node
+    s_row = [arrays.squeeze_parameter(phi).tolist() for phi in phis]
     bench = vacuum_benchmark(N)
     names = []
-    for x, model, got in zip(xi_sq, models, row):
+    for j, (x, model, got) in enumerate(zip(xi_sq, models, row)):
         want = _scalar_node(k, x, model, N, ctl)
         assert type(got) is type(want), (x, got, want)
-        if isinstance(want, SqueezeCoeffs):
+        if not isinstance(want, SqueezeCoeffs):
+            assert all(math.isnan(s[j]) for s in s_row)
+        else:
             assert len(got.harmonics) == len(want.harmonics)
-            for phi in (0.0, math.pi / (8 * k), math.pi / (4 * k), 0.3):
+            for phi, s in zip(phis, s_row):
                 s_want = squeeze_parameter(want, phi)
                 s_got = squeeze_parameter(got, phi)
+                assert s[j].hex() == s_got.hex(), (x, phi)
                 assert abs(s_got - s_want) <= 1e-12 * max(abs(s_want), bench), (x, phi)
         names.append(type(want).__name__)
     return names
@@ -87,7 +112,7 @@ def test_row_matches_scalar_path(kind, k, extra):
 
 def test_xi_zero_column_is_the_vacuum():
     for model in (Identity(), TrappedIon(eta_sq=0.3, quantum_order=2)):
-        (c,) = coefficients_row(1, [0.0], [model], 8)
+        (c,) = _nodes(coefficients_row(1, [0.0], [model], 8))
         assert c == coefficients(FanConfig(1, 0.0, model), 8)
         assert c.constant == 0.0 and all(b == 0.0 for b in c.harmonics)
     row = moment_row(2, [0.0, 0.5], [Identity()] * 2, [(0, 0), (1, 1), (8, 0)])
@@ -108,6 +133,13 @@ def _smallest_root(j):
             lo = mid
         else:
             hi = mid
+
+
+def test_a_point_past_float_range_fails_as_on_the_scalar_path():
+    # xi^4 itself overflows at xi_sq = 1e300; the series fail first
+    for kind in ("identity", "trapped-ion"):
+        names = assert_row_matches(1, [0.5, 1e300], _model(kind, 1, 0.5), 4)
+        assert names == ["SqueezeCoeffs", "SeriesNotConverged"]
 
 
 def test_row_crossing_a_laguerre_pole():
@@ -147,11 +179,11 @@ def _same_node(a, b):
 def test_node_value_does_not_depend_on_its_row():
     model = _model("trapped-ion", 1, 0.95)
     xi_sq = [0.05 * i for i in range(21)] + [1.7]
-    full = coefficients_row(1, xi_sq, [model] * len(xi_sq), 8)
+    full = _nodes(coefficients_row(1, xi_sq, [model] * len(xi_sq), 8))
     for j, x in enumerate(xi_sq):
-        (alone,) = coefficients_row(1, [x], [model], 8)
+        (alone,) = _nodes(coefficients_row(1, [x], [model], 8))
         assert _same_node(alone, full[j]), x
-    reversed_row = coefficients_row(1, xi_sq[::-1], [model] * len(xi_sq), 8)[::-1]
+    reversed_row = _nodes(coefficients_row(1, xi_sq[::-1], [model] * len(xi_sq), 8))[::-1]
     assert all(_same_node(a, b) for a, b in zip(reversed_row, full))
 
 
@@ -192,9 +224,9 @@ def test_engine_and_stop_rule_match_scalar_path_on_mixed_models(data, k, extra):
     N = 4 * k + extra
     xi_sq, models = _points(data.draw, k)
     assert_row_matches(k, xi_sq, models, N)
-    full = coefficients_row(k, xi_sq, models, N)
+    full = _nodes(coefficients_row(k, xi_sq, models, N))
     for j, (x, model) in enumerate(zip(xi_sq, models)):
-        (alone,) = coefficients_row(k, [x], [model], N)
+        (alone,) = _nodes(coefficients_row(k, [x], [model], N))
         assert _same_node(alone, full[j]), (x, model)
 
 
@@ -233,8 +265,8 @@ def _assert_moment_row_matches(k, xi, models, lm, ctl):
             assert abs(got - want) <= 1e-13 * abs(want), (x, model, lm, ctl)
         else:
             assert type(row.errors[j]) is type(want), (x, model, lm, ctl, want)
-            if "tail criterion" in str(want):  # names the series that hit the cap
-                assert str(row.errors[j]) == str(want)
+            assert str(row.errors[j]) == str(want), (x, model, lm, ctl)
+            assert getattr(row.errors[j], "index", None) == getattr(want, "index", None)
             assert math.isnan(got)
         names.append(type(want).__name__)
     return names
@@ -288,6 +320,182 @@ def test_c08_scan_builds_only_even_term_rows(monkeypatch):
     scan(grid, "trapped-ion")
     # 1,432,464 cells when the odd indices, all exact zeros, were built too
     assert 0 < sum(cells) <= 720_000
+
+
+def _laguerre_degree_pairs(monkeypatch):
+    """Count degrees times pairs that `LaguerreRows` adds to its tables."""
+    count = [0]
+    upto = fansq.specfun.LaguerreRows.upto
+
+    def counting(self, n):
+        before = self._vals.shape[0]
+        vals = upto(self, n)
+        count[0] += (self._vals.shape[0] - before) * self.x.size
+        return vals
+
+    monkeypatch.setattr(fansq.specfun.LaguerreRows, "upto", counting)
+    return count
+
+
+def test_c08_scan_sizes_its_lattice_once_and_builds_no_node_objects(monkeypatch):
+    degrees = _laguerre_degree_pairs(monkeypatch)
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+
+        return wrapper
+
+    # the per-node path: one `SqueezeCoeffs` and one S evaluation per node
+    for module in (squeeze, fansq.atlas):
+        for name in ("squeeze_parameter", "coefficients"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    grid = GridSpec(
+        xi_sq=AxisRange(0.01, 1.0, 101), eta_sq=AxisRange(0.01, 1.0, 101), k=1, N=4, phi=math.pi / 4
+    )
+    scan(grid, "trapped-ion")
+    assert calls == []
+    # 86,924 when the lattice doubled blindly; 70,572 sized from the predicted depth
+    assert 0 < degrees[0] <= 72_000
+
+
+# ---------------------------------------------------------------------------
+# the depth prediction from rho = xi^2 eta^2
+
+
+def test_rho_per_config_and_per_row():
+    configs = [
+        FanConfig.from_xi_sq(k, xi_sq, TrappedIon(eta_sq=eta_sq, quantum_order=2 * k))
+        for k, xi_sq, eta_sq in [(1, 0.5, 0.3), (2, 0.99, 0.97), (3, 1.7, 0.8), (1, 0.0, 0.4)]
+    ]
+    for cfg in configs:
+        (rho,), _ = convergence_depth(cfg.k, [cfg.xi], [cfg.model])
+        assert rho == cfg.xi_sq * cfg.model.eta_sq
+    xi = [0.0, 0.3, 0.9, 1.0, 2.5]
+    models = [TrappedIon(eta_sq=0.95, quantum_order=2), Identity()] * 2 + [Identity()]
+    rho, depth = convergence_depth(1, xi, models)
+    assert rho.tolist() == [0.0, 0.0, 0.9 * 0.9 * 0.95, 0.0, 0.0]
+    assert depth.shape == (5,) and all(8 <= d <= DEFAULT_CONTROL.n_max for d in depth.tolist())
+
+
+def _overflow_index(err):
+    assert "exceeds float range" in str(err), err
+    return int(str(err).split("term at index ")[1].split()[0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rho_at_or_past_one_predicts_the_cap_or_the_first_overflow(k):
+    eta_sq = [1.0, 1.01, 0.5, 0.25, 0.9]
+    xi = [1.0, 1.0, 2.0, 3.0, 1e200]  # rho = 1, 1.01, 2, 2.25 and past float range
+    models = [TrappedIon(e, 2 * k) for e in eta_sq]
+    rho, depth = convergence_depth(k, xi, models)
+    assert rho.tolist()[:4] == [1.0, 1.01, 2.0, 2.25] and rho[4] == math.inf
+    n_max = DEFAULT_CONTROL.n_max
+    # at rho = 1, and just past it, the term cap comes before any overflow
+    assert depth.tolist()[:2] == [n_max, n_max]
+    # further out a term passes float range first, at an index the prediction covers
+    row = moment_row(k, xi[2:], models[2:], squeeze._moment_pairs(k, 4 * k))
+    for err, predicted in zip(row.errors, depth.tolist()[2:]):
+        assert _overflow_index(err) <= predicted < n_max
+    capped = SeriesControl(n_max=40)
+    assert convergence_depth(k, xi[:4], models[:4], capped)[1].tolist() == [40] * 4
+    # c08's corner: AxisRange ends a hair below 1, so rho is just below it
+    corner = AxisRange(0.01, 1.0, 101).values()[-1]
+    (rho,), (depth,) = convergence_depth(k, [math.sqrt(corner)], [TrappedIon(corner, 2 * k)])
+    assert rho < 1 and depth == n_max
+
+
+def test_prediction_follows_the_stops_of_the_c08_rows(monkeypatch):
+    # per engine call: the deepest stop index of its columns, and the
+    # deepest predicted one
+    seen = []
+    sum_columns = fanstate._sum_columns
+
+    def recording(lat, k, p, ctl, ends):
+        sums, outcome, rows = sum_columns(lat, k, p, ctl, ends)
+        e0 = p.n0 + p.n0 % 2
+        seen.append((int((e0 + 2 * rows).max()), int((e0 + 2 * (ends - 1)).max())))
+        return sums, outcome, rows
+
+    monkeypatch.setattr(fanstate, "_sum_columns", recording)
+    grid = GridSpec(
+        xi_sq=AxisRange(0.01, 1.0, 101), eta_sq=AxisRange(0.01, 1.0, 101), k=1, N=4, phi=math.pi / 4
+    )
+    scan(grid, "trapped-ion")
+    assert len(seen) == 101
+    assert seen[-1] == (5000, 5000)  # the corner node is capped, and so predicted
+    short = [actual for actual, predicted in seen if predicted < actual]
+    # the pole oscillation takes two rows a few indices past the prediction
+    assert len(short) <= 2
+    assert all(predicted <= 2 * actual + 16 for actual, predicted in seen)
+
+
+def _no_prediction(depth):
+    """A `convergence_depth` that predicts the same stop index for every point."""
+
+    def predict(k, xi, models, ctl=DEFAULT_CONTROL):
+        rho, _ = convergence_depth(k, xi, models, ctl)
+        return rho, np.full(len(xi), min(depth, ctl.n_max))
+
+    return predict
+
+
+def _near_radius_row(draw, k):
+    """A row at rho near 1 with mixed models, plus a capped, a pole and an overflow point."""
+    pole = TrappedIon(eta_sq=_smallest_root(2 * k), quantum_order=2 * k)  # f(4k) divides by 0
+    near = st.floats(min_value=0.5, max_value=1.0).map(lambda e: TrappedIon(e, 2 * k))
+    models = st.one_of(near, st.just(Identity()), st.just(pole))
+    pool = draw(st.lists(models, min_size=1, max_size=3))
+    xi, models = [1.0, 1.0, 2.0], [
+        TrappedIon(eta_sq=1.01, quantum_order=2 * k),  # rho = 1.01: capped before it overflows
+        pole,
+        TrappedIon(eta_sq=1.0, quantum_order=2 * k),  # rho = 4: a term past float range
+    ]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        model = draw(st.sampled_from(pool))
+        rho = draw(st.floats(min_value=0.9, max_value=1.05))
+        xi.append(math.sqrt(rho / getattr(model, "eta_sq", 1.0)))
+        models.append(model)
+    order = draw(st.permutations(range(len(xi))))
+    return [xi[i] for i in order], [models[i] for i in order]
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), k=st.sampled_from([1, 2, 3]), extra=st.sampled_from([0, 4]))
+def test_prediction_moves_no_value_and_no_error(data, k, extra):
+    xi, models = _near_radius_row(data.draw, k)
+    pairs = squeeze._moment_pairs(k, 4 * k + extra)
+    ctl = SeriesControl(n_max=1000)  # still far below the overflow at rho = 1.01
+    row = moment_row(k, xi, models, pairs, ctl)
+    words = [str(e) for e in row.errors if e is not None]
+    assert any("tail criterion" in w for w in words)
+    assert any("exceeds float range" in w for w in words)
+    assert any(isinstance(e, SingularNonlinearity) for e in row.errors)
+    # no prediction, all at the cap, and one that ends a block mid-series
+    for depth in (0, ctl.n_max, data.draw(st.integers(min_value=2, max_value=400))):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fanstate, "convergence_depth", _no_prediction(depth))
+            off = moment_row(k, xi, models, pairs, ctl)
+        for lm in pairs:
+            assert off.values[lm].tobytes() == row.values[lm].tobytes(), (lm, depth)
+        assert [_words(e) for e in off.errors] == [_words(e) for e in row.errors]
+
+
+def _words(err):
+    return None if err is None else (type(err), str(err), getattr(err, "index", None))
+
+
+def test_depth_rejects_bad_inputs():
+    with pytest.raises(DomainError):
+        convergence_depth(1, [0.1, -0.2], [Identity()] * 2)
+    with pytest.raises(DomainError):
+        convergence_depth(1, [0.1, math.nan], [Identity()] * 2)
+    with pytest.raises(DomainError):
+        convergence_depth(1, [0.1], [TrappedIon(eta_sq=0.2, quantum_order=4)])
+    with pytest.raises(DomainError):
+        convergence_depth(1, [0.1, 0.2], [Identity()])
 
 
 def test_row_rejects_bad_inputs():
@@ -346,6 +554,23 @@ def test_series_control_accepts_exactly_the_valid_settings(rel_tol, run, n_max, 
             SeriesControl(**kwargs)
 
 
+def test_row_positivity_guard_reports_the_first_converged_node_below_the_bound():
+    failed = SeriesNotConverged("tail criterion not met")
+    row = SqueezeRow(
+        k=1,
+        N=4,
+        constant=np.array([0.1, math.nan, -5.0, -6.0]),
+        harmonics=(np.zeros(4),),
+        errors=[None, failed, None, None],
+    )
+    with pytest.raises(FansqError, match="S=-5.0 fell below"):
+        row.squeeze_parameter(0.0)
+    ok = dataclasses.replace(row, constant=np.array([0.1, math.nan, -0.75, 2.0]))
+    assert ok.squeeze_parameter(0.0).tolist()[2:] == [-0.75, 2.0]
+    with pytest.raises(DomainError):
+        ok.squeeze_parameter(math.inf)
+
+
 def test_positivity_guard_survives_optimized_mode():
     src = os.path.dirname(os.path.dirname(os.path.abspath(fansq.__file__)))
     env = dict(os.environ)
@@ -374,7 +599,8 @@ def test_both_engines_word_an_exact_zero_numerator_alike():
     )
     with pytest.raises(SingularNonlinearity) as exc:
         coefficients(FanConfig.from_xi_sq(1, 0.5, model), 4)
-    (row,) = coefficients_row(1, [0.5], [model], 4)
+    (row,) = _nodes(coefficients_row(1, [0.5], [model], 4))
     assert isinstance(row, SingularNonlinearity)
+    assert str(row) == str(exc.value)
     for err in (exc.value, row):
         assert str(err).endswith(words) and err.index == 4
