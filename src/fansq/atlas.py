@@ -2,8 +2,8 @@
 
 Produces plottable survey data: squeeze-parameter scans over
 (xi^2, eta^2), squeezing-region boundary tracing, the crossing points
-of the isotropic term against the leading harmonic magnitude, polar
-and polar profiles of the moment.  Nodes where the series fails are
+of the isotropic term against the leading harmonic magnitude, and
+polar profiles of the moment.  Nodes where the series fails are
 marked, never fatal to a whole scan.
 """
 
@@ -33,6 +33,7 @@ from .fanstate import (
 )
 from .squeeze import (
     SqueezeCoeffs,
+    _check_order,
     coefficients,
     coefficients_row,
     squeeze_parameter,
@@ -57,6 +58,8 @@ class AxisRange:
             raise DomainError("axis endpoints must be finite")
         if not self.min < self.max:
             raise DomainError(f"axis needs min < max, got [{self.min}, {self.max}]")
+        if type(self.count) is not int:  # no float, NaN or bool count
+            raise DomainError(f"axis count must be an int, got {self.count!r}")
         if self.count < 2:
             raise DomainError(f"axis count must be >= 2, got {self.count}")
 
@@ -78,8 +81,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError(f"fan order must be >= 1, got {self.k}")
-        if self.N < 2 or self.N % 2 != 0:
-            raise DomainError(f"moment order must be even and >= 2, got {self.N}")
+        _check_order(self.N)
         if self.xi_sq.min < 0:
             raise DomainError("xi_sq axis must be nonnegative")
         # checked here too: a grid whose nodes all fail never evaluates S

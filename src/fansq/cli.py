@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     series = argparse.ArgumentParser(add_help=False)
     g = series.add_argument_group("series control")
     g.add_argument("--rel-tol", type=float, default=1e-16)
-    g.add_argument("--consecutive-small", type=int, default=3)
     g.add_argument("--n-max", type=int, default=5000)
     g.add_argument("--laguerre-floor", type=float, default=1e-12)
 

@@ -14,9 +14,13 @@ Conventions fixed by this module:
     the even/odd interference factor analytically and never stored.
   * the running nonlinearity product steps by 2k (the component states
     are 2k-quantum), terminating with its last factor at index 2k.
-  * series stop after `consecutive_small` successive terms fall below
-    rel_tol times the accumulated sum, which rides out the exact zeros
-    the interference factor inserts at odd summation indices.
+  * the interference factor makes every odd summation index an exact
+    zero, so the series visit the even ones only.  A series stops at
+    the index after its first even term at most rel_tol times the
+    accumulated sum, within n_max indices of its first index n0, odd
+    ones counted.  A small term at an even n0 has underflowed to 0.0
+    and stops nothing alone; with a small term at n0 + 2 the series
+    stops there.
 
 Two paths evaluate the series, chosen by the shape of the input:
   * one point (`normalization`, `moment`): one loop per series over
@@ -39,13 +43,12 @@ Two paths evaluate the series, chosen by the shape of the input:
     Laguerre values equal bit for bit to the scalar path's, so both find
     the same poles.  Each column replays the scalar path: the same
     terms, the same Neumaier sums (sequential cumulative sums plus their
-    exact rounding errors), the same stop rule with the odd indices
-    counted in closed form, and the same overflow, pole and term-cap
-    checks, so its value does not depend on the block sizes, on the
-    prediction or on which columns or models share the block.  A node
-    whose series fail reports the error the scalar path would raise
-    first, in the same words.  It fills none of the scalar path's memo
-    tables.
+    exact rounding errors), the same stop rule on the same even terms,
+    and the same overflow, pole and term-cap checks, so its value does
+    not depend on the block sizes, on the prediction or on which columns
+    or models share the block.  A node whose series fail reports the
+    error the scalar path would raise first, in the same words.  It
+    fills none of the scalar path's memo tables.
 """
 
 from __future__ import annotations
@@ -173,7 +176,6 @@ class SeriesControl:
     """Truncation policy for the infinite Fock-level sums."""
 
     rel_tol: float = 1e-16
-    consecutive_small: int = 3
     n_max: int = 5000
     laguerre_floor: float = 1e-12
 
@@ -184,15 +186,10 @@ class SeriesControl:
         # a tolerance of one or more accepts terms as large as the sum
         if not (math.isfinite(self.rel_tol) and 0 < self.rel_tol < 1):
             raise DomainError(f"rel_tol must be finite and in (0, 1), got {self.rel_tol}")
-        for name in ("n_max", "consecutive_small"):  # no float, NaN or bool count
-            if type(getattr(self, name)) is not int:
-                raise DomainError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if type(self.n_max) is not int:  # no float, NaN or bool count
+            raise DomainError(f"n_max must be an int, got {self.n_max!r}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
-        # every odd summation index holds an exact zero, so a run of one
-        # small term would stop most series at their first zero
-        if self.consecutive_small < 2:
-            raise DomainError(f"consecutive_small must be >= 2, got {self.consecutive_small}")
         # a NaN or negative floor turns pole detection off; an infinite
         # one flags every product as a pole
         if not (math.isfinite(self.laguerre_floor) and self.laguerre_floor >= 0):
@@ -325,56 +322,55 @@ def _series_sum(
     Term n is zero at odd n (the interference factor), else exp of
     2 ln 2k + 4kn ln xi - ln (2kn - m)! minus the log-products at n and
     n + (l - m)/2k, or twice the one at n for the normalization.  The
-    Neumaier sum stops after `consecutive_small` terms below rel_tol
-    times the sum; a pole, a term past float range or n_max terms raise.
+    loop visits the even n from the first index n0 on, and the Neumaier
+    sum stops by the module's stop rule; a pole, a term past float range
+    or no stop within n_max indices raise.
     """
     k = cfg.k
     step = 2 * k
     tab = product_table(cfg.model, step, ctl.laguerre_floor)
     sign, logp = tab.sign, tab.logmag
     shift = (l - m) // step
-    n = -(-m // step)  # ceil(m / 2k): the first level the moment reaches
+    n0 = -(-m // step)  # ceil(m / 2k): the first level the moment reaches
     lead = 2 * math.log(step)
     log_xi = math.log(cfg.xi)
-    lf = _live_log_factorials(step * (n + 1))
-    rel_tol, run, n_max = ctl.rel_tol, ctl.consecutive_small, ctl.n_max
+    lf = _live_log_factorials(step * (n0 + 1))
+    rel_tol, n_max = ctl.rel_tol, ctl.n_max
     s = c = 0.0
-    small = count = 0
-    while True:
-        count += 1
-        if n % 2:
-            small += 1  # a zero term changes neither sum nor compensation
+    n = n0 + n0 % 2
+    while n - n0 < n_max:
+        top = n + shift
+        if top >= len(logp):
+            tab.reach(top)
+        i = step * n - m
+        if i >= len(lf):
+            _live_log_factorials(2 * i)
+        x = lead + (4 * k * n) * log_xi - lf[i]
+        x = x - 2 * logp[n] if norm else x - logp[n] - logp[top]
+        if x > _LOG_HUGE:
+            what = "normalization" if norm else f"moment ({l},{m})"
+            raise SeriesNotConverged(f"{what} term at index {n} exceeds float range")
+        if norm:  # the leading term is exactly (2k)^2: xi -> 0 stays exact
+            t = math.exp(x) if n else float(4 * k * k)
         else:
-            top = n + shift
-            if top >= len(logp):
-                tab.reach(top)
-            i = step * n - m
-            if i >= len(lf):
-                _live_log_factorials(2 * i)
-            x = lead + (4 * k * n) * log_xi - lf[i]
-            x = x - 2 * logp[n] if norm else x - logp[n] - logp[top]
-            if x > _LOG_HUGE:
-                what = "normalization" if norm else f"moment ({l},{m})"
-                raise SeriesNotConverged(f"{what} term at index {n} exceeds float range")
-            if norm:  # the leading term is exactly (2k)^2: xi -> 0 stays exact
-                t = math.exp(x) if n else float(4 * k * k)
-            else:
-                t = sign[n] * sign[top] * math.exp(x)
-            u = s + t
-            if abs(s) >= abs(t):
-                c += (s - u) + t
-            else:
-                c += (t - u) + s
-            s = u
-            small = small + 1 if abs(t) <= rel_tol * abs(s + c) else 0
-        if small >= run:
+            t = sign[n] * sign[top] * math.exp(x)
+        u = s + t
+        if abs(s) >= abs(t):
+            c += (s - u) + t
+        else:
+            c += (t - u) + s
+        s = u
+        # stop at the odd index after a small term, within n_max indices;
+        # a zero sum at n0 + 2 means both terms underflowed: stop there
+        if (
+            abs(t) <= rel_tol * abs(s + c)
+            and n > n0
+            and (n + 1 - n0 < n_max or (n == n0 + 2 and s + c == 0.0))
+        ):
             return s + c
-        if count >= n_max:
-            what = f"normalization k={k}" if norm else f"moment l={l} m={m} k={k}"
-            raise SeriesNotConverged(
-                f"{what} xi={cfg.xi}: tail criterion not met after {n_max} terms"
-            )
-        n += 1
+        n += 2
+    what = f"normalization k={k}" if norm else f"moment l={l} m={m} k={k}"
+    raise SeriesNotConverged(f"{what} xi={cfg.xi}: tail criterion not met after {n_max} terms")
 
 
 @lru_cache(maxsize=256)
@@ -593,12 +589,12 @@ _RUNNING, _STOPPED, _SINGULAR, _OVERFLOW, _CAPPED = range(5)
 def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: np.ndarray):
     """Per-column `_series_sum`: returns (sums, outcome codes, last rows).
 
-    An odd term is an exact zero that only lengthens the run of small
-    terms, so the streak counts every index the scalar path visits.
-    ends[c] is the row after the predicted stop of column c: a block
-    that would run past the deepest end of the running columns ends
-    there, and the blocks double again after it.  rows[c] is the row
-    where column c stopped or failed, or its last row if capped.
+    The rows are the even terms, and the stop rule is the scalar path's,
+    the exception at an even n0 included.  ends[c] is the row after the
+    predicted stop of column c: a block that would run past the deepest
+    end of the running columns ends there, and the blocks double again
+    after it.  rows[c] is the row where column c stopped or failed, or
+    its last row if capped.
     """
     width = p.n0.size
     sums = np.full(width, np.nan)
@@ -607,10 +603,6 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
     cols = np.arange(width)
     acc = np.zeros(width)  # Neumaier sum and compensation, carried
     comp = np.zeros(width)
-    odd = p.n0 % 2
-    # small indices before the next row: the odd first index, or -1 so
-    # that a run from an even first index counts 2c - 1 indices
-    run = odd - 1
     last = (ctl.n_max + 1) // 2
     a = 0
     size = _FIRST_BLOCK
@@ -626,16 +618,14 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
         err = np.where(np.abs(prev) >= np.abs(x), (prev - s) + x, (x - s) + prev)
         c = np.cumsum(np.vstack((comp, err)), axis=0)[1:]
         value = s + c
+        offset = 2 * np.arange(a, b)[:, None] + here.n0 % 2  # index - n0
+        fail_at = _first((singular | overflow) & (offset < ctl.n_max))
+        # a small term stops its column at the odd index after it, but
+        # not at an even n0; a zero sum at n0 + 2 means both terms there
+        # underflowed, and the column stops at n0 + 2 itself
+        end = offset + 1 - ((offset == 2) & (value == 0.0))
         small = np.abs(x) <= ctl.rel_tol * np.abs(value)
-        twice = 2 * np.arange(b - a)[:, None]
-        streak = twice - np.maximum.accumulate(np.where(small, -2 - run, twice), axis=0)
-        # a column stops at a row, or at the odd index after it, within n_max indices
-        offset = 2 * np.arange(a, b)[:, None] + odd[cols]  # index - n0
-        reached = offset < ctl.n_max
-        fail_at = _first((singular | overflow) & reached)
-        run_end = (streak >= ctl.consecutive_small) & reached
-        run_end |= (streak + 1 >= ctl.consecutive_small) & (offset + 1 < ctl.n_max)
-        stop_at = _first(run_end)
+        stop_at = _first(small & (offset > 0) & (end < ctl.n_max))
         # a failing term raises before it is added, so it beats a stop there
         failed = (fail_at < b - a) & (fail_at <= stop_at)
         stopped = stop_at < fail_at
@@ -651,7 +641,7 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
             outcome[cols[rest]] = _CAPPED
             break
         cols = cols[rest]
-        acc, comp, run = s[-1, rest], c[-1, rest], streak[-1, rest]
+        acc, comp = s[-1, rest], c[-1, rest]
         a, size = b, b
     return sums, outcome, rows
 

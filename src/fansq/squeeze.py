@@ -38,10 +38,16 @@ def min_order(k: int) -> int:
     return 4 * k
 
 
-def vacuum_benchmark(N: int) -> float:
-    """Coherent-state value of the Nth central quadrature moment."""
+def _check_order(N: int) -> None:
+    if type(N) is not int:  # a float order would fail later as a TypeError
+        raise DomainError(f"moment order must be an int, got {N!r}")
     if N < 2 or N % 2 != 0:
         raise DomainError(f"moment order must be even and >= 2, got {N}")
+
+
+def vacuum_benchmark(N: int) -> float:
+    """Coherent-state value of the Nth central quadrature moment."""
+    _check_order(N)
     return double_factorial(N - 1) / 2 ** (N // 2)
 
 
@@ -108,11 +114,6 @@ def _assemble(
             )
         harmonics.append(4 ** (p * k) * n_fact / 2 ** (N - 1) * s)
     return const, harmonics
-
-
-def _check_order(N: int) -> None:
-    if N < 2 or N % 2 != 0:
-        raise DomainError(f"moment order must be even and >= 2, got {N}")
 
 
 @lru_cache(maxsize=256)

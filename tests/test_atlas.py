@@ -60,6 +60,10 @@ def test_axis_range_validation():
         AxisRange(0.0, 1.0, 1)
     with pytest.raises(DomainError):
         AxisRange(float("inf"), 1.0, 5)
+    # a count that is not an int fails as a DomainError, not later in values()
+    for count in (2.5, 3.0, float("nan"), True):
+        with pytest.raises(DomainError, match="axis count must be an int"):
+            AxisRange(0.0, 1.0, count)
 
 
 def test_axis_range_values_hit_endpoints():
@@ -75,6 +79,8 @@ def test_grid_spec_validation():
         GridSpec(xi_sq=ax, eta_sq=ax, k=0, N=4, phi=0.0)
     with pytest.raises(DomainError):
         GridSpec(xi_sq=ax, eta_sq=ax, k=1, N=5, phi=0.0)
+    with pytest.raises(DomainError, match="moment order must be an int"):
+        GridSpec(xi_sq=ax, eta_sq=ax, k=1, N=4.0, phi=0.0)
     with pytest.raises(DomainError):
         GridSpec(xi_sq=AxisRange(-0.2, 0.5, 3), eta_sq=ax, k=1, N=4, phi=0.0)
     for phi in (math.nan, math.inf):

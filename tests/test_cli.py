@@ -290,7 +290,7 @@ def test_bad_axis_range_syntax_is_argparse_error(capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--consecutive-small", "1"],
+        ["--n-max", "0"],
         ["--rel-tol", "inf"],
         ["--rel-tol", "0.5e1"],
         ["--laguerre-floor", "nan"],
@@ -302,6 +302,14 @@ def test_untrustworthy_series_control_is_exit_two(capsys, flags):
     _, err = capsys.readouterr()
     assert code == 2
     assert "invalid parameters" in err
+
+
+def test_the_removed_run_length_flag_is_unknown(capsys):
+    # the stop rule has no run length to set
+    with pytest.raises(SystemExit) as exc:
+        main(["squeeze", "--k", "1", "--N", "4", "--xi-sq", "2.0", "--consecutive-small", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --consecutive-small" in capsys.readouterr()[1]
 
 
 @pytest.mark.parametrize(

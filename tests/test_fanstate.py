@@ -80,8 +80,6 @@ def test_series_control_validation():
         SeriesControl(rel_tol=0.0)
     with pytest.raises(DomainError):
         SeriesControl(n_max=0)
-    with pytest.raises(DomainError):
-        SeriesControl(consecutive_small=0)
 
 
 # ---------------------------------------------------------------------------

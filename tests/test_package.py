@@ -37,6 +37,15 @@ def test_no_module_of_the_package_imports_inside_a_function():
     assert found == {}
 
 
+def test_no_module_of_the_package_guards_with_assert():
+    # python -O strips assert statements, and every guard must survive it
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if lines := [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]:
+            found[path.name] = lines
+    assert found == {}
+
 
 def test_importing_the_package_loads_neither_numpy_polynomial_nor_scipy():
     # numpy.polynomial costs about 5 ms and 0.8 MB per process, and scipy

@@ -163,11 +163,9 @@ def test_term_cap_gives_not_converged(kind):
     assert "SqueezeCoeffs" in names[1:] and "SeriesNotConverged" in names
 
 
-@pytest.mark.parametrize("run", [2, 3, 4])
-def test_consecutive_small_settings(run):
-    ctl = SeriesControl(consecutive_small=run)
+def test_row_matches_scalar_path_for_each_order():
     for kind, k in (("trapped-ion", 1), ("trapped-ion", 2), ("identity", 3)):
-        assert_row_matches(k, XI_SQ, _model(kind, k, 0.6), 4 * k + 4, ctl)
+        assert_row_matches(k, XI_SQ, _model(kind, k, 0.6), 4 * k + 4)
 
 
 def _same_node(a, b):
@@ -272,12 +270,11 @@ def _assert_moment_row_matches(k, xi, models, lm, ctl):
     return names
 
 
-@pytest.mark.parametrize("run", [2, 3, 4, 5])
-def test_even_rows_stop_and_cap_where_the_scalar_path_does(run):
-    # every term cap and run length around the first block, first indices
-    # of both parities, and a model whose first product is a pole; at
-    # xi = 1e-60 the first term of (3, 3) underflows to a small zero, so
-    # its run starts at an even first index
+def test_even_rows_stop_and_cap_where_the_scalar_path_does():
+    # every term cap around the first block, first indices of both
+    # parities, and a model whose first product is a pole; at xi = 1e-60
+    # the first term of (3, 3) underflows to a small zero at an even
+    # first index
     pole = 2 - math.sqrt(2)
     xi, models = [], []
     for model in (Identity(), _model("trapped-ion", 1, 0.3), _model("trapped-ion", 1, pole)):
@@ -286,7 +283,7 @@ def test_even_rows_stop_and_cap_where_the_scalar_path_does(run):
             models.append(model)
     seen = set()
     for n_max in range(1, 13):
-        ctl = SeriesControl(n_max=n_max, consecutive_small=run)
+        ctl = SeriesControl(n_max=n_max)
         for lm in EDGE_PAIRS:
             seen.update(_assert_moment_row_matches(1, xi, models, lm, ctl))
     assert seen == {"float", "SeriesNotConverged", "SingularNonlinearity"}
@@ -294,12 +291,12 @@ def test_even_rows_stop_and_cap_where_the_scalar_path_does(run):
 
 @pytest.mark.parametrize("lm, n_max", [((4, 0), 3), ((2, 2), 4)])
 def test_a_stop_on_the_odd_index_past_the_cap_is_capped(lm, n_max):
-    # at xi = 0.01 only the first nonzero term is large; with a run of 3
-    # the scalar path would stop at the odd index n0 + n_max, one past the
-    # last index it may visit
+    # at xi = 0.01 only the first nonzero term is large; the scalar path
+    # would stop at the odd index n0 + n_max, one past the last index it
+    # may visit
     xi, models = [0.01], [Identity()]
-    capped = SeriesControl(n_max=n_max, consecutive_small=3)
-    stops = SeriesControl(n_max=n_max + 1, consecutive_small=3)
+    capped = SeriesControl(n_max=n_max)
+    stops = SeriesControl(n_max=n_max + 1)
     assert _assert_moment_row_matches(1, xi, models, lm, capped) == ["SeriesNotConverged"]
     assert _assert_moment_row_matches(1, xi, models, lm, stops) == ["float"]
 
@@ -515,13 +512,11 @@ def test_row_rejects_bad_inputs():
 # series-control validation and the positivity guard
 
 
-def _valid_control(rel_tol, run, n_max, floor):
+def _valid_control(rel_tol, n_max, floor):
     return (
         type(rel_tol) is not bool
         and math.isfinite(rel_tol)
         and 0 < rel_tol < 1
-        and type(run) is int
-        and run >= 2
         and type(n_max) is int
         and n_max >= 1
         and type(floor) is not bool
@@ -536,19 +531,18 @@ NOT_INT = st.sampled_from([True, False, 2.0, 2.5, 3.0, math.nan, math.inf])
 
 @given(
     rel_tol=st.one_of(st.floats(), st.sampled_from([1e-16, 0.5, 1.0, 2.0, True, False])),
-    run=st.one_of(st.integers(min_value=-2, max_value=6), NOT_INT),
     n_max=st.one_of(st.integers(min_value=-2, max_value=6), NOT_INT),
     floor=st.one_of(st.floats(), st.sampled_from([0.0, 1e-12, -1e-12, True, False])),
 )
 # a bool float setting with every other setting valid: True is 1.0, False is 0.0
-@example(rel_tol=True, run=3, n_max=5000, floor=1e-12)
-@example(rel_tol=1e-16, run=3, n_max=5000, floor=True)
-@example(rel_tol=1e-16, run=3, n_max=5000, floor=False)
-def test_series_control_accepts_exactly_the_valid_settings(rel_tol, run, n_max, floor):
-    kwargs = dict(rel_tol=rel_tol, consecutive_small=run, n_max=n_max, laguerre_floor=floor)
-    if _valid_control(rel_tol, run, n_max, floor):
+@example(rel_tol=True, n_max=5000, floor=1e-12)
+@example(rel_tol=1e-16, n_max=5000, floor=True)
+@example(rel_tol=1e-16, n_max=5000, floor=False)
+def test_series_control_accepts_exactly_the_valid_settings(rel_tol, n_max, floor):
+    kwargs = dict(rel_tol=rel_tol, n_max=n_max, laguerre_floor=floor)
+    if _valid_control(rel_tol, n_max, floor):
         ctl = SeriesControl(**kwargs)
-        assert (ctl.consecutive_small, ctl.n_max) == (run, n_max)
+        assert ctl.n_max == n_max
     else:
         with pytest.raises(DomainError):
             SeriesControl(**kwargs)

@@ -25,6 +25,7 @@ from fansq.fanstate import (
     SeriesControl,
     TrappedIon,
     moment,
+    moment_row,
     nonlinearity_values,
     normalization,
     product_table,
@@ -73,6 +74,7 @@ def ref_product(model, p, step, floor):
 
 
 def ref_sum_series(terms: Iterator[float], ctl: SeriesControl, what: str) -> float:
+    """Sum to the third successive term below rel_tol times the sum, zeros included."""
     acc = CompensatedSum()
     small = 0
     count = 0
@@ -81,7 +83,7 @@ def ref_sum_series(terms: Iterator[float], ctl: SeriesControl, what: str) -> flo
         acc.add(t)
         if abs(t) <= ctl.rel_tol * abs(acc.value):
             small += 1
-            if small >= ctl.consecutive_small:
+            if small >= 3:
                 return acc.value
         else:
             small = 0
@@ -272,12 +274,37 @@ def test_loop_matches_generator_path_at_the_term_cap(n_max):
         normalization(FanConfig.from_xi_sq(1, 1.0, Identity()), ctl)
 
 
-@pytest.mark.parametrize("run", [2, 3, 4])
-def test_loop_matches_generator_path_for_each_run_length(run):
-    ctl = SeriesControl(consecutive_small=run)
+def test_loop_matches_generator_path_for_each_order():
     for k, eta_sq in ((1, 0.6), (2, None), (3, 0.3)):
         for xi_sq in XI_SQ:
-            assert_same_series(FanConfig.from_xi_sq(k, xi_sq, _model(eta_sq, k)), ctl, PAIRS)
+            cfg = FanConfig.from_xi_sq(k, xi_sq, _model(eta_sq, k))
+            assert_same_series(cfg, DEFAULT_CONTROL, PAIRS)
+
+
+@pytest.mark.parametrize("eta_sq", [None, 0.3])
+def test_both_engines_stop_where_the_generator_path_does_on_an_underflowed_first_term(eta_sq):
+    # at xi = 1e-60 every term of (3, 3) and (4, 4) underflows to 0.0,
+    # from the even first index n0 = 2 on: the series stops at n0 + 2,
+    # so at n_max = 2 it is capped, where a stop at the zero index n0 + 1
+    # would sum it to 0.0 (and leave the normalization to fail)
+    cfg = FanConfig(1, 1e-60, _model(eta_sq, 1))
+    seen = []
+    for n_max in range(1, 13):
+        ctl = SeriesControl(n_max=n_max)
+        for lm in ((3, 3), (4, 4)):
+            want = outcome(ref_moment, cfg, *lm, ctl)
+            assert outcome(moment, cfg, *lm, ctl) == want, (lm, n_max)
+            row = moment_row(1, [cfg.xi], [cfg.model], [lm], ctl)
+            (error,) = row.errors
+            if error is None:
+                got = row.values[lm][0].item().hex()
+            else:
+                got = type(error).__name__, str(error), getattr(error, "index", None)
+            assert got == want, (lm, n_max)
+            seen.append(want)
+    assert seen[2][1] == "moment l=3 m=3 k=1 xi=1e-60: tail criterion not met after 2 terms"
+    assert seen[3][1] == "moment l=4 m=4 k=1 xi=1e-60: tail criterion not met after 2 terms"
+    assert seen[6:] == ["0x0.0p+0"] * 18  # n_max = 4 on
 
 
 @settings(max_examples=80, deadline=None)
@@ -286,17 +313,16 @@ def test_loop_matches_generator_path_for_each_run_length(run):
     eta_sq=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)),
     xi_sq=st.floats(min_value=0.0, max_value=3.0),
     rel_tol=st.sampled_from([1e-16, 1e-12, 1e-6, 0.1]),
-    run=st.integers(min_value=2, max_value=6),
     n_max=st.integers(min_value=1, max_value=80),
     pair=st.tuples(st.integers(0, 10), st.integers(0, 10)),
 )
-def test_stop_rule_is_the_generator_paths(k, eta_sq, xi_sq, rel_tol, run, n_max, pair):
+def test_stop_rule_is_the_generator_paths(k, eta_sq, xi_sq, rel_tol, n_max, pair):
     """The loop stops at the term the separate summation stops at.
 
-    Any rel_tol, run length and term cap: the same sum bit for bit, or
-    the same error.
+    Any rel_tol and term cap: the same sum bit for bit, or the same
+    error.
     """
-    ctl = SeriesControl(rel_tol=rel_tol, consecutive_small=run, n_max=n_max)
+    ctl = SeriesControl(rel_tol=rel_tol, n_max=n_max)
     assert_same_series(FanConfig.from_xi_sq(k, xi_sq, _model(eta_sq, k)), ctl, [pair])
 
 

@@ -49,6 +49,8 @@ def test_vacuum_benchmark_rejects_odd_or_small():
         vacuum_benchmark(3)
     with pytest.raises(DomainError):
         vacuum_benchmark(0)
+    with pytest.raises(DomainError):
+        vacuum_benchmark(4.0)
 
 
 def test_min_order():
