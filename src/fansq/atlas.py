@@ -33,6 +33,8 @@ from .fanstate import (
 )
 from .squeeze import (
     SqueezeCoeffs,
+    SqueezeRowPlan,
+    _check_fan_order,
     _check_order,
     coefficients,
     coefficients_row,
@@ -79,8 +81,7 @@ class GridSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"fan order must be >= 1, got {self.k}")
+        _check_fan_order(self.k)
         _check_order(self.N)
         if self.xi_sq.min < 0:
             raise DomainError("xi_sq axis must be nonnegative")
@@ -118,16 +119,17 @@ def scan(
 ) -> PhaseDiagram:
     """Evaluate the squeeze parameter at every grid node.
 
-    Each eta_sq row is one call of `coefficients_row` and one
-    evaluation of S over its arrays, and rows run in order (eta_sq
-    outer, xi_sq inner), so outputs are reproducible byte for byte.
+    The xi_sq axis is prepared once (`SqueezeRowPlan`), then each
+    eta_sq row is one run of that plan and one evaluation of S over its
+    arrays.  Rows run in order (eta_sq outer, xi_sq inner), so outputs
+    are reproducible byte for byte.
     """
     xi_vals = grid.xi_sq.values()
+    plan = SqueezeRowPlan(grid.k, xi_vals, grid.N, ctl)
     values: list[np.ndarray] = []
     status: list[list[str]] = []
     for eta_sq in grid.eta_sq.values():
-        model = _model_for(model_kind, grid.k, eta_sq)
-        row = coefficients_row(grid.k, xi_vals, [model] * len(xi_vals), grid.N, ctl)
+        row = plan.run([_model_for(model_kind, grid.k, eta_sq)] * len(xi_vals))
         values.append(row.squeeze_parameter(grid.phi))
         status.append([STATUS_OK if err is None else _status(err) for err in row.errors])
     return PhaseDiagram(grid=grid, values=np.array(values, dtype=float), status=status)

@@ -65,8 +65,9 @@ class Output(NamedTuple):
     """What a subcommand computed, before it is written out.
 
     `data` is the JSON document's data; `rows` hold the CSV cells under
-    `header`, floats written with 17 significant digits.  Either may
-    hold generators, so that only the requested format is built.
+    `header`, floats written with 17 significant digits and strings as
+    they are.  Either may hold generators, so that only the requested
+    format is built.
     """
 
     data: dict
@@ -129,7 +130,9 @@ def _render(args: argparse.Namespace, ctl: SeriesControl, out: Output) -> str:
         return json.dumps(doc, sort_keys=True, indent=2, default=list) + "\n"
     lines = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(out.header)]
     for row in out.rows:
-        lines.append(",".join([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row]))
+        cells = [x if type(x) is str else f"{x:.17g}" if isinstance(x, float) else str(x)
+                 for x in row]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -201,22 +204,24 @@ def _cmd_squeeze(args, ctl, parser) -> Output:
 def _cmd_scan(args, ctl, parser) -> Output:
     grid = _grid(args)
     diagram = scan(grid, args.model, ctl)
-    xi_vals = grid.xi_sq.values()
-    nodes = [
-        (x, e, s, status)
-        for e, values, statuses in zip(
-            grid.eta_sq.values(), diagram.values.tolist(), diagram.status
-        )
-        for x, s, status in zip(xi_vals, values, statuses)
-    ]
+    xi_vals, eta_vals = grid.xi_sq.values(), grid.eta_sq.values()
+    values = diagram.values.tolist()
     data = {
         "nodes": (
             {"xi_sq": x, "eta_sq": e, "squeeze": s if status == STATUS_OK else None,
              "status": status}
-            for x, e, s, status in nodes
+            for e, row, statuses in zip(eta_vals, values, diagram.status)
+            for x, s, status in zip(xi_vals, row, statuses)
         )
     }
-    return Output(data, ("xi_sq", "eta_sq", "squeeze", "status"), nodes)
+    # each axis value is written once, as the CSV writes a float
+    xi_text, eta_text = [f"{x:.17g}" for x in xi_vals], [f"{e:.17g}" for e in eta_vals]
+    rows = (
+        (x, e, s, status)
+        for e, row, statuses in zip(eta_text, values, diagram.status)
+        for x, s, status in zip(xi_text, row, statuses)
+    )
+    return Output(data, ("xi_sq", "eta_sq", "squeeze", "status"), rows)
 
 
 def _cmd_boundary(args, ctl, parser) -> Output:

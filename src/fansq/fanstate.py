@@ -48,7 +48,12 @@ Two paths evaluate the series, chosen by the shape of the input:
     not depend on the block sizes, on the prediction or on which columns
     or models share the block.  A node whose series fail reports the
     error the scalar path would raise first, in the same words.  It
-    fills none of the scalar path's memo tables.
+    fills none of the scalar path's memo tables.  The row path runs in
+    two steps: a `MomentRowPlan` takes what depends on (k, xi, pairs,
+    ctl) alone (the checks, the series and their order, ln xi, the
+    column parameters and xi^(l - m)), and its `run` does the rest for
+    one list of models.  A scan makes one plan for its xi axis and runs
+    it once per eta_sq row; `moment_row` is a plan run once.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from __future__ import annotations
 import copy
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -107,9 +112,13 @@ class TrappedIon:
 NonlinearModel = Union[Identity, TrappedIon]
 
 
-def _check_fan(k: int, model: NonlinearModel) -> None:
+def _check_k(k: int) -> None:
     if not (isinstance(k, int) and k >= 1):
         raise DomainError(f"fan order k must be a positive integer, got {k}")
+
+
+def _check_fan(k: int, model: NonlinearModel) -> None:
+    _check_k(k)
     if isinstance(model, TrappedIon) and model.quantum_order != 2 * k:
         raise DomainError(
             f"trapped-ion quantum_order must equal 2k = {2 * k}, got {model.quantum_order}"
@@ -119,6 +128,15 @@ def _check_fan(k: int, model: NonlinearModel) -> None:
 def _check_xi(xi: float) -> None:
     if not (math.isfinite(xi) and xi >= 0):
         raise DomainError(f"xi must be finite and >= 0, got {xi}")
+
+
+def _xi_array(xi: Sequence[float]) -> np.ndarray:
+    """xi as a float array, or the DomainError of its first bad entry."""
+    xi_arr = np.array(xi, dtype=float)
+    bad = ~(np.isfinite(xi_arr) & (xi_arr >= 0))
+    if bad.any():
+        _check_xi(float(xi_arr[bad.argmax()]))
+    return xi_arr
 
 
 @dataclass(frozen=True)
@@ -447,10 +465,7 @@ def convergence_depth(
     # models repeat along a scan row: check each object once, unhashed
     for model in {id(model): model for model in models}.values():
         _check_fan(k, model)
-    xi_arr = np.array(xi, dtype=float)
-    bad = ~(np.isfinite(xi_arr) & (xi_arr >= 0))
-    if bad.any():
-        _check_xi(float(xi_arr[bad.argmax()]))
+    xi_arr = _xi_array(xi)
     eta_sq = np.array([getattr(model, "eta_sq", 0.0) for model in models])
     ion = eta_sq > 0
     log_tol = -math.log(ctl.rel_tol)
@@ -660,6 +675,135 @@ class MomentRow:
     errors: list[Optional[FansqError]]
 
 
+def _xi_power(xi: float, diff: int) -> float:
+    """xi**diff, with the scalar path's `**`, or inf past float range.
+
+    A node that far out fails its series first, so its values are NaN.
+    """
+    try:
+        return xi**diff
+    except OverflowError:
+        return math.inf
+
+
+class MomentRowPlan:
+    """The part of `moment_row` that depends only on (k, xi, pairs, ctl).
+
+    A scan runs one xi axis against every eta_sq row, so this part is
+    taken once per axis: the checks of k, xi and the pairs, the live
+    (positive) xi, the series each node needs and their order, ln xi
+    per live node and the column parameters of the term block, and
+    xi^(l - m) per series and live node, with `math.log` and `**` as the
+    scalar path takes them.  `run` does the rest for one list of
+    models, one per xi.
+    """
+
+    def __init__(
+        self,
+        k: int,
+        xi: Sequence[float],
+        pairs: Sequence[tuple[int, int]],
+        ctl: SeriesControl = DEFAULT_CONTROL,
+    ) -> None:
+        _check_k(k)
+        zero = _xi_array(xi) == 0.0
+        for l, m in pairs:
+            if l < 0 or m < 0:
+                raise DomainError(f"moment powers must be nonnegative, got l={l}, m={m}")
+        self.k, self.xi, self.ctl = k, list(xi), ctl
+        step = 2 * k
+        self.live = live = np.flatnonzero(~zero)
+        ordered = {(max(l, m), min(l, m)): None for l, m in pairs}
+        series = [lm for lm in ordered if (lm[0] - lm[1]) % (2 * step) == 0]
+        # the scalar path sums the first moment, then the normalization it
+        # divides by, then the others: that order decides which error a
+        # node reports
+        if series:
+            series.insert(1, None)
+        self.series = series
+        log_xi = np.array([math.log(self.xi[j]) for j in live])
+
+        def per_column(f):
+            return np.repeat([f(lm) for lm in series], live.size)
+
+        # g, the lattice column of each node's model, comes with the models
+        self.columns = _Columns(
+            g=np.zeros(0, dtype=int),
+            n0=per_column(lambda lm: 0 if lm is None else -(-lm[1] // step)),
+            shift=per_column(lambda lm: 0 if lm is None else (lm[0] - lm[1]) // step),
+            m=per_column(lambda lm: 0 if lm is None else lm[1]),
+            norm=per_column(lambda lm: lm is None),
+            log_xi=np.tile(log_xi, len(series)),
+        )
+        # row r of a column is the even index e0 + 2r
+        self.e0 = self.columns.n0 + self.columns.n0 % 2
+        self.powers = [
+            None if lm is None else np.array([_xi_power(self.xi[j], lm[0] - lm[1]) for j in live])
+            for lm in series
+        ]
+        # per pair: its series, and its value at xi = 0 (the vacuum)
+        self.outputs = []
+        for l, m in pairs:
+            lm = (max(l, m), min(l, m))
+            at_zero = np.where(zero, float(lm == (0, 0)), 0.0)
+            self.outputs.append(((l, m), series.index(lm) if lm in series else None, at_zero))
+
+    def run(self, models: Sequence[NonlinearModel]) -> MomentRow:
+        """`moment_row` at models[j] for each xi[j], in one term block.
+
+        The lattice of products is built once per distinct model, up
+        front to the deepest index `convergence_depth` predicts.
+        """
+        k, ctl, live, series = self.k, self.ctl, self.live, self.series
+        _, depth = convergence_depth(k, self.xi, models, ctl)
+        groups: dict[NonlinearModel, int] = {}
+        group = [groups.setdefault(models[j], len(groups)) for j in live.tolist()]
+        lat = _Lattice(list(groups), 2 * k, ctl.laguerre_floor)
+        params = replace(self.columns, g=np.tile(np.array(group, dtype=int), len(series)))
+        # a block ends after the row of the predicted stop, within the term cap
+        e0 = self.e0
+        last_row = (ctl.n_max + 1) // 2 - 1
+        stop_row = np.clip((np.tile(depth[live], len(series)) - e0) // 2, 0, last_row)
+        if stop_row.size:
+            lat.extend(int((e0 + 2 * stop_row + params.shift).max()))
+        sums, outcome, rows = _sum_columns(lat, k, params, ctl, stop_row + 1)
+        sums = sums.reshape(len(series), live.size)
+        outcome = outcome.reshape(len(series), live.size)
+        index = (e0 + 2 * rows).reshape(len(series), live.size)
+
+        errors: list[Optional[FansqError]] = [None] * len(self.xi)
+        for s_idx, lm in enumerate(series):
+            for i in np.flatnonzero(outcome[s_idx] != _STOPPED):
+                j = int(live[i])
+                if errors[j] is not None:
+                    continue
+                code = outcome[s_idx, i]
+                if code == _SINGULAR:
+                    errors[j] = copy.copy(lat.errors[group[i]])
+                elif code == _OVERFLOW:
+                    what = "normalization" if lm is None else f"moment ({lm[0]},{lm[1]})"
+                    errors[j] = SeriesNotConverged(
+                        f"{what} term at index {index[s_idx, i]} exceeds float range"
+                    )
+                else:
+                    what = "normalization" if lm is None else f"moment l={lm[0]} m={lm[1]}"
+                    errors[j] = SeriesNotConverged(
+                        f"{what} k={k} xi={self.xi[j]}: tail criterion not met after "
+                        f"{ctl.n_max} terms"
+                    )
+
+        failed = np.array([e is not None for e in errors], dtype=bool)
+        values = {}
+        for pair, s_idx, at_zero in self.outputs:
+            v = at_zero.copy()
+            if s_idx is not None:
+                scale = np.where(failed[live], 0.0, self.powers[s_idx])
+                v[live] = scale * sums[s_idx] / sums[1]
+            v[failed] = np.nan
+            values[pair] = v
+        return MomentRow(values=values, errors=errors)
+
+
 def moment_row(
     k: int,
     xi: Sequence[float],
@@ -671,85 +815,11 @@ def moment_row(
 
     Each series the pairs need (the normalization and every moment not
     zero by symmetry) is one column per positive xi.  Columns stop on
-    the scalar stop rule; the lattice of products is built once per
-    distinct model, up front to the deepest index `convergence_depth`
-    predicts.
+    the scalar stop rule.  This is `MomentRowPlan(k, xi, pairs,
+    ctl).run(models)`: a caller with many rows on one xi axis keeps the
+    plan and runs it once per row.
     """
-    _, depth = convergence_depth(k, xi, models, ctl)
-    for l, m in pairs:
-        if l < 0 or m < 0:
-            raise DomainError(f"moment powers must be nonnegative, got l={l}, m={m}")
-    step = 2 * k
-    xi_arr = np.array(xi, dtype=float)
-    live = np.flatnonzero(xi_arr > 0)
-    ordered = {(max(l, m), min(l, m)): None for l, m in pairs}
-    series = [lm for lm in ordered if (lm[0] - lm[1]) % (2 * step) == 0]
-    # the scalar path sums the first moment, then the normalization it
-    # divides by, then the others: that order decides which error a
-    # node reports
-    if series:
-        series.insert(1, None)
-    groups: dict[NonlinearModel, int] = {}
-    group = [groups.setdefault(models[j], len(groups)) for j in live]
-    lat = _Lattice(list(groups), step, ctl.laguerre_floor)
-    log_xi = np.array([math.log(xi[j]) for j in live])
-
-    def per_column(f):
-        return np.repeat([f(lm) for lm in series], live.size)
-
-    params = _Columns(
-        g=np.tile(np.array(group, dtype=int), len(series)),
-        n0=per_column(lambda lm: 0 if lm is None else -(-lm[1] // step)),
-        shift=per_column(lambda lm: 0 if lm is None else (lm[0] - lm[1]) // step),
-        m=per_column(lambda lm: 0 if lm is None else lm[1]),
-        norm=per_column(lambda lm: lm is None),
-        log_xi=np.tile(log_xi, len(series)),
-    )
-    # row r of a column is the even index e0 + 2r; a block ends after
-    # the row of the predicted stop, within the term cap
-    e0 = params.n0 + params.n0 % 2
-    last_row = (ctl.n_max + 1) // 2 - 1
-    stop_row = np.clip((np.tile(depth[live], len(series)) - e0) // 2, 0, last_row)
-    if stop_row.size:
-        lat.extend(int((e0 + 2 * stop_row + params.shift).max()))
-    sums, outcome, rows = _sum_columns(lat, k, params, ctl, stop_row + 1)
-    sums = sums.reshape(len(series), live.size)
-    outcome = outcome.reshape(len(series), live.size)
-    index = (e0 + 2 * rows).reshape(len(series), live.size)
-
-    errors: list[Optional[FansqError]] = [None] * len(xi)
-    for s_idx, lm in enumerate(series):
-        for i in np.flatnonzero(outcome[s_idx] != _STOPPED):
-            j = int(live[i])
-            if errors[j] is not None:
-                continue
-            code = outcome[s_idx, i]
-            if code == _SINGULAR:
-                errors[j] = copy.copy(lat.errors[group[i]])
-            elif code == _OVERFLOW:
-                what = "normalization" if lm is None else f"moment ({lm[0]},{lm[1]})"
-                errors[j] = SeriesNotConverged(
-                    f"{what} term at index {index[s_idx, i]} exceeds float range"
-                )
-            else:
-                what = f"normalization k={k}" if lm is None else f"moment l={lm[0]} m={lm[1]} k={k}"
-                errors[j] = SeriesNotConverged(
-                    f"{what} xi={xi[j]}: tail criterion not met after {ctl.n_max} terms"
-                )
-
-    failed = np.array([e is not None for e in errors], dtype=bool)
-    values = {}
-    for l, m in pairs:
-        lm = (max(l, m), min(l, m))
-        v = np.where(xi_arr == 0.0, float(lm == (0, 0)), 0.0)
-        if lm in series:
-            diff = lm[0] - lm[1]
-            # xi^diff may pass float range at a failed node, which is NaN anyway
-            scale = np.array([0.0 if errors[j] is not None else xi[j] ** diff for j in live])
-            v[live] = scale * sums[series.index(lm)] / sums[1]
-        v[failed] = np.nan
-        values[(l, m)] = v
-    return MomentRow(values=values, errors=errors)
+    return MomentRowPlan(k, xi, pairs, ctl).run(models)
 
 
 def xi_from_drive(d: DriveParams) -> float:

@@ -169,6 +169,8 @@ def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
     from psi, and the value is the same either way.  Requires enough
     guard rows that the repeated maps stay clear of the truncation edge.
     """
+    if type(N) is not int:  # the oracle keeps its own checks, apart from the series side
+        raise DomainError(f"moment order must be an int, got {N!r}")
     if N < 2 or N % 2 != 0:
         raise DomainError(f"moment order must be even and >= 2, got {N}")
     if not math.isfinite(phi):

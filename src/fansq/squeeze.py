@@ -23,24 +23,35 @@ from .errors import DomainError, FansqError
 from .fanstate import (
     DEFAULT_CONTROL,
     FanConfig,
+    MomentRowPlan,
     NonlinearModel,
     SeriesControl,
+    _check_k,
     moment,
-    moment_row,
 )
 from .specfun import double_factorial
 
 
-def min_order(k: int) -> int:
-    """Lowest moment order that can show squeezing: 4k."""
+def _check_int(what: str, value: int) -> None:
+    # a float would fail later as a TypeError, and a bool passes as 0 or 1
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an int, got {value!r}")
+
+
+def _check_fan_order(k: int) -> None:
+    _check_int("fan order", k)
     if k < 1:
         raise DomainError(f"fan order must be >= 1, got {k}")
+
+
+def min_order(k: int) -> int:
+    """Lowest moment order that can show squeezing: 4k."""
+    _check_fan_order(k)
     return 4 * k
 
 
 def _check_order(N: int) -> None:
-    if type(N) is not int:  # a float order would fail later as a TypeError
-        raise DomainError(f"moment order must be an int, got {N!r}")
+    _check_int("moment order", N)
     if N < 2 or N % 2 != 0:
         raise DomainError(f"moment order must be even and >= 2, got {N}")
 
@@ -161,6 +172,34 @@ class SqueezeRow:
         return np.where(ok, s, np.nan)
 
 
+class SqueezeRowPlan:
+    """The part of `coefficients_row` that depends only on (k, xi_sq, N, ctl).
+
+    It checks N and every xi_sq, takes the square roots and holds the
+    `MomentRowPlan` of the moments the decomposition needs; `run`
+    evaluates one list of models, one per xi_sq.  A scan keeps one plan
+    for its whole xi_sq axis.
+    """
+
+    def __init__(
+        self, k: int, xi_sq: Sequence[float], N: int, ctl: SeriesControl = DEFAULT_CONTROL
+    ) -> None:
+        _check_order(N)
+        for x in xi_sq:
+            if not (math.isfinite(x) and x >= 0):
+                raise DomainError(f"xi_sq must be finite and >= 0, got {x}")
+        _check_k(k)  # before `_moment_pairs` divides by it
+        self.k, self.N = k, N
+        self.moments = MomentRowPlan(k, [math.sqrt(x) for x in xi_sq], _moment_pairs(k, N), ctl)
+
+    def run(self, models: Sequence[NonlinearModel]) -> SqueezeRow:
+        row = self.moments.run(models)
+        const, harmonics = _assemble(self.k, self.N, row.values)
+        return SqueezeRow(
+            k=self.k, N=self.N, constant=const, harmonics=tuple(harmonics), errors=row.errors
+        )
+
+
 def coefficients_row(
     k: int,
     xi_sq: Sequence[float],
@@ -173,15 +212,10 @@ def coefficients_row(
     Node j holds what `coefficients(FanConfig.from_xi_sq(k, xi_sq[j],
     models[j]), N, ctl)` returns, up to rounding, or the error it
     raises, in the same words.  All series of the row are summed
-    together by `moment_row`; no per-node object is built.
+    together by `moment_row`; no per-node object is built.  This is
+    `SqueezeRowPlan(k, xi_sq, N, ctl).run(models)`.
     """
-    _check_order(N)
-    for x in xi_sq:
-        if not (math.isfinite(x) and x >= 0):
-            raise DomainError(f"xi_sq must be finite and >= 0, got {x}")
-    row = moment_row(k, [math.sqrt(x) for x in xi_sq], models, _moment_pairs(k, N), ctl)
-    const, harmonics = _assemble(k, N, row.values)
-    return SqueezeRow(k=k, N=N, constant=const, harmonics=tuple(harmonics), errors=row.errors)
+    return SqueezeRowPlan(k, xi_sq, N, ctl).run(models)
 
 
 def _cosine_sum(constant: Any, harmonics: Sequence[Any], k: int, phi: float) -> Any:
@@ -255,6 +289,7 @@ def leading_order_terms(k: int, N: int, xi: float) -> LeadingOrderTerms:
     always dominates for small nonzero xi and squeezing is guaranteed in
     that limit.
     """
+    _check_int("moment order", N)
     if N < min_order(k):
         raise DomainError(f"order N={N} below the minimum {min_order(k)} for k={k}")
     if N % 2 != 0:

@@ -81,6 +81,9 @@ def test_grid_spec_validation():
         GridSpec(xi_sq=ax, eta_sq=ax, k=1, N=5, phi=0.0)
     with pytest.raises(DomainError, match="moment order must be an int"):
         GridSpec(xi_sq=ax, eta_sq=ax, k=1, N=4.0, phi=0.0)
+    for k in (1.5, 1.0, True):
+        with pytest.raises(DomainError, match="fan order must be an int"):
+            GridSpec(xi_sq=ax, eta_sq=ax, k=k, N=4, phi=0.0)
     with pytest.raises(DomainError):
         GridSpec(xi_sq=AxisRange(-0.2, 0.5, 3), eta_sq=ax, k=1, N=4, phi=0.0)
     for phi in (math.nan, math.inf):

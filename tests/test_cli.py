@@ -135,6 +135,23 @@ def test_scan_json_nodes(capsys):
 # intersect / boundary / polar / directions
 
 
+def test_scan_csv_is_the_json_floats_written_with_17_digits(capsys):
+    # axis values whose shortest repr and 17-digit forms differ, an
+    # exponent form, the vacuum column and failed nodes past the radius
+    argv = ["scan", "--k", "1", "--N", "4", "--phi", "0.3",
+            "--xi-sq", "0:3.3000000000000003:7", "--eta-sq", "1e-5:0.9000000000000001:5"]
+    csv_text, _ = run_cli(capsys, argv)
+    nodes = run_json(capsys, argv + ["--format", "json"])["data"]["nodes"]
+    want = [
+        ",".join([f"{n['xi_sq']:.17g}", f"{n['eta_sq']:.17g}",
+                  "nan" if n["squeeze"] is None else f"{n['squeeze']:.17g}", n["status"]])
+        for n in nodes
+    ]
+    assert csv_text.splitlines()[2:] == want
+    assert {n["status"] for n in nodes} == {"OK", "NotConverged"}
+    assert "1.0000000000000001e-05" in want[0] and want[-1].startswith("3.3000000000000003,")
+
+
 def test_intersect_returns_three_roots(capsys):
     doc = run_json(
         capsys, ["intersect", "--k", "3", "--N", "12", "--xi-sq", "0.1"]

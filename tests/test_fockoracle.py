@@ -127,6 +127,13 @@ def test_quadrature_moment_rejects_odd_order():
         quadrature_moment(vacuum(12), 0.0, 3)
 
 
+@pytest.mark.parametrize("N", [4.0, 2.0, True])
+def test_quadrature_moment_rejects_an_order_that_is_not_an_int(N):
+    # 4.0 raised TypeError from range(); True passed as the order 1
+    with pytest.raises(DomainError, match="moment order must be an int"):
+        quadrature_moment(vacuum(12), 0.0, N)
+
+
 def test_quadrature_moment_needs_guard_rows():
     with pytest.raises(TruncationTooSmall):
         quadrature_moment(_fock(8, 6), 0.0, 4)

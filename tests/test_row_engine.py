@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fansq.fanstate import (
     DEFAULT_CONTROL,
     FanConfig,
     Identity,
+    MomentRowPlan,
     SeriesControl,
     TrappedIon,
     convergence_depth,
@@ -37,6 +39,7 @@ from fansq.fanstate import (
 from fansq.squeeze import (
     SqueezeCoeffs,
     SqueezeRow,
+    SqueezeRowPlan,
     coefficients,
     coefficients_row,
     squeeze_parameter,
@@ -359,6 +362,103 @@ def test_c08_scan_sizes_its_lattice_once_and_builds_no_node_objects(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
+# one plan per xi axis, one run per list of models
+
+
+def _same_moment_rows(a, b):
+    assert list(a.values) == list(b.values)
+    for lm in a.values:
+        assert a.values[lm].tobytes() == b.values[lm].tobytes(), lm
+    assert [_words(e) for e in a.errors] == [_words(e) for e in b.errors]
+
+
+# xi = 0, a point whose xi^4 passes float range, and points on both
+# sides of the first products' pole
+PLAN_XI_SQ = [0.0, 0.05, 0.4, 1e300, 0.8, 1.2, 0.0, 1.6]
+
+
+def _model_lists(k):
+    """Lists of one model per PLAN_XI_SQ point: shared, mixed and repeated."""
+    pole = TrappedIon(eta_sq=_smallest_root(2 * k), quantum_order=2 * k)  # L_2k^0 = 0: f(4k) is a pole
+    ion = [TrappedIon(eta_sq=e, quantum_order=2 * k) for e in (0.3, 0.9, 0.58)]
+    n = len(PLAN_XI_SQ)
+    return [
+        [pole] * n,
+        [ion[0]] * n,
+        [Identity()] * n,
+        [ion[j % 3] if j % 4 else pole for j in range(n)],
+        [Identity(), pole, ion[1], pole, ion[2], Identity(), ion[0], pole],
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_plan_run_on_many_rows_gives_each_row_its_one_call_bits(k):
+    N = 4 * k + 4
+    pairs = squeeze._moment_pairs(k, N) + [(0, 0), (0, 4 * k), (3, 3)]
+    xi = [math.sqrt(x) for x in PLAN_XI_SQ]
+    moments = MomentRowPlan(k, xi, pairs)
+    plan = SqueezeRowPlan(k, PLAN_XI_SQ, N)
+    lists = _model_lists(k)
+    # twice round, in both orders: a run carries nothing to the next
+    for models in lists + lists[::-1]:
+        _same_moment_rows(moments.run(models), moment_row(k, xi, models, pairs))
+        got, want = plan.run(models), coefficients_row(k, PLAN_XI_SQ, models, N)
+        for a, b in zip((got.constant, *got.harmonics), (want.constant, *want.harmonics)):
+            assert a.tobytes() == b.tobytes()
+        assert [_words(e) for e in got.errors] == [_words(e) for e in want.errors]
+    # the statuses are the scalar path's, the pole and the overflow included
+    names = assert_row_matches(k, PLAN_XI_SQ, lists[3], N)
+    assert names[0] == names[6] == "SqueezeCoeffs"
+    assert names[3] == "SeriesNotConverged" and "SingularNonlinearity" in names
+
+
+def test_a_plan_checks_its_axis_and_its_run_checks_the_models():
+    with pytest.raises(DomainError):
+        MomentRowPlan(1, [0.1, -0.2], [(1, 1)])
+    with pytest.raises(DomainError):
+        MomentRowPlan(1, [0.1], [(1, -1)])
+    with pytest.raises(DomainError):
+        MomentRowPlan(0, [0.1], [(1, 1)])
+    with pytest.raises(DomainError):
+        SqueezeRowPlan(1, [0.1, math.inf], 4)
+    plan = MomentRowPlan(1, [0.1, 0.2], [(1, 1)])
+    with pytest.raises(DomainError):
+        plan.run([Identity()])
+    with pytest.raises(DomainError):
+        plan.run([Identity(), TrappedIon(eta_sq=0.2, quantum_order=4)])
+
+
+def _c08_grid():
+    return GridSpec(
+        xi_sq=AxisRange(0.01, 1.0, 101), eta_sq=AxisRange(0.01, 1.0, 101), k=1, N=4, phi=math.pi / 4
+    )
+
+
+def test_c08_scan_takes_ln_xi_and_xi_powers_once_per_axis_value(monkeypatch):
+    grid = _c08_grid()
+    xi = {math.sqrt(x) for x in grid.xi_sq.values()}
+    logs, powers = [], []
+
+    def log(x, *base):
+        if x in xi:
+            logs.append(x)
+        return math.log(x, *base)
+
+    def power(x, diff):
+        powers.append(x)
+        return x**diff
+
+    counted = types.SimpleNamespace(**{**vars(math), "log": log})
+    monkeypatch.setattr(fanstate, "math", counted)
+    monkeypatch.setattr(fanstate, "_xi_power", power)
+    scan(grid, "trapped-ion")
+    # one per node of the grid, 10,201, when every row took its own
+    assert sorted(logs) == sorted(xi)
+    # k = 1, N = 4: the normalization and the moments (1, 1), (2, 2) and (4, 0)
+    assert len(powers) == 3 * len(xi) and set(powers) == xi
+
+
+# ---------------------------------------------------------------------------
 # the depth prediction from rho = xi^2 eta^2
 
 
@@ -506,6 +606,10 @@ def test_row_rejects_bad_inputs():
         coefficients_row(1, [0.1], [Identity()], 5)
     with pytest.raises(DomainError):
         coefficients_row(1, [0.1, 0.2], [Identity()], 4)
+    # a fan order of 0 divided by zero, and 1.5 failed in range()
+    for k in (0, 1.5, -1):
+        with pytest.raises(DomainError, match="fan order k must be a positive integer"):
+            coefficients_row(k, [0.1], [Identity()], 4)
 
 
 # ---------------------------------------------------------------------------

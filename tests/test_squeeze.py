@@ -61,6 +61,13 @@ def test_min_order():
         min_order(0)
 
 
+@pytest.mark.parametrize("k", [1.5, 1.0, True, math.nan])
+def test_min_order_rejects_a_fan_order_that_is_not_an_int(k):
+    # 1.5 gave 6.0 and True gave 4
+    with pytest.raises(DomainError, match="fan order must be an int"):
+        min_order(k)
+
+
 # ---------------------------------------------------------------------------
 # coefficients
 
@@ -214,6 +221,15 @@ def test_leading_order_rejects_below_threshold():
         leading_order_terms(2, 4, 0.1)
     with pytest.raises(DomainError):
         leading_order_squeeze(3, 8, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("k, N", [(1, 4.0), (1, 6.0), (1.0, 4), (True, 4)])
+def test_leading_order_rejects_an_order_that_is_not_an_int(k, N):
+    # a float order raised TypeError from math.factorial
+    with pytest.raises(DomainError, match="must be an int"):
+        leading_order_terms(k, N, 0.3)
+    with pytest.raises(DomainError, match="must be an int"):
+        leading_order_squeeze(k, N, 0.3, 0.0)
 
 
 @pytest.mark.parametrize("k, xi_sq", [(1, 0.01), (1, 0.004), (2, 0.09)])
