@@ -19,25 +19,27 @@ from ._optimize import bisect_root, itp_probe
 from .errors import (
     DomainError,
     EmptyBoundary,
-    FansqError,
     SeriesNotConverged,
     SingularNonlinearity,
 )
 from .fanstate import (
+    CAPPED,
     DEFAULT_CONTROL,
+    OVERFLOW,
+    SINGULAR,
+    STOPPED,
     FanConfig,
     Identity,
     NonlinearModel,
     SeriesControl,
     TrappedIon,
+    _check_k,
 )
 from .squeeze import (
     SqueezeCoeffs,
     SqueezeRowPlan,
-    _check_fan_order,
     _check_order,
     coefficients,
-    coefficients_row,
     squeeze_parameter,
     vacuum_benchmark,
 )
@@ -45,6 +47,14 @@ from .squeeze import (
 STATUS_OK = "OK"
 STATUS_SINGULAR = "Singular"
 STATUS_NOT_CONVERGED = "NotConverged"
+
+# the status of a node by the outcome code of its row
+_STATUS = {
+    STOPPED: STATUS_OK,
+    SINGULAR: STATUS_SINGULAR,
+    OVERFLOW: STATUS_NOT_CONVERGED,
+    CAPPED: STATUS_NOT_CONVERGED,
+}
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,7 @@ class GridSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        _check_fan_order(self.k)
+        _check_k(self.k)
         _check_order(self.N)
         if self.xi_sq.min < 0:
             raise DomainError("xi_sq axis must be nonnegative")
@@ -107,11 +117,6 @@ def _model_for(kind: str, k: int, eta_sq: float) -> NonlinearModel:
     raise DomainError(f"unknown model kind {kind!r}")
 
 
-def _status(err: FansqError) -> str:
-    """The status that marks a point whose series failed with err."""
-    return STATUS_SINGULAR if isinstance(err, SingularNonlinearity) else STATUS_NOT_CONVERGED
-
-
 def scan(
     grid: GridSpec,
     model_kind: str = "trapped-ion",
@@ -131,7 +136,7 @@ def scan(
     for eta_sq in grid.eta_sq.values():
         row = plan.run([_model_for(model_kind, grid.k, eta_sq)] * len(xi_vals))
         values.append(row.squeeze_parameter(grid.phi))
-        status.append([STATUS_OK if err is None else _status(err) for err in row.errors])
+        status.append([_STATUS[code] for code in row.outcome.tolist()])
     return PhaseDiagram(grid=grid, values=np.array(values, dtype=float), status=status)
 
 
@@ -182,7 +187,7 @@ def _refine_crossings(
 
     Each crossing keeps its own bracket and end values, seeded by the
     scan, and each step evaluates S at the `itp_probe` of every open
-    crossing in one `coefficients_row` call.  A crossing stops when its
+    crossing in one `SqueezeRowPlan` run.  A crossing stops when its
     bracket is at most 1e-12 wide (at its midpoint), when S is exactly
     0.0 at a probe (at the probe), or when its midpoint is no longer
     strictly inside the bracket; it never takes more steps than
@@ -203,7 +208,7 @@ def _refine_crossings(
         xi_sq = np.where(along_xi[rows], x, fixed[rows]).tolist()
         eta_sq = np.where(along_xi[rows], fixed[rows], x).tolist()
         models = [_model_for(kind, grid.k, e) for e in eta_sq]
-        row = coefficients_row(grid.k, xi_sq, models, grid.N, ctl)
+        row = SqueezeRowPlan(grid.k, xi_sq, grid.N, ctl).run(models)
         return row.squeeze_parameter(grid.phi), ~row.ok
 
     step = 0
@@ -302,7 +307,7 @@ def find_intersections(
     collapses toward vacuum, and both terms reach zero together.  Such
     a root is pinned by bisecting the harmonic itself and accepted only
     if the gap at that point is within `_TOUCH_TOL` of zero.  The grid
-    nodes are one `coefficients_row` call; the bisections evaluate the
+    nodes are one `SqueezeRowPlan` run; the bisections evaluate the
     scalar `coefficients` off the grid.
     """
     if N < 4 * k:
@@ -326,17 +331,17 @@ def find_intersections(
     gaps: list[Optional[float]] = []
     harms: list[Optional[float]] = []
     skipped: list[tuple[float, str]] = []
-    row = coefficients_row(k, [xi_sq] * len(nodes), models, N, ctl)
+    row = SqueezeRowPlan(k, [xi_sq] * len(nodes), N, ctl).run(models)
     row_gaps = (row.constant - np.abs(row.harmonics[0])).tolist()
     row_harms = row.harmonics[0].tolist()
-    for e, err, g, h in zip(nodes, row.errors, row_gaps, row_harms):
-        if err is None:
+    for e, code, g, h in zip(nodes, row.outcome.tolist(), row_gaps, row_harms):
+        if code == STOPPED:
             gaps.append(g)
             harms.append(h)
         else:
             gaps.append(None)
             harms.append(None)
-            skipped.append((e, _status(err)))
+            skipped.append((e, _STATUS[code]))
 
     # a node where the gap is exactly 0.0 is a root; sign changes are
     # bisected only between nonzero gaps, so no root is found twice

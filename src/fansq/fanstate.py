@@ -30,7 +30,7 @@ Two paths evaluate the series, chosen by the shape of the input:
     inline; it stops at the first term that completes the tail test.
     Results and tables sit in bounded memo tables.
   * a row of points of one order k, each with its own xi and model
-    (`moment_row`; grid scans pass one eta_sq row with a shared model,
+    (`MomentRowPlan`; grid scans pass one eta_sq row with a shared model,
     boundary refinement one bisection midpoint per crossing): every
     series a point needs becomes one column of a 2-D numpy block of
     terms over the even summation indices (the odd ones are exact
@@ -46,14 +46,15 @@ Two paths evaluate the series, chosen by the shape of the input:
     exact rounding errors), the same stop rule on the same even terms,
     and the same overflow, pole and term-cap checks, so its value does
     not depend on the block sizes, on the prediction or on which columns
-    or models share the block.  A node whose series fail reports the
-    error the scalar path would raise first, in the same words.  It
-    fills none of the scalar path's memo tables.  The row path runs in
-    two steps: a `MomentRowPlan` takes what depends on (k, xi, pairs,
-    ctl) alone (the checks, the series and their order, ln xi, the
-    column parameters and xi^(l - m)), and its `run` does the rest for
-    one list of models.  A scan makes one plan for its xi axis and runs
-    it once per eta_sq row; `moment_row` is a plan run once.
+    or models share the block.  A node whose series fail gets the
+    outcome code (SINGULAR, OVERFLOW or CAPPED) of the failure the
+    scalar path would raise first; the words of that error exist on
+    the scalar path only.  The row path fills none of the scalar path's
+    memo tables.  It runs in two steps: a `MomentRowPlan` takes what
+    depends on (k, xi, pairs, ctl) alone (the checks, the series and
+    their order, ln xi, the column parameters and xi^(l - m)), and its
+    `run` does the rest for one list of models.  A scan makes one plan
+    for its xi axis and runs it once per eta_sq row.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ class TrappedIon:
     quantum_order: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.quantum_order, int) and self.quantum_order >= 1):
-            raise DomainError(f"quantum_order must be a positive integer, got {self.quantum_order}")
+        _check_positive_int("quantum_order", self.quantum_order)
         if not (math.isfinite(self.eta_sq) and self.eta_sq > 0):
             raise DomainError(f"eta_sq must be finite and > 0, got {self.eta_sq}")
 
@@ -112,9 +112,15 @@ class TrappedIon:
 NonlinearModel = Union[Identity, TrappedIon]
 
 
+def _check_positive_int(what: str, value: int) -> None:
+    # a bool is an int subclass: True would pass as 1
+    if type(value) is not int or value < 1:
+        raise DomainError(f"{what} must be a positive integer, got {value}")
+
+
 def _check_k(k: int) -> None:
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"fan order k must be a positive integer, got {k}")
+    """The check of a fan order, for every path that takes one."""
+    _check_positive_int("fan order k", k)
 
 
 def _check_fan(k: int, model: NonlinearModel) -> None:
@@ -182,8 +188,7 @@ class DriveParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be finite and > 0, got {v}")
-        if not (isinstance(self.quantum_order, int) and self.quantum_order >= 1):
-            raise DomainError(f"quantum_order must be a positive integer, got {self.quantum_order}")
+        _check_positive_int("quantum_order", self.quantum_order)
         if not math.isfinite(self.phase):
             raise DomainError(f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "phase", self.phase % (2 * math.pi))
@@ -500,14 +505,13 @@ class _Lattice:
     def __init__(self, models: Sequence[NonlinearModel], step: int, floor: float) -> None:
         self.step = step
         self.floor = floor
-        self.ion = [g for g, model in enumerate(models) if isinstance(model, TrappedIon)]
-        self.eta_sq = [models[g].eta_sq for g in self.ion]
+        self.ion = np.flatnonzero([isinstance(model, TrappedIon) for model in models])
+        eta_sq = [models[g].eta_sq for g in self.ion]
         # the quantum order K is 2k = step: both Laguerre orders in one table
-        self.laguerre = LaguerreRows(np.repeat([0, step], len(self.ion)), np.tile(self.eta_sq, 2))
+        self.laguerre = LaguerreRows(np.repeat([0, step], len(eta_sq)), np.tile(eta_sq, 2))
         self.sign = np.ones((1, len(models)))
         self.logmag = np.zeros((1, len(models)))
         self.pole = np.full(len(models), _NO_POLE)
-        self.errors: list[Optional[SingularNonlinearity]] = [None] * len(models)
 
     def extend(self, j: int) -> None:
         """Hold products up to index j."""
@@ -536,13 +540,7 @@ class _Lattice:
             )
             sign[:, ion] = np.where(bad | ((num > 0) == (den > 0)), 1.0, -1.0)
             logmag[:, ion] = np.where(bad, 0.0, logf)
-            for r in np.flatnonzero(new_pole):
-                i = int(first[r])
-                m = int(fock[i, 0])
-                self.pole[ion[r]] = size + i
-                self.errors[ion[r]] = _singular_factor(
-                    self.eta_sq[r], m, step, den[i, r], self.floor
-                )
+            self.pole[ion[new_pole]] = size + first[new_pole]
         self.sign = np.vstack((self.sign, np.cumprod(np.vstack((self.sign[-1], sign)), axis=0)[1:]))
         self.logmag = np.vstack(
             (self.logmag, np.cumsum(np.vstack((self.logmag[-1], logmag)), axis=0)[1:])
@@ -598,23 +596,23 @@ def _first(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=0), mask.argmax(axis=0), mask.shape[0])
 
 
-_RUNNING, _STOPPED, _SINGULAR, _OVERFLOW, _CAPPED = range(5)
+# how a series ended: it stopped on the stop rule, or failed as the
+# scalar path does at a pole, at a term past float range, or at the term cap
+RUNNING, STOPPED, SINGULAR, OVERFLOW, CAPPED = range(5)
 
 
 def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: np.ndarray):
-    """Per-column `_series_sum`: returns (sums, outcome codes, last rows).
+    """Per-column `_series_sum`: returns the sums and the outcome codes.
 
     The rows are the even terms, and the stop rule is the scalar path's,
     the exception at an even n0 included.  ends[c] is the row after the
     predicted stop of column c: a block that would run past the deepest
     end of the running columns ends there, and the blocks double again
-    after it.  rows[c] is the row where column c stopped or failed, or
-    its last row if capped.
+    after it.
     """
     width = p.n0.size
     sums = np.full(width, np.nan)
-    outcome = np.full(width, _RUNNING)
-    rows = np.zeros(width, dtype=int)
+    outcome = np.full(width, RUNNING)
     cols = np.arange(width)
     acc = np.zeros(width)  # Neumaier sum and compensation, carried
     comp = np.zeros(width)
@@ -646,19 +644,18 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
         stopped = stop_at < fail_at
         idx = np.arange(cols.size)
         outcome[cols[failed]] = np.where(
-            singular[fail_at[failed], idx[failed]], _SINGULAR, _OVERFLOW
+            singular[fail_at[failed], idx[failed]], SINGULAR, OVERFLOW
         )
-        outcome[cols[stopped]] = _STOPPED
+        outcome[cols[stopped]] = STOPPED
         sums[cols[stopped]] = value[stop_at[stopped], idx[stopped]]
-        rows[cols] = a + np.minimum(np.minimum(fail_at, stop_at), b - a - 1)
         rest = ~(failed | stopped)
         if b == last:
-            outcome[cols[rest]] = _CAPPED
+            outcome[cols[rest]] = CAPPED
             break
         cols = cols[rest]
         acc, comp = s[-1, rest], c[-1, rest]
         a, size = b, b
-    return sums, outcome, rows
+    return sums, outcome
 
 
 @dataclass(frozen=True)
@@ -666,13 +663,16 @@ class MomentRow:
     """Moments of a row of fan states of one order k, one per (xi, model).
 
     values[(l, m)][j] is `moment(FanConfig(k, xi[j], models[j]), l, m,
-    ctl)` up to rounding.  errors[j] is the error the scalar path raises
-    first at node j when it evaluates the pairs in the given order, in
-    its words, else None; values are NaN at such a node.
+    ctl)` up to rounding.  outcome[j] is STOPPED where every series of
+    node j stopped (xi = 0 included), else the code of the failure the
+    scalar path raises first when it evaluates the pairs in the given
+    order: SINGULAR for its `SingularNonlinearity`, OVERFLOW and CAPPED
+    for its `SeriesNotConverged` of a term past float range and of the
+    term cap.  Values are NaN at a failed node.
     """
 
     values: dict[tuple[int, int], np.ndarray]
-    errors: list[Optional[FansqError]]
+    outcome: np.ndarray
 
 
 def _xi_power(xi: float, diff: int) -> float:
@@ -687,15 +687,17 @@ def _xi_power(xi: float, diff: int) -> float:
 
 
 class MomentRowPlan:
-    """The part of `moment_row` that depends only on (k, xi, pairs, ctl).
+    """Normally-ordered moments at many xi of one order k, in one term block per run.
 
-    A scan runs one xi axis against every eta_sq row, so this part is
-    taken once per axis: the checks of k, xi and the pairs, the live
-    (positive) xi, the series each node needs and their order, ln xi
-    per live node and the column parameters of the term block, and
-    xi^(l - m) per series and live node, with `math.log` and `**` as the
-    scalar path takes them.  `run` does the rest for one list of
-    models, one per xi.
+    Each series the pairs need (the normalization and every moment not
+    zero by symmetry) is one column per positive xi, and columns stop
+    on the scalar stop rule.  A scan runs one xi axis against every
+    eta_sq row, so what depends only on (k, xi, pairs, ctl) is taken
+    once, here: the checks of k, xi and the pairs, the live (positive)
+    xi, the series each node needs and their order, ln xi per live node
+    and the column parameters of the term block, and xi^(l - m) per
+    series and live node, with `math.log` and `**` as the scalar path
+    takes them.  `run` does the rest for one list of models, one per xi.
     """
 
     def __init__(
@@ -749,15 +751,18 @@ class MomentRowPlan:
             self.outputs.append(((l, m), series.index(lm) if lm in series else None, at_zero))
 
     def run(self, models: Sequence[NonlinearModel]) -> MomentRow:
-        """`moment_row` at models[j] for each xi[j], in one term block.
+        """The moments at models[j] for each xi[j], in one term block.
 
         The lattice of products is built once per distinct model, up
         front to the deepest index `convergence_depth` predicts.
         """
         k, ctl, live, series = self.k, self.ctl, self.live, self.series
         _, depth = convergence_depth(k, self.xi, models, ctl)
+        # a row shares few model objects: hash each once; equal models share a column
+        objects = {id(models[j]): models[j] for j in live.tolist()}
         groups: dict[NonlinearModel, int] = {}
-        group = [groups.setdefault(models[j], len(groups)) for j in live.tolist()]
+        by_id = {i: groups.setdefault(model, len(groups)) for i, model in objects.items()}
+        group = [by_id[id(models[j])] for j in live.tolist()]
         lat = _Lattice(list(groups), 2 * k, ctl.laguerre_floor)
         params = replace(self.columns, g=np.tile(np.array(group, dtype=int), len(series)))
         # a block ends after the row of the predicted stop, within the term cap
@@ -766,33 +771,13 @@ class MomentRowPlan:
         stop_row = np.clip((np.tile(depth[live], len(series)) - e0) // 2, 0, last_row)
         if stop_row.size:
             lat.extend(int((e0 + 2 * stop_row + params.shift).max()))
-        sums, outcome, rows = _sum_columns(lat, k, params, ctl, stop_row + 1)
+        sums, outcome = _sum_columns(lat, k, params, ctl, stop_row + 1)
         sums = sums.reshape(len(series), live.size)
         outcome = outcome.reshape(len(series), live.size)
-        index = (e0 + 2 * rows).reshape(len(series), live.size)
-
-        errors: list[Optional[FansqError]] = [None] * len(self.xi)
-        for s_idx, lm in enumerate(series):
-            for i in np.flatnonzero(outcome[s_idx] != _STOPPED):
-                j = int(live[i])
-                if errors[j] is not None:
-                    continue
-                code = outcome[s_idx, i]
-                if code == _SINGULAR:
-                    errors[j] = copy.copy(lat.errors[group[i]])
-                elif code == _OVERFLOW:
-                    what = "normalization" if lm is None else f"moment ({lm[0]},{lm[1]})"
-                    errors[j] = SeriesNotConverged(
-                        f"{what} term at index {index[s_idx, i]} exceeds float range"
-                    )
-                else:
-                    what = "normalization" if lm is None else f"moment l={lm[0]} m={lm[1]}"
-                    errors[j] = SeriesNotConverged(
-                        f"{what} k={k} xi={self.xi[j]}: tail criterion not met after "
-                        f"{ctl.n_max} terms"
-                    )
-
-        failed = np.array([e is not None for e in errors], dtype=bool)
+        code = np.full(len(self.xi), STOPPED)
+        if series:  # the first series that did not stop, in the scalar path's order
+            code[live] = outcome[(outcome != STOPPED).argmax(axis=0), np.arange(live.size)]
+        failed = code != STOPPED
         values = {}
         for pair, s_idx, at_zero in self.outputs:
             v = at_zero.copy()
@@ -801,25 +786,7 @@ class MomentRowPlan:
                 v[live] = scale * sums[s_idx] / sums[1]
             v[failed] = np.nan
             values[pair] = v
-        return MomentRow(values=values, errors=errors)
-
-
-def moment_row(
-    k: int,
-    xi: Sequence[float],
-    models: Sequence[NonlinearModel],
-    pairs: Sequence[tuple[int, int]],
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> MomentRow:
-    """Normally-ordered moments at each xi[j], models[j], in one term block.
-
-    Each series the pairs need (the normalization and every moment not
-    zero by symmetry) is one column per positive xi.  Columns stop on
-    the scalar stop rule.  This is `MomentRowPlan(k, xi, pairs,
-    ctl).run(models)`: a caller with many rows on one xi axis keeps the
-    plan and runs it once per row.
-    """
-    return MomentRowPlan(k, xi, pairs, ctl).run(models)
+        return MomentRow(values=values, outcome=code)
 
 
 def xi_from_drive(d: DriveParams) -> float:

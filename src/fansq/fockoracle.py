@@ -34,7 +34,7 @@ from .fanstate import (
     normalization,
     product_table,
 )
-from .specfun import CompensatedSum, log_factorial, log_factorials
+from .specfun import log_factorial, log_factorials
 
 # the live ln(n!) list `fock_coefficients` indexes; it only reads it
 _live_log_factorials = log_factorial.live
@@ -135,15 +135,15 @@ def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CON
     tab.reach(2 * top)
     lf = _live_log_factorials(4 * k * top)
     amps = np.zeros(dim, dtype=np.complex128)
-    captured = CompensatedSum()
+    squares = []
     log_xi = math.log(cfg.xi)
     for n in range(top + 1):
         level = 4 * k * n
         logmag = math.log(2 * k) - log_d_half + level * log_xi - 0.5 * lf[level] - tab.logmag[2 * n]
         c = tab.sign[2 * n] * math.exp(logmag)
         amps[level] = c
-        captured.add(c * c)
-    tail = 1.0 - captured.value
+        squares.append(c * c)
+    tail = 1.0 - math.fsum(squares)  # the captured mass, exactly rounded
     if tail >= 1e-14:
         raise TruncationTooSmall(
             f"dim={dim} leaves tail mass {tail:.3e} >= 1e-14 for k={k}, xi={cfg.xi}"

@@ -1,8 +1,8 @@
 """Numerically stable special functions shared by every series in the package.
 
 Provides generalized Laguerre polynomials via the ascending three-term
-recurrence, an exact cumulative log-factorial table, double factorials,
-and compensated summation.
+recurrence, an exact cumulative log-factorial table and double
+factorials.
 """
 
 from __future__ import annotations
@@ -120,26 +120,3 @@ class LaguerreRows:
             vals = np.vstack([vals, *rows[2:]])
         self._vals = vals
         return vals
-
-
-class CompensatedSum:
-    """Neumaier-compensated accumulator for long alternating-scale sums."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._s
-        t = s + x
-        if abs(s) >= abs(x):
-            self._c += (s - t) + x
-        else:
-            self._c += (x - t) + s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c

@@ -15,13 +15,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, FansqError
 from .fanstate import (
     DEFAULT_CONTROL,
+    STOPPED,
     FanConfig,
     MomentRowPlan,
     NonlinearModel,
@@ -38,15 +39,9 @@ def _check_int(what: str, value: int) -> None:
         raise DomainError(f"{what} must be an int, got {value!r}")
 
 
-def _check_fan_order(k: int) -> None:
-    _check_int("fan order", k)
-    if k < 1:
-        raise DomainError(f"fan order must be >= 1, got {k}")
-
-
 def min_order(k: int) -> int:
     """Lowest moment order that can show squeezing: 4k."""
-    _check_fan_order(k)
+    _check_k(k)
     return 4 * k
 
 
@@ -142,8 +137,9 @@ def coefficients(
 class SqueezeRow:
     """`SqueezeCoeffs` of a row of points of one order k, as arrays over the nodes.
 
-    constant[j] and harmonics[p-1][j] belong to node j.  errors[j] is
-    the error its series raised, else None; its coefficients are NaN
+    constant[j] and harmonics[p-1][j] belong to node j.  outcome[j] is
+    the `MomentRow` outcome code of node j: STOPPED where its series
+    converged, else how the first one failed; its coefficients are NaN
     then.
     """
 
@@ -151,12 +147,12 @@ class SqueezeRow:
     N: int
     constant: np.ndarray
     harmonics: tuple[np.ndarray, ...]
-    errors: list[Optional[FansqError]]
+    outcome: np.ndarray
 
     @property
     def ok(self) -> np.ndarray:
         """True at the nodes whose series converged."""
-        return np.array([e is None for e in self.errors], dtype=bool)
+        return self.outcome == STOPPED
 
     def squeeze_parameter(self, phi: float) -> np.ndarray:
         """`squeeze_parameter` at every node, bit for bit; NaN where the series failed.
@@ -173,11 +169,14 @@ class SqueezeRow:
 
 
 class SqueezeRowPlan:
-    """The part of `coefficients_row` that depends only on (k, xi_sq, N, ctl).
+    """`coefficients` for many points of one order k, as arrays.
 
-    It checks N and every xi_sq, takes the square roots and holds the
-    `MomentRowPlan` of the moments the decomposition needs; `run`
-    evaluates one list of models, one per xi_sq.  A scan keeps one plan
+    Node j of `run(models)` holds what `coefficients(FanConfig.from_xi_sq(k,
+    xi_sq[j], models[j]), N, ctl)` returns, up to rounding, or the
+    outcome code of the error it raises.  The plan checks N and every
+    xi_sq, takes the square roots and holds the `MomentRowPlan` of the
+    moments the decomposition needs, so all series of a row are summed
+    together and no per-node object is built.  A scan keeps one plan
     for its whole xi_sq axis.
     """
 
@@ -196,26 +195,8 @@ class SqueezeRowPlan:
         row = self.moments.run(models)
         const, harmonics = _assemble(self.k, self.N, row.values)
         return SqueezeRow(
-            k=self.k, N=self.N, constant=const, harmonics=tuple(harmonics), errors=row.errors
+            k=self.k, N=self.N, constant=const, harmonics=tuple(harmonics), outcome=row.outcome
         )
-
-
-def coefficients_row(
-    k: int,
-    xi_sq: Sequence[float],
-    models: Sequence[NonlinearModel],
-    N: int,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> SqueezeRow:
-    """`coefficients` for a row of points of one order k, as arrays.
-
-    Node j holds what `coefficients(FanConfig.from_xi_sq(k, xi_sq[j],
-    models[j]), N, ctl)` returns, up to rounding, or the error it
-    raises, in the same words.  All series of the row are summed
-    together by `moment_row`; no per-node object is built.  This is
-    `SqueezeRowPlan(k, xi_sq, N, ctl).run(models)`.
-    """
-    return SqueezeRowPlan(k, xi_sq, N, ctl).run(models)
 
 
 def _cosine_sum(constant: Any, harmonics: Sequence[Any], k: int, phi: float) -> Any:

@@ -29,10 +29,18 @@ from fansq.errors import (
     SeriesNotConverged,
     SingularNonlinearity,
 )
-from fansq.fanstate import DEFAULT_CONTROL, FanConfig, Identity, SeriesControl, TrappedIon
+from fansq.fanstate import (
+    DEFAULT_CONTROL,
+    STOPPED,
+    FanConfig,
+    Identity,
+    SeriesControl,
+    TrappedIon,
+)
 from fansq.squeeze import (
     SqueezeCoeffs,
     SqueezeRow,
+    SqueezeRowPlan,
     coefficients,
     squeeze_parameter,
     vacuum_benchmark,
@@ -82,7 +90,7 @@ def test_grid_spec_validation():
     with pytest.raises(DomainError, match="moment order must be an int"):
         GridSpec(xi_sq=ax, eta_sq=ax, k=1, N=4.0, phi=0.0)
     for k in (1.5, 1.0, True):
-        with pytest.raises(DomainError, match="fan order must be an int"):
+        with pytest.raises(DomainError, match="fan order k must be a positive integer"):
             GridSpec(xi_sq=ax, eta_sq=ax, k=k, N=4, phi=0.0)
     with pytest.raises(DomainError):
         GridSpec(xi_sq=AxisRange(-0.2, 0.5, 3), eta_sq=ax, k=1, N=4, phi=0.0)
@@ -272,15 +280,15 @@ def c08_crossings():
 
 
 def _counting_engine(monkeypatch):
-    """Record the number of points of every `coefficients_row` call."""
+    """Record the number of points of every `SqueezeRowPlan` run."""
     calls = []
-    engine = fansq.atlas.coefficients_row
 
-    def counted(k, xi_sq, models, N, ctl):
-        calls.append(len(xi_sq))
-        return engine(k, xi_sq, models, N, ctl)
+    class Counted(SqueezeRowPlan):
+        def run(self, models):
+            calls.append(len(models))
+            return super().run(models)
 
-    monkeypatch.setattr(fansq.atlas, "coefficients_row", counted)
+    monkeypatch.setattr(fansq.atlas, "SqueezeRowPlan", Counted)
     return calls
 
 
@@ -370,14 +378,19 @@ def test_find_intersections_reports_an_exact_zero_gap_once(monkeypatch, gaps):
     def fake(cfg, N, ctl):  # constant - |harmonic| is the tabulated gap
         return SqueezeCoeffs(cfg.k, N, 1.0 + gap_at[cfg.model.eta_sq], (1.0,))
 
-    def fake_row(k, xi_sq, models, N, ctl):  # the grid nodes
-        nodes = [fake(FanConfig.from_xi_sq(k, x, m), N, ctl) for x, m in zip(xi_sq, models)]
-        constant = np.array([c.constant for c in nodes])
-        harmonics = (np.array([c.harmonics[0] for c in nodes]),)
-        return SqueezeRow(k, N, constant, harmonics, [None] * len(nodes))
+    class FakePlan:  # the grid nodes
+        def __init__(self, k, xi_sq, N, ctl):
+            self.args = k, xi_sq, N, ctl
+
+        def run(self, models):
+            k, xi_sq, N, ctl = self.args
+            nodes = [fake(FanConfig.from_xi_sq(k, x, m), N, ctl) for x, m in zip(xi_sq, models)]
+            constant = np.array([c.constant for c in nodes])
+            harmonics = (np.array([c.harmonics[0] for c in nodes]),)
+            return SqueezeRow(k, N, constant, harmonics, np.full(len(nodes), STOPPED))
 
     monkeypatch.setattr(fansq.atlas, "coefficients", fake)
-    monkeypatch.setattr(fansq.atlas, "coefficients_row", fake_row)
+    monkeypatch.setattr(fansq.atlas, "SqueezeRowPlan", FakePlan)
     result = find_intersections(0.1, 1, 4, eta_range)
     zero = eta_range.values()[gaps.index(0.0)]
     assert result.roots == (zero,)

@@ -20,6 +20,7 @@ from fansq.fanstate import (
     DriveParams,
     FanConfig,
     Identity,
+    MomentRowPlan,
     SeriesControl,
     ProductTable,
     TrappedIon,
@@ -73,6 +74,20 @@ def test_drive_params_validation_and_phase_reduction():
     d = DriveParams(omega0=1.0, omega1=1.0, eta=0.5, phase=7.0, quantum_order=2)
     assert 0.0 <= d.phase < 2 * math.pi
     assert d.phase == pytest.approx(7.0 - 2 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [True, False, 1.0, 2.0, 1.5])
+def test_fan_and_quantum_orders_must_be_ints(order):
+    # True passed as 1: FanConfig(True, 0.5, Identity()) built a k = 1
+    # state and DriveParams(1.0, 2.0, 0.3, 0.0, True) gave xi = 1.667
+    with pytest.raises(DomainError, match="fan order k must be a positive integer"):
+        FanConfig(order, 0.5, Identity())
+    with pytest.raises(DomainError, match="fan order k must be a positive integer"):
+        MomentRowPlan(order, [0.5], [(1, 1)])
+    with pytest.raises(DomainError, match="quantum_order must be a positive integer"):
+        TrappedIon(eta_sq=0.3, quantum_order=order)
+    with pytest.raises(DomainError, match="quantum_order must be a positive integer"):
+        DriveParams(1.0, 2.0, 0.3, 0.0, order)
 
 
 def test_series_control_validation():

@@ -1,9 +1,10 @@
 """The row engine against the scalar path, and the guards that keep both honest.
 
-`coefficients_row` sums every series of a row of points, each with its
+`SqueezeRowPlan` sums every series of a row of points, each with its
 own model, in one numpy term block; `coefficients` sums one point at a
 time.  The two must give the same status at every node and the same
-squeeze parameter up to rounding.
+squeeze parameter up to rounding.  Where the scalar path raises, the
+row engine gives the outcome code of that error (`_code`).
 """
 
 import dataclasses
@@ -23,10 +24,21 @@ import fansq.atlas
 import fansq.fanstate as fanstate
 import fansq.specfun
 import fansq.squeeze as squeeze
-from fansq.atlas import AxisRange, GridSpec, scan
+from fansq.atlas import (
+    STATUS_NOT_CONVERGED,
+    STATUS_OK,
+    STATUS_SINGULAR,
+    AxisRange,
+    GridSpec,
+    scan,
+)
 from fansq.errors import DomainError, FansqError, SeriesNotConverged, SingularNonlinearity
 from fansq.fanstate import (
+    CAPPED,
     DEFAULT_CONTROL,
+    OVERFLOW,
+    SINGULAR,
+    STOPPED,
     FanConfig,
     Identity,
     MomentRowPlan,
@@ -34,14 +46,12 @@ from fansq.fanstate import (
     TrappedIon,
     convergence_depth,
     moment,
-    moment_row,
 )
 from fansq.squeeze import (
     SqueezeCoeffs,
     SqueezeRow,
     SqueezeRowPlan,
     coefficients,
-    coefficients_row,
     squeeze_parameter,
     vacuum_benchmark,
 )
@@ -50,14 +60,34 @@ from laguerre_ref import laguerre
 XI_SQ = [0.0, 0.02, 0.15, 0.4, 0.7, 1.0, 1.6]
 
 
+def moment_row(k, xi, models, pairs, ctl=DEFAULT_CONTROL):
+    return MomentRowPlan(k, xi, pairs, ctl).run(models)
+
+
+def coefficients_row(k, xi_sq, models, N, ctl=DEFAULT_CONTROL):
+    return SqueezeRowPlan(k, xi_sq, N, ctl).run(models)
+
+
+def _code(want):
+    """The outcome code the row engine gives for a scalar result or error."""
+    if isinstance(want, SingularNonlinearity):
+        return SINGULAR
+    if isinstance(want, SeriesNotConverged):
+        if "exceeds float range" in str(want):
+            return OVERFLOW
+        assert "tail criterion not met" in str(want), want
+        return CAPPED
+    return STOPPED
+
+
 def _nodes(row):
-    """The arrays of a `coefficients_row` result as one `SqueezeCoeffs`, or error, per node."""
+    """The arrays of a row result as one `SqueezeCoeffs`, or outcome code, per node."""
     const, harmonics = row.constant.tolist(), [h.tolist() for h in row.harmonics]
     return [
-        err
-        if err is not None
-        else SqueezeCoeffs(row.k, row.N, const[j], tuple(h[j] for h in harmonics))
-        for j, err in enumerate(row.errors)
+        SqueezeCoeffs(row.k, row.N, const[j], tuple(h[j] for h in harmonics))
+        if code == STOPPED
+        else code
+        for j, code in enumerate(row.outcome.tolist())
     ]
 
 
@@ -85,10 +115,11 @@ def assert_row_matches(k, xi_sq, models, N, ctl=DEFAULT_CONTROL):
     names = []
     for j, (x, model, got) in enumerate(zip(xi_sq, models, row)):
         want = _scalar_node(k, x, model, N, ctl)
-        assert type(got) is type(want), (x, got, want)
         if not isinstance(want, SqueezeCoeffs):
+            assert got == _code(want), (x, got, want)
             assert all(math.isnan(s[j]) for s in s_row)
         else:
+            assert isinstance(got, SqueezeCoeffs), (x, got)
             assert len(got.harmonics) == len(want.harmonics)
             for phi, s in zip(phis, s_row):
                 s_want = squeeze_parameter(want, phi)
@@ -145,6 +176,41 @@ def test_a_point_past_float_range_fails_as_on_the_scalar_path():
         assert names == ["SqueezeCoeffs", "SeriesNotConverged"]
 
 
+@dataclasses.dataclass(frozen=True)
+class _Listed(AxisRange):
+    """An axis of the listed values, for a row that no even spacing gives."""
+
+    listed: tuple = ()
+
+    def values(self):
+        return list(self.listed)
+
+
+def test_a_scan_row_of_all_four_outcomes_has_the_scalar_statuses():
+    # the L_16^0 pole sits at product index 9 for k = 1: (8, 0) reads it
+    # from index 6 on, (1, 1) from index 10, past the cap of 8 indices
+    eta_sq = _smallest_root(16)
+    model = TrappedIon(eta_sq=eta_sq, quantum_order=2)
+    ctl = SeriesControl(n_max=8)
+    xi_sq = [0.0, 0.03, 0.04, 0.05, 0.1, 10.0, 1e300]
+    grid = GridSpec(
+        xi_sq=_Listed(0.0, 1e300, len(xi_sq), tuple(xi_sq)),
+        eta_sq=_Listed(eta_sq, 1.0, 2, (eta_sq,)),
+        k=1,
+        N=8,
+        phi=0.0,
+    )
+    row = coefficients_row(1, xi_sq, [model] * len(xi_sq), 8, ctl)
+    assert row.outcome.tolist() == [STOPPED] * 2 + [SINGULAR] * 2 + [CAPPED] * 2 + [OVERFLOW]
+    status = {
+        SqueezeCoeffs: STATUS_OK,
+        SingularNonlinearity: STATUS_SINGULAR,
+        SeriesNotConverged: STATUS_NOT_CONVERGED,
+    }
+    want = [status[type(_scalar_node(1, x, model, 8, ctl))] for x in xi_sq]
+    assert scan(grid, "trapped-ion", ctl).status == [want]
+
+
 def test_row_crossing_a_laguerre_pole():
     # for k = 1 the product at Fock argument 22 divides by L_20^0(eta_sq):
     # small xi stop before they need it, large xi run into the pole
@@ -172,9 +238,7 @@ def test_row_matches_scalar_path_for_each_order():
 
 
 def _same_node(a, b):
-    if isinstance(a, SqueezeCoeffs):
-        return a == b  # exact: every float bit for bit
-    return type(a) is type(b)
+    return a == b  # exact: every float bit for bit, or the same outcome code
 
 
 def test_node_value_does_not_depend_on_its_row():
@@ -236,7 +300,7 @@ def test_moment_row_matches_moment_for_any_pairs():
     xi = [0.0, 0.3, 0.8, 1.1]
     for model in (Identity(), TrappedIon(eta_sq=0.25, quantum_order=2)):
         row = moment_row(1, xi, [model] * len(xi), pairs)
-        assert row.errors == [None] * len(xi)
+        assert row.outcome.tolist() == [STOPPED] * len(xi)
         for (l, m), values in row.values.items():
             for x, v in zip(xi, values.tolist()):
                 want = moment(FanConfig(1, x, model), l, m)
@@ -261,13 +325,10 @@ def _assert_moment_row_matches(k, xi, models, lm, ctl):
     for j, (x, model) in enumerate(zip(xi, models)):
         want = _scalar_moment(FanConfig(k, x, model), lm, ctl)
         got = row.values[lm][j]
+        assert row.outcome[j] == _code(want), (x, model, lm, ctl, want)
         if isinstance(want, float):
-            assert row.errors[j] is None, (x, model, lm, ctl, row.errors[j])
             assert abs(got - want) <= 1e-13 * abs(want), (x, model, lm, ctl)
         else:
-            assert type(row.errors[j]) is type(want), (x, model, lm, ctl, want)
-            assert str(row.errors[j]) == str(want), (x, model, lm, ctl)
-            assert getattr(row.errors[j], "index", None) == getattr(want, "index", None)
             assert math.isnan(got)
         names.append(type(want).__name__)
     return names
@@ -369,7 +430,7 @@ def _same_moment_rows(a, b):
     assert list(a.values) == list(b.values)
     for lm in a.values:
         assert a.values[lm].tobytes() == b.values[lm].tobytes(), lm
-    assert [_words(e) for e in a.errors] == [_words(e) for e in b.errors]
+    assert a.outcome.tobytes() == b.outcome.tobytes()
 
 
 # xi = 0, a point whose xi^4 passes float range, and points on both
@@ -405,11 +466,36 @@ def test_a_plan_run_on_many_rows_gives_each_row_its_one_call_bits(k):
         got, want = plan.run(models), coefficients_row(k, PLAN_XI_SQ, models, N)
         for a, b in zip((got.constant, *got.harmonics), (want.constant, *want.harmonics)):
             assert a.tobytes() == b.tobytes()
-        assert [_words(e) for e in got.errors] == [_words(e) for e in want.errors]
+        assert got.outcome.tobytes() == want.outcome.tobytes()
     # the statuses are the scalar path's, the pole and the overflow included
     names = assert_row_matches(k, PLAN_XI_SQ, lists[3], N)
     assert names[0] == names[6] == "SqueezeCoeffs"
     assert names[3] == "SeriesNotConverged" and "SingularNonlinearity" in names
+
+
+def test_a_run_hashes_each_model_object_once_and_equal_models_share_a_column(monkeypatch):
+    hashed, lattices = [], []
+    model_hash = TrappedIon.__hash__
+    lattice = fanstate._Lattice
+
+    def counting(self):
+        hashed.append(self)
+        return model_hash(self)
+
+    def recording(models, step, floor):
+        lattices.append(list(models))
+        return lattice(models, step, floor)
+
+    monkeypatch.setattr(TrappedIon, "__hash__", counting)
+    monkeypatch.setattr(fanstate, "_Lattice", recording)
+    model, twin = TrappedIon(eta_sq=0.3, quantum_order=2), TrappedIon(eta_sq=0.3, quantum_order=2)
+    xi_sq = [0.02 * i for i in range(1, 51)]
+    row = coefficients_row(1, xi_sq, [model, twin] * 25, 4)
+    # one hash per node when the models were grouped by value alone
+    assert len(hashed) == 2
+    assert len(lattices) == 1 and lattices[0] == [model]
+    alone = coefficients_row(1, xi_sq, [model] * 50, 4)
+    assert row.constant.tobytes() == alone.constant.tobytes()
 
 
 def test_a_plan_checks_its_axis_and_its_run_checks_the_models():
@@ -492,10 +578,14 @@ def test_rho_at_or_past_one_predicts_the_cap_or_the_first_overflow(k):
     n_max = DEFAULT_CONTROL.n_max
     # at rho = 1, and just past it, the term cap comes before any overflow
     assert depth.tolist()[:2] == [n_max, n_max]
-    # further out a term passes float range first, at an index the prediction covers
+    # further out a term passes float range first, at an index the
+    # prediction covers; the scalar path sums the same terms and names it
     row = moment_row(k, xi[2:], models[2:], squeeze._moment_pairs(k, 4 * k))
-    for err, predicted in zip(row.errors, depth.tolist()[2:]):
-        assert _overflow_index(err) <= predicted < n_max
+    assert row.outcome.tolist() == [OVERFLOW] * 3
+    for x, model, predicted in zip(xi[2:], models[2:], depth.tolist()[2:]):
+        with pytest.raises(SeriesNotConverged) as exc:
+            coefficients(FanConfig(k, x, model), 4 * k)
+        assert _overflow_index(exc.value) <= predicted < n_max
     capped = SeriesControl(n_max=40)
     assert convergence_depth(k, xi[:4], models[:4], capped)[1].tolist() == [40] * 4
     # c08's corner: AxisRange ends a hair below 1, so rho is just below it
@@ -504,23 +594,57 @@ def test_rho_at_or_past_one_predicts_the_cap_or_the_first_overflow(k):
     assert rho < 1 and depth == n_max
 
 
+def _last_summed_index(cfg, lm, ctl, exps):
+    """Even index of the last term the scalar loop sums for one series.
+
+    lm is (l, m), or None for the normalization.  exps collects the
+    loop's `math.exp` calls, one per term but the normalization's
+    leading (2k)^2; a capped series ends on the last index it may visit.
+    """
+    del exps[:]
+    try:
+        if lm is None:
+            fanstate._series_sum(cfg, ctl, norm=True)
+        else:
+            fanstate._series_sum(cfg, ctl, *lm)
+    except SeriesNotConverged as exc:
+        assert "tail criterion not met" in str(exc), exc
+    if lm is None:
+        return 2 * len(exps)
+    n0 = -(-lm[1] // (2 * cfg.k))
+    return n0 + n0 % 2 + 2 * (len(exps) - 1)
+
+
 def test_prediction_follows_the_stops_of_the_c08_rows(monkeypatch):
-    # per engine call: the deepest stop index of its columns, and the
-    # deepest predicted one
-    seen = []
+    # per engine call: the deepest predicted stop index of its columns;
+    # per row: the deepest index the scalar path sums, which is where
+    # the engine's columns stop too
+    predicted = []
     sum_columns = fanstate._sum_columns
 
     def recording(lat, k, p, ctl, ends):
-        sums, outcome, rows = sum_columns(lat, k, p, ctl, ends)
-        e0 = p.n0 + p.n0 % 2
-        seen.append((int((e0 + 2 * rows).max()), int((e0 + 2 * (ends - 1)).max())))
-        return sums, outcome, rows
+        predicted.append(int((p.n0 + p.n0 % 2 + 2 * (ends - 1)).max()))
+        return sum_columns(lat, k, p, ctl, ends)
 
     monkeypatch.setattr(fanstate, "_sum_columns", recording)
-    grid = GridSpec(
-        xi_sq=AxisRange(0.01, 1.0, 101), eta_sq=AxisRange(0.01, 1.0, 101), k=1, N=4, phi=math.pi / 4
-    )
+    grid = _c08_grid()
     scan(grid, "trapped-ion")
+    exps = []
+
+    def exp(x):
+        exps.append(x)
+        return math.exp(x)
+
+    monkeypatch.setattr(fanstate, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
+    series = [None] + squeeze._moment_pairs(1, 4)
+    actual = []
+    for eta_sq in grid.eta_sq.values():
+        model = TrappedIon(eta_sq=eta_sq, quantum_order=2)
+        configs = [FanConfig.from_xi_sq(1, x, model) for x in grid.xi_sq.values()]
+        actual.append(
+            max(_last_summed_index(c, lm, DEFAULT_CONTROL, exps) for c in configs for lm in series)
+        )
+    seen = list(zip(actual, predicted, strict=True))
     assert len(seen) == 101
     assert seen[-1] == (5000, 5000)  # the corner node is capped, and so predicted
     short = [actual for actual, predicted in seen if predicted < actual]
@@ -566,10 +690,14 @@ def test_prediction_moves_no_value_and_no_error(data, k, extra):
     pairs = squeeze._moment_pairs(k, 4 * k + extra)
     ctl = SeriesControl(n_max=1000)  # still far below the overflow at rho = 1.01
     row = moment_row(k, xi, models, pairs, ctl)
-    words = [str(e) for e in row.errors if e is not None]
-    assert any("tail criterion" in w for w in words)
-    assert any("exceeds float range" in w for w in words)
-    assert any(isinstance(e, SingularNonlinearity) for e in row.errors)
+    assert {CAPPED, OVERFLOW, SINGULAR} <= set(row.outcome.tolist())
+    # each node fails as the scalar path fails first
+    for x, model, code in zip(xi, models, row.outcome.tolist()):
+        try:
+            want = coefficients(FanConfig(k, x, model), 4 * k + extra, ctl)
+        except (SingularNonlinearity, SeriesNotConverged) as exc:
+            want = exc
+        assert code == _code(want), (x, model, want)
     # no prediction, all at the cap, and one that ends a block mid-series
     for depth in (0, ctl.n_max, data.draw(st.integers(min_value=2, max_value=400))):
         with pytest.MonkeyPatch.context() as mp:
@@ -577,11 +705,7 @@ def test_prediction_moves_no_value_and_no_error(data, k, extra):
             off = moment_row(k, xi, models, pairs, ctl)
         for lm in pairs:
             assert off.values[lm].tobytes() == row.values[lm].tobytes(), (lm, depth)
-        assert [_words(e) for e in off.errors] == [_words(e) for e in row.errors]
-
-
-def _words(err):
-    return None if err is None else (type(err), str(err), getattr(err, "index", None))
+        assert off.outcome.tobytes() == row.outcome.tobytes()
 
 
 def test_depth_rejects_bad_inputs():
@@ -653,13 +777,12 @@ def test_series_control_accepts_exactly_the_valid_settings(rel_tol, n_max, floor
 
 
 def test_row_positivity_guard_reports_the_first_converged_node_below_the_bound():
-    failed = SeriesNotConverged("tail criterion not met")
     row = SqueezeRow(
         k=1,
         N=4,
         constant=np.array([0.1, math.nan, -5.0, -6.0]),
         harmonics=(np.zeros(4),),
-        errors=[None, failed, None, None],
+        outcome=np.array([STOPPED, CAPPED, STOPPED, STOPPED]),
     )
     with pytest.raises(FansqError, match="S=-5.0 fell below"):
         row.squeeze_parameter(0.0)
@@ -688,7 +811,7 @@ def test_positivity_guard_survives_optimized_mode():
     assert out.stdout.strip() == "raised"
 
 
-def test_both_engines_word_an_exact_zero_numerator_alike():
+def test_both_engines_fail_an_exact_zero_numerator_alike():
     # L_2^2(x) = (x^2 - 8x + 12) / 2 vanishes exactly at x = 2: f(4) = 0
     model = TrappedIon(eta_sq=2.0, quantum_order=2)
     words = (
@@ -697,8 +820,5 @@ def test_both_engines_word_an_exact_zero_numerator_alike():
     )
     with pytest.raises(SingularNonlinearity) as exc:
         coefficients(FanConfig.from_xi_sq(1, 0.5, model), 4)
-    (row,) = _nodes(coefficients_row(1, [0.5], [model], 4))
-    assert isinstance(row, SingularNonlinearity)
-    assert str(row) == str(exc.value)
-    for err in (exc.value, row):
-        assert str(err).endswith(words) and err.index == 4
+    assert str(exc.value).endswith(words) and exc.value.index == 4
+    assert _nodes(coefficients_row(1, [0.5], [model], 4)) == [SINGULAR]

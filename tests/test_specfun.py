@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from fansq.fanstate import ProductTable, TrappedIon
 from fansq.specfun import (
-    CompensatedSum,
     LaguerreRows,
     _LogFactorialTable,
     double_factorial,
@@ -274,21 +273,3 @@ def test_signed_log_handles_magnitudes_beyond_float_range():
     big = SignedLog(1, 800.0)  # e^800 overflows a double
     ratio = div(mul(big, big), SignedLog(1, 1590.0))
     assert to_real(ratio) == pytest.approx(math.exp(10.0), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# compensated summation
-
-
-def test_compensated_sum_rescues_cancellation():
-    acc = CompensatedSum()
-    for x in (1e16, 1.0, -1e16):
-        acc.add(x)
-    assert acc.value == 1.0  # naive summation returns 0.0 here
-
-
-def test_compensated_sum_many_small():
-    acc = CompensatedSum()
-    for _ in range(10**5):
-        acc.add(0.1)
-    assert acc.value == pytest.approx(1e4, rel=1e-15)
