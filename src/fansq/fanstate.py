@@ -411,25 +411,32 @@ def normalization(cfg: FanConfig, ctl: SeriesControl = DEFAULT_CONTROL) -> float
 
 @lru_cache(maxsize=4096)
 def _moment_cached(cfg: FanConfig, l: int, m: int, ctl: SeriesControl) -> float:
-    diff = l - m
-    if diff % (4 * cfg.k) != 0:  # an odd multiple of 2k vanishes by interference
-        return 0.0
+    """The memoized (l, m) moment for l >= m with l - m a multiple of 4k.
+
+    `moment` answers every other pair before the memo.
+    """
     if cfg.xi == 0.0:
         return 1.0 if l == 0 and m == 0 else 0.0
     total = _series_sum(cfg, ctl, l, m)
     d = normalization(cfg, ctl)
-    return (cfg.xi**diff) * total / d
+    return (cfg.xi ** (l - m)) * total / d
 
 
 def moment(cfg: FanConfig, l: int, m: int, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Normally-ordered moment: expectation of (a-dagger)^l a^m, real xi.
 
     Zero unless the level offset l - m is an even multiple of 2k (the
-    interference factor kills everything else).  For l < m the value
-    equals the swapped moment because xi is real.
+    interference factor kills everything else); such a zero is answered
+    here, with no memo lookup and no memo slot.  For l < m the value
+    equals the swapped moment because xi is real.  The powers must be
+    ints (a bool or a float is a DomainError) and nonnegative.
     """
+    if type(l) is not int or type(m) is not int:  # a bool is an int subclass
+        raise DomainError(f"moment powers must be ints, got l={l!r}, m={m!r}")
     if l < 0 or m < 0:
         raise DomainError(f"moment powers must be nonnegative, got l={l}, m={m}")
+    if (l - m) % (4 * cfg.k):  # an odd multiple of 2k vanishes by interference
+        return 0.0
     if l < m:
         l, m = m, l
     return _moment_cached(cfg, l, m, ctl)

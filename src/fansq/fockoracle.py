@@ -10,11 +10,12 @@ module is the referee.
 
 A `FockVector` owns a read-only complex copy of its amplitudes, so what
 it derives from them once cannot go stale: its support level, whether
-it is real, its real and imaginary parts, and, built on first use, its
-ladder images a^j psi and, for its last few phases, its quadrature
-chains (X_phi - mu)^j psi.  A normally-ordered moment is four dot
-products of two images, one for a real vector.  Images and chains live
-and die with the vector.
+it is real, its real and imaginary parts, the ladder weights sqrt(n),
+and, built on first use, its ladder images a^j psi and, for its last
+few phases, the phase-rotated off-diagonals of X_phi with the
+quadrature chains (X_phi - mu)^j psi.  A normally-ordered moment is four
+dot products of two images, one for a real vector.  Images and chains
+live and die with the vector.
 """
 
 from __future__ import annotations
@@ -53,9 +54,11 @@ class FockVector:
     writing to it raises ValueError and changing the caller's array
     changes nothing here.  `support` is the support level at the default
     cutoff 1e-14; `real` is true when every imaginary part is zero;
-    `ladder_image(j)` gives a^j psi, built once per j.  `_chains` holds
-    the chains of `quadrature_moment` by phase, the newest last.
-    Equality and hashing are by identity.
+    `ladder_image(j)` gives a^j psi, built once per j.  `_root` holds
+    sqrt(n) for n = 1 .. dim - 1, the weights of the off-diagonals of
+    X_phi.  `_chains` holds, by phase and the newest last, what
+    `quadrature_moment` keeps of that phase: its two off-diagonals, its
+    mean and its chain.  Equality and hashing are by identity.
     """
 
     dim: int
@@ -64,6 +67,7 @@ class FockVector:
     support: int = field(init=False, repr=False)
     real: bool = field(init=False, repr=False)
     _images: dict = field(init=False, repr=False)
+    _root: np.ndarray = field(init=False, repr=False)
     _chains: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -81,6 +85,7 @@ class FockVector:
         object.__setattr__(self, "real", not im.any())
         # image 0 is psi itself, as contiguous real and imaginary parts
         object.__setattr__(self, "_images", {0: (re, im)})
+        object.__setattr__(self, "_root", np.sqrt(np.arange(1, self.dim)))
         object.__setattr__(self, "_chains", {})
 
     @property
@@ -156,6 +161,14 @@ def support_level(v: FockVector) -> int:
     return v.support
 
 
+def _shifted(w: np.ndarray, mu: float, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """(X_phi - mu) w, with X_phi given by its lower and upper off-diagonals."""
+    out = w * -mu
+    out[:-1] += lower * w[1:]
+    out[1:] += upper * w[:-1]
+    return out
+
+
 def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
     """Central moment of the rotated quadrature: <(X_phi - <X_phi>)^N>.
 
@@ -163,11 +176,12 @@ def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
     is Hermitian, so the moment is ||(X_phi - mu)^{N/2} psi||^2: N/2
     applications of (X_phi - mu) to the state and one norm, never a
     binomial expansion of raw moments with its large-N cancellation.
-    X_phi is held as its two off-diagonals, built once per call.  The
-    vector keeps (mu, j, (X_phi - mu)^j psi) for its last `_CHAIN_PHASES`
-    phases: a higher order continues from there, a lower one starts again
-    from psi, and the value is the same either way.  Requires enough
-    guard rows that the repeated maps stay clear of the truncation edge.
+    X_phi is held as its two off-diagonals, built from the vector's
+    sqrt(n) once per phase.  The vector keeps (off-diagonals, mu, j,
+    (X_phi - mu)^j psi) for its last `_CHAIN_PHASES` phases: a higher
+    order continues from there, a lower one starts again from psi, and
+    the value is the same either way.  Requires enough guard rows that
+    the repeated maps stay clear of the truncation edge.
     """
     if type(N) is not int:  # the oracle keeps its own checks, apart from the series side
         raise DomainError(f"moment order must be an int, got {N!r}")
@@ -180,26 +194,19 @@ def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
             f"dim={v.dim} leaves fewer than N={N} guard rows above "
             f"support level {v.support}"
         )
-    root = np.sqrt(np.arange(1, v.dim))
-    lower = (np.exp(-1j * phi) / _SQRT2) * root  # a e^{-i phi} / sqrt(2)
-    upper = (np.exp(1j * phi) / _SQRT2) * root  # a-dagger e^{i phi} / sqrt(2)
-
-    def shifted(w: np.ndarray, mu: float) -> np.ndarray:
-        out = w * -mu
-        out[:-1] += lower * w[1:]
-        out[1:] += upper * w[:-1]
-        return out
-
-    amps, half = v.amps, N // 2
-    chains = v._chains
-    mu, j, w = chains.pop(phi, (None, 0, amps))  # re-inserted as the newest
-    if mu is None:
-        mu = np.vdot(amps, shifted(amps, 0.0)).real
+    amps, half, chains = v.amps, N // 2, v._chains
+    chain = chains.pop(phi, None)  # re-inserted as the newest
+    if chain is None:
+        lower = (np.exp(-1j * phi) / _SQRT2) * v._root  # a e^{-i phi} / sqrt(2)
+        upper = (np.exp(1j * phi) / _SQRT2) * v._root  # a-dagger e^{i phi} / sqrt(2)
+        mu = np.vdot(amps, _shifted(amps, 0.0, lower, upper)).real
+        chain = (lower, upper, mu, 0, amps)
+    lower, upper, mu, j, w = chain
     if j > half:
         j, w = 0, amps
     for _ in range(half - j):
-        w = shifted(w, mu)
-    chains[phi] = (mu, half, w)
+        w = _shifted(w, mu, lower, upper)
+    chains[phi] = (lower, upper, mu, half, w)
     if len(chains) > _CHAIN_PHASES:
         del chains[next(iter(chains))]
     val = np.vdot(w, w)
@@ -213,8 +220,10 @@ def moment_oracle(v: FockVector, l: int, m: int) -> complex:
 
     The inner product of the ladder images a^l psi and a^m psi over
     their common length; serves as the independent check of the series
-    route.
+    route.  The powers must be ints (a bool or a float is a DomainError).
     """
+    if type(l) is not int or type(m) is not int:  # a bool is an int subclass
+        raise DomainError(f"powers must be ints, got l={l!r}, m={m!r}")
     if l < 0 or m < 0:
         raise DomainError(f"powers must be nonnegative, got l={l}, m={m}")
     if v.dim < v.support + l + m:
@@ -316,9 +325,13 @@ def eigen_residual(cfg: FanConfig, v: FockVector) -> float:
 
 
 def support_check(v: FockVector, k: int) -> bool:
-    """True iff amplitudes away from multiples of 4k are below 1e-12."""
-    if k < 1:
-        raise DomainError(f"fan order must be >= 1, got {k}")
+    """True iff amplitudes away from multiples of 4k are below 1e-12.
+
+    k must be a positive int: a bool or a float is a DomainError, as in
+    `fanstate`, whose check the oracle does not borrow.
+    """
+    if type(k) is not int or k < 1:  # True would pass as 1, 1.5 fail in the slice
+        raise DomainError(f"fan order k must be a positive integer, got {k!r}")
     mask = np.ones(v.dim, dtype=bool)
     mask[:: 4 * k] = False
     return bool(np.all(np.abs(v.amps[mask]) < 1e-12))

@@ -340,23 +340,41 @@ def _stationary_values(coeffs: SqueezeCoeffs) -> list[float]:
     In x = cos(4k phi), S = constant + sum_p b_p T_p(x), since
     T_p(cos t) = cos(p t).  dS/dphi vanishes where sin(4k phi) does
     (x = +-1) and at the real roots in (-1, 1) of dS/dx =
-    sum_p p b_p U_{p-1}(x), taken from `np.roots` in the power basis.
+    sum_p p b_p U_{p-1}(x), built in the power basis with Python floats
+    (the float operations of a numpy build).  After the rounding-level
+    trim a constant dS/dx has no root and a linear one the root -c0/c1,
+    which is what `np.roots` gives, bit for bit down to |root| = 6.7e-139
+    (below that LAPACK rescales and can move the last bit, and acos gives
+    pi/2 either way).  `np.roots` runs from degree 2 up, that is from
+    three harmonics.
     """
     k, harmonics = coeffs.k, coeffs.harmonics
     angles = [0.0, math.pi / (4 * k)]
     if len(harmonics) > 1:  # a single harmonic has no interior stationary point
         # ascending powers of x, from U_{-1} = 0 and U_0 = 1 by
         # U_p = 2x U_{p-1} - U_{p-2}
-        u_prev, u, dsdx = np.zeros(len(harmonics)), np.eye(1, len(harmonics))[0], 0.0
+        n = len(harmonics)
+        u_prev, u, dsdx = [0.0] * n, [1.0] + [0.0] * (n - 1), [0.0] * n
         for p, b in enumerate(harmonics, start=1):
-            dsdx = dsdx + p * b * u
-            u_prev, u = u, np.append(0.0, 2.0 * u[:-1]) - u_prev
+            pb = p * b
+            dsdx = [d + pb * c for d, c in zip(dsdx, u)]
+            u_prev, u = u, [0.0 - u_prev[0]] + [2.0 * c - e for c, e in zip(u, u_prev[1:])]
         # a leading coefficient at rounding level of the largest moves no
-        # root in [-1, 1] beyond rounding, and np.roots would overflow on it
-        big = np.flatnonzero(np.abs(dsdx) > 2.0**-52 * np.abs(dsdx).max())
-        roots = np.roots(dsdx[big[-1] :: -1]) if big.size else np.zeros(0)
-        inside = roots.real[(roots.imag == 0) & (np.abs(roots.real) < 1.0)]
-        angles += [math.acos(x) / (4 * k) for x in inside.tolist()]
+        # root in [-1, 1] beyond rounding, and np.roots would overflow on
+        # it; with a NaN coefficient the cut is NaN and no root is sought
+        mags = [abs(c) for c in dsdx]
+        cut = math.nan if any(map(math.isnan, mags)) else 2.0**-52 * max(mags)
+        degree = len(mags) - 1
+        while degree and not mags[degree] > cut:
+            degree -= 1
+        if degree == 1:
+            inside = [-dsdx[0] / dsdx[1]]
+        elif degree > 1:
+            roots = np.roots(dsdx[degree::-1])
+            inside = roots.real[roots.imag == 0].tolist()
+        else:
+            inside = []
+        angles += [math.acos(x) / (4 * k) for x in inside if abs(x) < 1.0]
     return [squeeze_parameter(coeffs, phi) for phi in angles]
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fansq import fanstate
 from fansq.errors import DomainError, SeriesNotConverged, SingularNonlinearity, TruncationTooSmall
 from fansq.fanstate import (
     DEFAULT_CONTROL,
@@ -307,6 +308,30 @@ def test_moment_parity_refinement():
     cfg3 = FanConfig.from_xi_sq(3, 0.4, TrappedIon(eta_sq=0.2, quantum_order=6))
     assert moment(cfg3, 6, 0) == 0.0
     assert moment(cfg3, 18, 0) == 0.0
+
+
+def test_an_interference_zero_takes_no_memo_slot():
+    # moment answers a pair whose offset is not a multiple of 4k itself:
+    # no key is hashed, so the memo sees neither a hit nor a miss
+    cfg = FanConfig.from_xi_sq(2, 0.37, TrappedIon(eta_sq=0.41, quantum_order=4))
+    before = fanstate._moment_cached.cache_info()
+    for l in range(13):
+        for m in range(13):
+            if (l - m) % 8:
+                assert moment(cfg, l, m) == 0.0
+    assert fanstate._moment_cached.cache_info() == before
+    moment(cfg, 8, 0)
+    moment(cfg, 0, 8)
+    after = fanstate._moment_cached.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+
+
+@pytest.mark.parametrize("l, m", [(1.5, 0), (True, True), (4.0, 0), (0, 2.0), (False, 0)])
+def test_moment_rejects_a_power_that_is_not_an_int(l, m):
+    # unchecked, (1.5, 0) gave 0.0, (True, True) the (1, 1) moment and
+    # (4.0, 0) a TypeError; the check comes before the interference zero
+    with pytest.raises(DomainError, match="moment powers must be ints"):
+        moment(FanConfig.from_xi_sq(1, 0.5, Identity()), l, m)
 
 
 @given(

@@ -233,6 +233,48 @@ def test_quadrature_moment_does_not_depend_on_call_order():
             assert len(v._chains) <= _CHAIN_PHASES
 
 
+def test_quadrature_moment_builds_each_phase_operator_once_per_kept_chain(monkeypatch):
+    # ten phases cycle the eight-chain store; orders 4k and 4k + 4 mixed
+    # with lower ones.  A phase whose chain is kept reuses its two
+    # off-diagonals (no np.exp), sqrt(n) is never rebuilt (no np.sqrt),
+    # and every value is the one a fresh vector gives, bit for bit
+    rng = np.random.default_rng(29)
+    phases = [0.0, math.pi / 8, math.pi / 4] + rng.uniform(-math.pi, math.pi, size=7).tolist()
+    assert len(phases) > _CHAIN_PHASES
+    for cfg, dim in (
+        (FanConfig.from_xi_sq(1, 0.4, TrappedIon(eta_sq=0.3, quantum_order=2)), 48),
+        (FanConfig.from_xi_sq(2, 0.3, Identity()), 60),
+    ):
+        v = fock_coefficients(cfg, dim)
+        orders = [4 * cfg.k, 4 * cfg.k + 4, 2]
+        calls = [(phi, orders[i % 3]) for i, phi in enumerate(phases * 3)]
+        rng.shuffle(calls)
+        fresh = [
+            quadrature_moment(FockVector(dim=v.dim, amps=v.amps, tail_mass=0.0), phi, N)
+            for phi, N in calls
+        ]
+        counts = {"exp": 0, "sqrt": 0}
+        for name in counts:
+            real = getattr(np, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        kept, misses = [], 0
+        for (phi, N), want in zip(calls, fresh):
+            assert quadrature_moment(v, phi, N).hex() == want.hex()
+            if phi in kept:
+                kept.remove(phi)
+            else:
+                misses += 1
+            kept = (kept + [phi])[-_CHAIN_PHASES:]
+        monkeypatch.undo()
+        assert 0 < misses < len(calls)
+        assert counts == {"exp": 2 * misses, "sqrt": 0}
+
+
 def test_quadrature_moment_fan_periodicity():
     cfg = FanConfig.from_xi_sq(2, 0.3, Identity())
     v = fock_coefficients(cfg, 72)
@@ -372,6 +414,13 @@ def test_moment_oracle_selection_rule_on_fan_input():
             assert abs(moment_oracle(v, l, m)) < 1e-12
 
 
+@pytest.mark.parametrize("l, m", [(1.5, 0), (True, True), (0, 2.0), (False, 0)])
+def test_moment_oracle_rejects_a_power_that_is_not_an_int(l, m):
+    # unchecked, (1.5, 0) raised TypeError and (True, True) passed as (1, 1)
+    with pytest.raises(DomainError, match="powers must be ints"):
+        moment_oracle(vacuum(12), l, m)
+
+
 def test_moment_oracle_needs_guard_rows():
     with pytest.raises(TruncationTooSmall):
         moment_oracle(_fock(10, 8), 3, 3)
@@ -482,3 +531,10 @@ def test_support_check_rejects_single_component_state():
     v = FockVector(dim=dim, amps=amps, tail_mass=0.0)
     assert not support_check(v, 1)
     assert support_check(v, 1) or abs(v.amps[2]) > 1e-6  # level 2 really occupied
+
+
+@pytest.mark.parametrize("k", [True, 1.5, 0, -1])
+def test_support_check_rejects_a_fan_order_that_is_not_a_positive_int(k):
+    # checked by value only, True passed as k = 1 and 1.5 raised TypeError from the slice
+    with pytest.raises(DomainError, match="fan order k must be a positive integer"):
+        support_check(vacuum(9), k)

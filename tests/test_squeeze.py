@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fansq import squeeze
 from fansq.errors import DomainError, FansqError
 from fansq.fanstate import FanConfig, Identity, TrappedIon, moment
 from fansq.specfun import double_factorial
@@ -24,6 +25,7 @@ from fansq.squeeze import (
     squeeze_parameter,
     vacuum_benchmark,
 )
+from stationary_ref import stationary_values as ref_stationary_values
 
 CFG_ID = FanConfig.from_xi_sq(1, 0.5, Identity())
 CFG_FAN3 = FanConfig.from_xi_sq(3, 0.1, TrappedIon(eta_sq=0.2, quantum_order=6))
@@ -356,3 +358,78 @@ def test_directions_extremes_bound_s_and_sit_at_stationary_points(k, harmonics):
     values = [squeeze_parameter(c, math.acos(x) / (4 * k)) for x in xs]
     assert min(abs(rep.s_min - v) for v in values) <= tol
     assert min(abs(rep.s_max - v) for v in values) <= tol
+
+
+def _coefficient_sets(count, seed):
+    """Seeded `SqueezeCoeffs` with k 1-3 and 2-4 harmonics.
+
+    A harmonic is plain, an exact zero, within a factor 2 of +-1e+-300,
+    or at rounding level of the largest of the others (near the trim of
+    dS/dx).  The constant lies within a factor 1.5 of the sum of the
+    magnitudes, so some sets fall below the positivity bound.
+    """
+    rng = np.random.default_rng(seed)
+    ks, ns = rng.integers(1, 4, size=count), rng.integers(2, 5, size=count)
+    kinds = rng.integers(0, 4, size=(count, 4))
+    h = rng.uniform(-2.0, 2.0, size=(count, 4))
+    h[kinds == 1] = 0.0
+    h[kinds == 2] *= 10.0 ** rng.choice([-300.0, 300.0], size=int((kinds == 2).sum()))
+    h[np.arange(4) >= ns[:, None]] = 0.0  # columns past a set's harmonics
+    top = np.where(kinds == 3, 0.0, np.abs(h)).max(axis=1, keepdims=True)
+    tiny = 2.0**-52 * np.where(top > 0.0, top, 1.0) * 10.0 ** rng.uniform(-1.0, 1.0, size=h.shape)
+    h[kinds == 3] *= tiny[kinds == 3]
+    constants = np.abs(h).sum(axis=1) * rng.uniform(0.5, 1.5, size=count)
+    for k, n, row, constant in zip(ks.tolist(), ns.tolist(), h.tolist(), constants.tolist()):
+        yield SqueezeCoeffs(k=k, N=4 * k * n, constant=constant, harmonics=tuple(row[:n]))
+
+
+def _bits(f, *args):
+    """The values of f(*args) as hex strings, or the type and words of its FansqError."""
+    try:
+        return [v.hex() for v in f(*args)]
+    except FansqError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _extremes(c):
+    rep = classify_directions(c)
+    return rep.s_min, rep.s_max
+
+
+def test_directions_give_the_numpy_build_bit_for_bit(monkeypatch):
+    # the Python-float dS/dx and the linear root -c0/c1 give the stationary
+    # values of the numpy build with np.roots at every degree, and the
+    # report takes its extremes from them
+    seen = []
+    build = squeeze._stationary_values
+    monkeypatch.setattr(squeeze, "_stationary_values", lambda c: seen.append(build(c)) or seen[-1])
+    edges = [  # infinite harmonics put inf * 0 = NaN into dS/dx
+        SqueezeCoeffs(k=1, N=8, constant=1.0, harmonics=(math.inf, 0.5)),
+        SqueezeCoeffs(k=2, N=24, constant=1.0, harmonics=(0.5, -math.inf, 0.25)),
+    ]
+    for c in [*_coefficient_sets(20_000, seed=2020), *edges]:
+        if not any(c.harmonics):
+            continue  # flat: no stationary values are asked for
+        with np.errstate(invalid="ignore"):  # numpy warns where Python floats stay silent
+            ref = _bits(ref_stationary_values, c)
+        rep = _bits(_extremes, c)
+        if ref[0] == "FansqError":
+            assert rep == ref, c
+        else:
+            values = [float.fromhex(v) for v in ref]
+            assert [v.hex() for v in seen[-1]] == ref, c
+            assert rep == [min(values).hex(), max(values).hex()], c
+
+
+def test_two_harmonics_make_no_np_roots_call(monkeypatch):
+    def no_roots(p):
+        raise AssertionError(f"np.roots called on {p}")
+
+    monkeypatch.setattr(squeeze.np, "roots", no_roots)
+    for c in _coefficient_sets(2_000, seed=7):
+        if len(c.harmonics) == 2:
+            _bits(squeeze._stationary_values, c)
+    for cfg in (CFG_ID, FanConfig.from_xi_sq(1, 0.3, TrappedIon(eta_sq=0.8223905976494124, quantum_order=2))):
+        classify_directions(coefficients(cfg, 8))  # k = 1, N = 8: two harmonics
+    with pytest.raises(AssertionError, match="np.roots called"):
+        classify_directions(coefficients(CFG_ID, 12))  # three harmonics
