@@ -21,6 +21,10 @@ from .errors import (
     EmptyBoundary,
     SeriesNotConverged,
     SingularNonlinearity,
+    finite_float,
+    nonnegative_float,
+    positive_float,
+    positive_int,
 )
 from .fanstate import (
     CAPPED,
@@ -33,7 +37,6 @@ from .fanstate import (
     NonlinearModel,
     SeriesControl,
     TrappedIon,
-    _check_k,
 )
 from .squeeze import (
     SqueezeCoeffs,
@@ -66,12 +69,11 @@ class AxisRange:
     count: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise DomainError("axis endpoints must be finite")
+        finite_float("axis min", self.min)
+        finite_float("axis max", self.max)
         if not self.min < self.max:
             raise DomainError(f"axis needs min < max, got [{self.min}, {self.max}]")
-        if type(self.count) is not int:  # no float, NaN or bool count
-            raise DomainError(f"axis count must be an int, got {self.count!r}")
+        positive_int("axis count", self.count)
         if self.count < 2:
             raise DomainError(f"axis count must be >= 2, got {self.count}")
 
@@ -91,13 +93,11 @@ class GridSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        _check_k(self.k)
+        positive_int("fan order k", self.k)
         _check_order(self.N)
-        if self.xi_sq.min < 0:
-            raise DomainError("xi_sq axis must be nonnegative")
+        nonnegative_float("xi_sq axis min", self.xi_sq.min)
         # checked here too: a grid whose nodes all fail never evaluates S
-        if not math.isfinite(self.phi):
-            raise DomainError(f"phase must be finite, got {self.phi}")
+        finite_float("phase", self.phi)
 
 
 @dataclass
@@ -310,10 +310,11 @@ def find_intersections(
     nodes are one `SqueezeRowPlan` run; the bisections evaluate the
     scalar `coefficients` off the grid.
     """
+    positive_int("fan order k", k)
+    _check_order(N)
+    positive_float("xi_sq", xi_sq)  # at xi = 0 the state is the vacuum and the gap is 0 everywhere
     if N < 4 * k:
         raise DomainError(f"need N >= 4k for a harmonic term, got N={N}, k={k}")
-    if not xi_sq > 0:  # at xi = 0 the state is the vacuum and the gap is 0 everywhere
-        raise DomainError(f"xi_sq must be positive, got {xi_sq}")
 
     def coeffs_at(eta_sq: float) -> SqueezeCoeffs:
         cfg = FanConfig.from_xi_sq(k, xi_sq, _model_for(model_kind, k, eta_sq))
@@ -399,6 +400,7 @@ def polar_profile(
     ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> PolarProfile:
     """Sample (phi, S, S + benchmark) on a uniform phi grid over [0, 2 pi)."""
+    positive_int("samples", samples)
     if samples < 8 * cfg.k:
         raise DomainError(f"need at least {8 * cfg.k} samples for k={cfg.k}, got {samples}")
     coeffs = coefficients(cfg, N, ctl)

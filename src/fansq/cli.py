@@ -35,7 +35,7 @@ from .atlas import (
     scan,
     trace_boundary,
 )
-from .errors import DomainError, FansqError
+from .errors import DomainError, FansqError, nonnegative_int
 from .fanstate import (
     DriveParams,
     FanConfig,
@@ -271,8 +271,7 @@ def _cmd_directions(args, ctl, parser) -> Output:
 
 def _cmd_oracle_check(args, ctl, parser) -> Output:
     cfg = _point_config(args, parser)
-    if args.max_power < 0:
-        raise DomainError(f"max-power must be >= 0, got {args.max_power}")
+    nonnegative_int("max-power", args.max_power)
     guard = max(args.N, 2 * args.max_power) + 2
     vec = oracle_vector(cfg, guard, ctl)
     bench = vacuum_benchmark(args.N)

@@ -1,9 +1,16 @@
-"""Shared exception types.
+"""Shared exception types and the argument rules every entry point applies.
 
 Everything raised on purpose by this package derives from FansqError, so
 callers (and the CLI) can distinguish "you asked for something invalid"
 (DomainError) from "the computation could not be completed" (the rest).
+
+Each rule below checks the kind of one argument and raises a DomainError
+naming it: an int is a Python int that is not a bool, a float is an int
+or a float but never a bool, NaN or +-inf.  Rules about what a value
+means (an even moment order, min < max) stay with the code they serve.
 """
+
+import math
 
 
 class FansqError(Exception):
@@ -36,3 +43,40 @@ class TruncationTooSmall(FansqError, ValueError):
 
 class EmptyBoundary(FansqError):
     """No sign change found, so there is no boundary/curve to trace."""
+
+
+def positive_int(name: str, value: int) -> None:
+    """DomainError unless value is an int >= 1."""
+    if type(value) is not int or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+
+
+def nonnegative_int(name: str, value: int) -> None:
+    """DomainError unless value is an int >= 0."""
+    if type(value) is not int or value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _finite(value: float) -> bool:
+    try:  # a bool is an int subclass; a non-number or an int past float range raises
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def finite_float(name: str, value: float) -> None:
+    """DomainError unless value is a finite float."""
+    if not _finite(value):
+        raise DomainError(f"{name} must be a finite float, got {value!r}")
+
+
+def nonnegative_float(name: str, value: float) -> None:
+    """DomainError unless value is a finite float >= 0."""
+    if not (_finite(value) and value >= 0):
+        raise DomainError(f"{name} must be a finite float >= 0, got {value!r}")
+
+
+def positive_float(name: str, value: float) -> None:
+    """DomainError unless value is a finite float > 0."""
+    if not (_finite(value) and value > 0):
+        raise DomainError(f"{name} must be a finite float > 0, got {value!r}")

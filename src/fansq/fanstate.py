@@ -73,6 +73,11 @@ from .errors import (
     FansqError,
     SeriesNotConverged,
     SingularNonlinearity,
+    finite_float,
+    nonnegative_float,
+    nonnegative_int,
+    positive_float,
+    positive_int,
 )
 from .specfun import LaguerreRows, _grow_laguerre, log_factorial, log_factorials
 
@@ -104,45 +109,29 @@ class TrappedIon:
     quantum_order: int
 
     def __post_init__(self) -> None:
-        _check_positive_int("quantum_order", self.quantum_order)
-        if not (math.isfinite(self.eta_sq) and self.eta_sq > 0):
-            raise DomainError(f"eta_sq must be finite and > 0, got {self.eta_sq}")
+        positive_int("quantum_order", self.quantum_order)
+        positive_float("eta_sq", self.eta_sq)
 
 
 NonlinearModel = Union[Identity, TrappedIon]
 
 
-def _check_positive_int(what: str, value: int) -> None:
-    # a bool is an int subclass: True would pass as 1
-    if type(value) is not int or value < 1:
-        raise DomainError(f"{what} must be a positive integer, got {value}")
-
-
-def _check_k(k: int) -> None:
-    """The check of a fan order, for every path that takes one."""
-    _check_positive_int("fan order k", k)
-
-
 def _check_fan(k: int, model: NonlinearModel) -> None:
-    _check_k(k)
+    positive_int("fan order k", k)
     if isinstance(model, TrappedIon) and model.quantum_order != 2 * k:
         raise DomainError(
             f"trapped-ion quantum_order must equal 2k = {2 * k}, got {model.quantum_order}"
         )
 
 
-def _check_xi(xi: float) -> None:
-    if not (math.isfinite(xi) and xi >= 0):
-        raise DomainError(f"xi must be finite and >= 0, got {xi}")
-
-
-def _xi_array(xi: Sequence[float]) -> np.ndarray:
-    """xi as a float array, or the DomainError of its first bad entry."""
-    xi_arr = np.array(xi, dtype=float)
-    bad = ~(np.isfinite(xi_arr) & (xi_arr >= 0))
+def _nonnegative_array(name: str, values: Sequence[float]) -> np.ndarray:
+    """values as a float array, or the DomainError of its first entry not finite and >= 0."""
+    arr = np.array(values, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr >= 0))
     if bad.any():
-        _check_xi(float(xi_arr[bad.argmax()]))
-    return xi_arr
+        i = int(bad.argmax())
+        nonnegative_float(f"{name}[{i}]", float(arr[i]))
+    return arr
 
 
 @dataclass(frozen=True)
@@ -155,7 +144,7 @@ class FanConfig:
 
     def __post_init__(self) -> None:
         _check_fan(self.k, self.model)
-        _check_xi(self.xi)
+        nonnegative_float("xi", self.xi)
 
     @property
     def xi_sq(self) -> float:
@@ -163,8 +152,7 @@ class FanConfig:
 
     @classmethod
     def from_xi_sq(cls, k: int, xi_sq: float, model: NonlinearModel) -> "FanConfig":
-        if not (math.isfinite(xi_sq) and xi_sq >= 0):
-            raise DomainError(f"xi_sq must be finite and >= 0, got {xi_sq}")
+        nonnegative_float("xi_sq", xi_sq)
         return cls(k, math.sqrt(xi_sq), model)
 
 
@@ -185,12 +173,9 @@ class DriveParams:
 
     def __post_init__(self) -> None:
         for name in ("omega0", "omega1", "eta"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {v}")
-        _check_positive_int("quantum_order", self.quantum_order)
-        if not math.isfinite(self.phase):
-            raise DomainError(f"phase must be finite, got {self.phase}")
+            positive_float(name, getattr(self, name))
+        positive_int("quantum_order", self.quantum_order)
+        finite_float("phase", self.phase)
         object.__setattr__(self, "phase", self.phase % (2 * math.pi))
 
 
@@ -203,22 +188,14 @@ class SeriesControl:
     laguerre_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "laguerre_floor"):  # True would pass as 1.0
-            if isinstance(getattr(self, name), bool):
-                raise DomainError(f"{name} must be a float, got {getattr(self, name)!r}")
+        positive_float("rel_tol", self.rel_tol)
         # a tolerance of one or more accepts terms as large as the sum
-        if not (math.isfinite(self.rel_tol) and 0 < self.rel_tol < 1):
-            raise DomainError(f"rel_tol must be finite and in (0, 1), got {self.rel_tol}")
-        if type(self.n_max) is not int:  # no float, NaN or bool count
-            raise DomainError(f"n_max must be an int, got {self.n_max!r}")
-        if self.n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
+        if self.rel_tol >= 1:
+            raise DomainError(f"rel_tol must be < 1, got {self.rel_tol}")
+        positive_int("n_max", self.n_max)
         # a NaN or negative floor turns pole detection off; an infinite
         # one flags every product as a pole
-        if not (math.isfinite(self.laguerre_floor) and self.laguerre_floor >= 0):
-            raise DomainError(
-                f"laguerre_floor must be finite and >= 0, got {self.laguerre_floor}"
-            )
+        nonnegative_float("laguerre_floor", self.laguerre_floor)
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -428,13 +405,10 @@ def moment(cfg: FanConfig, l: int, m: int, ctl: SeriesControl = DEFAULT_CONTROL)
     Zero unless the level offset l - m is an even multiple of 2k (the
     interference factor kills everything else); such a zero is answered
     here, with no memo lookup and no memo slot.  For l < m the value
-    equals the swapped moment because xi is real.  The powers must be
-    ints (a bool or a float is a DomainError) and nonnegative.
+    equals the swapped moment because xi is real.  Powers are nonnegative ints.
     """
-    if type(l) is not int or type(m) is not int:  # a bool is an int subclass
-        raise DomainError(f"moment powers must be ints, got l={l!r}, m={m!r}")
-    if l < 0 or m < 0:
-        raise DomainError(f"moment powers must be nonnegative, got l={l}, m={m}")
+    nonnegative_int("moment power l", l)
+    nonnegative_int("moment power m", m)
     if (l - m) % (4 * cfg.k):  # an odd multiple of 2k vanishes by interference
         return 0.0
     if l < m:
@@ -477,7 +451,7 @@ def convergence_depth(
     # models repeat along a scan row: check each object once, unhashed
     for model in {id(model): model for model in models}.values():
         _check_fan(k, model)
-    xi_arr = _xi_array(xi)
+    xi_arr = _nonnegative_array("xi", xi)
     eta_sq = np.array([getattr(model, "eta_sq", 0.0) for model in models])
     ion = eta_sq > 0
     log_tol = -math.log(ctl.rel_tol)
@@ -714,11 +688,11 @@ class MomentRowPlan:
         pairs: Sequence[tuple[int, int]],
         ctl: SeriesControl = DEFAULT_CONTROL,
     ) -> None:
-        _check_k(k)
-        zero = _xi_array(xi) == 0.0
+        positive_int("fan order k", k)
+        zero = _nonnegative_array("xi", xi) == 0.0
         for l, m in pairs:
-            if l < 0 or m < 0:
-                raise DomainError(f"moment powers must be nonnegative, got l={l}, m={m}")
+            nonnegative_int("moment power l", l)
+            nonnegative_int("moment power m", m)
         self.k, self.xi, self.ctl = k, list(xi), ctl
         step = 2 * k
         self.live = live = np.flatnonzero(~zero)
@@ -805,6 +779,5 @@ def xi_from_drive(d: DriveParams) -> float:
     """
     K = d.quantum_order
     ratio = d.omega0 / (d.eta**K * d.omega1)
-    if not (math.isfinite(ratio) and ratio > 0):
-        raise DomainError(f"drive ratio must be finite and > 0, got {ratio}")
+    positive_float("drive ratio", ratio)
     return ratio ** (1.0 / K)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, TruncationTooSmall
+from .errors import DomainError, TruncationTooSmall, finite_float, nonnegative_int, positive_int
 from .fanstate import (
     DEFAULT_CONTROL,
     FanConfig,
@@ -96,7 +96,7 @@ class FockVector:
         """Real and imaginary parts of a^j psi, of length dim - j.
 
         (a^j psi)_n = sqrt((n+j)!/n!) psi_{n+j}, with the weight taken as
-        exp of half a difference of exact log-factorials.
+        exp of half a difference of log-factorials.
         """
         image = self._images.get(j)
         if image is None:
@@ -114,6 +114,7 @@ class FockVector:
 
 
 def vacuum(dim: int) -> FockVector:
+    positive_int("dim", dim)
     amps = np.zeros(dim, dtype=np.complex128)
     amps[0] = 1.0
     return FockVector(dim=dim, amps=amps, tail_mass=0.0)
@@ -128,8 +129,7 @@ def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CON
     product carries a sign for the trapped-ion model).  Raises
     TruncationTooSmall when the requested dim leaves tail mass >= 1e-14.
     """
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
+    positive_int("dim", dim)
     if cfg.xi == 0.0:  # no product is read, as in `normalization`
         return vacuum(dim)
     k = cfg.k
@@ -183,12 +183,10 @@ def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
     the value is the same either way.  Requires enough guard rows that
     the repeated maps stay clear of the truncation edge.
     """
-    if type(N) is not int:  # the oracle keeps its own checks, apart from the series side
-        raise DomainError(f"moment order must be an int, got {N!r}")
-    if N < 2 or N % 2 != 0:
-        raise DomainError(f"moment order must be even and >= 2, got {N}")
-    if not math.isfinite(phi):
-        raise DomainError(f"phase must be finite, got {phi}")
+    positive_int("moment order", N)
+    if N % 2:
+        raise DomainError(f"moment order must be even, got {N}")
+    finite_float("phase", phi)
     if v.dim < v.support + N:
         raise TruncationTooSmall(
             f"dim={v.dim} leaves fewer than N={N} guard rows above "
@@ -220,12 +218,10 @@ def moment_oracle(v: FockVector, l: int, m: int) -> complex:
 
     The inner product of the ladder images a^l psi and a^m psi over
     their common length; serves as the independent check of the series
-    route.  The powers must be ints (a bool or a float is a DomainError).
+    route.  The powers are nonnegative ints.
     """
-    if type(l) is not int or type(m) is not int:  # a bool is an int subclass
-        raise DomainError(f"powers must be ints, got l={l!r}, m={m!r}")
-    if l < 0 or m < 0:
-        raise DomainError(f"powers must be nonnegative, got l={l}, m={m}")
+    nonnegative_int("power l", l)
+    nonnegative_int("power m", m)
     if v.dim < v.support + l + m:
         raise TruncationTooSmall(
             f"dim={v.dim} too small for powers l={l}, m={m} at "
@@ -259,8 +255,7 @@ def oracle_vector(
     `_TAIL_TARGET`, then adds `guard` extra rows so repeated ladder maps
     never touch the truncation edge.
     """
-    if guard < 0:
-        raise DomainError(f"guard must be >= 0, got {guard}")
+    nonnegative_int("guard", guard)
     k = cfg.k
     d = normalization(cfg, ctl)
     # walk the support weights until they fall below the target (xi = 0: level 0 only)
@@ -325,13 +320,8 @@ def eigen_residual(cfg: FanConfig, v: FockVector) -> float:
 
 
 def support_check(v: FockVector, k: int) -> bool:
-    """True iff amplitudes away from multiples of 4k are below 1e-12.
-
-    k must be a positive int: a bool or a float is a DomainError, as in
-    `fanstate`, whose check the oracle does not borrow.
-    """
-    if type(k) is not int or k < 1:  # True would pass as 1, 1.5 fail in the slice
-        raise DomainError(f"fan order k must be a positive integer, got {k!r}")
+    """True iff amplitudes away from multiples of 4k are below 1e-12."""
+    positive_int("fan order k", k)
     mask = np.ones(v.dim, dtype=bool)
     mask[:: 4 * k] = False
     return bool(np.all(np.abs(v.amps[mask]) < 1e-12))

@@ -1,8 +1,7 @@
 """Numerically stable special functions shared by every series in the package.
 
 Provides generalized Laguerre polynomials via the ascending three-term
-recurrence, an exact cumulative log-factorial table and double
-factorials.
+recurrence, a cumulative-sum log-factorial table and double factorials.
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ import numpy as np
 
 
 class _LogFactorialTable:
-    """Exact cumulative-sum table of ln(n!), grown on demand.
+    """Cumulative-sum table of ln(n!), grown on demand.
 
-    No Stirling approximation: indices stay below ~1e4 at desk scale and
-    exact accumulation removes an avoidable error source.
+    Rounding accumulates along the sum: against 40-digit loggamma entry
+    n is off by 7.9e-12 at n = 1,000 and by 2.0e-10 at n = 10,000.
     """
 
     def __init__(self) -> None:

@@ -19,7 +19,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FansqError
+from .errors import DomainError, FansqError, finite_float, nonnegative_float, positive_int
 from .fanstate import (
     DEFAULT_CONTROL,
     STOPPED,
@@ -27,28 +27,22 @@ from .fanstate import (
     MomentRowPlan,
     NonlinearModel,
     SeriesControl,
-    _check_k,
+    _nonnegative_array,
     moment,
 )
 from .specfun import double_factorial
 
 
-def _check_int(what: str, value: int) -> None:
-    # a float would fail later as a TypeError, and a bool passes as 0 or 1
-    if type(value) is not int:
-        raise DomainError(f"{what} must be an int, got {value!r}")
-
-
 def min_order(k: int) -> int:
     """Lowest moment order that can show squeezing: 4k."""
-    _check_k(k)
+    positive_int("fan order k", k)
     return 4 * k
 
 
 def _check_order(N: int) -> None:
-    _check_int("moment order", N)
-    if N < 2 or N % 2 != 0:
-        raise DomainError(f"moment order must be even and >= 2, got {N}")
+    positive_int("moment order", N)
+    if N % 2:
+        raise DomainError(f"moment order must be even, got {N}")
 
 
 def vacuum_benchmark(N: int) -> float:
@@ -122,7 +116,7 @@ def _assemble(
     return const, harmonics
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # typed: N = 4.0 must miss the entry of 4 and be checked
 def coefficients(
     cfg: FanConfig, N: int, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> SqueezeCoeffs:
@@ -184,12 +178,10 @@ class SqueezeRowPlan:
         self, k: int, xi_sq: Sequence[float], N: int, ctl: SeriesControl = DEFAULT_CONTROL
     ) -> None:
         _check_order(N)
-        for x in xi_sq:
-            if not (math.isfinite(x) and x >= 0):
-                raise DomainError(f"xi_sq must be finite and >= 0, got {x}")
-        _check_k(k)  # before `_moment_pairs` divides by it
+        xi = np.sqrt(_nonnegative_array("xi_sq", xi_sq)).tolist()
+        positive_int("fan order k", k)  # before `_moment_pairs` divides by it
         self.k, self.N = k, N
-        self.moments = MomentRowPlan(k, [math.sqrt(x) for x in xi_sq], _moment_pairs(k, N), ctl)
+        self.moments = MomentRowPlan(k, xi, _moment_pairs(k, N), ctl)
 
     def run(self, models: Sequence[NonlinearModel]) -> SqueezeRow:
         row = self.moments.run(models)
@@ -205,8 +197,7 @@ def _cosine_sum(constant: Any, harmonics: Sequence[Any], k: int, phi: float) -> 
     The cosine is taken once per harmonic, then multiplied and added in
     the same order for either, so a node gets the bits of the float.
     """
-    if not math.isfinite(phi):
-        raise DomainError(f"phase must be finite, got {phi}")
+    finite_float("phase", phi)
     s = constant
     for p, b in enumerate(harmonics, start=1):
         s = s + b * math.cos(4 * p * k * phi)
@@ -249,6 +240,7 @@ def squeeze_approx(coeffs: SqueezeCoeffs, phi: float) -> ApproxResult:
     dominance = max_{p>=2} |harmonics[p-1]| / |harmonics[0]|; zero when
     there is at most one harmonic or the leading one vanishes.
     """
+    finite_float("phase", phi)
     s = coeffs.constant
     if coeffs.harmonics:
         s += coeffs.harmonics[0] * math.cos(4 * coeffs.k * phi)
@@ -270,11 +262,10 @@ def leading_order_terms(k: int, N: int, xi: float) -> LeadingOrderTerms:
     always dominates for small nonzero xi and squeezing is guaranteed in
     that limit.
     """
-    _check_int("moment order", N)
+    _check_order(N)
+    nonnegative_float("xi", xi)
     if N < min_order(k):
         raise DomainError(f"order N={N} below the minimum {min_order(k)} for k={k}")
-    if N % 2 != 0:
-        raise DomainError(f"moment order must be even, got {N}")
     half = N // 2
     iso = 0.0
     for m in range(1, half + 1):
@@ -303,6 +294,7 @@ def leading_order_squeeze(k: int, N: int, xi: float, phi: float) -> float:
     asymptotic forms in print, and the full decomposition confirms the
     halved one numerically to first order.
     """
+    finite_float("phase", phi)
     t = leading_order_terms(k, N, xi)
     return (
         math.factorial(N)

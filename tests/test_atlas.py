@@ -68,9 +68,14 @@ def test_axis_range_validation():
         AxisRange(0.0, 1.0, 1)
     with pytest.raises(DomainError):
         AxisRange(float("inf"), 1.0, 5)
+    # a bool endpoint passed as 0.0 or 1.0
+    with pytest.raises(DomainError, match="axis min must be a finite float"):
+        AxisRange(True, 2.0, 5)
+    with pytest.raises(DomainError, match="axis max must be a finite float"):
+        AxisRange(0.0, True, 5)
     # a count that is not an int fails as a DomainError, not later in values()
     for count in (2.5, 3.0, float("nan"), True):
-        with pytest.raises(DomainError, match="axis count must be an int"):
+        with pytest.raises(DomainError, match="axis count must be a positive integer"):
             AxisRange(0.0, 1.0, count)
 
 
@@ -87,15 +92,15 @@ def test_grid_spec_validation():
         GridSpec(xi_sq=ax, eta_sq=ax, k=0, N=4, phi=0.0)
     with pytest.raises(DomainError):
         GridSpec(xi_sq=ax, eta_sq=ax, k=1, N=5, phi=0.0)
-    with pytest.raises(DomainError, match="moment order must be an int"):
+    with pytest.raises(DomainError, match="moment order must be a positive integer"):
         GridSpec(xi_sq=ax, eta_sq=ax, k=1, N=4.0, phi=0.0)
     for k in (1.5, 1.0, True):
         with pytest.raises(DomainError, match="fan order k must be a positive integer"):
             GridSpec(xi_sq=ax, eta_sq=ax, k=k, N=4, phi=0.0)
     with pytest.raises(DomainError):
         GridSpec(xi_sq=AxisRange(-0.2, 0.5, 3), eta_sq=ax, k=1, N=4, phi=0.0)
-    for phi in (math.nan, math.inf):
-        with pytest.raises(DomainError):
+    for phi in (math.nan, math.inf, True):
+        with pytest.raises(DomainError, match="phase must be a finite float"):
             GridSpec(xi_sq=ax, eta_sq=ax, k=1, N=4, phi=phi)
 
 
@@ -397,11 +402,27 @@ def test_find_intersections_reports_an_exact_zero_gap_once(monkeypatch, gaps):
     assert result.kinds == ("crossing",)
 
 
-@pytest.mark.parametrize("xi_sq", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("xi_sq", [0.0, -0.1, math.nan, math.inf, True])
 def test_find_intersections_rejects_a_vacuum_or_invalid_drive(xi_sq):
-    # at xi = 0 the gap is 0 at every node
-    with pytest.raises(DomainError):
+    # at xi = 0 the gap is 0 at every node; True passed as 1.0
+    with pytest.raises(DomainError, match="xi_sq must be a finite float > 0"):
         find_intersections(xi_sq, 3, 12, AxisRange(0.05, 0.45, 11))
+
+
+@pytest.mark.parametrize(
+    "k, N, words",
+    [
+        (1.0, 4, "fan order k must be a positive integer"),
+        (True, 4, "fan order k must be a positive integer"),
+        (1, 4.0, "moment order must be a positive integer"),
+        (2, 5, "moment order must be even"),
+    ],
+    ids=["k-float", "k-bool", "N-float", "N-odd"],
+)
+def test_find_intersections_checks_k_and_N_before_the_threshold(k, N, words):
+    # k = 1.0 was blamed on the quantum order of the first model built
+    with pytest.raises(DomainError, match=words):
+        find_intersections(0.5, k, N, AxisRange(0.05, 0.45, 11))
 
 
 def test_find_intersections_rejects_below_threshold():
@@ -424,6 +445,10 @@ def test_polar_profile_vacuum_circle():
 def test_polar_profile_minimum_sample_count():
     with pytest.raises(DomainError):
         polar_profile(FanConfig.from_xi_sq(3, 0.1, Identity()), 12, 23)
+    # 8.5 raised TypeError from range()
+    for samples in (8.5, 24.0, True):
+        with pytest.raises(DomainError, match="samples must be a positive integer"):
+            polar_profile(FanConfig.from_xi_sq(3, 0.1, Identity()), 12, samples)
 
 
 def test_polar_profile_twelve_winged_flower():

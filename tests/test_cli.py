@@ -5,12 +5,14 @@ files can be inspected without spawning subprocesses.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 
 import pytest
 
-from fansq.cli import build_parser, main
+from fansq.cli import _axis_range, build_parser, main
 from fansq.fanstate import FanConfig, Identity
 from fansq.squeeze import coefficients, squeeze_parameter
 
@@ -169,7 +171,7 @@ def test_intersect_at_zero_xi_is_exit_two(capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert "xi_sq must be positive" in err
+    assert "xi_sq must be a finite float > 0" in err
 
 
 def test_boundary_empty_is_exit_three(capsys, tmp_path):
@@ -449,6 +451,54 @@ def test_manifest_parameters_are_the_subcommands_own_flags(capsys, cmd, fmt):
     for name in ("xi_sq", "eta_sq"):
         if isinstance(man["parameters"].get(name), dict):
             assert set(man["parameters"][name]) == {"min", "max", "count"}
+
+
+# a valid text per numeric flag; the test swaps in one text of each rejected kind at a time
+VALID_TEXT = {
+    "--k": "1", "--N": "4", "--xi-sq": "0.2", "--eta-sq": "0.3", "--phi": "0.3",
+    "--samples": "8", "--max-power": "2", "--rel-tol": "1e-16", "--n-max": "64",
+    "--laguerre-floor": "1e-12", "--omega0": "1.0", "--omega1": "2.0", "--eta": "0.3",
+    "--phase": "0.0", "--quantum-order": "2",
+}
+VALID_RANGE = ("0.1", "0.9", "5")
+NOT_INT_TEXT = ["True", "2.0", "2.5", "nan", "inf", "-inf", "-1", "0"]
+NOT_FLOAT_TEXT = ["True", "nan", "inf", "-inf", "-1", "0"]
+
+
+def _valid_text(action):
+    if action.type is _axis_range:
+        return ":".join(VALID_RANGE)
+    return VALID_TEXT[action.option_strings[0]]
+
+
+def _bad_texts(action):
+    if action.type is not _axis_range:
+        return NOT_INT_TEXT if action.type is int else NOT_FLOAT_TEXT
+    texts = []
+    for i, not_kind in enumerate((NOT_FLOAT_TEXT, NOT_FLOAT_TEXT, NOT_INT_TEXT)):
+        for bad in not_kind:
+            parts = list(VALID_RANGE)
+            parts[i] = bad
+            texts.append(":".join(parts))
+    return texts
+
+
+def test_a_bad_number_on_any_flag_is_exit_two_or_three_and_no_traceback():
+    for cmd, sub in _subparsers().items():
+        flags = [a for a in sub._actions if a.type in (int, float, _axis_range)]
+        valid = {a.option_strings[0]: _valid_text(a) for a in flags}
+        for action in flags:
+            flag = action.option_strings[0]
+            for text in [valid[flag], *_bad_texts(action)]:
+                argv = [cmd, *(f"{f}={text if f == flag else t}" for f, t in valid.items())]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse rejects the text of a flag
+                        code = exc.code
+                assert code in (0, 2, 3), (argv, err.getvalue())
+                assert "Traceback" not in err.getvalue(), argv
 
 
 # ---------------------------------------------------------------------------

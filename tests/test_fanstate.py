@@ -44,6 +44,8 @@ def test_trapped_ion_validation():
         TrappedIon(eta_sq=-0.1, quantum_order=2)
     with pytest.raises(DomainError):
         TrappedIon(eta_sq=0.2, quantum_order=0)
+    with pytest.raises(DomainError, match="eta_sq must be a finite float > 0"):
+        TrappedIon(eta_sq=True, quantum_order=2)
 
 
 def test_fan_config_validation():
@@ -53,24 +55,28 @@ def test_fan_config_validation():
         FanConfig(k=1, xi=-0.5, model=Identity())
     with pytest.raises(DomainError):
         FanConfig(k=1, xi=float("nan"), model=Identity())
+    with pytest.raises(DomainError, match="xi must be a finite float >= 0"):
+        FanConfig(k=1, xi=True, model=Identity())
     # sideband order must track the fan order
     with pytest.raises(DomainError):
         FanConfig(k=2, xi=0.1, model=TrappedIon(eta_sq=0.2, quantum_order=2))
     cfg = FanConfig.from_xi_sq(1, 0.25, Identity())
     assert cfg.xi == 0.5
     assert cfg.xi_sq == pytest.approx(0.25, rel=1e-15)
-    with pytest.raises(DomainError):
-        FanConfig.from_xi_sq(1, -0.1, Identity())
+    for xi_sq in (-0.1, True):
+        with pytest.raises(DomainError, match="xi_sq must be a finite float >= 0"):
+            FanConfig.from_xi_sq(1, xi_sq, Identity())
 
 
 def test_drive_params_validation_and_phase_reduction():
     for bad in ("omega0", "omega1", "eta"):
-        kwargs = dict(omega0=1.0, omega1=1.0, eta=0.5, phase=0.0, quantum_order=2)
-        kwargs[bad] = 0.0
-        with pytest.raises(DomainError):
-            DriveParams(**kwargs)
-    for phase in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError):
+        for value in (0.0, True):
+            kwargs = dict(omega0=1.0, omega1=1.0, eta=0.5, phase=0.0, quantum_order=2)
+            kwargs[bad] = value
+            with pytest.raises(DomainError, match=f"{bad} must be a finite float > 0"):
+                DriveParams(**kwargs)
+    for phase in (math.nan, math.inf, -math.inf, True):
+        with pytest.raises(DomainError, match="phase must be a finite float"):
             DriveParams(omega0=1.0, omega1=1.0, eta=0.5, phase=phase, quantum_order=2)
     d = DriveParams(omega0=1.0, omega1=1.0, eta=0.5, phase=7.0, quantum_order=2)
     assert 0.0 <= d.phase < 2 * math.pi
@@ -330,7 +336,7 @@ def test_an_interference_zero_takes_no_memo_slot():
 def test_moment_rejects_a_power_that_is_not_an_int(l, m):
     # unchecked, (1.5, 0) gave 0.0, (True, True) the (1, 1) moment and
     # (4.0, 0) a TypeError; the check comes before the interference zero
-    with pytest.raises(DomainError, match="moment powers must be ints"):
+    with pytest.raises(DomainError, match="moment power [lm] must be a nonnegative integer"):
         moment(FanConfig.from_xi_sq(1, 0.5, Identity()), l, m)
 
 

@@ -130,7 +130,7 @@ def test_quadrature_moment_rejects_odd_order():
 @pytest.mark.parametrize("N", [4.0, 2.0, True])
 def test_quadrature_moment_rejects_an_order_that_is_not_an_int(N):
     # 4.0 raised TypeError from range(); True passed as the order 1
-    with pytest.raises(DomainError, match="moment order must be an int"):
+    with pytest.raises(DomainError, match="moment order must be a positive integer"):
         quadrature_moment(vacuum(12), 0.0, N)
 
 
@@ -417,7 +417,7 @@ def test_moment_oracle_selection_rule_on_fan_input():
 @pytest.mark.parametrize("l, m", [(1.5, 0), (True, True), (0, 2.0), (False, 0)])
 def test_moment_oracle_rejects_a_power_that_is_not_an_int(l, m):
     # unchecked, (1.5, 0) raised TypeError and (True, True) passed as (1, 1)
-    with pytest.raises(DomainError, match="powers must be ints"):
+    with pytest.raises(DomainError, match="power [lm] must be a nonnegative integer"):
         moment_oracle(vacuum(12), l, m)
 
 
@@ -454,6 +454,27 @@ def test_xi_zero_is_the_vacuum_on_the_oracle_path_at_a_pole():
 def test_oracle_vector_rejects_negative_guard():
     with pytest.raises(DomainError):
         oracle_vector(CFG_ID, guard=-1)
+
+
+@pytest.mark.parametrize("guard", [2.5, 2.0, True])
+def test_oracle_vector_rejects_a_guard_that_is_not_an_int(guard):
+    # 2.5 raised TypeError, True built a vector as for guard 1
+    with pytest.raises(DomainError, match="guard must be a nonnegative integer"):
+        oracle_vector(CFG_ID, guard)
+
+
+@pytest.mark.parametrize("dim", [40.0, True, 0])
+def test_fock_coefficients_rejects_a_dim_that_is_not_a_positive_int(dim):
+    # 40.0 and True raised TypeError
+    with pytest.raises(DomainError, match="dim must be a positive integer"):
+        fock_coefficients(CFG_ID, dim)
+
+
+@pytest.mark.parametrize("dim", [0, 3.0, True, -1])
+def test_vacuum_rejects_a_dim_that_is_not_a_positive_int(dim):
+    # 0 raised IndexError, 3.0 and True TypeError
+    with pytest.raises(DomainError, match="dim must be a positive integer"):
+        vacuum(dim)
 
 
 # ---------------------------------------------------------------------------

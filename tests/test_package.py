@@ -47,6 +47,35 @@ def test_no_module_of_the_package_guards_with_assert():
     assert found == {}
 
 
+def _kind_checks(tree: ast.Module) -> list[int]:
+    """Lines of `isinstance(..., bool)` calls and of `type(...)` compared with int or bool."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "isinstance" and "bool" in ast.unparse(node.args[-1]):
+                lines.append(node.lineno)
+        if (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name)
+            and node.left.func.id == "type"
+            and any(isinstance(c, ast.Name) and c.id in ("int", "bool") for c in node.comparators)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_errors_module_checks_the_kind_of_an_argument():
+    # the argument rules live in errors.py; a copy elsewhere drifts from them
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "errors.py" and (lines := _kind_checks(tree)):
+            found[path.name] = lines
+    assert found == {}
+    assert _kind_checks(ast.parse((SRC / "errors.py").read_text()))
+
+
 def test_importing_the_package_loads_neither_numpy_polynomial_nor_scipy():
     # numpy.polynomial costs about 5 ms and 0.8 MB per process, and scipy
     # is a test-only dependency

@@ -113,6 +113,14 @@ def test_coefficients_rejects_odd_order():
         coefficients(CFG_ID, 5)
 
 
+@pytest.mark.parametrize("N", [4.0, 8.0])
+def test_coefficients_checks_an_order_equal_to_a_cached_one(N):
+    # 4.0 hashes and compares as 4: an untyped memo returned the result for the int
+    coefficients(CFG_ID, int(N))
+    with pytest.raises(DomainError, match="moment order must be a positive integer"):
+        coefficients(CFG_ID, N)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -136,11 +144,16 @@ def test_squeeze_parameter_guards_moment_positivity_bound():
         squeeze_parameter(fake, 0.0)
 
 
-@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, True])
 def test_squeeze_parameter_rejects_a_non_finite_phase(phi):
+    # the single-point helpers take the same rule; squeeze_approx gave NaN
     c = SqueezeCoeffs(k=1, N=4, constant=0.3, harmonics=(-0.1,))
-    with pytest.raises(DomainError, match="phase must be finite"):
+    with pytest.raises(DomainError, match="phase must be a finite float"):
         squeeze_parameter(c, phi)
+    with pytest.raises(DomainError, match="phase must be a finite float"):
+        squeeze_approx(c, phi)
+    with pytest.raises(DomainError, match="phase must be a finite float"):
+        leading_order_squeeze(1, 4, 0.3, phi)
 
 
 @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
@@ -228,13 +241,22 @@ def test_leading_order_rejects_below_threshold():
 @pytest.mark.parametrize("k, N", [(1, 4.0), (1, 6.0), (1.0, 4), (True, 4)])
 def test_leading_order_rejects_an_order_that_is_not_an_int(k, N):
     # a float order raised TypeError from math.factorial
-    words = "moment order must be an int"
+    words = "moment order must be a positive integer"
     if type(k) is not int:
         words = "fan order k must be a positive integer"
     with pytest.raises(DomainError, match=words):
         leading_order_terms(k, N, 0.3)
     with pytest.raises(DomainError, match=words):
         leading_order_squeeze(k, N, 0.3, 0.0)
+
+
+@pytest.mark.parametrize("xi", [-1.0, math.nan, math.inf, -math.inf, True])
+def test_leading_order_rejects_a_xi_that_is_not_a_finite_float_at_least_0(xi):
+    # -1.0 and True passed, NaN gave NaN terms
+    with pytest.raises(DomainError, match="xi must be a finite float >= 0"):
+        leading_order_terms(1, 4, xi)
+    with pytest.raises(DomainError, match="xi must be a finite float >= 0"):
+        leading_order_squeeze(1, 4, xi, 0.0)
 
 
 @pytest.mark.parametrize("k, xi_sq", [(1, 0.01), (1, 0.004), (2, 0.09)])
