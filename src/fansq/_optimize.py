@@ -1,7 +1,9 @@
-"""Bracketed root finding: scalar bisection and the ITP probe.
+"""Bracketed root finding: ITP probes, stepped in lockstep over many brackets.
 
 Hand-rolled so tolerance semantics are exactly what the callers state
-(absolute interval widths, no hidden relative tolerances).
+(absolute interval widths, no hidden relative tolerances).  Given only
+the signs of f (+-1 at both ends) the ITP probe is the midpoint, bit for
+bit, so a caller gets bisection's probes by passing signs.
 """
 
 from __future__ import annotations
@@ -9,39 +11,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-
-
-def bisect_root(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float,
-    fa: float | None = None,
-    fb: float | None = None,
-) -> float:
-    """Root of f in [a, b] by bisection; f(a) and f(b) must differ in sign."""
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise ValueError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    while b - a > xtol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # interval below float resolution
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return 0.5 * (a + b)
 
 
 # ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2020):
@@ -82,3 +51,40 @@ def itp_probe(
     r = np.maximum(np.ldexp(eps, n_max - step) - 0.5 * width, 0.0)
     x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
     return np.where((a < x) & (x < b), x, mid)
+
+
+def refine_brackets(
+    a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+    evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], xtol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of every bracket [a, b] by ITP in lockstep, one `evaluate` call per step.
+
+    fa and fb, f at the ends, differ in sign; an end where f is exactly
+    0.0 (fa first) is the root.  `evaluate(x, rows)` gives f at the
+    probes x of the brackets `rows` and where it failed; a failed bracket
+    stops.  A bracket stops at a probe where f is exactly 0.0 (the root),
+    or at width xtol or once its midpoint is no longer strictly inside
+    (the root is the midpoint), never later than bisection would.
+    Returns the roots and the failed mask, in input order.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    width0 = b - a
+    failed = np.zeros(len(a), dtype=bool)
+    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    step = 0
+    while True:
+        mid = 0.5 * (a + b)
+        rows = np.flatnonzero(np.isnan(root) & ~failed & (b - a > xtol) & (mid > a) & (mid < b))
+        if not rows.size:
+            break
+        x = itp_probe(a[rows], b[rows], fa[rows], fb[rows], width0[rows], step, xtol)
+        fx, fail = evaluate(x, rows)
+        failed[rows[fail]] = True
+        zero = ~fail & (fx == 0.0)
+        root[rows[zero]] = x[zero]
+        to_a = ~fail & ~zero & ((fx > 0) == (fa[rows] > 0))
+        to_b = ~fail & ~zero & ~to_a
+        a[rows[to_a]], fa[rows[to_a]] = x[to_a], fx[to_a]
+        b[rows[to_b]], fb[rows[to_b]] = x[to_b], fx[to_b]
+        step += 1
+    return np.where(np.isnan(root), 0.5 * (a + b), root), failed

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._optimize import bisect_root, itp_probe
+from ._optimize import refine_brackets
 from .errors import (
     DomainError,
     EmptyBoundary,
@@ -183,25 +183,17 @@ def _crossings(diagram: PhaseDiagram) -> list[_Crossing]:
 def _refine_crossings(
     grid: GridSpec, kind: str, ctl: SeriesControl, crossings: list[_Crossing]
 ) -> list[Optional[tuple[float, float]]]:
-    """Refine every crossing by ITP in lockstep: one engine call per step.
+    """Refine every crossing by `refine_brackets` to 1e-12: one engine call per step.
 
     Each crossing keeps its own bracket and end values, seeded by the
-    scan, and each step evaluates S at the `itp_probe` of every open
-    crossing in one `SqueezeRowPlan` run.  A crossing stops when its
-    bracket is at most 1e-12 wide (at its midpoint), when S is exactly
-    0.0 at a probe (at the probe), or when its midpoint is no longer
-    strictly inside the bracket; it never takes more steps than
-    bisection would.  S is then evaluated once more at every root.  A
-    crossing whose series fail at any of its points is dropped (None).
-    Returns the (xi_sq, eta_sq) points in input order.
+    scan, and each step evaluates S at the probe of every open crossing
+    in one `SqueezeRowPlan` run.  S is then evaluated once more at every
+    root.  A crossing whose series fail at any of its points is dropped
+    (None).  Returns the (xi_sq, eta_sq) points in input order.
     """
     if not crossings:
         return []
     fixed, a, b, fa, fb, along_xi = (np.array(c) for c in zip(*crossings))
-    width0 = b - a
-    dropped = np.zeros(len(crossings), dtype=bool)
-    root = np.where(fa == 0.0, a, np.nan)  # a crossing through a zero node
-    done = ~np.isnan(root)
 
     def s_at(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """S at position x along the lines of `rows`, and where it failed."""
@@ -211,24 +203,7 @@ def _refine_crossings(
         row = SqueezeRowPlan(grid.k, xi_sq, grid.N, ctl).run(models)
         return row.squeeze_parameter(grid.phi), ~row.ok
 
-    step = 0
-    while True:
-        mid = 0.5 * (a + b)
-        rows = np.flatnonzero(~done & ~dropped & (b - a > _XTOL) & (mid > a) & (mid < b))
-        if not rows.size:
-            break
-        x = itp_probe(a[rows], b[rows], fa[rows], fb[rows], width0[rows], step, _XTOL)
-        fx, fail = s_at(x, rows)
-        dropped[rows[fail]] = True
-        zero = ~fail & (fx == 0.0)
-        done[rows[zero]] = True
-        root[rows[zero]] = x[zero]
-        to_a = ~fail & ~zero & ((fx > 0) == (fa[rows] > 0))
-        to_b = ~fail & ~zero & ~to_a
-        a[rows[to_a]], fa[rows[to_a]] = x[to_a], fx[to_a]
-        b[rows[to_b]], fb[rows[to_b]] = x[to_b], fx[to_b]
-        step += 1
-    root = np.where(done, root, 0.5 * (a + b))
+    root, dropped = refine_brackets(a, b, fa, fb, s_at, _XTOL)
     kept = np.flatnonzero(~dropped)
     if kept.size:
         _, fail = s_at(root[kept], kept)
@@ -287,7 +262,7 @@ class IntersectionSet:
     skipped: tuple[tuple[float, str], ...]
 
 
-_ROOT_XTOL = 1e-9  # absolute width to which an intersection is bisected
+_ROOT_XTOL = 1e-9  # absolute width to which an intersection is refined
 _TOUCH_TOL = 1e-8  # |gap| at a harmonic sign flip that makes it a tangent root
 
 
@@ -305,10 +280,12 @@ def find_intersections(
     A tangential root hides where the harmonic flips sign without the
     gap changing sign: there the nonlinearity has a pole, the state
     collapses toward vacuum, and both terms reach zero together.  Such
-    a root is pinned by bisecting the harmonic itself and accepted only
-    if the gap at that point is within `_TOUCH_TOL` of zero.  The grid
-    nodes are one `SqueezeRowPlan` run; the bisections evaluate the
-    scalar `coefficients` off the grid.
+    a root is pinned at the flip and accepted only if the gap there is
+    within `_TOUCH_TOL` of zero.  The grid nodes are one `SqueezeRowPlan`
+    run; `refine_brackets` refines all brackets together, and a probe (a
+    scalar `coefficients` call) that fails raises.  A flip bracket
+    carries only the harmonic's signs, so its probes are bisection's
+    midpoints and do not chase the pole there, as ITP would.
     """
     positive_int("fan order k", k)
     _check_order(N)
@@ -329,40 +306,46 @@ def find_intersections(
 
     nodes = eta_range.values()
     models = [_model_for(model_kind, k, e) for e in nodes]
-    gaps: list[Optional[float]] = []
-    harms: list[Optional[float]] = []
-    skipped: list[tuple[float, str]] = []
     row = SqueezeRowPlan(k, [xi_sq] * len(nodes), N, ctl).run(models)
-    row_gaps = (row.constant - np.abs(row.harmonics[0])).tolist()
-    row_harms = row.harmonics[0].tolist()
-    for e, code, g, h in zip(nodes, row.outcome.tolist(), row_gaps, row_harms):
-        if code == STOPPED:
-            gaps.append(g)
-            harms.append(h)
-        else:
-            gaps.append(None)
-            harms.append(None)
-            skipped.append((e, _STATUS[code]))
+    codes = row.outcome.tolist()
+    ok = [code == STOPPED for code in codes]
+    skipped = [(e, _STATUS[code]) for e, code in zip(nodes, codes) if code != STOPPED]
+    gaps = (row.constant - np.abs(row.harmonics[0])).tolist()
+    harms = row.harmonics[0].tolist()
 
     # a node where the gap is exactly 0.0 is a root; sign changes are
-    # bisected only between nonzero gaps, so no root is found twice
-    found = [(e, "crossing") for e, g in zip(nodes, gaps) if g == 0.0]
+    # refined only between nonzero gaps, so no root is found twice
+    found = [(e, "crossing") for e, g, node_ok in zip(nodes, gaps, ok) if node_ok and g == 0.0]
+    brackets = []  # (lo, hi, f(lo), f(hi), on the gap)
     for i in range(len(nodes) - 1):
-        g0, g1 = gaps[i], gaps[i + 1]
-        h0, h1 = harms[i], harms[i + 1]
-        if g0 is None or g1 is None:
+        if not (ok[i] and ok[i + 1]):
             continue
+        g0, g1, h0, h1 = gaps[i], gaps[i + 1], harms[i], harms[i + 1]
         if g0 != 0.0 and g1 != 0.0 and (g0 > 0) != (g1 > 0):
-            root = bisect_root(gap_at, nodes[i], nodes[i + 1], _ROOT_XTOL, fa=g0, fb=g1)
-            found.append((root, "crossing"))
-        elif h0 is not None and h1 is not None and h0 != 0.0 and (h0 > 0) != (h1 > 0):
-            pole = bisect_root(harmonic_at, nodes[i], nodes[i + 1], _ROOT_XTOL, fa=h0, fb=h1)
+            brackets.append((nodes[i], nodes[i + 1], g0, g1, True))
+        elif h0 != 0.0 and (h0 > 0) != (h1 > 0):
+            brackets.append((nodes[i], nodes[i + 1], np.sign(h0), np.sign(h1), False))
+    if brackets:
+        lo, hi, f_lo, f_hi, on_gap = (np.array(c) for c in zip(*brackets))
+
+        def at_probes(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """The gap, or the harmonic's sign, at each probe; a failure raises."""
+            c = [coeffs_at(e) for e in x.tolist()]
+            gap = np.array([t.constant - abs(t.harmonics[0]) for t in c])
+            sign = np.sign([t.harmonics[0] for t in c])
+            return np.where(on_gap[rows], gap, sign), np.zeros(len(c), dtype=bool)
+
+        roots, _ = refine_brackets(lo, hi, f_lo, f_hi, at_probes, _ROOT_XTOL)
+        for root, gap in zip(roots.tolist(), on_gap.tolist()):
+            if gap:
+                found.append((root, "crossing"))
+                continue
             try:
-                touch = abs(gap_at(pole))
+                touch = abs(gap_at(root))
             except (SingularNonlinearity, SeriesNotConverged):
                 touch = math.inf
             if touch <= _TOUCH_TOL:
-                found.append((pole, "tangent"))
+                found.append((root, "tangent"))
 
     found.sort(key=lambda t: t[0])
     roots = tuple(r for r, _ in found)

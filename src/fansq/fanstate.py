@@ -31,7 +31,7 @@ Two paths evaluate the series, chosen by the shape of the input:
     Results and tables sit in bounded memo tables.
   * a row of points of one order k, each with its own xi and model
     (`MomentRowPlan`; grid scans pass one eta_sq row with a shared model,
-    boundary refinement one bisection midpoint per crossing): every
+    boundary refinement one ITP probe per crossing): every
     series a point needs becomes one column of a 2-D numpy block of
     terms over the even summation indices (the odd ones are exact
     zeros).  `convergence_depth` predicts from rho = xi^2 eta^2 where
@@ -778,6 +778,9 @@ def xi_from_drive(d: DriveParams) -> float:
     quadrature angle is measured from the xi direction.
     """
     K = d.quantum_order
-    ratio = d.omega0 / (d.eta**K * d.omega1)
+    try:
+        ratio = d.omega0 / (d.eta**K * d.omega1)
+    except (OverflowError, ZeroDivisionError):  # eta^K above float range, or eta^K omega1 below it
+        raise DomainError(f"drive ratio is out of float range at eta={d.eta}, K={K}") from None
     positive_float("drive ratio", ratio)
     return ratio ** (1.0 / K)

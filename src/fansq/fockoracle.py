@@ -71,6 +71,7 @@ class FockVector:
     _chains: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        positive_int("dim", self.dim)
         amps = np.array(self.amps, dtype=np.complex128)
         if amps.ndim != 1:
             raise DomainError(f"amps must be one-dimensional, got shape {amps.shape}")

@@ -64,6 +64,10 @@ class SqueezeCoeffs:
     constant: float
     harmonics: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        positive_int("fan order k", self.k)
+        _check_order(self.N)
+
 
 def _moment_pairs(k: int, N: int) -> list[tuple[int, int]]:
     """The moments (l, m) the decomposition needs.
@@ -116,7 +120,6 @@ def _assemble(
     return const, harmonics
 
 
-@lru_cache(maxsize=256, typed=True)  # typed: N = 4.0 must miss the entry of 4 and be checked
 def coefficients(
     cfg: FanConfig, N: int, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> SqueezeCoeffs:

@@ -1,19 +1,19 @@
-"""Scalar ITP root finding, one bracket at a time, for the reference
-paths of the tests.
+"""Scalar ITP and bisection root finding, one bracket at a time, for the
+reference paths of the tests.
 
 The package computes the ITP probes of many brackets at once
 (`_optimize.itp_probe`) and steps them in lockstep
-(`atlas._refine_crossings`).  The tests check both against this plain
+(`_optimize.refine_brackets`).  The tests check both against this plain
 transcription of the method of Oliveira & Takahashi, "An Enhancement of
 the Bisection Method Average Performance Preserving Minmax Optimality",
-ACM TOMS 47(1), 2020.
+ACM TOMS 47(1), 2020, and the roots against plain bisection.
 
 Three details go beyond the paper's pseudocode, as in the package: the
 projection radius uses eps = xtol/2 * (1 - eps_margin), clamped at 0,
 while n_max and the stopping width use xtol itself; a probe that is not
 strictly inside (a, b) falls back to the midpoint; and the loop also
 stops when the midpoint is no longer strictly inside (a, b), as
-`bisect_root` does.
+`bisect_root` below does.
 """
 
 import math
@@ -57,3 +57,35 @@ def itp_root(f, a, b, xtol, fa, fb, kappa1_width=0.4, kappa2=2, n0=0, eps_margin
             b, fb = x, y
         j += 1
     return 0.5 * (a + b), probes
+
+
+def bisect_root(f, a, b, xtol, fa=None, fb=None):
+    """Root of f in [a, b] by bisection; f(a) and f(b) must differ in sign.
+
+    An end where f is exactly 0.0 is the root; so is a midpoint where it
+    is.  Otherwise the loop halves [a, b] until it is at most xtol wide
+    or its midpoint is no longer strictly inside, and returns the
+    midpoint.
+    """
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0) == (fb > 0):
+        raise ValueError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
+    while b - a > xtol:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:  # interval below float resolution
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+    return 0.5 * (a + b)

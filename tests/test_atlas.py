@@ -8,7 +8,6 @@ import pytest
 
 import fansq.atlas
 import fansq.fanstate
-from fansq._optimize import bisect_root
 from fansq.atlas import (
     STATUS_NOT_CONVERGED,
     STATUS_OK,
@@ -45,6 +44,7 @@ from fansq.squeeze import (
     squeeze_parameter,
     vacuum_benchmark,
 )
+from itp_ref import bisect_root
 
 GRID_K1 = GridSpec(
     xi_sq=AxisRange(0.0, 1.0, 21),
@@ -231,7 +231,7 @@ XTOL = 1e-12
 
 
 def _scalar_refinement(grid, crossing):
-    """One crossing refined alone: `bisect_root` over scalar `coefficients`."""
+    """One crossing refined alone: scalar bisection over scalar `coefficients`."""
 
     def s_of(x):
         xi_sq, eta_sq = (x, crossing.fixed) if crossing.along_xi else (crossing.fixed, x)
@@ -320,7 +320,6 @@ def test_trace_boundary_fills_no_memo_table():
         # product tables hold the Laguerre values of the scalar path too
         return (
             fansq.fanstate.product_table.cache_info().currsize,
-            coefficients.cache_info().currsize,
             fansq.fanstate.normalization.cache_info().currsize,
         )
 
@@ -365,6 +364,50 @@ def test_find_intersections_roots_satisfy_their_equation():
         # touches, so it is pinned by the harmonic zero instead
         tol = 1e-6 if kind == "crossing" else 1e-7
         assert abs(gap) <= tol
+
+
+@pytest.mark.parametrize(
+    "xi_sq, k, N, eta_range",
+    [(0.1, 3, 12, AxisRange(0.05, 0.45, 81)), (0.4, 1, 4, AxisRange(0.2, 0.99, 41))],
+    ids=["c01", "k1-tangent-between-crossings"],
+)
+def test_find_intersections_roots_match_scalar_bisection(xi_sq, k, N, eta_range):
+    def coeffs_at(eta_sq):
+        cfg = FanConfig.from_xi_sq(k, xi_sq, TrappedIon(eta_sq=eta_sq, quantum_order=2 * k))
+        return coefficients(cfg, N)
+
+    def gap_at(eta_sq):
+        c = coeffs_at(eta_sq)
+        return c.constant - abs(c.harmonics[0])
+
+    def harmonic_at(eta_sq):
+        return coeffs_at(eta_sq).harmonics[0]
+
+    result = find_intersections(xi_sq, k, N, eta_range)
+    assert "tangent" in result.kinds and "crossing" in result.kinds
+    nodes = eta_range.values()
+    for root, kind in zip(result.roots, result.kinds):
+        i = max(j for j, e in enumerate(nodes) if e < root)
+        lo, hi = nodes[i], nodes[i + 1]
+        if kind == "tangent":  # a harmonic flip is probed at bisection's midpoints
+            assert root == bisect_root(harmonic_at, lo, hi, 1e-9)
+        else:  # a gap bracket is probed by ITP, to the same width
+            assert abs(root - bisect_root(gap_at, lo, hi, 1e-9)) <= 1e-9
+
+
+def test_find_intersections_raises_what_a_probe_raises(monkeypatch):
+    calls = []
+
+    def failing(cfg, N, ctl):
+        calls.append(cfg.model.eta_sq)
+        if len(calls) == 3:  # a probe of the first refinement step
+            raise SeriesNotConverged("probe 3 failed")
+        return coefficients(cfg, N, ctl)
+
+    monkeypatch.setattr(fansq.atlas, "coefficients", failing)
+    with pytest.raises(SeriesNotConverged, match="probe 3 failed"):
+        find_intersections(0.1, 3, 12, AxisRange(0.05, 0.45, 81))
+    assert len(calls) == 3
 
 
 def test_find_intersections_signs_record_harmonic_exchange():

@@ -266,6 +266,17 @@ def test_xi_from_drive_rejects_zero_sideband(capsys):
     assert "invalid parameters" in err
 
 
+@pytest.mark.parametrize("eta", ["1e300", "1e-200"])
+def test_xi_from_drive_with_eta_power_outside_float_range_is_exit_two(eta):
+    argv = ["xi-from-drive", "--omega0", "1.0", "--omega1", "2.0",
+            "--eta", eta, "--quantum-order", "2"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert "drive ratio" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 

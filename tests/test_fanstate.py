@@ -479,3 +479,11 @@ def test_xi_from_drive_values():
         DriveParams(omega0=1e-30, omega1=1.0, eta=0.5, phase=0.0, quantum_order=2)
     )
     assert 0.0 < tiny < 1e-14
+
+
+@pytest.mark.parametrize("eta", [1e300, 1e-200])
+def test_xi_from_drive_rejects_an_eta_power_outside_float_range(eta):
+    # eta^K overflowed (OverflowError), or underflowed to 0 and divided by it
+    d = DriveParams(omega0=1.0, omega1=2.0, eta=eta, phase=0.0, quantum_order=2)
+    with pytest.raises(DomainError, match="drive ratio"):
+        xi_from_drive(d)

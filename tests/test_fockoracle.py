@@ -46,6 +46,13 @@ def test_fockvector_dim_mismatch_rejected():
         FockVector(dim=4, amps=np.zeros(5, dtype=np.complex128), tail_mass=0.0)
 
 
+@pytest.mark.parametrize("dim, size", [(4.0, 4), (True, 1)])
+def test_fockvector_rejects_a_dim_that_is_not_an_int(dim, size):
+    # dim = 4.0 built, and moment_oracle then raised TypeError
+    with pytest.raises(DomainError, match="dim must be a positive integer"):
+        FockVector(dim=dim, amps=np.eye(size)[0], tail_mass=0.0)
+
+
 def test_vacuum_and_support_level():
     v = vacuum(8)
     assert v.norm_sq == 1.0

@@ -76,6 +76,49 @@ def test_only_the_errors_module_checks_the_kind_of_an_argument():
     assert _kind_checks(ast.parse((SRC / "errors.py").read_text()))
 
 
+def _unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines of `functools.cache` and of `lru_cache` without an int maxsize."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                lines.append(node.lineno)
+        elif "lru_cache" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            call = calls.get(id(node))
+            keywords = {kw.arg: kw.value for kw in call.keywords} if call else {}
+            size = call.args[0] if call and call.args else keywords.get("maxsize")
+            if not (
+                isinstance(size, ast.Constant)
+                and isinstance(size.value, int)
+                and not isinstance(size.value, bool)
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_memo_table_of_the_package_has_an_int_bound():
+    # a process that runs a long time must keep its memory bounded
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if lines := _unbounded_caches(ast.parse(path.read_text(), filename=str(path))):
+            found[path.name] = lines
+    assert found == {}
+    unbounded = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(): pass\n"
+        "@lru_cache\ndef b(): pass\n"
+        "@lru_cache(maxsize=None)\ndef c(): pass\n"
+        "@functools.lru_cache(None, typed=True)\ndef d(): pass\n"
+        "@lru_cache(maxsize=8)\ndef e(): pass\n"
+        "@functools.lru_cache(8)\ndef f(): pass\n"
+    )
+    assert _unbounded_caches(ast.parse(unbounded)) == [2, 3, 5, 7, 9]
+
+
 def test_importing_the_package_loads_neither_numpy_polynomial_nor_scipy():
     # numpy.polynomial costs about 5 ms and 0.8 MB per process, and scipy
     # is a test-only dependency

@@ -34,7 +34,6 @@ from fansq.fanstate import (
 )
 from fansq.fockoracle import FockVector, eigen_residual, fock_coefficients
 from fansq.specfun import log_factorial
-from fansq.squeeze import coefficients
 from laguerre_ref import laguerre
 from signed_log_ref import SL_ONE, mul, pow_int, ref_nonlinearity_value, signed_log, to_real
 
@@ -404,20 +403,18 @@ def test_memo_tables_stay_within_their_bounds():
     tables = {
         "normalization": lambda: normalization.cache_info().currsize,
         "moment": lambda: fanstate._moment_cached.cache_info().currsize,
-        "coefficients": lambda: coefficients.cache_info().currsize,
         "products": lambda: fanstate.product_table.cache_info().currsize,
     }
     bounds = {
         "normalization": normalization.cache_info().maxsize,
         "moment": fanstate._moment_cached.cache_info().maxsize,
-        "coefficients": coefficients.cache_info().maxsize,
         "products": fanstate.product_table.cache_info().maxsize,
     }
     assert all(b is not None for b in bounds.values())
     first = FanConfig.from_xi_sq(1, 0.3, TrappedIon(eta_sq=0.5, quantum_order=2))
     first_value = moment(first, 4, 0)
-    # more models than product tables, more points than normalizations
-    # and coefficients, more pairs than moments; a product table holds
+    # more models than product tables, more points than normalizations,
+    # more pairs than moments; a product table holds
     # its model's Laguerre values, so the "products" bound covers them
     etas = np.linspace(0.05, 0.95, bounds["products"] + 3)
     points = 0
@@ -425,14 +422,13 @@ def test_memo_tables_stay_within_their_bounds():
         model = TrappedIon(eta_sq=float(eta), quantum_order=2)
         for j in range(5):
             cfg = FanConfig.from_xi_sq(1, 0.1 + 0.1 * j, model)
-            coefficients(cfg, 8)
             for l in range(14):
                 for m in range(l + 1):
                     moment(cfg, l, m)
             points += 1
         for name, size in tables.items():
             assert size() <= bounds[name], name
-    assert points > bounds["coefficients"] and points > bounds["normalization"]
+    assert points > bounds["normalization"]
     assert points * 105 > bounds["moment"]
     for name, size in tables.items():
         assert size() == bounds[name], name  # full, and evicting

@@ -133,6 +133,24 @@ def test_squeeze_parameter_is_the_cosine_sum():
         )
 
 
+@pytest.mark.parametrize(
+    "k, N, words",
+    [
+        (0, 4, "fan order k must be a positive integer"),
+        (True, 4, "fan order k must be a positive integer"),
+        (1.0, 4, "fan order k must be a positive integer"),
+        (1, 5, "moment order must be even"),
+        (1, 4.0, "moment order must be a positive integer"),
+    ],
+    ids=["k-zero", "k-bool", "k-float", "N-odd", "N-float"],
+)
+def test_squeeze_coeffs_checks_k_and_N(k, N, words):
+    # k = 0 reached a ZeroDivisionError in classify_directions, and
+    # k = True evaluated as k = 1
+    with pytest.raises(DomainError, match=words):
+        SqueezeCoeffs(k=k, N=N, constant=0.3, harmonics=(-0.1,))
+
+
 def test_squeeze_parameter_zero_state():
     c = coefficients(FanConfig(k=1, xi=0.0, model=Identity()), 4)
     assert squeeze_parameter(c, 0.3) == 0.0
