@@ -272,9 +272,8 @@ def find_intersections(
     N: int,
     eta_range: AxisRange,
     ctl: SeriesControl = DEFAULT_CONTROL,
-    model_kind: str = "trapped-ion",
 ) -> IntersectionSet:
-    """Locate where the isotropic term equals the leading harmonic.
+    """Locate where the isotropic term equals the leading harmonic of a trapped-ion state.
 
     Transversal roots are sign changes of gap = constant - |harmonic|.
     A tangential root hides where the harmonic flips sign without the
@@ -294,7 +293,7 @@ def find_intersections(
         raise DomainError(f"need N >= 4k for a harmonic term, got N={N}, k={k}")
 
     def coeffs_at(eta_sq: float) -> SqueezeCoeffs:
-        cfg = FanConfig.from_xi_sq(k, xi_sq, _model_for(model_kind, k, eta_sq))
+        cfg = FanConfig.from_xi_sq(k, xi_sq, TrappedIon(eta_sq=eta_sq, quantum_order=2 * k))
         return coefficients(cfg, N, ctl)
 
     def gap_at(eta_sq: float) -> float:
@@ -305,7 +304,7 @@ def find_intersections(
         return coeffs_at(eta_sq).harmonics[0]
 
     nodes = eta_range.values()
-    models = [_model_for(model_kind, k, e) for e in nodes]
+    models = [TrappedIon(eta_sq=e, quantum_order=2 * k) for e in nodes]
     row = SqueezeRowPlan(k, [xi_sq] * len(nodes), N, ctl).run(models)
     codes = row.outcome.tolist()
     ok = [code == STOPPED for code in codes]

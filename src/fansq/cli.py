@@ -3,11 +3,12 @@ CSV/JSON output carrying a full parameter manifest.
 
 Each `_cmd_*` only computes: it returns an `Output` with its JSON data,
 its CSV header and rows, and any manifest extras.  `main` does the rest
-in one place: it builds the `SeriesControl`, takes the manifest's
-parameters from the parsed arguments (every flag of the subcommand but
-the series-control and output flags), writes the requested format and
-maps errors to exit codes.  Flag blocks that several subcommands share
-are declared once, as argparse parent parsers.
+in one place: it checks SOURCE_DATE_EPOCH, builds the `SeriesControl`
+of a subcommand that sums a series, takes the manifest's parameters
+from the parsed arguments (every flag of the subcommand but the
+series-control and output flags), writes the requested format and maps
+errors to exit codes.  Flag blocks that several subcommands share are
+declared once, as argparse parent parsers.
 
 Output is written only after the computation succeeds, so a failing run
 never leaves a partial file.  Exit codes: 0 success, 2 invalid
@@ -97,17 +98,25 @@ def _timestamp() -> Optional[str]:
     """Reproducible timestamp: honors SOURCE_DATE_EPOCH, else omitted.
 
     A wall-clock stamp would break byte-identical re-runs, which the
-    output contract requires.
+    output contract requires.  A set value must be ASCII digits that
+    datetime can represent (reproducible-builds.org/specs/source-date-epoch).
     """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return None
-    return datetime.datetime.fromtimestamp(
-        int(epoch), tz=datetime.timezone.utc
-    ).isoformat()
+    try:  # int() refuses over 4,300 digits, datetime a year past 9999
+        if epoch.isascii() and epoch.isdigit():
+            return datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        pass
+    raise DomainError(
+        f"SOURCE_DATE_EPOCH must be ASCII digits of a time datetime holds, got {epoch[:40]!r}"
+    )
 
 
-def _render(args: argparse.Namespace, ctl: SeriesControl, out: Output) -> str:
+def _render(
+    args: argparse.Namespace, ctl: Optional[SeriesControl], timestamp: Optional[str], out: Output
+) -> str:
     """The output text: the manifest, then the data in args.format."""
     parameters = {
         name: vars(value) if isinstance(value, AxisRange) else value
@@ -119,9 +128,10 @@ def _render(args: argparse.Namespace, ctl: SeriesControl, out: Output) -> str:
         "version": __version__,
         "subcommand": args.cmd,
         "parameters": parameters,
-        "series_control": dataclasses.asdict(ctl),
-        "timestamp": _timestamp(),
+        "timestamp": timestamp,
     }
+    if ctl is not None:
+        manifest["series_control"] = dataclasses.asdict(ctl)
     if out.extras:
         manifest["extras"] = out.extras
     if args.format == "json":
@@ -336,7 +346,6 @@ def _cmd_xi_from_drive(args, ctl, parser) -> Output:
         omega0=args.omega0,
         omega1=args.omega1,
         eta=args.eta,
-        phase=args.phase,
         quantum_order=args.quantum_order,
     )
     xi = xi_from_drive(drive)
@@ -379,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = series.add_argument_group("series control")
     g.add_argument("--rel-tol", type=float, default=1e-16)
     g.add_argument("--n-max", type=int, default=5000)
-    g.add_argument("--laguerre-floor", type=float, default=1e-12)
 
     # one output block per default format: parents share their argument
     # objects, so set_defaults on one subcommand would change the others
@@ -393,37 +401,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def command(name, func, help, fmt, *blocks) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help, parents=[*blocks, series, output[fmt]])
+        p = sub.add_parser(name, help=help, parents=[*blocks, output[fmt]])
         p.set_defaults(func=func)
         return p
 
     p = command("squeeze", _cmd_squeeze, "decomposition and squeeze parameter at a point",
-                "json", order, point)
+                "json", order, point, series)
     p.add_argument("--phi", type=float, default=None,
                    help="quadrature angle; omitted means sample one period")
     p.add_argument("--samples", type=int, default=17)
 
     command("scan", _cmd_scan, "squeeze parameter over a (xi_sq, eta_sq) grid",
-            "csv", order, grid)
+            "csv", order, grid, series)
     command("boundary", _cmd_boundary, "trace the S = 0 boundary on a grid",
-            "csv", order, grid)
+            "csv", order, grid, series)
 
     p = command("intersect", _cmd_intersect,
                 "eta_sq where the isotropic term equals the leading harmonic size",
-                "json", order)
+                "json", order, series)
     p.add_argument("--xi-sq", type=float, required=True)
     p.add_argument("--eta-sq", type=_axis_range, default=AxisRange(0.05, 0.45, 81),
                    metavar=_RANGE)
 
     p = command("polar", _cmd_polar, "moment profile over the full quadrature circle",
-                "csv", order, point)
+                "csv", order, point, series)
     p.add_argument("--samples", type=int, default=96)
 
     command("directions", _cmd_directions, "squeeze/stretch angle classification",
-            "json", order, point)
+            "json", order, point, series)
 
     p = command("oracle-check", _cmd_oracle_check, "series vs truncated-Fock-space oracle",
-                "json", order, point)
+                "json", order, point, series)
     p.add_argument("--max-power", type=int, default=8)
 
     p = command("xi-from-drive", _cmd_xi_from_drive,
@@ -431,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega0", type=float, required=True, help="carrier Rabi frequency")
     p.add_argument("--omega1", type=float, required=True, help="sideband Rabi frequency")
     p.add_argument("--eta", type=float, required=True, help="Lamb-Dicke parameter")
-    p.add_argument("--phase", type=float, default=0.0)
     p.add_argument("--quantum-order", type=int, required=True)
 
     return parser
@@ -441,8 +448,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        ctl = SeriesControl(**{name: getattr(args, name) for name in _SERIES_FLAGS})
-        text = _render(args, ctl, args.func(args, ctl, parser))
+        timestamp = _timestamp()
+        settings = {name: vars(args)[name] for name in _SERIES_FLAGS if name in vars(args)}
+        ctl = SeriesControl(**settings) if settings else None  # None: xi-from-drive sums no series
+        text = _render(args, ctl, timestamp, args.func(args, ctl, parser))
     except DomainError as exc:
         print(f"fansq: invalid parameters: {exc}", file=sys.stderr)
         return 2

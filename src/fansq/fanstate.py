@@ -73,7 +73,6 @@ from .errors import (
     FansqError,
     SeriesNotConverged,
     SingularNonlinearity,
-    finite_float,
     nonnegative_float,
     nonnegative_int,
     positive_float,
@@ -161,22 +160,18 @@ class DriveParams:
     """Carrier/sideband drive of the trapped ion.
 
     omega0: carrier Rabi frequency; omega1: sideband Rabi frequency;
-    eta: Lamb-Dicke parameter; phase: laser phase difference, reduced
-    to [0, 2 pi); quantum_order: sideband order K.
+    eta: Lamb-Dicke parameter; quantum_order: sideband order K.
     """
 
     omega0: float
     omega1: float
     eta: float
-    phase: float
     quantum_order: int
 
     def __post_init__(self) -> None:
         for name in ("omega0", "omega1", "eta"):
             positive_float(name, getattr(self, name))
         positive_int("quantum_order", self.quantum_order)
-        finite_float("phase", self.phase)
-        object.__setattr__(self, "phase", self.phase % (2 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -185,7 +180,6 @@ class SeriesControl:
 
     rel_tol: float = 1e-16
     n_max: int = 5000
-    laguerre_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         positive_float("rel_tol", self.rel_tol)
@@ -193,9 +187,6 @@ class SeriesControl:
         if self.rel_tol >= 1:
             raise DomainError(f"rel_tol must be < 1, got {self.rel_tol}")
         positive_int("n_max", self.n_max)
-        # a NaN or negative floor turns pole detection off; an infinite
-        # one flags every product as a pole
-        nonnegative_float("laguerre_floor", self.laguerre_floor)
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -204,16 +195,16 @@ DEFAULT_CONTROL = SeriesControl()
 # ---------------------------------------------------------------------------
 # nonlinearity values and running products
 
+_LAGUERRE_FLOOR = 1e-12  # |L_j^0(eta_sq)| below this makes f(j + K), which divides by it, a pole
 
-def _singular_factor(
-    eta_sq: float, m: int, step: int, den: float, floor: float
-) -> SingularNonlinearity:
+
+def _singular_factor(eta_sq: float, m: int, step: int, den: float) -> SingularNonlinearity:
     """The error of a factor f(m), which divides L_{m-step}^step by
     L_{m-step}^0(eta_sq) = den: a pole if |den| is below the floor, else a zero."""
-    if abs(den) < floor:
+    if abs(den) < _LAGUERRE_FLOOR:
         return SingularNonlinearity(
             f"denominator Laguerre polynomial of degree {m - step} vanishes at "
-            f"eta_sq={eta_sq} (|value|={abs(den):.3e} below floor {floor})",
+            f"eta_sq={eta_sq} (|value|={abs(den):.3e} below floor {_LAGUERRE_FLOOR})",
             index=m,
         )
     return SingularNonlinearity(
@@ -223,43 +214,44 @@ def _singular_factor(
     )
 
 
-def nonlinearity_values(model: TrappedIon, stop: int) -> np.ndarray:
-    """f(K) .. f(stop - 1) as floats, K the quantum order, in one numpy expression.
+def nonlinearity_values(model: TrappedIon, fock: Sequence[int]) -> np.ndarray:
+    """f(m) for each Fock argument m in fock, as floats, in one numpy expression.
 
-    Built from the Laguerre values of the model's product table at the
-    default floor, so it meets the same poles; raises the table's error
-    at the first denominator pole, and DomainError below K.
+    Built from the Laguerre values of the model's product table, so it
+    meets the same poles; raises the table's error at the first argument
+    in fock that is a denominator pole, and DomainError below K.
     """
     if not isinstance(model, TrappedIon):
         raise DomainError(f"nonlinearity_values needs a trapped-ion model, got {model!r}")
     K = model.quantum_order
-    if stop < K:
-        raise DomainError(f"nonlinearity argument {stop} below quantum order {K}")
-    floor = DEFAULT_CONTROL.laguerre_floor
-    den, num = product_table(model, K, floor).laguerre(stop - 1 - K)
-    poles = np.flatnonzero(np.abs(den) < floor)
+    m = np.asarray(fock, dtype=int)
+    if m.min(initial=K) < K:
+        raise DomainError(f"nonlinearity argument {m.min()} below quantum order {K}")
+    top = int(m.max(initial=K))
+    den, num = (values[m - K] for values in product_table(model).laguerre(top - K))
+    poles = np.flatnonzero(np.abs(den) < _LAGUERRE_FLOOR)
     if poles.size:
         j = int(poles[0])
-        raise _singular_factor(model.eta_sq, K + j, K, den[j], floor)
-    lf = log_factorials(stop - 1)
-    return np.exp(lf[: stop - K] - lf[K:stop]) * (num / den)
+        raise _singular_factor(model.eta_sq, int(m[j]), K, den[j])
+    lf = log_factorials(top)
+    return np.exp(lf[m - K] - lf[m]) * (num / den)
 
 
 class ProductTable:
-    """Running products of f at multiples of `step` for one (model, step, floor).
+    """Running products of f for one model, at multiples of its quantum order K.
 
-    sign[i] and logmag[i] hold f(step) f(2 step) ... f(i step), entry 0
-    is one.  The lists grow on demand up to the first index whose factor
-    is singular; `error` is what reaching that index raises.  For the
-    trapped-ion model (quantum order K = step) the table also holds the
-    Laguerre values L_j^0(eta_sq) and L_j^K(eta_sq) its factors divide,
-    as C doubles: f(m) = (m-K)! L_j^K / (m! L_j^0) at degree j = m - K.
+    sign[i] and logmag[i] hold f(K) f(2K) ... f(iK), entry 0 is one (the
+    identity's factors are one at any step).  The lists grow on demand up
+    to the first index whose factor is singular; `error` is what reaching
+    that index raises.  A trapped-ion table also holds the Laguerre values
+    L_j^0(eta_sq) and L_j^K(eta_sq) its factors divide, as C doubles:
+    f(m) = (m-K)! L_j^K / (m! L_j^0) at degree j = m - K.
     """
 
-    __slots__ = ("model", "step", "floor", "sign", "logmag", "error", "_den", "_num")
+    __slots__ = ("model", "sign", "logmag", "error", "_den", "_num")
 
-    def __init__(self, model: NonlinearModel, step: int, floor: float) -> None:
-        self.model, self.step, self.floor = model, step, floor
+    def __init__(self, model: NonlinearModel) -> None:
+        self.model = model
         self.sign = [1]
         self.logmag = [0.0]
         self.error: Optional[FansqError] = None
@@ -271,7 +263,7 @@ class ProductTable:
         den, num = self._den, self._num
         if n >= len(den):
             _grow_laguerre(den, 0, self.model.eta_sq, n)
-            _grow_laguerre(num, self.step, self.model.eta_sq, n)
+            _grow_laguerre(num, self.model.quantum_order, self.model.eta_sq, n)
         return den, num
 
     def laguerre(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,13 +279,13 @@ class ProductTable:
             sign.extend([1] * (j + 1 - size))
             logmag.extend([0.0] * (j + 1 - size))
         elif size <= j and self.error is None:
-            step, floor = self.step, self.floor
+            step = self.model.quantum_order
             den, num = self._grow(step * (j - 1))
             lf = _live_log_factorials(step * j)
             for m in range(step * size, step * j + 1, step):
                 d, u = den[m - step], num[m - step]
-                if abs(d) < floor or u == 0.0:
-                    self.error = _singular_factor(self.model.eta_sq, m, step, d, floor)
+                if abs(d) < _LAGUERRE_FLOOR or u == 0.0:
+                    self.error = _singular_factor(self.model.eta_sq, m, step, d)
                     break
                 sign.append(sign[-1] if (u > 0) == (d > 0) else -sign[-1])
                 logmag.append(
@@ -304,10 +296,7 @@ class ProductTable:
             raise copy.copy(self.error)
 
 
-@lru_cache(maxsize=64)
-def product_table(model: NonlinearModel, step: int, floor: float) -> ProductTable:
-    """The memoized `ProductTable` of (model, step, floor)."""
-    return ProductTable(model, step, floor)
+product_table = lru_cache(maxsize=64)(ProductTable)  # the memoized table of a model
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +317,7 @@ def _series_sum(
     """
     k = cfg.k
     step = 2 * k
-    tab = product_table(cfg.model, step, ctl.laguerre_floor)
+    tab = product_table(cfg.model)
     sign, logp = tab.sign, tab.logmag
     shift = (l - m) // step
     n0 = -(-m // step)  # ceil(m / 2k): the first level the moment reaches
@@ -483,9 +472,8 @@ class _Lattice:
     product is singular, or _NO_POLE; entries from there on are unused.
     """
 
-    def __init__(self, models: Sequence[NonlinearModel], step: int, floor: float) -> None:
+    def __init__(self, models: Sequence[NonlinearModel], step: int) -> None:
         self.step = step
-        self.floor = floor
         self.ion = np.flatnonzero([isinstance(model, TrappedIon) for model in models])
         eta_sq = [models[g].eta_sq for g in self.ion]
         # the quantum order K is 2k = step: both Laguerre orders in one table
@@ -507,7 +495,7 @@ class _Lattice:
             # factor f(m) divides L^K by L^0, both of degree m - K
             lag = self.laguerre.upto(step * (j - 1))[fock[:, 0] - step]
             den, num = lag[:, :count], lag[:, count:]
-            bad = (np.abs(den) < self.floor) | (num == 0.0)
+            bad = (np.abs(den) < _LAGUERRE_FLOOR) | (num == 0.0)
             first = bad.argmax(axis=0)
             new_pole = bad[first, np.arange(count)] & (self.pole[ion] == _NO_POLE)
             # unused from the first pole on
@@ -744,7 +732,7 @@ class MomentRowPlan:
         groups: dict[NonlinearModel, int] = {}
         by_id = {i: groups.setdefault(model, len(groups)) for i, model in objects.items()}
         group = [by_id[id(models[j])] for j in live.tolist()]
-        lat = _Lattice(list(groups), 2 * k, ctl.laguerre_floor)
+        lat = _Lattice(list(groups), 2 * k)
         params = replace(self.columns, g=np.tile(np.array(group, dtype=int), len(series)))
         # a block ends after the row of the predicted stop, within the term cap
         e0 = self.e0

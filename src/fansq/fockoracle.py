@@ -137,7 +137,7 @@ def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CON
     d = normalization(cfg, ctl)
     log_d_half = 0.5 * math.log(d)
     top = (dim - 1) // (4 * k)  # the last support level below dim
-    tab = product_table(cfg.model, 2 * k, ctl.laguerre_floor)
+    tab = product_table(cfg.model)
     tab.reach(2 * top)
     lf = _live_log_factorials(4 * k * top)
     amps = np.zeros(dim, dtype=np.complex128)
@@ -262,7 +262,7 @@ def oracle_vector(
     # walk the support weights until they fall below the target (xi = 0: level 0 only)
     last = 0
     if cfg.xi > 0:
-        tab = product_table(cfg.model, 2 * k, ctl.laguerre_floor)
+        tab = product_table(cfg.model)
         lead, log_xi, log_d = math.log(4 * k * k), math.log(cfg.xi), math.log(d)
         cut = math.log(_TAIL_TARGET) - math.log(100.0)
         n = 1
@@ -293,18 +293,20 @@ def eigen_residual(cfg: FanConfig, v: FockVector) -> float:
     Below the quantum order, f is taken as one (those entries are
     annihilated by a^{2k} anyway).  G is one shift by 2k levels:
     (G w)_n = sqrt((n+2k)!/n!) f(n+2k) w_{n+2k}, its weights built once.
-    f is built up to the last nonzero amplitude only (one above it, where
-    the weights multiply zeros), so the vacuum needs no f, even at a pole.
+    f(m) multiplies only v_m and (G v)_m, zero unless v_{m+2k} is not, so
+    f is built at those m >= 2k alone (a fan state's multiples of 2k, the
+    factors its series use; the vacuum's none, even at a pole), else one.
     """
     k = cfg.k
     step = 2 * k
     if v.dim < step + 1:
         raise TruncationTooSmall(f"dim={v.dim} cannot hold a {step}-quantum map")
     fvals = np.ones(v.dim)
-    idx = np.flatnonzero(v.amps)
-    top = int(idx[-1]) if idx.size else 0
-    if not isinstance(cfg.model, Identity) and top >= step:
-        fvals[step : top + 1] = nonlinearity_values(cfg.model, top + 1)
+    used = v.amps != 0
+    used[:-step] |= v.amps[step:] != 0
+    if not isinstance(cfg.model, Identity):
+        idx = np.flatnonzero(used[step:]) + step
+        fvals[idx] = nonlinearity_values(cfg.model, idx)
     lf = log_factorials(v.dim)
     weights = np.exp(0.5 * (lf[step : v.dim] - lf[: v.dim - step])) * fvals[step:]
 

@@ -70,13 +70,12 @@ AXIS = AxisRange(0.1, 0.5, 3)
 # name -> (callable, leading non-numeric arguments, strategy per numeric parameter)
 SPECS = {
     "DriveParams": (DriveParams, (), dict(
-        omega0=floats(1.0), omega1=floats(2.0), eta=floats(0.3), phase=floats(0.0, 7.0),
-        quantum_order=ints(1, 2))),
+        omega0=floats(1.0), omega1=floats(2.0), eta=floats(0.3), quantum_order=ints(1, 2))),
     "FanConfig": (FanConfig, (), dict(k=ints(1, 2), xi=floats(0.5), model=st.just(Identity()))),
     "FanConfig.from_xi_sq": (FanConfig.from_xi_sq, (), dict(
         k=ints(1, 2), xi_sq=floats(0.25), model=st.just(Identity()))),
     "SeriesControl": (SeriesControl, (), dict(
-        rel_tol=floats(1e-16, 1e-8, 0.5, 1.0), n_max=ints(8, 64), laguerre_floor=floats(1e-12))),
+        rel_tol=floats(1e-16, 1e-8, 0.5, 1.0), n_max=ints(8, 64))),
     "TrappedIon": (TrappedIon, (), dict(eta_sq=floats(0.3), quantum_order=ints(2, 4))),
     "moment": (moment, (ION,), dict(l=ints(4, 5), m=ints(0, 1))),
     "FockVector": (FockVector, (), dict(

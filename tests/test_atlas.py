@@ -344,14 +344,6 @@ def test_trace_boundary_empty_below_threshold():
 # intersections
 
 
-def test_find_intersections_identity_has_none():
-    result = find_intersections(
-        0.01, 1, 4, AxisRange(0.05, 0.45, 41), model_kind="identity"
-    )
-    assert result.roots == ()
-    assert result.skipped == ()
-
-
 def test_find_intersections_roots_satisfy_their_equation():
     result = find_intersections(0.1, 3, 12, AxisRange(0.05, 0.45, 81))
     assert len(result.roots) == 3

@@ -323,8 +323,8 @@ def test_bad_axis_range_syntax_is_argparse_error(capsys):
         ["--n-max", "0"],
         ["--rel-tol", "inf"],
         ["--rel-tol", "0.5e1"],
-        ["--laguerre-floor", "nan"],
-        ["--laguerre-floor=-1e-12"],
+        ["--rel-tol", "1.0"],
+        ["--n-max=-5"],
     ],
 )
 def test_untrustworthy_series_control_is_exit_two(capsys, flags):
@@ -335,11 +335,16 @@ def test_untrustworthy_series_control_is_exit_two(capsys, flags):
 
 
 def test_the_removed_run_length_flag_is_unknown(capsys):
-    # the stop rule has no run length to set
-    with pytest.raises(SystemExit) as exc:
-        main(["squeeze", "--k", "1", "--N", "4", "--xi-sq", "2.0", "--consecutive-small", "3"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --consecutive-small" in capsys.readouterr()[1]
+    # the stop rule has no run length to set, the Laguerre pole floor is a
+    # constant, and xi-from-drive sums no series and drops the laser phase
+    removed = [(cmd, "--laguerre-floor") for cmd in SUBCOMMANDS]
+    removed += [("squeeze", "--consecutive-small")]
+    removed += [("xi-from-drive", flag) for flag in ("--phase", "--rel-tol", "--n-max")]
+    for cmd, flag in removed:
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *SUBCOMMANDS[cmd][0], flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr()[1], (cmd, flag)
 
 
 @pytest.mark.parametrize(
@@ -357,8 +362,8 @@ def test_the_removed_run_length_flag_is_unknown(capsys):
         ["boundary", *SCAN_ARGS[1:6], "inf", *SCAN_ARGS[7:]],
         # no node converges, so S is never evaluated
         [*SCAN_ARGS[:6], "nan", *SCAN_ARGS[7:], "--n-max", "2"],
-        ["xi-from-drive", "--omega0", "1", "--omega1", "1", "--eta", "0.5",
-         "--quantum-order", "2", "--phase", "nan"],
+        ["xi-from-drive", "--omega0", "1", "--omega1", "1", "--eta", "nan",
+         "--quantum-order", "2"],
     ],
 )
 def test_sampling_and_power_counts_that_give_no_rows_are_exit_two(capsys, argv):
@@ -440,8 +445,11 @@ def test_every_subcommand_is_covered():
 @pytest.mark.parametrize("cmd", sorted(SUBCOMMANDS))
 def test_manifest_parameters_are_the_subcommands_own_flags(capsys, cmd, fmt):
     sub = _subparsers()[cmd]
-    series = next(g for g in sub._action_groups if g.title == "series control")
-    series_flags = {a.dest for a in series._group_actions}
+    series_flags = {
+        a.dest for g in sub._action_groups if g.title == "series control" for a in g._group_actions
+    }
+    # every subcommand but xi-from-drive sums a series
+    assert bool(series_flags) == (cmd != "xi-from-drive")
     own_flags = {a.dest for a in sub._actions} - series_flags - {"help", "format", "output"}
 
     argv, header = SUBCOMMANDS[cmd]
@@ -456,7 +464,7 @@ def test_manifest_parameters_are_the_subcommands_own_flags(capsys, cmd, fmt):
         assert all(len(line.split(",")) == len(header.split(",")) for line in lines[2:])
     assert man["subcommand"] == cmd
     assert set(man["parameters"]) == own_flags
-    assert set(man["series_control"]) == series_flags
+    assert set(man.get("series_control", ())) == series_flags
     if "model" in own_flags:
         assert man["parameters"]["model"] in ("identity", "trapped-ion")
     for name in ("xi_sq", "eta_sq"):
@@ -468,8 +476,7 @@ def test_manifest_parameters_are_the_subcommands_own_flags(capsys, cmd, fmt):
 VALID_TEXT = {
     "--k": "1", "--N": "4", "--xi-sq": "0.2", "--eta-sq": "0.3", "--phi": "0.3",
     "--samples": "8", "--max-power": "2", "--rel-tol": "1e-16", "--n-max": "64",
-    "--laguerre-floor": "1e-12", "--omega0": "1.0", "--omega1": "2.0", "--eta": "0.3",
-    "--phase": "0.0", "--quantum-order": "2",
+    "--omega0": "1.0", "--omega1": "2.0", "--eta": "0.3", "--quantum-order": "2",
 }
 VALID_RANGE = ("0.1", "0.9", "5")
 NOT_INT_TEXT = ["True", "2.0", "2.5", "nan", "inf", "-inf", "-1", "0"]
@@ -526,3 +533,31 @@ def test_timestamp_from_source_date_epoch(capsys, monkeypatch):
     doc = run_json(capsys, ["xi-from-drive", "--omega0", "1.0", "--omega1", "1.0",
                             "--eta", "0.5", "--quantum-order", "2"])
     assert doc["manifest"]["timestamp"] is None
+
+
+# not ASCII digits, or digits no datetime can hold (int() also refuses
+# more than 4,300 digits); each crashed every subcommand after its
+# computation with a ValueError or OSError and a traceback
+MALFORMED_EPOCHS = ["abc", "1e3", "", " 17", "-1", "١٧", "99999999999999999",
+                    "253402300800", pytest.param("9" * 5000, id="5000-nines")]
+
+
+@pytest.mark.parametrize("epoch", MALFORMED_EPOCHS)
+def test_a_malformed_source_date_epoch_is_exit_two_before_any_computation(
+    capsys, monkeypatch, epoch
+):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    # an empty boundary would fail with exit 3 if it were computed first
+    empty = ["--k", "1", "--N", "2", "--phi", "0.0", "--xi-sq", "0.1:0.9:5",
+             "--eta-sq", "0.1:0.9:5"]
+    runs = [(cmd, argv) for cmd, (argv, _) in SUBCOMMANDS.items()] + [("boundary", empty)]
+    for cmd, argv in runs:
+        out, err = run_cli(capsys, [cmd, *argv], expect=2)
+        assert out == "" and "invalid parameters: SOURCE_DATE_EPOCH" in err, cmd
+
+
+def test_the_last_second_datetime_holds_is_a_valid_source_date_epoch(capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "253402300799")
+    doc = run_json(capsys, ["xi-from-drive", "--omega0", "1.0", "--omega1", "1.0",
+                            "--eta", "0.5", "--quantum-order", "2"])
+    assert doc["manifest"]["timestamp"] == "9999-12-31T23:59:59+00:00"

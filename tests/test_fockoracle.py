@@ -502,6 +502,21 @@ def test_eigen_residual_of_the_vacuum_at_a_pole_is_zero():
         eigen_residual(cfg, _fock(9, 4))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_eigen_residual_needs_no_factor_the_state_never_meets(k):
+    # L_1^0(1) = 0, so f(2k + 1) is a pole at eta^2 = 1; a fan state of
+    # order k meets f at multiples of 2k only, as its series do.  The
+    # residual raised at that pole, on the top row of the c08 grid
+    cfg = FanConfig.from_xi_sq(k, 0.5, TrappedIon(eta_sq=1.0, quantum_order=2 * k))
+    assert eigen_residual(cfg, oracle_vector(cfg, guard=4 * k + 2)) <= 1e-10
+    # L_2^0 vanishes at 2 - sqrt(2): f(4), which a k = 1 state does use
+    near = FanConfig.from_xi_sq(1, 0.5, TrappedIon(eta_sq=0.5, quantum_order=2))
+    at_pole = FanConfig.from_xi_sq(1, 0.5, TrappedIon(eta_sq=2 - math.sqrt(2), quantum_order=2))
+    with pytest.raises(SingularNonlinearity) as exc:
+        eigen_residual(at_pole, oracle_vector(near, guard=6))
+    assert exc.value.index == 4
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

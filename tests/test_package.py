@@ -2,12 +2,15 @@
 and nothing it does not."""
 
 import ast
+import dataclasses
 import os
 import pathlib
 import subprocess
 import sys
 
 import fansq
+from fansq.atlas import AxisRange, GridSpec
+from fansq.fanstate import DriveParams, FanConfig, SeriesControl, TrappedIon
 
 SRC = pathlib.Path(fansq.__file__).parent
 
@@ -117,6 +120,42 @@ def test_every_memo_table_of_the_package_has_an_int_bound():
         "@functools.lru_cache(8)\ndef f(): pass\n"
     )
     assert _unbounded_caches(ast.parse(unbounded)) == [2, 3, 5, 7, 9]
+
+
+def _attribute_reads(owner: str) -> set[str]:
+    """Attribute names the package loads outside cli.py and outside `owner.__post_init__`."""
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":  # it only forwards flags
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own_check = {
+            id(inner)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == owner
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for inner in ast.walk(fn)
+        }
+        names |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in own_check
+        }
+    return names
+
+
+def test_every_setting_is_read_by_the_computation():
+    # a field that only its own check reads, and the CLI forwards, changes
+    # no output: it is a setting that does nothing
+    holders = (SeriesControl, DriveParams, FanConfig, TrappedIon, GridSpec, AxisRange)
+    unread = []
+    for cls in holders:
+        reads = _attribute_reads(cls.__name__)
+        unread += [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls) if f.name not in reads]
+    assert unread == []
 
 
 def test_importing_the_package_loads_neither_numpy_polynomial_nor_scipy():

@@ -215,7 +215,7 @@ def test_row_crossing_a_laguerre_pole():
     # for k = 1 the product at Fock argument 22 divides by L_20^0(eta_sq):
     # small xi stop before they need it, large xi run into the pole
     eta_sq = _smallest_root(20)
-    assert abs(laguerre(20, 0, eta_sq)) < DEFAULT_CONTROL.laguerre_floor
+    assert abs(laguerre(20, 0, eta_sq)) < fanstate._LAGUERRE_FLOOR
     names = assert_row_matches(1, XI_SQ + [2.0, 4.0], _model("trapped-ion", 1, eta_sq), 4)
     assert "SqueezeCoeffs" in names[1:] and "SingularNonlinearity" in names
 
@@ -482,9 +482,9 @@ def test_a_run_hashes_each_model_object_once_and_equal_models_share_a_column(mon
         hashed.append(self)
         return model_hash(self)
 
-    def recording(models, step, floor):
+    def recording(models, step):
         lattices.append(list(models))
-        return lattice(models, step, floor)
+        return lattice(models, step)
 
     monkeypatch.setattr(TrappedIon, "__hash__", counting)
     monkeypatch.setattr(fanstate, "_Lattice", recording)
@@ -740,16 +740,13 @@ def test_row_rejects_bad_inputs():
 # series-control validation and the positivity guard
 
 
-def _valid_control(rel_tol, n_max, floor):
+def _valid_control(rel_tol, n_max):
     return (
         type(rel_tol) is not bool
         and math.isfinite(rel_tol)
         and 0 < rel_tol < 1
         and type(n_max) is int
         and n_max >= 1
-        and type(floor) is not bool
-        and math.isfinite(floor)
-        and floor >= 0
     )
 
 
@@ -760,15 +757,12 @@ NOT_INT = st.sampled_from([True, False, 2.0, 2.5, 3.0, math.nan, math.inf])
 @given(
     rel_tol=st.one_of(st.floats(), st.sampled_from([1e-16, 0.5, 1.0, 2.0, True, False])),
     n_max=st.one_of(st.integers(min_value=-2, max_value=6), NOT_INT),
-    floor=st.one_of(st.floats(), st.sampled_from([0.0, 1e-12, -1e-12, True, False])),
 )
-# a bool float setting with every other setting valid: True is 1.0, False is 0.0
-@example(rel_tol=True, n_max=5000, floor=1e-12)
-@example(rel_tol=1e-16, n_max=5000, floor=True)
-@example(rel_tol=1e-16, n_max=5000, floor=False)
-def test_series_control_accepts_exactly_the_valid_settings(rel_tol, n_max, floor):
-    kwargs = dict(rel_tol=rel_tol, n_max=n_max, laguerre_floor=floor)
-    if _valid_control(rel_tol, n_max, floor):
+# a bool float setting with every other setting valid: True is 1.0
+@example(rel_tol=True, n_max=5000)
+def test_series_control_accepts_exactly_the_valid_settings(rel_tol, n_max):
+    kwargs = dict(rel_tol=rel_tol, n_max=n_max)
+    if _valid_control(rel_tol, n_max):
         ctl = SeriesControl(**kwargs)
         assert ctl.n_max == n_max
     else:

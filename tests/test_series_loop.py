@@ -32,8 +32,9 @@ from fansq.fanstate import (
     normalization,
     product_table,
 )
-from fansq.fockoracle import FockVector, eigen_residual, fock_coefficients
+from fansq.fockoracle import FockVector, eigen_residual, fock_coefficients, oracle_vector
 from fansq.specfun import log_factorial
+from fansq.squeeze import coefficients
 from laguerre_ref import laguerre
 from signed_log_ref import SL_ONE, mul, pow_int, ref_nonlinearity_value, signed_log, to_real
 
@@ -56,14 +57,14 @@ def interference_factor(k: int, n: int) -> int:
     return 2 * k if n % 2 == 0 else 0
 
 
-def ref_product(model, p, step, floor):
+def ref_product(model, p, step):
     """f(p) f(p - step) ... f(step), multiplied up one SignedLog at a time."""
     if p < step:
         return SL_ONE
-    lst = _ref_products.setdefault((model, step, floor), [SL_ONE])
+    lst = _ref_products.setdefault((model, step), [SL_ONE])
     while len(lst) <= p // step:
         i = len(lst)
-        factor = ref_nonlinearity_value(model, i * step, floor)
+        factor = ref_nonlinearity_value(model, i * step)
         if factor.sign == 0:
             raise SingularNonlinearity(
                 f"nonlinearity vanishes exactly at Fock argument {i * step}; "
@@ -101,7 +102,6 @@ def ref_normalization(cfg, ctl=DEFAULT_CONTROL):
         return float(4 * k * k)
     step = 2 * k
     xi_sl = signed_log(cfg.xi)
-    floor = ctl.laguerre_floor
 
     def terms():
         yield float(4 * k * k)
@@ -111,7 +111,7 @@ def ref_normalization(cfg, ctl=DEFAULT_CONTROL):
             if jf == 0:
                 yield 0.0
             else:
-                prod = ref_product(cfg.model, step * m, step, floor)
+                prod = ref_product(cfg.model, step * m, step)
                 t = pow_int(xi_sl, 4 * k * m)
                 logmag = t.logmag + 2 * math.log(jf) - log_factorial(step * m) - 2 * prod.logmag
                 if t.sign == 0:
@@ -136,7 +136,6 @@ def ref_moment(cfg, l, m, ctl=DEFAULT_CONTROL):
     if cfg.xi == 0.0:
         return 1.0 if l == 0 and m == 0 else 0.0
     log_xi = math.log(cfg.xi)
-    floor = ctl.laguerre_floor
 
     def terms():
         n = -(-m // step)
@@ -145,8 +144,8 @@ def ref_moment(cfg, l, m, ctl=DEFAULT_CONTROL):
             if jf == 0:
                 yield 0.0
             else:
-                p1 = ref_product(cfg.model, step * n, step, floor)
-                p2 = ref_product(cfg.model, step * n + diff, step, floor)
+                p1 = ref_product(cfg.model, step * n, step)
+                p2 = ref_product(cfg.model, step * n + diff, step)
                 logmag = (
                     2 * math.log(jf)
                     + (4 * k * n) * log_xi
@@ -172,7 +171,7 @@ def ref_fock_amps(cfg, dim, ctl=DEFAULT_CONTROL):
     amps = np.zeros(dim, dtype=np.complex128)
     for n in range(0, (dim - 1) // (4 * k) + 1):
         level = 4 * k * n
-        prod = ref_product(cfg.model, level, 2 * k, ctl.laguerre_floor)
+        prod = ref_product(cfg.model, level, 2 * k)
         t = pow_int(xi_sl, level)
         if t.sign != 0:
             logmag = (
@@ -350,7 +349,7 @@ def test_fock_coefficients_match_generator_path(k, eta_sq):
 def test_nonlinearity_values_match_the_scalar_values(k, eta_sq):
     model = TrappedIon(eta_sq=eta_sq, quantum_order=2 * k)
     dim = 2500
-    got = nonlinearity_values(model, dim)
+    got = nonlinearity_values(model, range(2 * k, dim))
     want = np.array([to_real(ref_nonlinearity_value(model, n)) for n in range(2 * k, dim)])
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
@@ -362,21 +361,21 @@ def test_nonlinearity_values_raise_the_scalar_error_at_a_pole(j):
     with pytest.raises(SingularNonlinearity) as want:
         ref_nonlinearity_value(model, j + 2)
     with pytest.raises(SingularNonlinearity) as got:
-        nonlinearity_values(model, j + 40)
+        nonlinearity_values(model, range(2, j + 40))
     with pytest.raises(SingularNonlinearity) as products:
-        product_table(model, 2, DEFAULT_CONTROL.laguerre_floor).reach(j // 2 + 5)
+        product_table(model).reach(j // 2 + 5)
     assert (str(got.value), got.value.index) == (str(want.value), want.value.index)
     assert (str(products.value), products.value.index) == (str(want.value), want.value.index)
-    assert nonlinearity_values(model, j + 2).shape == (j,)  # stops short of the pole
+    assert nonlinearity_values(model, range(2, j + 2)).shape == (j,)  # stops short of the pole
 
 
-def test_nonlinearity_values_reject_the_identity_model_and_a_stop_below_k():
+def test_nonlinearity_values_reject_the_identity_model_and_an_argument_below_k():
     with pytest.raises(DomainError, match="trapped-ion model"):
-        nonlinearity_values(Identity(), 10)
+        nonlinearity_values(Identity(), range(2, 10))
     model = TrappedIon(eta_sq=0.3, quantum_order=4)
     with pytest.raises(DomainError, match="nonlinearity argument 3 below quantum order 4"):
-        nonlinearity_values(model, 3)
-    assert nonlinearity_values(model, 4).shape == (0,)
+        nonlinearity_values(model, range(3, 8))
+    assert nonlinearity_values(model, range(4, 4)).shape == (0,)
 
 
 def test_eigen_residual_raises_the_scalar_error_at_a_pole():
@@ -397,6 +396,23 @@ def test_eigen_residual_raises_the_scalar_error_at_a_pole():
 
 # ---------------------------------------------------------------------------
 # bounded memo tables
+
+
+def test_one_product_table_per_model():
+    # the table's step is the model's quantum order, and the identity's
+    # factors are one whatever the step
+    for memo in (fanstate.product_table, normalization, fanstate._moment_cached):
+        memo.cache_clear()
+    cfg = FanConfig.from_xi_sq(2, 0.3, TrappedIon(eta_sq=0.4, quantum_order=4))
+    moment(cfg, 8, 0)
+    coefficients(cfg, 8)
+    eigen_residual(cfg, oracle_vector(cfg, 10))
+    assert fanstate.product_table.cache_info().currsize == 1
+    identity = fanstate.product_table(Identity())
+    for k in (1, 2, 3):
+        moment(FanConfig.from_xi_sq(k, 0.3, Identity()), 4 * k, 0)
+    assert fanstate.product_table.cache_info().currsize == 2
+    assert fanstate.product_table(Identity()) is identity
 
 
 def test_memo_tables_stay_within_their_bounds():

@@ -96,7 +96,7 @@ def test_laguerre_rejects_negative_indices():
 
 def _table(K: int, x: float) -> ProductTable:
     """A trapped-ion product table: it holds L_j^0(x) and L_j^K(x)."""
-    return ProductTable(TrappedIon(eta_sq=x, quantum_order=K), K, 1e-12)
+    return ProductTable(TrappedIon(eta_sq=x, quantum_order=K))
 
 
 def test_laguerre_table_matches_direct_evaluation():
