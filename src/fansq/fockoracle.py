@@ -10,22 +10,24 @@ module is the referee.
 
 A `FockVector` owns a read-only complex copy of its amplitudes, so what
 it derives from them once cannot go stale: its support level, whether
-it is real, its real and imaginary parts, the ladder weights sqrt(n),
-and, built on first use, its ladder images a^j psi and, for its last
+it is real, the ladder weights sqrt(n), and, built on first use, the
+Gram matrix of its ladder images a^0 psi .. a^P psi and, for its last
 few phases, the phase-rotated off-diagonals of X_phi with the
-quadrature chains (X_phi - mu)^j psi.  A normally-ordered moment is four
-dot products of two images, one for a real vector.  Images and chains
-live and die with the vector.
+quadrature chains (X_phi - mu)^j psi.  A normally-ordered moment is one
+entry of the Gram.  No vector may allocate more than `_MAX_CELLS`
+complex cells, for its amplitudes or for its Gram's image rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .errors import DomainError, TruncationTooSmall, finite_float, nonnegative_int, positive_int
+from .errors import DomainError, FansqError, TruncationTooSmall, finite_float
+from .errors import nonnegative_float, nonnegative_int, positive_int
 from .fanstate import (
     DEFAULT_CONTROL,
     FanConfig,
@@ -37,13 +39,20 @@ from .fanstate import (
 )
 from .specfun import log_factorial, log_factorials
 
-# the live ln(n!) list `fock_coefficients` indexes; it only reads it
+# the live ln(n!) list `_log_amplitudes` indexes; it only reads it
 _live_log_factorials = log_factorial.live
 
 _SQRT2 = math.sqrt(2.0)
 _SUPPORT_CUTOFF = 1e-14  # amplitude magnitude above which a level counts as support
 _CHAIN_PHASES = 8  # quadrature chains one vector keeps, least recently used out
 _TAIL_TARGET = 1e-30  # support weight below which `oracle_vector` truncates
+_MAX_CELLS = 1 << 22  # cells one vector may allocate: 64 MiB of complex amplitudes
+
+
+def _check_cells(what: str, cells: int) -> None:
+    """DomainError, before anything is allocated, past the `_MAX_CELLS` ceiling."""
+    if cells > _MAX_CELLS:
+        raise DomainError(f"{what} needs {cells} cells, past the ceiling of {_MAX_CELLS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,13 +61,18 @@ class FockVector:
 
     `amps` is a read-only complex128 copy of the array passed in, so
     writing to it raises ValueError and changing the caller's array
-    changes nothing here.  `support` is the support level at the default
-    cutoff 1e-14; `real` is true when every imaginary part is zero;
-    `ladder_image(j)` gives a^j psi, built once per j.  `_root` holds
-    sqrt(n) for n = 1 .. dim - 1, the weights of the off-diagonals of
-    X_phi.  `_chains` holds, by phase and the newest last, what
-    `quadrature_moment` keeps of that phase: its two off-diagonals, its
-    mean and its chain.  Equality and hashing are by identity.
+    changes nothing here; every amplitude must be finite, and
+    `tail_mass` a finite float in [0, 1).  `support` is the support
+    level at the default cutoff 1e-14; `real` is true when every
+    imaginary part is zero.  `_root` holds sqrt(n) for n = 1 .. dim - 1,
+    the weights of a and of the off-diagonals of X_phi.  `_gram` is the
+    Gram matrix <a^l psi, a^m psi> of the ladder images a^0 psi ..
+    a^P psi, as nested lists, empty until `moment_oracle` first needs
+    it; `_gram_rows` is the P + 1 it is then built with at least (0:
+    as many as that request needs).  `_chains` holds, by phase and the
+    newest last, what `quadrature_moment` keeps of that phase: its two
+    off-diagonals, its mean and its chain.  Equality and hashing are by
+    identity.
     """
 
     dim: int
@@ -66,59 +80,84 @@ class FockVector:
     tail_mass: float
     support: int = field(init=False, repr=False)
     real: bool = field(init=False, repr=False)
-    _images: dict = field(init=False, repr=False)
     _root: np.ndarray = field(init=False, repr=False)
+    _gram: list = field(init=False, repr=False)
+    _gram_rows: int = field(init=False, repr=False)
     _chains: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         positive_int("dim", self.dim)
+        nonnegative_float("tail_mass", self.tail_mass)
+        if self.tail_mass >= 1.0:
+            raise DomainError(f"tail_mass must be below 1, got {self.tail_mass!r}")
         amps = np.array(self.amps, dtype=np.complex128)
         if amps.ndim != 1:
             raise DomainError(f"amps must be one-dimensional, got shape {amps.shape}")
         if self.dim != amps.size:
             raise DomainError(f"dim={self.dim} but amps has size {amps.size}")
-        re, im = np.ascontiguousarray(amps.real), np.ascontiguousarray(amps.imag)
-        for a in (amps, re, im):
-            a.flags.writeable = False
+        if not np.isfinite(amps).all():
+            raise DomainError("amps must be finite, got NaN or +-inf")
+        amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
         idx = np.flatnonzero(np.abs(amps) > _SUPPORT_CUTOFF)
         object.__setattr__(self, "support", int(idx[-1]) if idx.size else 0)
-        object.__setattr__(self, "real", not im.any())
-        # image 0 is psi itself, as contiguous real and imaginary parts
-        object.__setattr__(self, "_images", {0: (re, im)})
+        object.__setattr__(self, "real", not amps.imag.any())
         object.__setattr__(self, "_root", np.sqrt(np.arange(1, self.dim)))
+        object.__setattr__(self, "_gram", [])
+        object.__setattr__(self, "_gram_rows", 0)
         object.__setattr__(self, "_chains", {})
 
     @property
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def ladder_image(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of a^j psi, of length dim - j.
-
-        (a^j psi)_n = sqrt((n+j)!/n!) psi_{n+j}, with the weight taken as
-        exp of half a difference of log-factorials.
-        """
-        image = self._images.get(j)
-        if image is None:
-            if not 0 <= j <= self.dim:
-                raise DomainError(f"ladder power must be in [0, {self.dim}], got {j}")
-            re, im = self._images[0]
-            lf = log_factorials(self.dim)
-            weight = np.exp(0.5 * (lf[j : self.dim] - lf[: self.dim - j]))
-            # weights leave zeros as they are: a real vector shares psi's
-            image = (weight * re[j:], im[j:] if self.real else weight * im[j:])
-            for a in image:
-                a.flags.writeable = False
-            self._images[j] = image
-        return image
-
 
 def vacuum(dim: int) -> FockVector:
     positive_int("dim", dim)
+    _check_cells("dim", dim)
     amps = np.zeros(dim, dtype=np.complex128)
     amps[0] = 1.0
     return FockVector(dim=dim, amps=amps, tail_mass=0.0)
+
+
+def _log_amplitudes(cfg: FanConfig, ctl: SeriesControl):
+    """ln|c_{4kn}| for n = 0, 1, 2, ..., of a fan state with xi > 0.
+
+    The one place the amplitude's formula is written; the support walk
+    of `oracle_vector` and `fock_coefficients` both read it here.
+    """
+    k = cfg.k
+    tab = product_table(cfg.model)
+    lead = math.log(2 * k) - 0.5 * math.log(normalization(cfg, ctl))
+    log_xi = math.log(cfg.xi)
+    logp, lf = tab.logmag, _live_log_factorials(0)  # both lists grow in place
+    n = 0
+    while True:
+        if 2 * n >= len(logp):
+            tab.reach(2 * n)
+        level = 4 * k * n
+        if level >= len(lf):
+            _live_log_factorials(level)
+        yield lead + level * log_xi - 0.5 * lf[level] - logp[2 * n]
+        n += 1
+
+
+def _fan_vector(cfg: FanConfig, dim: int, logs) -> FockVector:
+    """The fan state on dim levels from its support amplitudes' logs, in order."""
+    step = 4 * cfg.k
+    sign = product_table(cfg.model).sign
+    amps = np.zeros(dim, dtype=np.complex128)
+    squares = []
+    for n, logmag in enumerate(logs):
+        c = sign[2 * n] * math.exp(logmag)
+        amps[step * n] = c
+        squares.append(c * c)
+    tail = 1.0 - math.fsum(squares)  # the captured mass, exactly rounded
+    if tail >= 1e-14:
+        raise TruncationTooSmall(
+            f"dim={dim} leaves tail mass {tail:.3e} >= 1e-14 for k={cfg.k}, xi={cfg.xi}"
+        )
+    return FockVector(dim=dim, amps=amps, tail_mass=max(tail, 0.0))
 
 
 def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CONTROL):
@@ -133,28 +172,9 @@ def fock_coefficients(cfg: FanConfig, dim: int, ctl: SeriesControl = DEFAULT_CON
     positive_int("dim", dim)
     if cfg.xi == 0.0:  # no product is read, as in `normalization`
         return vacuum(dim)
-    k = cfg.k
-    d = normalization(cfg, ctl)
-    log_d_half = 0.5 * math.log(d)
-    top = (dim - 1) // (4 * k)  # the last support level below dim
-    tab = product_table(cfg.model)
-    tab.reach(2 * top)
-    lf = _live_log_factorials(4 * k * top)
-    amps = np.zeros(dim, dtype=np.complex128)
-    squares = []
-    log_xi = math.log(cfg.xi)
-    for n in range(top + 1):
-        level = 4 * k * n
-        logmag = math.log(2 * k) - log_d_half + level * log_xi - 0.5 * lf[level] - tab.logmag[2 * n]
-        c = tab.sign[2 * n] * math.exp(logmag)
-        amps[level] = c
-        squares.append(c * c)
-    tail = 1.0 - math.fsum(squares)  # the captured mass, exactly rounded
-    if tail >= 1e-14:
-        raise TruncationTooSmall(
-            f"dim={dim} leaves tail mass {tail:.3e} >= 1e-14 for k={k}, xi={cfg.xi}"
-        )
-    return FockVector(dim=dim, amps=amps, tail_mass=max(tail, 0.0))
+    _check_cells("dim", dim)
+    top = (dim - 1) // (4 * cfg.k)  # the last support level below dim
+    return _fan_vector(cfg, dim, islice(_log_amplitudes(cfg, ctl), top + 1))
 
 
 def support_level(v: FockVector) -> int:
@@ -178,11 +198,14 @@ def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
     applications of (X_phi - mu) to the state and one norm, never a
     binomial expansion of raw moments with its large-N cancellation.
     X_phi is held as its two off-diagonals, built from the vector's
-    sqrt(n) once per phase.  The vector keeps (off-diagonals, mu, j,
-    (X_phi - mu)^j psi) for its last `_CHAIN_PHASES` phases: a higher
-    order continues from there, a lower one starts again from psi, and
-    the value is the same either way.  Requires enough guard rows that
-    the repeated maps stay clear of the truncation edge.
+    sqrt(n) once per phase, and its mean is one dot product,
+    mu = 2 Re <psi, lower-diagonal part of X_phi psi>.  The vector keeps
+    (off-diagonals, mu, j, (X_phi - mu)^j psi) for its last
+    `_CHAIN_PHASES` phases: a higher order continues from there, a
+    lower one starts again from psi, and the value is the same either
+    way.  Requires enough guard rows that the repeated maps stay clear
+    of the truncation edge; a norm with an imaginary residue is a
+    FansqError.
     """
     positive_int("moment order", N)
     if N % 2:
@@ -198,7 +221,7 @@ def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
     if chain is None:
         lower = (np.exp(-1j * phi) / _SQRT2) * v._root  # a e^{-i phi} / sqrt(2)
         upper = (np.exp(1j * phi) / _SQRT2) * v._root  # a-dagger e^{i phi} / sqrt(2)
-        mu = np.vdot(amps, _shifted(amps, 0.0, lower, upper)).real
+        mu = 2.0 * np.vdot(amps[:-1], lower * amps[1:]).real
         chain = (lower, upper, mu, 0, amps)
     lower, upper, mu, j, w = chain
     if j > half:
@@ -210,16 +233,48 @@ def quadrature_moment(v: FockVector, phi: float, N: int) -> float:
         del chains[next(iter(chains))]
     val = np.vdot(w, w)
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise ArithmeticError(f"central moment has imaginary residue {val.imag:.3e}")
+        raise FansqError(f"central moment has imaginary residue {val.imag:.3e}")
     return float(val.real)
+
+
+def _build_gram(v: FockVector, rows: int) -> list:
+    """The Gram <a^l psi, a^m psi>, l, m < rows, kept on the vector.
+
+    The images a^j psi, zero-padded to dim, are the rows of one array,
+    each the previous one shifted down a level and weighted by sqrt(n).
+    einsum sums each entry over the levels alone, so its bits do not
+    depend on the number of rows; the upper triangle is mirrored as its
+    conjugate, so the Gram is Hermitian exactly, and the diagonal is
+    taken real.
+    """
+    dim = v.dim
+    _check_cells(f"a Gram of {rows} ladder images", rows * dim)
+    if v.real:
+        a = np.zeros((rows, dim))
+        a[0] = v.amps.real
+    else:
+        a = np.zeros((rows, dim), dtype=np.complex128)
+        a[0] = v.amps
+    for j in range(1, rows):
+        np.multiply(v._root[: dim - j], a[j - 1, 1 : dim - j + 1], out=a[j, : dim - j])
+    g = np.einsum("in,jn->ij", a.conj(), a)
+    g = np.triu(g) + np.triu(g, 1).conj().T  # also turns -0.0 into +0.0
+    d = np.arange(rows)
+    g[d, d] = g[d, d].real
+    gram = g.tolist()
+    object.__setattr__(v, "_gram", gram)
+    return gram
 
 
 def moment_oracle(v: FockVector, l: int, m: int) -> complex:
     """Normally-ordered moment from raw amplitudes: <(a-dagger)^l a^m>.
 
-    The inner product of the ladder images a^l psi and a^m psi over
-    their common length; serves as the independent check of the series
-    route.  The powers are nonnegative ints.
+    The inner product <a^l psi, a^m psi>, read from the vector's Gram of
+    ladder images; serves as the independent check of the series route.
+    The Gram is built at the first request with at least the rows
+    `oracle_vector` sized it for, else with max(l, m) + 1, and a request
+    past it rebuilds it with at least twice as many.  The powers are
+    nonnegative ints.
     """
     nonnegative_int("power l", l)
     nonnegative_int("power m", m)
@@ -228,21 +283,12 @@ def moment_oracle(v: FockVector, l: int, m: int) -> complex:
             f"dim={v.dim} too small for powers l={l}, m={m} at "
             f"support level {v.support}"
         )
-    n = v.dim - max(l, m)
-    xl, yl = v.ladder_image(l)
-    xm, ym = v.ladder_image(m)
-    if v.real and n > 1:
-        # the kernel below with every y zero, bit for bit: a dot of two or
-        # more zero products is +0.0 (of one, it keeps that product's sign)
-        return complex(np.dot(xl[:n], xm[:n]) + 0.0, 0.0)
-    xl, yl, xm, ym = xl[:n], yl[:n], xm[:n], ym[:n]
-    # explicit real/imag kernel instead of complex multiply: elementwise
-    # float products commute and subtraction negates exactly, so swapping
-    # l and m conjugates the result bit for bit (hardware FMA breaks this
-    # for the fused complex product)
-    re = np.dot(xl, xm) + np.dot(yl, ym)
-    im = np.dot(xl, ym) - np.dot(yl, xm)
-    return complex(re, im)
+    gram = v._gram
+    if max(l, m) >= len(gram):
+        # l + m <= dim, so dim + 1 rows hold every image there is
+        rows = max(l + 1, m + 1, v._gram_rows, 2 * len(gram))
+        gram = _build_gram(v, min(rows, v.dim + 1))
+    return complex(gram[l][m])
 
 
 def oracle_vector(
@@ -252,36 +298,40 @@ def oracle_vector(
 ) -> FockVector:
     """Fan-state Fock vector sized for oracle use.
 
-    Chooses the smallest support depth whose analytic tail mass is below
-    `_TAIL_TARGET`, then adds `guard` extra rows so repeated ladder maps
-    never touch the truncation edge.
+    Walks the support levels until the weight of one falls below
+    `_TAIL_TARGET` / 100, keeping each level's log-amplitude, then adds
+    `guard` extra rows so repeated ladder maps never touch the
+    truncation edge; the amplitudes are those of `fock_coefficients`,
+    bit for bit.  The vector's Gram is sized for ladder powers up to
+    guard // 2, and it and the vector are checked against `_MAX_CELLS`
+    before either is allocated.
     """
     nonnegative_int("guard", guard)
     k = cfg.k
-    d = normalization(cfg, ctl)
-    # walk the support weights until they fall below the target (xi = 0: level 0 only)
-    last = 0
-    if cfg.xi > 0:
-        tab = product_table(cfg.model)
-        lead, log_xi, log_d = math.log(4 * k * k), math.log(cfg.xi), math.log(d)
+    logs = []
+    if cfg.xi > 0:  # xi = 0: level 0 only
+        amplitudes = _log_amplitudes(cfg, ctl)
         cut = math.log(_TAIL_TARGET) - math.log(100.0)
-        n = 1
-        while True:
-            tab.reach(2 * n)
-            level = 4 * k * n
-            logw = (
-                lead + 2 * level * log_xi - log_factorial(level) - 2 * tab.logmag[2 * n]
-            ) - log_d
-            if logw < cut:
-                last = n
+        logs.append(next(amplitudes))
+        for logmag in amplitudes:
+            logs.append(logmag)
+            if 2 * logmag < cut:
                 break
-            n += 1
-            if n > ctl.n_max:
+            if len(logs) > ctl.n_max:
                 raise TruncationTooSmall(
                     f"support weights not below {_TAIL_TARGET} within {ctl.n_max} levels"
                 )
+    last = max(len(logs) - 1, 0)
     dim = 4 * k * last + guard + 1
-    return fock_coefficients(cfg, dim, ctl)
+    rows = guard // 2 + 1
+    _check_cells(f"dim={dim} with a Gram of {rows} ladder images", rows * dim)
+    if not logs:
+        v = vacuum(dim)
+    else:
+        logs.extend(islice(amplitudes, (dim - 1) // (4 * k) - last))
+        v = _fan_vector(cfg, dim, logs)
+    object.__setattr__(v, "_gram_rows", rows)
+    return v
 
 
 def eigen_residual(cfg: FanConfig, v: FockVector) -> float:

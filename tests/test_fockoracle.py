@@ -1,5 +1,5 @@
-"""Truncated-Fock-space oracle: ladder images, quadrature central moments,
-normally-ordered moments from raw amplitudes, eigen/support checks.
+"""Truncated-Fock-space oracle: quadrature central moments, normally-ordered
+moments from the Gram of the ladder images, eigen/support checks.
 
 The point of this module is independence from the closed-form series,
 so these tests lean on states built by hand and on textbook values.
@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from fansq.errors import DomainError, SingularNonlinearity, TruncationTooSmall
+import fansq.fockoracle as fockoracle
+from fansq.cli import main
+from fansq.errors import DomainError, FansqError, SingularNonlinearity, TruncationTooSmall
 from fansq.fanstate import (
     FanConfig,
     Identity,
@@ -44,6 +46,31 @@ def _fock(dim: int, n: int) -> FockVector:
 def test_fockvector_dim_mismatch_rejected():
     with pytest.raises(DomainError):
         FockVector(dim=4, amps=np.zeros(5, dtype=np.complex128), tail_mass=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fockvector_rejects_amplitudes_that_are_not_finite(bad):
+    # a NaN amplitude was accepted, and moment_oracle(v, 0, 0) gave nan+0j
+    amps = np.eye(6)[0]
+    amps[3] = bad
+    with pytest.raises(DomainError, match="amps must be finite"):
+        FockVector(dim=6, amps=amps, tail_mass=0.0)
+    amps = np.eye(6)[0].astype(np.complex128)
+    amps[3] = complex(0.0, bad)
+    with pytest.raises(DomainError, match="amps must be finite"):
+        FockVector(dim=6, amps=amps, tail_mass=0.0)
+
+
+@pytest.mark.parametrize("tail_mass", [math.nan, -1.0, math.inf, 2.0, 1.0, True])
+def test_fockvector_rejects_a_tail_mass_outside_zero_to_one(tail_mass):
+    # each was accepted: a tail mass is a finite float in [0, 1)
+    with pytest.raises(DomainError, match="tail_mass"):
+        FockVector(dim=4, amps=np.eye(4)[0], tail_mass=tail_mass)
+
+
+@pytest.mark.parametrize("tail_mass", [0, 0.0, 1e-300, 0.5, math.nextafter(1.0, 0.0)])
+def test_fockvector_takes_a_tail_mass_in_zero_to_one(tail_mass):
+    assert FockVector(dim=4, amps=np.eye(4)[0], tail_mass=tail_mass).tail_mass == tail_mass
 
 
 @pytest.mark.parametrize("dim, size", [(4.0, 4), (True, 1)])
@@ -152,6 +179,14 @@ def test_quadrature_moment_rejects_a_non_finite_phase(phi):
     with pytest.raises(DomainError):
         quadrature_moment(v, phi, 4)
     assert not v._chains
+
+
+def test_quadrature_moment_imaginary_residue_is_a_fansq_error(monkeypatch):
+    # the guard raised ArithmeticError, which the CLI does not map to exit 3
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: vdot(a, b) + 1e-3j)
+    with pytest.raises(FansqError, match="imaginary residue"):
+        quadrature_moment(vacuum(12), 0.3, 4)
 
 
 def test_quadrature_moment_truncation_insensitive():
@@ -322,14 +357,6 @@ def test_moment_oracle_matches_per_term_reference():
                     assert abs(got - ref) <= 1e-13 * scale, (support, l, m, dim)
 
 
-def _four_dot_moment(v: FockVector, l: int, m: int) -> complex:
-    """The complex kernel: re = x_l.x_m + y_l.y_m, im = x_l.y_m - y_l.x_m."""
-    n = v.dim - max(l, m)
-    xl, yl = (a[:n] for a in v.ladder_image(l))
-    xm, ym = (a[:n] for a in v.ladder_image(m))
-    return complex(np.dot(xl, xm) + np.dot(yl, ym), np.dot(xl, ym) - np.dot(yl, xm))
-
-
 def test_real_flag_follows_the_imaginary_parts():
     rng = np.random.default_rng(29)
     assert fock_coefficients(CFG_ID, 32).real
@@ -339,7 +366,19 @@ def test_real_flag_follows_the_imaginary_parts():
     assert not FockVector(dim=3, amps=np.array([1.0, 1e-300j, 0.0]), tail_mass=0.0).real
 
 
-def test_moment_oracle_on_real_vectors_is_the_four_dot_kernel():
+def _image(v: FockVector, j: int) -> np.ndarray:
+    """a^j psi of a real vector, zero-padded: sqrt(n + 1) times the level above, j times."""
+    w = v.amps.real.copy()
+    for _ in range(j):
+        w = np.append(np.sqrt(np.arange(1.0, v.dim)) * w[1:], 0.0)
+    return w
+
+
+def test_moment_oracle_on_real_vectors_meets_the_dot_product_bound():
+    # each value is a float sum of the products t_n of two images, so
+    # |G - sum t| <= gamma_dim * sum |t| with gamma_n = n u / (1 - n u)
+    # (Higham, Accuracy and Stability, section 3.1), against the exactly
+    # rounded sum; its imaginary part is +0.0
     rng = np.random.default_rng(31)
     negative = np.zeros(20)
     negative[:9] = -rng.uniform(size=9)
@@ -348,6 +387,7 @@ def test_moment_oracle_on_real_vectors_is_the_four_dot_kernel():
         fock_coefficients(
             FanConfig.from_xi_sq(3, 0.2, TrappedIon(eta_sq=0.3, quantum_order=6)), 48
         ),
+        oracle_vector(FanConfig.from_xi_sq(1, 0.97, TrappedIon(eta_sq=0.98, quantum_order=2)), 18),
         _real_vector(rng, 30, 12),
         _real_vector(rng, 9, 0),
         FockVector(dim=20, amps=negative, tail_mass=0.0),
@@ -356,18 +396,23 @@ def test_moment_oracle_on_real_vectors_is_the_four_dot_kernel():
         FockVector(dim=2, amps=np.array([0.6, -0.8]), tail_mass=0.0),
         FockVector(dim=3, amps=np.array([-0.6 - 0.0j, 0.0, 0.8 - 0.0j]), tail_mass=0.0),
     ]
+    u = 2.0**-53
     for v in vectors:
         assert v.real
+        gamma = v.dim * u / (1 - v.dim * u)
+        images = [_image(v, j) for j in range(9)]
         for l in range(9):
             for m in range(9):
                 if v.dim < v.support + l + m:
                     continue
-                got, want = moment_oracle(v, l, m), _four_dot_moment(v, l, m)
-                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+                t = (images[l] * images[m]).tolist()
+                got = moment_oracle(v, l, m)
+                assert got.imag.hex() == "0x0.0p+0"
+                assert abs(got.real - math.fsum(t)) <= gamma * math.fsum(map(abs, t)), (l, m)
 
 
 def test_moment_oracle_on_complex_fan_state_matches_reference():
-    # a global phase makes the imaginary parts nonzero, so the four-dot kernel runs
+    # a global phase makes the imaginary parts nonzero, so the Gram is complex
     fan = fock_coefficients(FanConfig.from_xi_sq(1, 0.3, Identity()), 40)
     v = FockVector(dim=fan.dim, amps=fan.amps * np.exp(0.7j), tail_mass=0.0)
     assert not v.real
@@ -380,16 +425,102 @@ def test_moment_oracle_on_complex_fan_state_matches_reference():
             assert abs(moment_oracle(v, l, m) - ref) <= 1e-13 * scale, (l, m)
 
 
-def test_ladder_images_are_built_once():
+def _gram_vectors():
+    rng = np.random.default_rng(37)
+    fan = oracle_vector(FanConfig.from_xi_sq(2, 0.6, TrappedIon(eta_sq=0.4, quantum_order=4)), 18)
+    return [
+        lambda: oracle_vector(CFG_ID, 18),
+        lambda: oracle_vector(
+            FanConfig.from_xi_sq(1, 0.97, TrappedIon(eta_sq=0.98, quantum_order=2)), 18
+        ),
+        lambda: FockVector(dim=fan.dim, amps=fan.amps, tail_mass=0.0),
+        lambda: FockVector(dim=fan.dim, amps=fan.amps * np.exp(0.3j), tail_mass=0.0),
+        lambda a=_random_vector(rng, 40, 23).amps: FockVector(dim=40, amps=a, tail_mass=0.0),
+    ]
+
+
+def test_moment_oracle_does_not_depend_on_the_pairs_asked_before():
+    # the Gram's size depends on what was asked first (built for (8, 8),
+    # or grown by doubling from (0, 0)); its values must not, bit for bit
+    rng = np.random.default_rng(41)
+    loop = [(l, m) for l in range(9) for m in range(l + 1)]
+    orders = [loop, [(8, 8)] + loop, loop[::-1]]
+    orders += [rng.permutation(loop).tolist() for _ in range(4)]
+    for make in _gram_vectors():
+        want = None
+        for order in orders:
+            v = make()
+            got = {(l, m): moment_oracle(v, l, m) for l, m in order}
+            got = {key: (z.real.hex(), z.imag.hex()) for key, z in got.items()}
+            want = want or got
+            assert got == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_interference_zero_pairs_of_fan_states_are_exactly_zero(k):
+    # a^l psi and a^m psi share no level unless l = m mod 4k
+    for model in (Identity(), TrappedIon(eta_sq=0.6, quantum_order=2 * k)):
+        v = oracle_vector(FanConfig.from_xi_sq(k, 0.8, model), 18)
+        for l in range(9):
+            for m in range(9):
+                z = moment_oracle(v, l, m)
+                if (l - m) % (4 * k):
+                    assert (z.real.hex(), z.imag.hex()) == ("0x0.0p+0", "0x0.0p+0"), (l, m)
+                else:
+                    assert z.real != 0.0 and z.imag == 0.0
+
+
+def test_one_gram_per_vector_on_the_oracle_check_pattern(monkeypatch):
+    # guard 18 sizes the Gram for powers up to 9: the 45 pairs of
+    # `oracle-check --max-power 8` build it once; quadrature builds none
+    built = []
+    build = fockoracle._build_gram
+    monkeypatch.setattr(fockoracle, "_build_gram", lambda v, rows: built.append(rows) or build(v, rows))
+    for k in (1, 3):
+        cfg = FanConfig.from_xi_sq(k, 0.5, TrappedIon(eta_sq=0.3, quantum_order=2 * k))
+        v = oracle_vector(cfg, 18)
+        for l in range(9):
+            for m in range(l + 1):
+                moment_oracle(v, l, m)
+        q = oracle_vector(cfg, 18)
+        for N in (4 * k, 4 * k + 4):
+            for phi in (0.0, math.pi / 8, math.pi / (4 * k)):
+                quadrature_moment(q, phi, N)
+        assert q._gram == []
+    assert built == [10, 10]
+    # a vector built directly sizes its Gram at its first request, then doubles
+    built.clear()
     v = _fock(12, 5)
-    x, y = v.ladder_image(3)
-    assert v.ladder_image(3)[0] is x
-    assert x.size == y.size == 9
-    assert x[2] == pytest.approx(math.sqrt(60.0), rel=1e-14)  # sqrt(5!/2!)
-    with pytest.raises(ValueError):
-        x[0] = 1.0
-    with pytest.raises(DomainError):
-        v.ladder_image(13)
+    assert moment_oracle(v, 3, 3).real == pytest.approx(60.0, rel=1e-14)  # 5! / 2!
+    for l, m in ((2, 1), (3, 0), (4, 1), (0, 7)):
+        moment_oracle(v, l, m)
+    assert built == [4, 8]
+
+
+def test_the_oracle_refuses_past_its_cell_ceiling_before_allocating(monkeypatch, capsys):
+    # a huge guard (oracle-check --max-power 100000) or dim reached
+    # np.zeros unchecked, and the Gram grows as (P + 1) * dim
+    monkeypatch.setattr(fockoracle, "_MAX_CELLS", 100)
+    small = _fock(40, 2)
+    assert moment_oracle(small, 1, 1).real == pytest.approx(2.0)  # 2 rows, 80 cells
+    zeros = np.zeros
+
+    def no_zeros(*args, **kwargs):
+        raise AssertionError("allocated past the ceiling")
+
+    monkeypatch.setattr(np, "zeros", no_zeros)
+    for call in (
+        lambda: vacuum(101),
+        lambda: fock_coefficients(CFG_ID, 101),
+        lambda: oracle_vector(CFG_ID, 18),
+        lambda: moment_oracle(small, 1, 2),  # 3 rows, 120 cells
+    ):
+        with pytest.raises(DomainError, match="past the ceiling of 100$"):
+            call()
+    monkeypatch.setattr(np, "zeros", zeros)
+    code = main(["oracle-check", "--k", "1", "--N", "4", "--xi-sq", "0.2", "--max-power", "100000"])
+    assert code == 2
+    assert "ceiling" in capsys.readouterr().err
 
 
 def test_moment_oracle_trivial_values():
