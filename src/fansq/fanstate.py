@@ -62,9 +62,9 @@ from __future__ import annotations
 import copy
 import math
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -313,9 +313,16 @@ def _series_sum(
     n + (l - m)/2k, or twice the one at n for the normalization.  The
     loop visits the even n from the first index n0 on, and the Neumaier
     sum stops by the module's stop rule; a pole, a term past float range
-    or no stop within n_max indices raise.
+    or no stop within n_max indices raise, and a trapped-ion series at
+    rho = xi^2 eta^2 >= 1, where it diverges, raises at once as the last.
     """
     k = cfg.k
+    if isinstance(cfg.model, TrappedIon) and cfg.xi * cfg.xi * cfg.model.eta_sq >= 1:
+        what = f"normalization k={k}" if norm else f"moment l={l} m={m} k={k}"
+        rho = cfg.xi * cfg.xi * cfg.model.eta_sq
+        raise SeriesNotConverged(
+            f"{what} xi={cfg.xi}: the series diverges at rho = xi^2 eta^2 = {rho} >= 1"
+        )
     step = 2 * k
     tab = product_table(cfg.model)
     sign, logp = tab.sign, tab.logmag
@@ -425,15 +432,13 @@ def convergence_depth(
 
         1.25 (ln(1/rel_tol) + ln(1/(1 - rho^2k))) / (2k ln(1/rho)) + 8,
 
-    the second logarithm standing for the tail past the last term.  For
-    rho > 1 the terms grow as fast, and the series fails at the first
-    one past e^700: the same count with 700 in place of both logarithms
-    over 2k ln(rho).  At rho = 1 neither ends it, so the prediction is
-    n_max.  The identity model's series are entire (rho = 0): a term
-    xi^2m / m! with m = 2kn is below rel_tol once m >= max(e^2 xi^2,
-    ln(1/rel_tol)), by ln m! >= m ln(m/e).  Indices are at most n_max.
-    The row engine sizes its blocks from these; no value depends on
-    them.
+    the second logarithm standing for the tail past the last term.  At
+    rho >= 1 the series diverges, and both engines fail it unsummed; the
+    count is then infinite or NaN, so the prediction is n_max.  The
+    identity model's series are entire (rho = 0): a term xi^2m / m! with
+    m = 2kn is below rel_tol once m >= max(e^2 xi^2, ln(1/rel_tol)), by
+    ln m! >= m ln(m/e).  Indices are at most n_max.  The row engine
+    sizes its blocks from these; no value depends on them.
     """
     if len(models) != len(xi):
         raise DomainError(f"need one model per xi, got {len(models)} for {len(xi)}")
@@ -444,14 +449,13 @@ def convergence_depth(
     eta_sq = np.array([getattr(model, "eta_sq", 0.0) for model in models])
     ion = eta_sq > 0
     log_tol = -math.log(ctl.rel_tol)
-    with np.errstate(all="ignore"):  # the tail is NaN past rho = 1, unused
+    with np.errstate(all="ignore"):  # inf or NaN from rho = 1 on: fmin takes n_max
         xi_sq = xi_arr * xi_arr
         rho = np.where(ion, xi_sq * eta_sq, 0.0)
         tail = -np.log1p(-(rho ** (2 * k)))
-        reach = np.where(rho < 1, log_tol + tail, _LOG_HUGE)
-        geometric = _DEPTH_FACTOR * reach / (2 * k * np.abs(np.log(rho)))
+        geometric = _DEPTH_FACTOR * (log_tol + tail) / (2 * k * np.abs(np.log(rho)))
     depth = np.where(ion, geometric, np.maximum(math.e**2 * xi_sq, log_tol) / (2 * k))
-    return rho, np.minimum(np.ceil(depth) + _DEPTH_PAD, ctl.n_max).astype(int)
+    return rho, np.fmin(np.ceil(depth) + _DEPTH_PAD, ctl.n_max).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +473,8 @@ class _Lattice:
     for model g, f(2k) f(4k) ... f(2k i).  It is built from the same
     Laguerre values and log-factorials in the same order, so only the
     logs may round differently.  pole[g] is the first index whose
-    product is singular, or _NO_POLE; entries from there on are unused.
+    product is singular, or _NO_POLE; entries from there on repeat the
+    last product before it, finite and unused.
     """
 
     def __init__(self, models: Sequence[NonlinearModel], step: int) -> None:
@@ -481,12 +486,37 @@ class _Lattice:
         self.sign = np.ones((1, len(models)))
         self.logmag = np.zeros((1, len(models)))
         self.pole = np.full(len(models), _NO_POLE)
+        self._tables: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The log-products and signs as flat tables of 3 x groups entries per index.
+
+        Index i holds the log-products at i, their doubles and zeros, and
+        the signs, ones and ones.  Built once per growth of the lattice.
+        """
+        if self._tables is None:
+            zeros, ones = np.zeros_like(self.logmag), np.ones_like(self.sign)
+            self._tables = (
+                np.hstack((self.logmag, 2 * self.logmag, zeros)).ravel(),
+                np.hstack((self.sign, ones, ones)).ravel(),
+            )
+        return self._tables
+
+    def positions(self, first, second, norm, g) -> tuple[np.ndarray, np.ndarray]:
+        """Where a column's products at indices first and second sit in the tables.
+
+        A normalization column reads its first product doubled and its
+        second as one, so one formula serves both kinds of column.
+        """
+        groups = self.pole.size
+        return (3 * first + norm) * groups + g, (3 * second + 2 * norm) * groups + g
 
     def extend(self, j: int) -> None:
         """Hold products up to index j."""
         size = self.sign.shape[0]
         if j < size:
             return
+        self._tables = None
         step, count, ion = self.step, len(self.ion), self.ion
         fock = step * np.arange(size, j + 1)[:, None]
         sign = np.ones((fock.size, self.pole.size))
@@ -516,9 +546,12 @@ class _Lattice:
         )
 
 
-@dataclass(frozen=True)
-class _Columns:
-    """Per-column parameters of the term block (one series at one xi)."""
+class _Columns(NamedTuple):
+    """Per-column parameters of the term block (one series at one xi).
+
+    The last four say where the kernel reads row 0 of a column; row r
+    reads 2r indices further on.
+    """
 
     g: np.ndarray  # lattice column of the column's model
     n0: np.ndarray  # first summation index
@@ -526,43 +559,70 @@ class _Columns:
     m: np.ndarray  # annihilation power; 0 for the normalization
     norm: np.ndarray  # True for normalization columns
     log_xi: np.ndarray
+    power: np.ndarray  # 4k e0 as a float: the multiple of ln xi
+    lf: np.ndarray  # 2k e0 - m: the position of ln (2k e0 - m)! in the log-factorial table
+    first: np.ndarray  # the position of the first product in the lattice's flat tables
+    second: np.ndarray  # the position of the second product there
 
     def take(self, cols: np.ndarray) -> "_Columns":
-        return _Columns(*(getattr(self, f.name)[cols] for f in fields(self)))
+        return _Columns(*(field[cols] for field in self))
 
 
-def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns):
-    """Terms at rows a..b-1 of every column, as in `_series_sum`.
-
-    Row r is the even summation index n0 + 2r, n0 rounded up to even.
-    Returns (terms, singular, overflow): the terms, with zeros where the
-    scalar path raises, and where it raises which error.
-    """
-    n = 2 * np.arange(a, b)[:, None] + (p.n0 + p.n0 % 2)
-    top = n + p.shift
-    lat.extend(int(top.max()))
-    singular = top >= lat.pole[p.g]
-    ok = ~singular
-    # flat positions of the two products in the lattice
-    groups = lat.pole.size
-    i1 = np.where(ok, n, 0) * groups + p.g
-    i2 = np.where(ok, top, 0) * groups + p.g
-    lat_logmag, lat_sign = lat.logmag.ravel(), lat.sign.ravel()
-    lf = log_factorials(2 * k * int(n.max()))
-    logmag = (2 * math.log(2 * k) + (4 * k * n) * p.log_xi) - lf[2 * k * n - p.m]
-    p1 = lat_logmag[i1]
-    logmag = np.where(p.norm, logmag - 2 * p1, (logmag - p1) - lat_logmag[i2])
-    overflow = ok & (logmag > _LOG_HUGE)
-    ok &= ~overflow
-    terms = np.exp(np.where(ok, logmag, -np.inf)) * (lat_sign[i1] * lat_sign[i2])
-    # leading normalization term is exactly (2k)^2, as in `normalization`
-    terms[(n == 0) & p.norm] = float(4 * k * k)
-    return terms, singular, overflow
+def _rows(flat: np.ndarray, start: int, stride: int, rows: int, width: int) -> np.ndarray:
+    """The view whose entry [r, j] is flat[start + stride r + j]; no copy, bounds checked."""
+    size = flat.itemsize
+    return np.ndarray((rows, width), flat.dtype, flat, start * size, (stride * size, size))
 
 
 def _first(mask: np.ndarray) -> np.ndarray:
     """Row of the first True in each column, or the row count if none."""
-    return np.where(mask.any(axis=0), mask.argmax(axis=0), mask.shape[0])
+    row = mask.argmax(axis=0)
+    return np.where(mask[row, np.arange(mask.shape[1])], row, mask.shape[0])
+
+
+def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns, out: np.ndarray):
+    """Terms at rows a..b-1 of every column, as in `_series_sum`, into out.
+
+    Row r is the even summation index e0 + 2r, e0 = n0 rounded up to
+    even; each table is read through a strided view of its rows, with
+    no index array.  Returns (fail, singular): per column, the first
+    row of the block at which the scalar path raises (b - a if none),
+    and whether it raises there for a pole (else for a term past float
+    range).  The pole row is the first with e0 + 2r + shift at or past
+    the pole, in closed form; a term past float range fails first only
+    on an earlier row.  From its failing row on a column's terms are
+    finite and unused: the lattice holds finite entries past a pole,
+    and the log-magnitudes are clamped at _LOG_HUGE before exp.
+    """
+    step, rows = 2 * k, b - a
+    wide = 3 * lat.pole.size  # flat-table entries per lattice index
+    width = int(p.second.max()) + 1
+    lat.extend(2 * (b - 1) + (width - 1) // wide)
+    logmag, sign = lat.tables()
+    lf_width = int(p.lf.max()) + 1
+    lf = log_factorials(2 * step * (b - 1) + lf_width - 1)
+    # 2 ln 2k + 4kn ln xi - ln (2kn - m)! minus the two log-products
+    np.add((4.0 * step) * np.arange(a, b)[:, None], p.power, out=out)
+    out *= p.log_xi
+    out += 2 * math.log(step)
+    out -= _rows(lf, 2 * step * a, 2 * step, rows, lf_width).take(p.lf, axis=1)
+    products = _rows(logmag, 2 * wide * a, 2 * wide, rows, width)
+    out -= products.take(p.first, axis=1)
+    out -= products.take(p.second, axis=1)
+    fail = np.full(p.first.size, rows)
+    if out.max() > _LOG_HUGE:
+        fail = _first(out > _LOG_HUGE)
+        np.minimum(out, _LOG_HUGE, out=out)
+    np.exp(out, out=out)
+    signs = _rows(sign, 2 * wide * a, 2 * wide, rows, width)
+    out *= signs.take(p.first, axis=1)
+    out *= signs.take(p.second, axis=1)
+    if a == 0:  # the leading normalization term is exactly (2k)^2, as in `normalization`
+        out[0, p.norm] = float(4 * k * k)
+    if lat.pole.min() == _NO_POLE:  # no model of the row meets a pole
+        return fail, np.zeros(fail.size, dtype=bool)
+    pole = np.maximum(-((p.second // wide - lat.pole[p.g]) // 2) - a, 0)
+    return np.minimum(pole, fail), pole <= fail
 
 
 # how a series ended: it stopped on the stop rule, or failed as the
@@ -573,11 +633,17 @@ RUNNING, STOPPED, SINGULAR, OVERFLOW, CAPPED = range(5)
 def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: np.ndarray):
     """Per-column `_series_sum`: returns the sums and the outcome codes.
 
-    The rows are the even terms, and the stop rule is the scalar path's,
-    the exception at an even n0 included.  ends[c] is the row after the
-    predicted stop of column c: a block that would run past the deepest
-    end of the running columns ends there, and the blocks double again
-    after it.
+    The rows are the even terms.  Each column's Neumaier sum is replayed
+    as a sequential cumulative sum with its rounding errors summed the
+    same way beside it; an error comes from Knuth's TwoSum, which gives
+    the same exact error as Neumaier's branch.  The stop rule is the
+    scalar path's, with its three exceptions applied only where they
+    can bite: an even n0's first term stops nothing (row 0 of block 0),
+    a zero sum at n0 + 2 stops there (only when n_max <= 3), and no stop
+    or failure counts past the term cap (only in the block that reaches
+    it).  ends[c] is the row after the predicted stop of column c: a
+    block that would run past the deepest end of the running columns
+    ends there, and the blocks double again after it.
     """
     width = p.n0.size
     sums = np.full(width, np.nan)
@@ -585,44 +651,66 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
     cols = np.arange(width)
     acc = np.zeros(width)  # Neumaier sum and compensation, carried
     comp = np.zeros(width)
-    last = (ctl.n_max + 1) // 2
+    rel_tol, n_max = ctl.rel_tol, ctl.n_max
+    last = (n_max + 1) // 2
     a = 0
     size = _FIRST_BLOCK
+    here = p
+    deepest = int(ends.max(initial=0))
     while cols.size:
         b = min(a + size, last)
-        deepest = int(ends[cols].max())
         if a < deepest < b:
             b = deepest
-        here = p.take(cols)
-        x, singular, overflow = _term_block(lat, k, a, b, here)
-        partial = np.cumsum(np.vstack((acc, x)), axis=0)
+        rows = b - a
+        # row 0 carries the sums in, rows 1.. take the terms
+        partial = np.empty((rows + 1, cols.size))
+        partial[0] = acc
+        x = partial[1:]
+        fail, singular = _term_block(lat, k, a, b, here, x)
+        partial = np.cumsum(partial, axis=0)
         prev, s = partial[:-1], partial[1:]
-        err = np.where(np.abs(prev) >= np.abs(x), (prev - s) + x, (x - s) + prev)
-        c = np.cumsum(np.vstack((comp, err)), axis=0)[1:]
-        value = s + c
-        offset = 2 * np.arange(a, b)[:, None] + here.n0 % 2  # index - n0
-        fail_at = _first((singular | overflow) & (offset < ctl.n_max))
-        # a small term stops its column at the odd index after it, but
-        # not at an even n0; a zero sum at n0 + 2 means both terms there
-        # underflowed, and the column stops at n0 + 2 itself
-        end = offset + 1 - ((offset == 2) & (value == 0.0))
-        small = np.abs(x) <= ctl.rel_tol * np.abs(value)
-        stop_at = _first(small & (offset > 0) & (end < ctl.n_max))
+        # TwoSum: the exact rounding error of each partial sum
+        back = s - prev
+        err = s - back
+        np.subtract(prev, err, out=err)
+        np.subtract(x, back, out=back)
+        c = np.empty_like(partial)
+        c[0] = comp
+        np.add(err, back, out=c[1:])
+        c = np.cumsum(c, axis=0)[1:]
+        # a small term stops its column at the odd index after it; the
+        # last row, all True, makes argmax give `rows` where none is small
+        small = np.ones((rows + 1, cols.size), dtype=bool)
+        bound = np.abs(s + c)
+        bound *= rel_tol
+        np.less_equal(np.abs(x, out=back), bound, out=small[:-1])
+        if a == 0:  # a term at an even n0 has underflowed, and stops nothing
+            small[0] &= (here.n0 & 1) == 1
+        stop = small.argmax(axis=0)
+        if b == last:  # no stop past the term cap, and no failure at the index past it
+            odd = here.n0 & 1
+            cap = (n_max - odd) // 2 - a
+            if n_max == 3:  # a zero sum at n0 + 2 (row 1) means both terms underflowed: stop there
+                cap[(odd == 0) & (s[1 - a] + c[1 - a] == 0.0)] = 2 - a
+            stop[stop >= cap] = rows
+            fail[fail >= (n_max + 1 - odd) // 2 - a] = rows
         # a failing term raises before it is added, so it beats a stop there
-        failed = (fail_at < b - a) & (fail_at <= stop_at)
-        stopped = stop_at < fail_at
-        idx = np.arange(cols.size)
-        outcome[cols[failed]] = np.where(
-            singular[fail_at[failed], idx[failed]], SINGULAR, OVERFLOW
-        )
-        outcome[cols[stopped]] = STOPPED
-        sums[cols[stopped]] = value[stop_at[stopped], idx[stopped]]
-        rest = ~(failed | stopped)
+        stopped = stop < fail
+        ended = np.minimum(stop, fail) < rows
+        code = np.where(stopped, STOPPED, np.where(singular, SINGULAR, OVERFLOW))
+        outcome[cols[ended]] = code[ended]
+        at = np.flatnonzero(stopped)
+        row = stop[at]
+        sums[cols[at]] = s[row, at] + c[row, at]
         if b == last:
-            outcome[cols[rest]] = CAPPED
+            outcome[cols[~ended]] = CAPPED
             break
-        cols = cols[rest]
-        acc, comp = s[-1, rest], c[-1, rest]
+        acc, comp = s[-1], c[-1]
+        if ended.any():
+            rest = ~ended
+            cols = cols[rest]
+            acc, comp, here = acc[rest], comp[rest], p.take(cols)
+            deepest = int(ends[cols].max(initial=0))
         a, size = b, b
     return sums, outcome
 
@@ -697,17 +785,23 @@ class MomentRowPlan:
         def per_column(f):
             return np.repeat([f(lm) for lm in series], live.size)
 
-        # g, the lattice column of each node's model, comes with the models
+        n0 = per_column(lambda lm: 0 if lm is None else -(-lm[1] // step))
+        m = per_column(lambda lm: 0 if lm is None else lm[1])
+        self.e0 = e0 = n0 + n0 % 2  # row r of a column is the even index e0 + 2r
+        # g and the lattice positions come with the models
+        unset = np.zeros_like(n0)
         self.columns = _Columns(
-            g=np.zeros(0, dtype=int),
-            n0=per_column(lambda lm: 0 if lm is None else -(-lm[1] // step)),
+            g=unset,
+            n0=n0,
             shift=per_column(lambda lm: 0 if lm is None else (lm[0] - lm[1]) // step),
-            m=per_column(lambda lm: 0 if lm is None else lm[1]),
+            m=m,
             norm=per_column(lambda lm: lm is None),
             log_xi=np.tile(log_xi, len(series)),
+            power=(2 * step * e0).astype(float),
+            lf=step * e0 - m,
+            first=unset,
+            second=unset,
         )
-        # row r of a column is the even index e0 + 2r
-        self.e0 = self.columns.n0 + self.columns.n0 % 2
         self.powers = [
             None if lm is None else np.array([_xi_power(self.xi[j], lm[0] - lm[1]) for j in live])
             for lm in series
@@ -722,27 +816,39 @@ class MomentRowPlan:
     def run(self, models: Sequence[NonlinearModel]) -> MomentRow:
         """The moments at models[j] for each xi[j], in one term block.
 
-        The lattice of products is built once per distinct model, up
-        front to the deepest index `convergence_depth` predicts.
+        A trapped-ion node at rho >= 1 is CAPPED without a term summed,
+        as the scalar path raises there at once.  The lattice of products
+        is built once per distinct model of the other nodes, up front to
+        the deepest index `convergence_depth` predicts.
         """
         k, ctl, live, series = self.k, self.ctl, self.live, self.series
-        _, depth = convergence_depth(k, self.xi, models, ctl)
+        rho, depth = convergence_depth(k, self.xi, models, ctl)
+        summed = np.flatnonzero(rho[live] < 1)  # positions in live
+        nodes = live[summed].tolist()
         # a row shares few model objects: hash each once; equal models share a column
-        objects = {id(models[j]): models[j] for j in live.tolist()}
+        objects = {id(models[j]): models[j] for j in nodes}
         groups: dict[NonlinearModel, int] = {}
         by_id = {i: groups.setdefault(model, len(groups)) for i, model in objects.items()}
-        group = [by_id[id(models[j])] for j in live.tolist()]
+        group = [by_id[id(models[j])] for j in nodes]
         lat = _Lattice(list(groups), 2 * k)
-        params = replace(self.columns, g=np.tile(np.array(group, dtype=int), len(series)))
+        params, e0 = self.columns, self.e0
+        if summed.size < live.size:
+            cols = (np.arange(len(series))[:, None] * live.size + summed).ravel()
+            params, e0 = params.take(cols), e0[cols]
+        g = np.tile(np.array(group, dtype=int), len(series))
+        first, second = lat.positions(e0, e0 + params.shift, params.norm, g)
+        params = params._replace(g=g, first=first, second=second)
         # a block ends after the row of the predicted stop, within the term cap
-        e0 = self.e0
         last_row = (ctl.n_max + 1) // 2 - 1
-        stop_row = np.clip((np.tile(depth[live], len(series)) - e0) // 2, 0, last_row)
+        stop_row = np.clip((np.tile(depth[nodes], len(series)) - e0) // 2, 0, last_row)
         if stop_row.size:
             lat.extend(int((e0 + 2 * stop_row + params.shift).max()))
-        sums, outcome = _sum_columns(lat, k, params, ctl, stop_row + 1)
-        sums = sums.reshape(len(series), live.size)
-        outcome = outcome.reshape(len(series), live.size)
+        sums = np.full((len(series), live.size), np.nan)
+        outcome = np.full((len(series), live.size), CAPPED)
+        shape = (len(series), summed.size)
+        part_sums, part_outcome = _sum_columns(lat, k, params, ctl, stop_row + 1)
+        sums[:, summed] = part_sums.reshape(shape)
+        outcome[:, summed] = part_outcome.reshape(shape)
         code = np.full(len(self.xi), STOPPED)
         if series:  # the first series that did not stop, in the scalar path's order
             code[live] = outcome[(outcome != STOPPED).argmax(axis=0), np.arange(live.size)]

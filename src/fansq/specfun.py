@@ -70,12 +70,18 @@ def double_factorial(n: int) -> int:
 
 
 def _grow_laguerre(vals, m: int, x: float, n: int) -> None:
-    """Append degrees up to n to the values L_0^m(x), L_1^m(x), ... in vals."""
-    if len(vals) == 1:
-        vals.append(1.0 + m - x)
-    while len(vals) <= n:
-        i = len(vals) - 1
-        vals.append(((2 * i + 1 + m - x) * vals[i] - (i + m) * vals[i - 1]) / (i + 1))
+    """Append degrees up to n to the values L_0^m(x), L_1^m(x), ... in vals.
+
+    One loop over local variables, with the recurrence's expression in
+    its one order.  Degree 1 comes from L_{-1} = 0, which gives
+    1 + m - x exactly, so every value is the float of
+    `tests/laguerre_ref.py`, however the list was grown.
+    """
+    i = len(vals) - 1
+    prev, cur = (vals[i - 1] if i else 0.0), vals[i]
+    for i in range(i, n):
+        prev, cur = cur, ((2 * i + 1 + m - x) * cur - (i + m) * prev) / (i + 1)
+        vals.append(cur)
 
 
 # up to this many pairs a float loop per pair costs less than numpy's

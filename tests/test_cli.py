@@ -174,6 +174,25 @@ def test_intersect_at_zero_xi_is_exit_two(capsys):
     assert "xi_sq must be a finite float > 0" in err
 
 
+def test_squeeze_at_rho_past_one_is_exit_three_naming_rho(capsys):
+    # rho = xi^2 eta^2 = 1.05: the series diverges; S was 1.48e161 at exit 0
+    argv = ["squeeze", "--k", "3", "--N", "12", "--xi-sq", "5", "--eta-sq", "0.21", "--phi", "0"]
+    out, err = run_cli(capsys, argv, expect=3)
+    assert out == ""
+    assert "diverges at rho = xi^2 eta^2 = 1.05 >= 1" in err
+
+
+def test_intersect_reports_no_crossing_where_rho_reaches_one(capsys):
+    # from eta^2 = 0.2 on, rho = 5 eta^2 >= 1: those nodes are skipped, and
+    # no sign change of a divergent gap (|gap| ~ 1e25) is a root
+    argv = ["intersect", "--k", "3", "--N", "12", "--xi-sq", "5.0", "--eta-sq", "0.05:0.45:81"]
+    data = run_json(capsys, argv)["data"]
+    assert data["roots"] == [] and data["kinds"] == []
+    skipped = [node["eta_sq"] for node in data["skipped"]]
+    assert all(node["status"] == "NotConverged" for node in data["skipped"])
+    assert min(skipped) == 0.2 and len(skipped) == 51
+
+
 def test_boundary_empty_is_exit_three(capsys, tmp_path):
     target = tmp_path / "never.csv"
     code = main(

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import fansq
 import fansq.atlas
+import fansq.cli
 import fansq.fanstate as fanstate
 import fansq.specfun
 import fansq.squeeze as squeeze
@@ -55,6 +57,7 @@ from fansq.squeeze import (
     squeeze_parameter,
     vacuum_benchmark,
 )
+import row_engine_ref
 from laguerre_ref import laguerre
 
 XI_SQ = [0.0, 0.02, 0.15, 0.4, 0.7, 1.0, 1.6]
@@ -75,7 +78,8 @@ def _code(want):
     if isinstance(want, SeriesNotConverged):
         if "exceeds float range" in str(want):
             return OVERFLOW
-        assert "tail criterion not met" in str(want), want
+        # the term cap, or rho >= 1 where the series diverges
+        assert "tail criterion not met" in str(want) or "diverges at rho" in str(want), want
         return CAPPED
     return STOPPED
 
@@ -188,27 +192,36 @@ class _Listed(AxisRange):
 
 def test_a_scan_row_of_all_four_outcomes_has_the_scalar_statuses():
     # the L_16^0 pole sits at product index 9 for k = 1: (8, 0) reads it
-    # from index 6 on, (1, 1) from index 10, past the cap of 8 indices
-    eta_sq = _smallest_root(16)
-    model = TrappedIon(eta_sq=eta_sq, quantum_order=2)
+    # from index 6 on, (1, 1) from index 10, past the cap of 8 indices;
+    # xi_sq = 1e300 is at rho >= 1 there, and fails unsummed.  At
+    # eta_sq = 1e-301 it is at rho = 0.1, and its first term past n0
+    # exceeds float range
+    root, tiny = _smallest_root(16), 1e-301
     ctl = SeriesControl(n_max=8)
     xi_sq = [0.0, 0.03, 0.04, 0.05, 0.1, 10.0, 1e300]
     grid = GridSpec(
         xi_sq=_Listed(0.0, 1e300, len(xi_sq), tuple(xi_sq)),
-        eta_sq=_Listed(eta_sq, 1.0, 2, (eta_sq,)),
+        eta_sq=_Listed(tiny, 1.0, 2, (root, tiny)),
         k=1,
         N=8,
         phi=0.0,
     )
-    row = coefficients_row(1, xi_sq, [model] * len(xi_sq), 8, ctl)
-    assert row.outcome.tolist() == [STOPPED] * 2 + [SINGULAR] * 2 + [CAPPED] * 2 + [OVERFLOW]
+    outcomes = [
+        coefficients_row(1, xi_sq, [TrappedIon(eta_sq, 2)] * len(xi_sq), 8, ctl).outcome.tolist()
+        for eta_sq in (root, tiny)
+    ]
+    assert outcomes[0] == [STOPPED] * 2 + [SINGULAR] * 2 + [CAPPED] * 3
+    assert outcomes[1][-1] == OVERFLOW
     status = {
         SqueezeCoeffs: STATUS_OK,
         SingularNonlinearity: STATUS_SINGULAR,
         SeriesNotConverged: STATUS_NOT_CONVERGED,
     }
-    want = [status[type(_scalar_node(1, x, model, 8, ctl))] for x in xi_sq]
-    assert scan(grid, "trapped-ion", ctl).status == [want]
+    want = [
+        [status[type(_scalar_node(1, x, TrappedIon(eta_sq, 2), 8, ctl))] for x in xi_sq]
+        for eta_sq in (root, tiny)
+    ]
+    assert scan(grid, "trapped-ion", ctl).status == want
 
 
 def test_row_crossing_a_laguerre_pole():
@@ -369,10 +382,9 @@ def test_c08_scan_builds_only_even_term_rows(monkeypatch):
     cells = []
     block = fanstate._term_block
 
-    def counting(*args):
-        terms, singular, overflow = block(*args)
-        cells.append(terms.size)
-        return terms, singular, overflow
+    def counting(lat, k, a, b, p, out):
+        cells.append(out.size)
+        return block(lat, k, a, b, p, out)
 
     monkeypatch.setattr(fanstate, "_term_block", counting)
     grid = GridSpec(
@@ -420,6 +432,121 @@ def test_c08_scan_sizes_its_lattice_once_and_builds_no_node_objects(monkeypatch)
     assert calls == []
     # 86,924 when the lattice doubled blindly; 70,572 sized from the predicted depth
     assert 0 < degrees[0] <= 72_000
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the earlier kernel, bit for bit
+
+
+def _pole_side_models(k):
+    """Trapped-ion models on both sides of the smallest zero of L_2k^0, and at it."""
+    root = _smallest_root(2 * k)
+    sides = (root, root * (1 - 1e-9), root * (1 + 1e-9), root / 2, root * 1.5)
+    return [TrappedIon(eta_sq, 2 * k) for eta_sq in sides]
+
+
+@st.composite
+def _kernel_rows(draw):
+    """A row of mixed, repeated models at xi^2 from 1e-300 to 1e300, and its settings."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    tiny_to_one = st.floats(min_value=-300.0, max_value=0.0).map(lambda e: 10.0**e)
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.just(Identity()),
+                st.sampled_from(_pole_side_models(k)),
+                tiny_to_one.map(lambda e: TrappedIon(e, 2 * k)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    size = draw(st.integers(min_value=1, max_value=8))
+    exponent = st.one_of(
+        st.floats(min_value=-300.0, max_value=300.0), st.sampled_from([-300.0, 300.0])
+    )
+    xi_sq = draw(st.lists(exponent.map(lambda e: 10.0**e), min_size=size, max_size=size))
+    models = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    edge = [(0, 0), (1, 1), (2, 2), (3, 3), (4 * k, 0), (4 * k + 1, 1), (4 * k + 3, 3)]
+    pairs = draw(st.lists(st.sampled_from(edge), min_size=1, max_size=4, unique=True))
+    ctl = SeriesControl(
+        rel_tol=draw(st.sampled_from([1e-16, 1e-8, 0.5])),
+        n_max=draw(st.sampled_from([1, 2, 3, 4, 5, 10, 37, 5000])),
+    )
+    return k, [math.sqrt(x) for x in xi_sq], models, pairs, ctl
+
+
+def _run_on_both_kernels(k, xi, models, pairs, ctl):
+    """Run one plan; every kernel call is replayed on the earlier kernel and must match it."""
+    calls = []
+    kernel = fanstate._sum_columns
+
+    def both(lat, k, p, ctl, ends):
+        got = kernel(lat, k, p, ctl, ends)
+        want = row_engine_ref._sum_columns(lat, k, p, ctl, ends)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        calls.append(got[1].tolist())
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fanstate, "_sum_columns", both)
+        row = MomentRowPlan(k, xi, pairs, ctl).run(models)
+    return row, calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_kernel_rows())
+@example(
+    case=(
+        1,
+        [1e-150, 1e150, 0.5, 1.2],
+        [Identity()] * 2 + _pole_side_models(1)[:2],
+        [(1, 1), (4, 0)],
+        SeriesControl(),
+    )
+)
+@example(  # n0 = 2 for (3, 3): at xi^2 = 1e-300 its terms underflow, and n_max = 3 caps it
+    case=(1, [1e-150, 0.3, 0.3], [TrappedIon(0.3, 2)] * 3, [(3, 3), (5, 1)], SeriesControl(n_max=3))
+)
+def test_the_kernel_keeps_the_earlier_kernels_bits(case):
+    _run_on_both_kernels(*case)
+
+
+def test_the_kernel_keeps_the_earlier_kernels_bits_on_every_outcome():
+    seen = set()
+    for k in (1, 2):
+        pole = _pole_side_models(k)[0]
+        xi = [1e-150, 1e-30, 0.3, 0.7, 1.2, 1e150]
+        for models in ([pole] * 6, [Identity()] * 6, [TrappedIon(1e-301, 2 * k)] * 6):
+            for n_max in (1, 2, 3, 4, 5, 10, 5000):
+                pairs = [(0, 0), (1, 1), (2, 2), (3, 3), (4 * k, 0)]
+                _, calls = _run_on_both_kernels(k, xi, models, pairs, SeriesControl(n_max=n_max))
+                seen.update(code for call in calls for code in call)
+    assert seen == {STOPPED, SINGULAR, OVERFLOW, CAPPED}
+
+
+def test_the_kernel_is_silent(capsys):
+    # a pole (f(4) divides by L_2^0 = 0), terms past float range (identity
+    # at xi^2 = 1e300, and rho = 0.1 at eta^2 = 1e-301) and underflowed
+    # terms (xi^2 = 1e-300), in one row and in one scan
+    pole = TrappedIon(2 - math.sqrt(2), 2)
+    xi = [math.sqrt(x) for x in (1e-300, 0.5, 1e300, 1e300, 1e-300)]
+    models = [pole, pole, Identity(), TrappedIon(1e-301, 2), Identity()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = moment_row(1, xi, models, [(1, 1), (2, 2), (4, 0)])
+    assert row.outcome.tolist() == [SINGULAR, SINGULAR, OVERFLOW, OVERFLOW, STOPPED]
+    argv = ["scan", "--k", "1", "--N", "4", "--phi", "0.5", "--xi-sq", "1e-300:1e300:3",
+            "--eta-sq", f"1e-301:{2 - math.sqrt(2)!r}:2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fansq.cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line.split(",")[-1] for line in out.splitlines()[2:]] == [
+        "OK", "NotConverged", "NotConverged", "Singular", "NotConverged", "NotConverged",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -563,31 +690,34 @@ def test_rho_per_config_and_per_row():
     assert depth.shape == (5,) and all(8 <= d <= DEFAULT_CONTROL.n_max for d in depth.tolist())
 
 
-def _overflow_index(err):
-    assert "exceeds float range" in str(err), err
-    return int(str(err).split("term at index ")[1].split()[0])
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_rho_at_or_past_one_predicts_the_cap_or_the_first_overflow(k):
+def test_rho_at_or_past_one_predicts_the_cap_or_the_first_overflow(k, monkeypatch):
     eta_sq = [1.0, 1.01, 0.5, 0.25, 0.9]
     xi = [1.0, 1.0, 2.0, 3.0, 1e200]  # rho = 1, 1.01, 2, 2.25 and past float range
     models = [TrappedIon(e, 2 * k) for e in eta_sq]
     rho, depth = convergence_depth(k, xi, models)
     assert rho.tolist()[:4] == [1.0, 1.01, 2.0, 2.25] and rho[4] == math.inf
     n_max = DEFAULT_CONTROL.n_max
-    # at rho = 1, and just past it, the term cap comes before any overflow
-    assert depth.tolist()[:2] == [n_max, n_max]
-    # further out a term passes float range first, at an index the
-    # prediction covers; the scalar path sums the same terms and names it
-    row = moment_row(k, xi[2:], models[2:], squeeze._moment_pairs(k, 4 * k))
-    assert row.outcome.tolist() == [OVERFLOW] * 3
-    for x, model, predicted in zip(xi[2:], models[2:], depth.tolist()[2:]):
-        with pytest.raises(SeriesNotConverged) as exc:
-            coefficients(FanConfig(k, x, model), 4 * k)
-        assert _overflow_index(exc.value) <= predicted < n_max
+    # the series diverge, so the prediction is the cap
+    assert depth.tolist() == [n_max] * 5
     capped = SeriesControl(n_max=40)
-    assert convergence_depth(k, xi[:4], models[:4], capped)[1].tolist() == [40] * 4
+    assert convergence_depth(k, xi, models, capped)[1].tolist() == [40] * 5
+    # both engines fail them at once, naming rho, with the cap's error and code
+    lattices = []
+    lattice = fanstate._Lattice
+
+    def recording(models, step):
+        lattices.append(list(models))
+        return lattice(models, step)
+
+    monkeypatch.setattr(fanstate, "_Lattice", recording)
+    row = moment_row(k, xi, models, squeeze._moment_pairs(k, 4 * k))
+    assert row.outcome.tolist() == [CAPPED] * 5
+    assert lattices == [[]]  # no term summed, no product built
+    for x, model, r in zip(xi, models, rho.tolist()):
+        words = f"diverges at rho = xi\\^2 eta\\^2 = {r} >= 1"
+        with pytest.raises(SeriesNotConverged, match=words):
+            coefficients(FanConfig(k, x, model), 4 * k)
     # c08's corner: AxisRange ends a hair below 1, so rho is just below it
     corner = AxisRange(0.01, 1.0, 101).values()[-1]
     (rho,), (depth,) = convergence_depth(k, [math.sqrt(corner)], [TrappedIon(corner, 2 * k)])
@@ -669,10 +799,10 @@ def _near_radius_row(draw, k):
     near = st.floats(min_value=0.5, max_value=1.0).map(lambda e: TrappedIon(e, 2 * k))
     models = st.one_of(near, st.just(Identity()), st.just(pole))
     pool = draw(st.lists(models, min_size=1, max_size=3))
-    xi, models = [1.0, 1.0, 2.0], [
-        TrappedIon(eta_sq=1.01, quantum_order=2 * k),  # rho = 1.01: capped before it overflows
+    xi, models = [1.0, 1.0, math.sqrt(1000.0)], [
+        TrappedIon(eta_sq=1.01, quantum_order=2 * k),  # rho = 1.01: capped unsummed
         pole,
-        TrappedIon(eta_sq=1.0, quantum_order=2 * k),  # rho = 4: a term past float range
+        Identity(),  # xi^2 = 1000: a term past float range
     ]
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         model = draw(st.sampled_from(pool))
@@ -688,7 +818,7 @@ def _near_radius_row(draw, k):
 def test_prediction_moves_no_value_and_no_error(data, k, extra):
     xi, models = _near_radius_row(data.draw, k)
     pairs = squeeze._moment_pairs(k, 4 * k + extra)
-    ctl = SeriesControl(n_max=1000)  # still far below the overflow at rho = 1.01
+    ctl = SeriesControl(n_max=1000)
     row = moment_row(k, xi, models, pairs, ctl)
     assert {CAPPED, OVERFLOW, SINGULAR} <= set(row.outcome.tolist())
     # each node fails as the scalar path fails first
@@ -813,6 +943,6 @@ def test_both_engines_fail_an_exact_zero_numerator_alike():
         "downstream amplitude ratios are undefined"
     )
     with pytest.raises(SingularNonlinearity) as exc:
-        coefficients(FanConfig.from_xi_sq(1, 0.5, model), 4)
+        coefficients(FanConfig.from_xi_sq(1, 0.4, model), 4)  # rho = 0.8
     assert str(exc.value).endswith(words) and exc.value.index == 4
-    assert _nodes(coefficients_row(1, [0.5], [model], 4)) == [SINGULAR]
+    assert _nodes(coefficients_row(1, [0.4], [model], 4)) == [SINGULAR]

@@ -96,10 +96,21 @@ def ref_sum_series(terms: Iterator[float], ctl: SeriesControl, what: str) -> flo
     return s + c
 
 
+def ref_diverges(cfg, what):
+    """Raise for a trapped-ion series at rho = xi^2 eta^2 >= 1, where it diverges."""
+    if isinstance(cfg.model, TrappedIon):
+        rho = cfg.xi_sq * cfg.model.eta_sq
+        if rho >= 1:
+            words = f"the series diverges at rho = xi^2 eta^2 = {rho} >= 1"
+            raise SeriesNotConverged(f"{what}: {words}")
+
+
 def ref_normalization(cfg, ctl=DEFAULT_CONTROL):
     k = cfg.k
     if cfg.xi == 0.0:  # the vacuum: the leading term alone, as in `ref_moment`
         return float(4 * k * k)
+    what = f"normalization k={k} xi={cfg.xi}"
+    ref_diverges(cfg, what)
     step = 2 * k
     xi_sl = signed_log(cfg.xi)
 
@@ -122,7 +133,7 @@ def ref_normalization(cfg, ctl=DEFAULT_CONTROL):
                     yield math.exp(logmag)
             m += 1
 
-    return ref_sum_series(terms(), ctl, f"normalization k={k} xi={cfg.xi}")
+    return ref_sum_series(terms(), ctl, what)
 
 
 def ref_moment(cfg, l, m, ctl=DEFAULT_CONTROL):
@@ -160,7 +171,9 @@ def ref_moment(cfg, l, m, ctl=DEFAULT_CONTROL):
                 yield p1.sign * p2.sign * math.exp(logmag)
             n += 1
 
-    total = ref_sum_series(terms(), ctl, f"moment l={l} m={m} k={k} xi={cfg.xi}")
+    what = f"moment l={l} m={m} k={k} xi={cfg.xi}"
+    ref_diverges(cfg, what)
+    total = ref_sum_series(terms(), ctl, what)
     return (cfg.xi**diff) * total / ref_normalization(cfg, ctl)
 
 

@@ -1,0 +1,149 @@
+"""The c08 work ledger and an in-process A/B of the row engine's kernel layers.
+
+Run from the root of a source checkout:
+
+    PYTHONPATH=src:tests python3 tools/row_kernel_ab.py [--repeats 9]
+
+One scan of the grid of gate c08 (101 x 101, k = 1, N = 4, the trapped-ion
+model) records every `_sum_columns` call, every term block and every
+Laguerre growth.  The output is one JSON object:
+
+* `ledger`: engine calls, term blocks, term cells and Laguerre
+  degree-pairs of that scan.  They are counts, the same on every
+  machine, and a kernel change that keeps the block schedule keeps them.
+* `layers`: each layer replayed on its recorded inputs, with the earlier
+  code and with the package's, the two sides alternating, as the best of
+  `--repeats` timings of the whole replay (`time.perf_counter`, in ms),
+  and the ratio package / earlier.  The earlier kernel is
+  `tests/row_engine_ref.py`; the earlier Laguerre loop is the one below.
+  The replays share one process and its caches, so compare the ratios.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import math
+import time
+
+import numpy as np
+
+import fansq.fanstate as fanstate
+import fansq.specfun as specfun
+import row_engine_ref
+from fansq.atlas import AxisRange, GridSpec, scan
+
+
+def earlier_grow_laguerre(vals, m: int, x: float, n: int) -> None:
+    """The Laguerre loop before it ran over local variables."""
+    if len(vals) == 1:
+        vals.append(1.0 + m - x)
+    while len(vals) <= n:
+        i = len(vals) - 1
+        vals.append(((2 * i + 1 + m - x) * vals[i] - (i + m) * vals[i - 1]) / (i + 1))
+
+
+def record_c08():
+    """Scan c08 once; return the ledger and the recorded inputs of each layer."""
+    grid = GridSpec(
+        xi_sq=AxisRange(0.01, 1.0, 101), eta_sq=AxisRange(0.01, 1.0, 101), k=1, N=4, phi=math.pi / 4
+    )
+    calls, blocks, growths, degree_pairs = [], [], [], [0]
+    sum_columns, term_block = fanstate._sum_columns, fanstate._term_block
+    grow, upto = specfun._grow_laguerre, specfun.LaguerreRows.upto
+
+    def recording_sum(*args):
+        calls.append(args)
+        return sum_columns(*args)
+
+    def recording_block(lat, k, a, b, p, out):
+        blocks.append((lat, k, a, b, p, out.shape))
+        return term_block(lat, k, a, b, p, out)
+
+    def recording_grow(vals, m, x, n):
+        growths.append((len(vals), m, x, n))
+        return grow(vals, m, x, n)
+
+    def counting_upto(self, n):
+        before = self._vals.shape[0]
+        vals = upto(self, n)
+        degree_pairs[0] += (self._vals.shape[0] - before) * self.x.size
+        return vals
+
+    fanstate._sum_columns, fanstate._term_block = recording_sum, recording_block
+    specfun._grow_laguerre, specfun.LaguerreRows.upto = recording_grow, counting_upto
+    try:
+        scan(grid, "trapped-ion")
+    finally:
+        fanstate._sum_columns, fanstate._term_block = sum_columns, term_block
+        specfun._grow_laguerre, specfun.LaguerreRows.upto = grow, upto
+    ledger = {
+        "engine_calls": len(calls),
+        "term_blocks": len(blocks),
+        "term_cells": int(sum(shape[0] * shape[1] for *_, shape in blocks)),
+        "laguerre_degree_pairs": degree_pairs[0],
+    }
+    return ledger, calls, blocks, growths
+
+
+def replays(calls, blocks, growths):
+    """Per layer, the earlier and the package's replay of its recorded inputs."""
+
+    def sums(kernel):
+        return lambda: [kernel(*args) for args in calls]
+
+    def earlier_blocks():
+        for lat, k, a, b, p, _ in blocks:
+            row_engine_ref._term_block(lat, k, a, b, p)
+
+    def package_blocks():
+        for lat, k, a, b, p, shape in blocks:
+            fanstate._term_block(lat, k, a, b, p, np.empty(shape))
+
+    starts = []
+    for size, m, x, n in growths:  # the values each call started from
+        vals = [1.0]
+        specfun._grow_laguerre(vals, m, x, size - 1)
+        starts.append((vals, m, x, n))
+
+    def laguerre(loop):
+        return lambda: [loop(list(vals), m, x, n) for vals, m, x, n in starts]
+
+    return {
+        "_sum_columns": (sums(row_engine_ref._sum_columns), sums(fanstate._sum_columns)),
+        "_term_block": (earlier_blocks, package_blocks),
+        "laguerre_loop": (laguerre(earlier_grow_laguerre), laguerre(specfun._grow_laguerre)),
+    }
+
+
+def best_times(pair, repeats: int) -> tuple[float, float]:
+    best = [math.inf, math.inf]
+    for rep in range(repeats):
+        for side in (0, 1) if rep % 2 else (1, 0):
+            start = time.perf_counter()
+            pair[side]()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=9)
+    args = parser.parse_args()
+    ledger, calls, blocks, growths = record_c08()
+    layers = {}
+    gc.disable()
+    for name, pair in replays(calls, blocks, growths).items():
+        earlier, package = best_times(pair, args.repeats)
+        layers[name] = {
+            "earlier_ms": round(earlier * 1e3, 2),
+            "package_ms": round(package * 1e3, 2),
+            "ratio": round(package / earlier, 3),
+        }
+    gc.enable()
+    print(json.dumps({"ledger": ledger, "layers": layers}, indent=1))
+
+
+if __name__ == "__main__":
+    main()
