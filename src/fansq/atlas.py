@@ -27,20 +27,16 @@ from .errors import (
     positive_int,
 )
 from .fanstate import (
-    CAPPED,
     DEFAULT_CONTROL,
-    OVERFLOW,
-    SINGULAR,
-    STOPPED,
     FanConfig,
     Identity,
     NonlinearModel,
     SeriesControl,
     TrappedIon,
 )
+from .rows import CAPPED, OVERFLOW, SINGULAR, STOPPED, SqueezeRowPlan
 from .squeeze import (
     SqueezeCoeffs,
-    SqueezeRowPlan,
     _check_order,
     coefficients,
     squeeze_parameter,

@@ -23,17 +23,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, FansqError, TruncationTooSmall, finite_float
 from .errors import nonnegative_float, nonnegative_int, positive_int
 from .fanstate import (
+    _LAGUERRE_FLOOR,
     DEFAULT_CONTROL,
     FanConfig,
     Identity,
     SeriesControl,
-    nonlinearity_values,
+    TrappedIon,
+    _singular_factor,
     normalization,
     product_table,
 )
@@ -332,6 +335,29 @@ def oracle_vector(
         v = _fan_vector(cfg, dim, logs)
     object.__setattr__(v, "_gram_rows", rows)
     return v
+
+
+def nonlinearity_values(model: TrappedIon, fock: Sequence[int]) -> np.ndarray:
+    """f(m) for each Fock argument m in fock, as floats, in one numpy expression.
+
+    Built from the Laguerre values of the model's product table, so it
+    meets the same poles; raises the table's error at the first argument
+    in fock that is a denominator pole, and DomainError below K.
+    """
+    if not isinstance(model, TrappedIon):
+        raise DomainError(f"nonlinearity_values needs a trapped-ion model, got {model!r}")
+    K = model.quantum_order
+    m = np.asarray(fock, dtype=int)
+    if m.min(initial=K) < K:
+        raise DomainError(f"nonlinearity argument {m.min()} below quantum order {K}")
+    top = int(m.max(initial=K))
+    den, num = (values[m - K] for values in product_table(model).laguerre(top - K))
+    poles = np.flatnonzero(np.abs(den) < _LAGUERRE_FLOOR)
+    if poles.size:
+        j = int(poles[0])
+        raise _singular_factor(model.eta_sq, int(m[j]), K, den[j])
+    lf = log_factorials(top)
+    return np.exp(lf[m - K] - lf[m]) * (num / den)
 
 
 def eigen_residual(cfg: FanConfig, v: FockVector) -> float:

@@ -82,46 +82,3 @@ def _grow_laguerre(vals, m: int, x: float, n: int) -> None:
     for i in range(i, n):
         prev, cur = cur, ((2 * i + 1 + m - x) * cur - (i + m) * prev) / (i + 1)
         vals.append(cur)
-
-
-# up to this many pairs a float loop per pair costs less than numpy's
-# per-call overhead on every degree (one model per scan row has two)
-_FEW_PAIRS = 4
-
-
-class LaguerreRows:
-    """L_0^m[r](x[r]) .. L_n^m[r](x[r]) for many pairs (m[r], x[r]) at once.
-
-    Row i of `upto(n)` holds degree i of every pair.  The recurrence of
-    `_grow_laguerre` runs on all pairs together, one numpy step per
-    degree, with the same operations in the same order, so each value is
-    the float the scalar loop gives.  A few pairs run that loop itself.
-    """
-
-    def __init__(self, m: np.ndarray, x: np.ndarray) -> None:
-        self.m = np.asarray(m)
-        self.x = np.asarray(x, dtype=float)
-        self._vals = np.ones((1, self.x.size))
-
-    def upto(self, n: int) -> np.ndarray:
-        vals = self._vals
-        if n < vals.shape[0]:
-            return vals[: n + 1]
-        m, x = self.m, self.x
-        if 0 < x.size <= _FEW_PAIRS:
-            cols = vals.T.tolist()
-            for col, m_r, x_r in zip(cols, m.tolist(), x.tolist()):
-                _grow_laguerre(col, m_r, x_r, n)
-            vals = np.array(cols).T
-        else:
-            if vals.shape[0] == 1:
-                vals = np.vstack((vals, (1.0 + m) - x))
-            d = np.arange(vals.shape[0], n + 1)[:, None]  # degrees to add
-            rise = list(((2 * d - 1) + m) - x)
-            fall = list((d - 1 + m).astype(float))
-            rows = list(vals[-2:])
-            for r in range(d.size):
-                rows.append((rise[r] * rows[-1] - fall[r] * rows[-2]) / int(d[r, 0]))
-            vals = np.vstack([vals, *rows[2:]])
-        self._vals = vals
-        return vals

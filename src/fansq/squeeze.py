@@ -20,16 +20,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, FansqError, finite_float, nonnegative_float, positive_int
-from .fanstate import (
-    DEFAULT_CONTROL,
-    STOPPED,
-    FanConfig,
-    MomentRowPlan,
-    NonlinearModel,
-    SeriesControl,
-    _nonnegative_array,
-    moment,
-)
+from .fanstate import DEFAULT_CONTROL, FanConfig, SeriesControl, moment
 from .specfun import double_factorial
 
 
@@ -128,70 +119,6 @@ def coefficients(
     moments = {(l, m): moment(cfg, l, m, ctl) for l, m in _moment_pairs(cfg.k, N)}
     const, harmonics = _assemble(cfg.k, N, moments)
     return SqueezeCoeffs(k=cfg.k, N=N, constant=const, harmonics=tuple(harmonics))
-
-
-@dataclass(frozen=True)
-class SqueezeRow:
-    """`SqueezeCoeffs` of a row of points of one order k, as arrays over the nodes.
-
-    constant[j] and harmonics[p-1][j] belong to node j.  outcome[j] is
-    the `MomentRow` outcome code of node j: STOPPED where its series
-    converged, else how the first one failed; its coefficients are NaN
-    then.
-    """
-
-    k: int
-    N: int
-    constant: np.ndarray
-    harmonics: tuple[np.ndarray, ...]
-    outcome: np.ndarray
-
-    @property
-    def ok(self) -> np.ndarray:
-        """True at the nodes whose series converged."""
-        return self.outcome == STOPPED
-
-    def squeeze_parameter(self, phi: float) -> np.ndarray:
-        """`squeeze_parameter` at every node, bit for bit; NaN where the series failed.
-
-        Raises the FansqError of the first converged node, in row order,
-        below the positivity bound.
-        """
-        s = _cosine_sum(self.constant, self.harmonics, self.k, phi)
-        ok = self.ok
-        low = ok & ~(s >= _lower_bound(self.N))
-        if low.any():
-            raise _below_bound(float(s[low.argmax()]), self.N)
-        return np.where(ok, s, np.nan)
-
-
-class SqueezeRowPlan:
-    """`coefficients` for many points of one order k, as arrays.
-
-    Node j of `run(models)` holds what `coefficients(FanConfig.from_xi_sq(k,
-    xi_sq[j], models[j]), N, ctl)` returns, up to rounding, or the
-    outcome code of the error it raises.  The plan checks N and every
-    xi_sq, takes the square roots and holds the `MomentRowPlan` of the
-    moments the decomposition needs, so all series of a row are summed
-    together and no per-node object is built.  A scan keeps one plan
-    for its whole xi_sq axis.
-    """
-
-    def __init__(
-        self, k: int, xi_sq: Sequence[float], N: int, ctl: SeriesControl = DEFAULT_CONTROL
-    ) -> None:
-        _check_order(N)
-        xi = np.sqrt(_nonnegative_array("xi_sq", xi_sq)).tolist()
-        positive_int("fan order k", k)  # before `_moment_pairs` divides by it
-        self.k, self.N = k, N
-        self.moments = MomentRowPlan(k, xi, _moment_pairs(k, N), ctl)
-
-    def run(self, models: Sequence[NonlinearModel]) -> SqueezeRow:
-        row = self.moments.run(models)
-        const, harmonics = _assemble(self.k, self.N, row.values)
-        return SqueezeRow(
-            k=self.k, N=self.N, constant=const, harmonics=tuple(harmonics), outcome=row.outcome
-        )
 
 
 def _cosine_sum(constant: Any, harmonics: Sequence[Any], k: int, phi: float) -> Any:

@@ -1,7 +1,7 @@
 """Laguerre values by the plain ascending recurrence, for the reference paths of the tests.
 
 The package keeps Laguerre values in tables (the lists of
-`fanstate.ProductTable`, and `specfun.LaguerreRows`).  The tests check
+`fanstate.ProductTable`, and `rows.LaguerreRows`).  The tests check
 those tables against this plain evaluation of the same recurrence, and
 use it to locate poles.
 """

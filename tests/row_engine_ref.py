@@ -12,15 +12,14 @@ import math
 
 import numpy as np
 
-from fansq.fanstate import (
+from fansq.fanstate import _LOG_HUGE, SeriesControl
+from fansq.rows import (
     _FIRST_BLOCK,
-    _LOG_HUGE,
     CAPPED,
     OVERFLOW,
     RUNNING,
     SINGULAR,
     STOPPED,
-    SeriesControl,
     _Columns,
     _Lattice,
 )

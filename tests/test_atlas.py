@@ -30,16 +30,14 @@ from fansq.errors import (
 )
 from fansq.fanstate import (
     DEFAULT_CONTROL,
-    STOPPED,
     FanConfig,
     Identity,
     SeriesControl,
     TrappedIon,
 )
+from fansq.rows import STOPPED, SqueezeRow, SqueezeRowPlan
 from fansq.squeeze import (
     SqueezeCoeffs,
-    SqueezeRow,
-    SqueezeRowPlan,
     coefficients,
     squeeze_parameter,
     vacuum_benchmark,

@@ -20,16 +20,15 @@ from fansq.fanstate import (
     DriveParams,
     FanConfig,
     Identity,
-    MomentRowPlan,
     SeriesControl,
     ProductTable,
     TrappedIon,
     moment,
-    nonlinearity_values,
     normalization,
     xi_from_drive,
 )
-from fansq.fockoracle import fock_coefficients
+from fansq.fockoracle import fock_coefficients, nonlinearity_values
+from fansq.rows import MomentRowPlan
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import fansq
 import fansq.atlas
 import fansq.cli
 import fansq.fanstate as fanstate
-import fansq.specfun
+import fansq.rows as rows
 import fansq.squeeze as squeeze
 from fansq.atlas import (
     STATUS_NOT_CONVERGED,
@@ -36,23 +36,25 @@ from fansq.atlas import (
 )
 from fansq.errors import DomainError, FansqError, SeriesNotConverged, SingularNonlinearity
 from fansq.fanstate import (
-    CAPPED,
     DEFAULT_CONTROL,
+    FanConfig,
+    Identity,
+    SeriesControl,
+    TrappedIon,
+    moment,
+)
+from fansq.rows import (
+    CAPPED,
     OVERFLOW,
     SINGULAR,
     STOPPED,
-    FanConfig,
-    Identity,
     MomentRowPlan,
-    SeriesControl,
-    TrappedIon,
+    SqueezeRow,
+    SqueezeRowPlan,
     convergence_depth,
-    moment,
 )
 from fansq.squeeze import (
     SqueezeCoeffs,
-    SqueezeRow,
-    SqueezeRowPlan,
     coefficients,
     squeeze_parameter,
     vacuum_benchmark,
@@ -380,13 +382,13 @@ def test_a_stop_on_the_odd_index_past_the_cap_is_capped(lm, n_max):
 
 def test_c08_scan_builds_only_even_term_rows(monkeypatch):
     cells = []
-    block = fanstate._term_block
+    block = rows._term_block
 
     def counting(lat, k, a, b, p, out):
         cells.append(out.size)
         return block(lat, k, a, b, p, out)
 
-    monkeypatch.setattr(fanstate, "_term_block", counting)
+    monkeypatch.setattr(rows, "_term_block", counting)
     grid = GridSpec(
         xi_sq=AxisRange(0.01, 1.0, 101), eta_sq=AxisRange(0.01, 1.0, 101), k=1, N=4, phi=math.pi / 4
     )
@@ -398,7 +400,7 @@ def test_c08_scan_builds_only_even_term_rows(monkeypatch):
 def _laguerre_degree_pairs(monkeypatch):
     """Count degrees times pairs that `LaguerreRows` adds to its tables."""
     count = [0]
-    upto = fansq.specfun.LaguerreRows.upto
+    upto = rows.LaguerreRows.upto
 
     def counting(self, n):
         before = self._vals.shape[0]
@@ -406,7 +408,7 @@ def _laguerre_degree_pairs(monkeypatch):
         count[0] += (self._vals.shape[0] - before) * self.x.size
         return vals
 
-    monkeypatch.setattr(fansq.specfun.LaguerreRows, "upto", counting)
+    monkeypatch.setattr(rows.LaguerreRows, "upto", counting)
     return count
 
 
@@ -479,7 +481,7 @@ def _kernel_rows(draw):
 def _run_on_both_kernels(k, xi, models, pairs, ctl):
     """Run one plan; every kernel call is replayed on the earlier kernel and must match it."""
     calls = []
-    kernel = fanstate._sum_columns
+    kernel = rows._sum_columns
 
     def both(lat, k, p, ctl, ends):
         got = kernel(lat, k, p, ctl, ends)
@@ -490,7 +492,7 @@ def _run_on_both_kernels(k, xi, models, pairs, ctl):
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fanstate, "_sum_columns", both)
+        mp.setattr(rows, "_sum_columns", both)
         row = MomentRowPlan(k, xi, pairs, ctl).run(models)
     return row, calls
 
@@ -603,7 +605,7 @@ def test_a_plan_run_on_many_rows_gives_each_row_its_one_call_bits(k):
 def test_a_run_hashes_each_model_object_once_and_equal_models_share_a_column(monkeypatch):
     hashed, lattices = [], []
     model_hash = TrappedIon.__hash__
-    lattice = fanstate._Lattice
+    lattice = rows._Lattice
 
     def counting(self):
         hashed.append(self)
@@ -614,7 +616,7 @@ def test_a_run_hashes_each_model_object_once_and_equal_models_share_a_column(mon
         return lattice(models, step)
 
     monkeypatch.setattr(TrappedIon, "__hash__", counting)
-    monkeypatch.setattr(fanstate, "_Lattice", recording)
+    monkeypatch.setattr(rows, "_Lattice", recording)
     model, twin = TrappedIon(eta_sq=0.3, quantum_order=2), TrappedIon(eta_sq=0.3, quantum_order=2)
     xi_sq = [0.02 * i for i in range(1, 51)]
     row = coefficients_row(1, xi_sq, [model, twin] * 25, 4)
@@ -662,8 +664,8 @@ def test_c08_scan_takes_ln_xi_and_xi_powers_once_per_axis_value(monkeypatch):
         return x**diff
 
     counted = types.SimpleNamespace(**{**vars(math), "log": log})
-    monkeypatch.setattr(fanstate, "math", counted)
-    monkeypatch.setattr(fanstate, "_xi_power", power)
+    monkeypatch.setattr(rows, "math", counted)
+    monkeypatch.setattr(rows, "_xi_power", power)
     scan(grid, "trapped-ion")
     # one per node of the grid, 10,201, when every row took its own
     assert sorted(logs) == sorted(xi)
@@ -704,13 +706,13 @@ def test_rho_at_or_past_one_predicts_the_cap_or_the_first_overflow(k, monkeypatc
     assert convergence_depth(k, xi, models, capped)[1].tolist() == [40] * 5
     # both engines fail them at once, naming rho, with the cap's error and code
     lattices = []
-    lattice = fanstate._Lattice
+    lattice = rows._Lattice
 
     def recording(models, step):
         lattices.append(list(models))
         return lattice(models, step)
 
-    monkeypatch.setattr(fanstate, "_Lattice", recording)
+    monkeypatch.setattr(rows, "_Lattice", recording)
     row = moment_row(k, xi, models, squeeze._moment_pairs(k, 4 * k))
     assert row.outcome.tolist() == [CAPPED] * 5
     assert lattices == [[]]  # no term summed, no product built
@@ -750,13 +752,13 @@ def test_prediction_follows_the_stops_of_the_c08_rows(monkeypatch):
     # per row: the deepest index the scalar path sums, which is where
     # the engine's columns stop too
     predicted = []
-    sum_columns = fanstate._sum_columns
+    sum_columns = rows._sum_columns
 
     def recording(lat, k, p, ctl, ends):
         predicted.append(int((p.n0 + p.n0 % 2 + 2 * (ends - 1)).max()))
         return sum_columns(lat, k, p, ctl, ends)
 
-    monkeypatch.setattr(fanstate, "_sum_columns", recording)
+    monkeypatch.setattr(rows, "_sum_columns", recording)
     grid = _c08_grid()
     scan(grid, "trapped-ion")
     exps = []
@@ -831,7 +833,7 @@ def test_prediction_moves_no_value_and_no_error(data, k, extra):
     # no prediction, all at the cap, and one that ends a block mid-series
     for depth in (0, ctl.n_max, data.draw(st.integers(min_value=2, max_value=400))):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fanstate, "convergence_depth", _no_prediction(depth))
+            mp.setattr(rows, "convergence_depth", _no_prediction(depth))
             off = moment_row(k, xi, models, pairs, ctl)
         for lm in pairs:
             assert off.values[lm].tobytes() == row.values[lm].tobytes(), (lm, depth)

@@ -19,20 +19,23 @@ from hypothesis import strategies as st
 import fansq.fanstate as fanstate
 from fansq.errors import DomainError, FansqError, SeriesNotConverged, SingularNonlinearity
 from fansq.fanstate import (
-    CAPPED,
     DEFAULT_CONTROL,
-    STOPPED,
     FanConfig,
     Identity,
-    MomentRowPlan,
     SeriesControl,
     TrappedIon,
     moment,
-    nonlinearity_values,
     normalization,
     product_table,
 )
-from fansq.fockoracle import FockVector, eigen_residual, fock_coefficients, oracle_vector
+from fansq.fockoracle import (
+    FockVector,
+    eigen_residual,
+    fock_coefficients,
+    nonlinearity_values,
+    oracle_vector,
+)
+from fansq.rows import CAPPED, STOPPED, MomentRowPlan
 from fansq.specfun import log_factorial
 from fansq.squeeze import coefficients
 from laguerre_ref import laguerre

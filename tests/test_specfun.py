@@ -11,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fansq.fanstate import ProductTable, TrappedIon
+from fansq.rows import LaguerreRows
 from fansq.specfun import (
-    LaguerreRows,
     _LogFactorialTable,
     double_factorial,
     log_factorial,

@@ -29,8 +29,7 @@ import time
 
 import numpy as np
 
-import fansq.fanstate as fanstate
-import fansq.specfun as specfun
+import fansq.rows as rows
 import row_engine_ref
 from fansq.atlas import AxisRange, GridSpec, scan
 
@@ -50,8 +49,8 @@ def record_c08():
         xi_sq=AxisRange(0.01, 1.0, 101), eta_sq=AxisRange(0.01, 1.0, 101), k=1, N=4, phi=math.pi / 4
     )
     calls, blocks, growths, degree_pairs = [], [], [], [0]
-    sum_columns, term_block = fanstate._sum_columns, fanstate._term_block
-    grow, upto = specfun._grow_laguerre, specfun.LaguerreRows.upto
+    sum_columns, term_block = rows._sum_columns, rows._term_block
+    grow, upto = rows._grow_laguerre, rows.LaguerreRows.upto
 
     def recording_sum(*args):
         calls.append(args)
@@ -71,13 +70,13 @@ def record_c08():
         degree_pairs[0] += (self._vals.shape[0] - before) * self.x.size
         return vals
 
-    fanstate._sum_columns, fanstate._term_block = recording_sum, recording_block
-    specfun._grow_laguerre, specfun.LaguerreRows.upto = recording_grow, counting_upto
+    rows._sum_columns, rows._term_block = recording_sum, recording_block
+    rows._grow_laguerre, rows.LaguerreRows.upto = recording_grow, counting_upto
     try:
         scan(grid, "trapped-ion")
     finally:
-        fanstate._sum_columns, fanstate._term_block = sum_columns, term_block
-        specfun._grow_laguerre, specfun.LaguerreRows.upto = grow, upto
+        rows._sum_columns, rows._term_block = sum_columns, term_block
+        rows._grow_laguerre, rows.LaguerreRows.upto = grow, upto
     ledger = {
         "engine_calls": len(calls),
         "term_blocks": len(blocks),
@@ -99,21 +98,21 @@ def replays(calls, blocks, growths):
 
     def package_blocks():
         for lat, k, a, b, p, shape in blocks:
-            fanstate._term_block(lat, k, a, b, p, np.empty(shape))
+            rows._term_block(lat, k, a, b, p, np.empty(shape))
 
     starts = []
     for size, m, x, n in growths:  # the values each call started from
         vals = [1.0]
-        specfun._grow_laguerre(vals, m, x, size - 1)
+        rows._grow_laguerre(vals, m, x, size - 1)
         starts.append((vals, m, x, n))
 
     def laguerre(loop):
         return lambda: [loop(list(vals), m, x, n) for vals, m, x, n in starts]
 
     return {
-        "_sum_columns": (sums(row_engine_ref._sum_columns), sums(fanstate._sum_columns)),
+        "_sum_columns": (sums(row_engine_ref._sum_columns), sums(rows._sum_columns)),
         "_term_block": (earlier_blocks, package_blocks),
-        "laguerre_loop": (laguerre(earlier_grow_laguerre), laguerre(specfun._grow_laguerre)),
+        "laguerre_loop": (laguerre(earlier_grow_laguerre), laguerre(rows._grow_laguerre)),
     }
 
 
