@@ -38,6 +38,7 @@ from .atlas import (
 )
 from .errors import DomainError, FansqError, nonnegative_int
 from .fanstate import (
+    DEFAULT_CONTROL,
     DriveParams,
     FanConfig,
     Identity,
@@ -386,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     series = argparse.ArgumentParser(add_help=False)
     g = series.add_argument_group("series control")
-    g.add_argument("--rel-tol", type=float, default=1e-16)
-    g.add_argument("--n-max", type=int, default=5000)
+    g.add_argument("--rel-tol", type=float, default=DEFAULT_CONTROL.rel_tol)
+    g.add_argument("--n-max", type=int, default=DEFAULT_CONTROL.n_max)
 
     # one output block per default format: parents share their argument
     # objects, so set_defaults on one subcommand would change the others

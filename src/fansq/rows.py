@@ -79,12 +79,10 @@ class LaguerreRows:
                 _grow_laguerre(col, m_r, x_r, n)
             vals = np.array(cols).T
         else:
-            if vals.shape[0] == 1:
-                vals = np.vstack((vals, (1.0 + m) - x))
             d = np.arange(vals.shape[0], n + 1)[:, None]  # degrees to add
             rise = list(((2 * d - 1) + m) - x)
             fall = list((d - 1 + m).astype(float))
-            rows = list(vals[-2:])
+            rows = [np.zeros(x.size), *vals[-2:]][-2:]  # degree 1 comes from L_{-1} = 0
             for r in range(d.size):
                 rows.append((rise[r] * rows[-1] - fall[r] * rows[-2]) / int(d[r, 0]))
             vals = np.vstack([vals, *rows[2:]])

@@ -6,6 +6,7 @@ files can be inspected without spawning subprocesses.
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import math
 import pytest
 
 from fansq.cli import _axis_range, build_parser, main
-from fansq.fanstate import FanConfig, Identity
+from fansq.fanstate import FanConfig, Identity, SeriesControl
 from fansq.squeeze import coefficients, squeeze_parameter
 
 
@@ -458,6 +459,18 @@ def _subparsers() -> dict:
 
 def test_every_subcommand_is_covered():
     assert set(_subparsers()) == set(SUBCOMMANDS)
+
+
+def test_the_series_flags_default_to_the_series_control_defaults():
+    # SeriesControl holds the defaults; a copy in the parser would drift from them
+    want = {name: repr(value) for name, value in dataclasses.asdict(SeriesControl()).items()}
+    seen = []
+    for cmd, sub in _subparsers().items():
+        defaults = {a.dest: repr(a.default) for a in sub._actions if a.dest in want}
+        if defaults:
+            assert defaults == want, cmd
+            seen.append(cmd)
+    assert sorted(seen) == sorted(set(SUBCOMMANDS) - {"xi-from-drive"})
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -174,3 +174,79 @@ def test_importing_the_package_loads_neither_numpy_polynomial_nor_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The modules of the package that a module's import statements name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("fansq.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("fansq."):
+                names.add(module.split(".")[1])
+            elif node.level and module:
+                names.add(module.split(".")[0])
+            elif node.level or module == "fansq":  # from . import rows
+                names |= {a.name for a in node.names}
+    return names
+
+
+def _top_level_names(tree: ast.Module, imports: bool = True) -> set[str]:
+    """Names a module binds at its top level: its defs and assignments, and its imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def test_only_atlas_imports_the_row_engine_and_its_names_live_in_rows_alone():
+    # one module decides how a row of points is summed and how its failures are coded
+    paths = sorted(SRC.glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    importers = sorted(name for name, tree in trees.items() if "rows" in _package_imports(tree))
+    assert importers == ["atlas"]
+    engine = _top_level_names(trees["rows"], imports=False)
+    assert {"LaguerreRows", "convergence_depth", "MomentRowPlan", "SqueezeRowPlan"} <= engine
+    # defined or re-exported by a module the engine was taken out of
+    for home in ("fanstate", "squeeze", "specfun"):
+        assert _top_level_names(trees[home]) & engine == set(), home
+    assert _package_imports(ast.parse("import fansq.rows\nfrom . import rows\n")) == {"rows"}
+
+
+def _call_time_log_factorial_reads(tree: ast.Module) -> list[int]:
+    """Lines inside a function that read an attribute of `log_factorial`."""
+    lines = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and "log_factorial" in (
+                    getattr(node.value, "id", None),
+                    getattr(node.value, "attr", None),
+                ):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_function_of_the_package_reads_an_attribute_of_log_factorial():
+    # a traced run swaps specfun.log_factorial for a plain function in every
+    # module of the package: its methods are bound at import, never looked up in a call
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if lines := _call_time_log_factorial_reads(ast.parse(path.read_text(), filename=str(path))):
+            found[path.name] = lines
+    assert found == {}
+    calls = (
+        "live = log_factorial.live\n"
+        "def a(n):\n    return log_factorial.upto(n)\n"
+        "def b(n):\n    return specfun.log_factorial.live(n)\n"
+        "def c(n):\n    return log_factorial(n)\n"
+    )
+    assert _call_time_log_factorial_reads(ast.parse(calls)) == [3, 5]
