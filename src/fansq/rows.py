@@ -153,8 +153,8 @@ _NO_POLE = np.iinfo(np.int64).max
 class _Lattice:
     """Signed log-products of f at multiples of 2k, one column per distinct model.
 
-    Entry [i, g] holds the product that `ProductTable` holds at index i
-    for model g, f(2k) f(4k) ... f(2k i).  It is built from the same
+    Entry [i, g] holds the product that `fanstate.ProductTable` holds at
+    index i for model g, f(2k) f(4k) ... f(2k i).  It is built from the same
     Laguerre values and log-factorials in the same order, so only the
     logs may round differently.  pole[g] is the first index whose
     product is singular, or _NO_POLE; entries from there on repeat the
@@ -265,7 +265,7 @@ def _first(mask: np.ndarray) -> np.ndarray:
 
 
 def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns, out: np.ndarray):
-    """Terms at rows a..b-1 of every column, as in `_series_sum`, into out.
+    """Terms at rows a..b-1 of every column, as in `fanstate._series_sum`, into out.
 
     Row r is the even summation index e0 + 2r, e0 = n0 rounded up to
     even; each table is read through a strided view of its rows, with
@@ -301,7 +301,7 @@ def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns, out: np.ndar
     signs = _rows(sign, 2 * wide * a, 2 * wide, rows, width)
     out *= signs.take(p.first, axis=1)
     out *= signs.take(p.second, axis=1)
-    if a == 0:  # the leading normalization term is exactly (2k)^2, as in `normalization`
+    if a == 0:  # the leading normalization term is exactly (2k)^2, as in `fanstate.normalization`
         out[0, p.norm] = float(4 * k * k)
     if lat.pole.min() == _NO_POLE:  # no model of the row meets a pole
         return fail, np.zeros(fail.size, dtype=bool)
@@ -315,7 +315,7 @@ RUNNING, STOPPED, SINGULAR, OVERFLOW, CAPPED = range(5)
 
 
 def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: np.ndarray):
-    """Per-column `_series_sum`: returns the sums and the outcome codes.
+    """Per-column `fanstate._series_sum`: returns the sums and the outcome codes.
 
     The rows are the even terms.  Each column's Neumaier sum is replayed
     as a sequential cumulative sum with its rounding errors summed the
@@ -403,7 +403,7 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
 class MomentRow:
     """Moments of a row of fan states of one order k, one per (xi, model).
 
-    values[(l, m)][j] is `moment(FanConfig(k, xi[j], models[j]), l, m,
+    values[(l, m)][j] is `fanstate.moment(FanConfig(k, xi[j], models[j]), l, m,
     ctl)` up to rounding.  outcome[j] is STOPPED where every series of
     node j stopped (xi = 0 included), else the code of the failure the
     scalar path raises first when it evaluates the pairs in the given
@@ -550,7 +550,7 @@ class MomentRowPlan:
 
 @dataclass(frozen=True)
 class SqueezeRow:
-    """`SqueezeCoeffs` of a row of points of one order k, as arrays over the nodes.
+    """`squeeze.SqueezeCoeffs` of a row of points of one order k, as arrays over the nodes.
 
     constant[j] and harmonics[p-1][j] belong to node j.  outcome[j] is
     the `MomentRow` outcome code of node j: STOPPED where its series
@@ -570,7 +570,7 @@ class SqueezeRow:
         return self.outcome == STOPPED
 
     def squeeze_parameter(self, phi: float) -> np.ndarray:
-        """`squeeze_parameter` at every node, bit for bit; NaN where the series failed.
+        """`squeeze.squeeze_parameter` at every node, bit for bit; NaN where the series failed.
 
         Raises the FansqError of the first converged node, in row order,
         below the positivity bound.
@@ -584,7 +584,7 @@ class SqueezeRow:
 
 
 class SqueezeRowPlan:
-    """`coefficients` for many points of one order k, as arrays.
+    """`squeeze.coefficients` for many points of one order k, as arrays.
 
     Node j of `run(models)` holds what `coefficients(FanConfig.from_xi_sq(k,
     xi_sq[j], models[j]), N, ctl)` returns, up to rounding, or the
