@@ -34,7 +34,7 @@ from .fanstate import (
     SeriesControl,
     TrappedIon,
 )
-from .rows import CAPPED, OVERFLOW, SINGULAR, STOPPED, SqueezeRowPlan
+from .rows import CAPPED, OVERFLOW, SINGULAR, STOPPED, SqueezeRowPlan, convergence_depth
 from .squeeze import (
     SqueezeCoeffs,
     _check_order,
@@ -113,6 +113,29 @@ def _model_for(kind: str, k: int, eta_sq: float) -> NonlinearModel:
     raise DomainError(f"unknown model kind {kind!r}")
 
 
+_RUN_DEPTH = 1.1  # a run's rows predict at most this multiple of its first row's depth
+_RUN_NODES = 2048  # nodes per run, unless one row is wider
+
+
+def _row_runs(depth: list[int], width: int) -> list[range]:
+    """Contiguous rows of `width` nodes, split where the predicted depth grows or the run fills.
+
+    A run's lattice grows every model to the run's deepest row, so a
+    row joins only while its depth is at most `_RUN_DEPTH` times that of
+    the run's first row, and while the run holds at most `_RUN_NODES`
+    nodes, or exactly one row.
+    """
+    most = max(1, _RUN_NODES // width)
+    runs = []
+    start = 0
+    for i, d in enumerate(depth):
+        if i - start == most or d > _RUN_DEPTH * depth[start]:
+            runs.append(range(start, i))
+            start = i
+    runs.append(range(start, len(depth)))
+    return runs
+
+
 def scan(
     grid: GridSpec,
     model_kind: str = "trapped-ion",
@@ -120,19 +143,26 @@ def scan(
 ) -> PhaseDiagram:
     """Evaluate the squeeze parameter at every grid node.
 
-    The xi_sq axis is prepared once (`SqueezeRowPlan`), then each
-    eta_sq row is one run of that plan and one evaluation of S over its
-    arrays.  Rows run in order (eta_sq outer, xi_sq inner), so outputs
-    are reproducible byte for byte.
+    The xi_sq axis is prepared once (`SqueezeRowPlan`).  Contiguous
+    eta_sq rows of like depth, predicted by `convergence_depth` at the
+    axis's largest xi, where a row goes deepest, share one run of that
+    plan and one evaluation of S over its arrays (`_row_runs`).  A node's
+    value does not depend on its run.  Rows run in order (eta_sq outer,
+    xi_sq inner), so outputs are reproducible byte for byte, and the
+    first node below the positivity bound raises first.
     """
     xi_vals = grid.xi_sq.values()
+    width = len(xi_vals)
     plan = SqueezeRowPlan(grid.k, xi_vals, grid.N, ctl)
+    models = [_model_for(model_kind, grid.k, eta_sq) for eta_sq in grid.eta_sq.values()]
+    xi_top = [math.sqrt(max(xi_vals))] * len(models)
+    _, depth = convergence_depth(grid.k, xi_top, models, ctl)
     values: list[np.ndarray] = []
     status: list[list[str]] = []
-    for eta_sq in grid.eta_sq.values():
-        row = plan.run([_model_for(model_kind, grid.k, eta_sq)] * len(xi_vals))
-        values.append(row.squeeze_parameter(grid.phi))
-        status.append([_STATUS[code] for code in row.outcome.tolist()])
+    for run in _row_runs(depth.tolist(), width):
+        row = plan.run([models[i] for i in run for _ in range(width)])
+        values.extend(row.squeeze_parameter(grid.phi).reshape(-1, width))
+        status.extend([_STATUS[c] for c in codes] for codes in row.outcome.reshape(-1, width).tolist())
     return PhaseDiagram(grid=grid, values=np.array(values, dtype=float), status=status)
 
 

@@ -23,9 +23,12 @@ exist on the scalar path only.  The row path fills none of the scalar
 path's memo tables.  It runs in two steps: a `MomentRowPlan` takes what
 depends on (k, xi, pairs, ctl) alone (the checks, the series and their
 order, ln xi, the column parameters and xi^(l - m)), and its `run` does
-the rest for one list of models.  A scan makes one plan for its xi axis
-and runs it once per eta_sq row; a `SqueezeRowPlan` assembles the
-decomposition of `fansq.squeeze` from those moments.
+the rest for R stacked rows of models over that xi, tiling the plan's
+per-node columns.  A scan makes one plan for its xi axis and runs it
+once per run of contiguous eta_sq rows of like predicted depth, since
+the lattice grows every model of a run to its deepest row; a
+`SqueezeRowPlan` assembles the decomposition of `fansq.squeeze` from
+those moments.
 """
 
 from __future__ import annotations
@@ -49,9 +52,11 @@ from .fanstate import (
 from .specfun import _grow_laguerre, log_factorials
 from .squeeze import _assemble, _below_bound, _check_order, _cosine_sum, _lower_bound, _moment_pairs
 
-# up to this many pairs a float loop per pair costs less than numpy's
-# per-call overhead on every degree (one model per scan row has two)
-_FEW_PAIRS = 4
+# up to this many pairs the float loop per pair is faster: it costs about
+# 0.2 us per pair and degree, one numpy step over all pairs 2.2-3 us per
+# degree from 2 to 16 pairs (`tools/row_kernel_ab.py`); a scan run has
+# two pairs per row of one model
+_FEW_PAIRS = 12
 
 
 class LaguerreRows:
@@ -438,7 +443,8 @@ class MomentRowPlan:
     xi, the series each node needs and their order, ln xi per live node
     and the column parameters of the term block, and xi^(l - m) per
     series and live node, with `math.log` and `**` as the scalar path
-    takes them.  `run` does the rest for one list of models, one per xi.
+    takes them.  `run` does the rest for R rows of models, one per xi in
+    each row, and tiles these R times, so one plan serves every row.
     """
 
     def __init__(
@@ -498,15 +504,22 @@ class MomentRowPlan:
             self.outputs.append(((l, m), series.index(lm) if lm in series else None, at_zero))
 
     def run(self, models: Sequence[NonlinearModel]) -> MomentRow:
-        """The moments at models[j] for each xi[j], in one term block.
+        """The moments of R stacked rows of the plan's xi, in one term block.
 
+        models holds R * len(xi) models, row-major: node r * len(xi) + j
+        is xi[j] with models[r * len(xi) + j].  The per-node columns, ln xi
+        and xi^(l - m) are the plan's, tiled R times, never recomputed.
         A trapped-ion node at rho >= 1 is CAPPED without a term summed,
         as the scalar path raises there at once.  The lattice of products
         is built once per distinct model of the other nodes, up front to
         the deepest index `convergence_depth` predicts.
         """
-        k, ctl, live, series = self.k, self.ctl, self.live, self.series
-        rho, depth = convergence_depth(k, self.xi, models, ctl)
+        k, ctl, series, width = self.k, self.ctl, self.series, len(self.xi)
+        reps = len(models) // width if width else 1
+        if not reps or len(models) != reps * width:
+            raise DomainError(f"need one model per xi in each row, got {len(models)} for {width}")
+        rho, depth = convergence_depth(k, self.xi * reps, models, ctl)
+        live = (np.arange(reps)[:, None] * width + self.live).ravel()
         summed = np.flatnonzero(rho[live] < 1)  # positions in live
         nodes = live[summed].tolist()
         # a row shares few model objects: hash each once; equal models share a column
@@ -515,10 +528,10 @@ class MomentRowPlan:
         by_id = {i: groups.setdefault(model, len(groups)) for i, model in objects.items()}
         group = [by_id[id(models[j])] for j in nodes]
         lat = _Lattice(list(groups), 2 * k)
-        params, e0 = self.columns, self.e0
-        if summed.size < live.size:
-            cols = (np.arange(len(series))[:, None] * live.size + summed).ravel()
-            params, e0 = params.take(cols), e0[cols]
+        # the plan's columns of every summed node: series-major, then node
+        plan_live = self.live.size
+        cols = (np.arange(len(series))[:, None] * plan_live + summed % plan_live).ravel()
+        params, e0 = self.columns.take(cols), self.e0[cols]
         g = np.tile(np.array(group, dtype=int), len(series))
         first, second = lat.positions(e0, e0 + params.shift, params.norm, g)
         params = params._replace(g=g, first=first, second=second)
@@ -533,15 +546,15 @@ class MomentRowPlan:
         part_sums, part_outcome = _sum_columns(lat, k, params, ctl, stop_row + 1)
         sums[:, summed] = part_sums.reshape(shape)
         outcome[:, summed] = part_outcome.reshape(shape)
-        code = np.full(len(self.xi), STOPPED)
+        code = np.full(len(models), STOPPED)
         if series:  # the first series that did not stop, in the scalar path's order
             code[live] = outcome[(outcome != STOPPED).argmax(axis=0), np.arange(live.size)]
         failed = code != STOPPED
         values = {}
         for pair, s_idx, at_zero in self.outputs:
-            v = at_zero.copy()
+            v = np.tile(at_zero, reps)
             if s_idx is not None:
-                scale = np.where(failed[live], 0.0, self.powers[s_idx])
+                scale = np.where(failed[live], 0.0, np.tile(self.powers[s_idx], reps))
                 v[live] = scale * sums[s_idx] / sums[1]
             v[failed] = np.nan
             values[pair] = v
@@ -586,13 +599,14 @@ class SqueezeRow:
 class SqueezeRowPlan:
     """`squeeze.coefficients` for many points of one order k, as arrays.
 
-    Node j of `run(models)` holds what `coefficients(FanConfig.from_xi_sq(k,
-    xi_sq[j], models[j]), N, ctl)` returns, up to rounding, or the
-    outcome code of the error it raises.  The plan checks N and every
-    xi_sq, takes the square roots and holds the `MomentRowPlan` of the
-    moments the decomposition needs, so all series of a row are summed
-    together and no per-node object is built.  A scan keeps one plan
-    for its whole xi_sq axis.
+    `run(models)` takes R stacked rows, R * len(xi_sq) models, row-major.
+    Its node r * len(xi_sq) + j holds what `coefficients(FanConfig.from_xi_sq(k,
+    xi_sq[j], models[r * len(xi_sq) + j]), N, ctl)` returns, up to
+    rounding, or the outcome code of the error it raises, whichever rows
+    share the run.  The plan checks N and every xi_sq, takes the square
+    roots and holds the `MomentRowPlan` of the moments the decomposition
+    needs, so all series of a run are summed together and no per-node
+    object is built.  A scan keeps one plan for its whole xi_sq axis.
     """
 
     def __init__(

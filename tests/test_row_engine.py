@@ -436,6 +436,41 @@ def test_c08_scan_sizes_its_lattice_once_and_builds_no_node_objects(monkeypatch)
     assert 0 < degrees[0] <= 72_000
 
 
+def test_c08_scan_shares_engine_calls_between_rows_of_like_depth(monkeypatch):
+    calls, blocks = [], []
+    sum_columns, block = rows._sum_columns, rows._term_block
+
+    def counting_sum(*args):
+        calls.append(1)
+        return sum_columns(*args)
+
+    def counting_block(*args):
+        blocks.append(1)
+        return block(*args)
+
+    monkeypatch.setattr(rows, "_sum_columns", counting_sum)
+    monkeypatch.setattr(rows, "_term_block", counting_block)
+    scan(_c08_grid(), "trapped-ion")
+    # 101 calls and 300 blocks with one call per eta_sq row
+    assert 0 < len(calls) <= 40
+    assert 0 < len(blocks) <= 160
+
+
+def test_an_identity_scan_hands_no_call_more_than_2048_nodes(monkeypatch):
+    # every row of an identity scan predicts the same depth, so only the node cap splits runs
+    sizes = []
+    run = MomentRowPlan.run
+
+    def recording(self, models):
+        sizes.append(len(models))
+        return run(self, models)
+
+    monkeypatch.setattr(MomentRowPlan, "run", recording)
+    scan(_c08_grid(), "identity")
+    assert sum(sizes) == 101 * 101
+    assert max(sizes) == 20 * 101  # 20 whole rows: the most within 2,048 nodes
+
+
 # ---------------------------------------------------------------------------
 # the kernel against the earlier kernel, bit for bit
 
@@ -627,6 +662,66 @@ def test_a_run_hashes_each_model_object_once_and_equal_models_share_a_column(mon
     assert row.constant.tobytes() == alone.constant.tobytes()
 
 
+@st.composite
+def _stacked_rows(draw):
+    """An xi^2 axis with xi = 0 nodes, and rows of one model each to stack on it.
+
+    The models are the identity, trapped-ion models up to eta^2 = 2, so
+    that rows reach rho >= 1, and models beside the zero of L_2k^0.
+    """
+    k = draw(st.sampled_from([1, 2, 3]))
+    xi_sq = draw(st.lists(st.floats(min_value=1e-3, max_value=3.0), min_size=1, max_size=5))
+    xi_sq = draw(st.permutations(xi_sq + [0.0] * draw(st.integers(min_value=1, max_value=2))))
+    ion = st.floats(min_value=0.01, max_value=2.0).map(lambda e: TrappedIon(e, 2 * k))
+    model = st.one_of(st.just(Identity()), st.sampled_from(_pole_side_models(k)), ion)
+    models = draw(st.lists(model, min_size=2, max_size=6))
+    return k, xi_sq, models, 4 * k + draw(st.sampled_from([0, 4]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_stacked_rows())
+@example(
+    case=(1, [0.3, 0.0, 1.0, 2.0], [Identity()] + _pole_side_models(1)[:2] + [TrappedIon(1.5, 2)], 8)
+)
+def test_a_run_of_stacked_rows_gives_each_row_its_one_row_bits(case):
+    k, xi_sq, models, N = case
+    plan = SqueezeRowPlan(k, xi_sq, N)
+    stacked = plan.run([model for model in models for _ in xi_sq])
+    alone = [plan.run([model] * len(xi_sq)) for model in models]
+    got = (stacked.constant, *stacked.harmonics, stacked.outcome)
+    for a, b in zip(got, zip(*((r.constant, *r.harmonics, r.outcome) for r in alone)), strict=True):
+        assert a.tobytes() == np.concatenate(b).tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    xi=st.tuples(st.floats(min_value=0.01, max_value=0.3), st.floats(min_value=0.5, max_value=1.0)),
+    eta=st.tuples(st.floats(min_value=0.01, max_value=0.3), st.floats(min_value=0.5, max_value=0.95)),
+    counts=st.tuples(st.integers(min_value=2, max_value=8), st.integers(min_value=4, max_value=30)),
+    data=st.data(),
+)
+def test_a_batched_scan_raises_the_first_node_below_the_bound_in_node_order(xi, eta, counts, data):
+    # rho runs up to 0.95 on the grid, so its rows fall into several runs; no
+    # node is at xi = 0, where S = 0 in every row, so a value names its node
+    k = data.draw(st.sampled_from([1, 2, 3]))
+    grid = GridSpec(AxisRange(*xi, counts[0]), AxisRange(*eta, counts[1]), k, 4 * k, 0.3)
+    diagram = scan(grid)
+    ok = np.array(diagram.status) == STATUS_OK
+    values = diagram.values[ok].tolist()  # row-major: eta_sq outer, xi_sq inner
+    # a bound in the upper half puts nodes of many runs below it
+    bound = data.draw(st.sampled_from(sorted(values)[len(values) // 2 :]))
+    low = [s for s in values if not s >= bound]
+    # the S check of a row looks its bound up in the row engine's namespace
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rows, "_lower_bound", lambda N: bound)
+        if not low:
+            assert scan(grid).values.tobytes() == diagram.values.tobytes()
+            return
+        with pytest.raises(FansqError) as raised:
+            scan(grid)
+    assert str(raised.value) == str(squeeze._below_bound(low[0], grid.N))
+
+
 def test_a_plan_checks_its_axis_and_its_run_checks_the_models():
     with pytest.raises(DomainError):
         MomentRowPlan(1, [0.1, -0.2], [(1, 1)])
@@ -637,8 +732,9 @@ def test_a_plan_checks_its_axis_and_its_run_checks_the_models():
     with pytest.raises(DomainError):
         SqueezeRowPlan(1, [0.1, math.inf], 4)
     plan = MomentRowPlan(1, [0.1, 0.2], [(1, 1)])
-    with pytest.raises(DomainError):
-        plan.run([Identity()])
+    for count in (0, 1, 3):  # a run takes whole rows of the axis
+        with pytest.raises(DomainError, match="one model per xi in each row"):
+            plan.run([Identity()] * count)
     with pytest.raises(DomainError):
         plan.run([Identity(), TrappedIon(eta_sq=0.2, quantum_order=4)])
 
@@ -748,14 +844,15 @@ def _last_summed_index(cfg, lm, ctl, exps):
 
 
 def test_prediction_follows_the_stops_of_the_c08_rows(monkeypatch):
-    # per engine call: the deepest predicted stop index of its columns;
-    # per row: the deepest index the scalar path sums, which is where
-    # the engine's columns stop too
+    # per row: the deepest predicted stop index of its columns, which
+    # share one lattice group (a c08 row has one model), and the deepest
+    # index the scalar path sums, which is where the engine's columns stop too
     predicted = []
     sum_columns = rows._sum_columns
 
     def recording(lat, k, p, ctl, ends):
-        predicted.append(int((p.n0 + p.n0 % 2 + 2 * (ends - 1)).max()))
+        stops = p.n0 + p.n0 % 2 + 2 * (ends - 1)
+        predicted.extend(int(stops[p.g == g].max()) for g in np.unique(p.g))
         return sum_columns(lat, k, p, ctl, ends)
 
     monkeypatch.setattr(rows, "_sum_columns", recording)

@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    PYTHONPATH=src:tests python3 tools/row_kernel_ab.py [--repeats 9]
+    PYTHONPATH=src:tests python3 tools/row_kernel_ab.py [--repeats 9] [--degrees 2000]
 
 One scan of the grid of gate c08 (101 x 101, k = 1, N = 4, the trapped-ion
 model) records every `_sum_columns` call, every term block and every
@@ -17,6 +17,11 @@ Laguerre growth.  The output is one JSON object:
   and the ratio package / earlier.  The earlier kernel is
   `tests/row_engine_ref.py`; the earlier Laguerre loop is the one below.
   The replays share one process and its caches, so compare the ratios.
+* `laguerre_paths`: for 2 to 32 pairs, the two paths of
+  `LaguerreRows.upto` grown from degree 0 to `--degrees`, the scalar
+  loop per pair and the numpy step over all pairs, as the best of
+  `--repeats` timings in microseconds per degree.  A batched scan run
+  has two pairs per row; `rows._FEW_PAIRS` is where the two cross.
 """
 
 from __future__ import annotations
@@ -116,6 +121,36 @@ def replays(calls, blocks, growths):
     }
 
 
+PAIR_COUNTS = (2, 4, 8, 12, 16, 24, 32)
+
+
+def laguerre_paths(degrees: int, repeats: int) -> dict:
+    """Microseconds per degree of each `LaguerreRows` path, per pair count."""
+    few = rows._FEW_PAIRS
+    out = {}
+
+    def grow(m, x, limit):
+        def run():
+            rows._FEW_PAIRS = limit
+            rows.LaguerreRows(m, x).upto(degrees)
+
+        return run
+
+    try:
+        for pairs in PAIR_COUNTS:
+            # half the pairs of order 0 and half of order 2, as the c08 lattice holds
+            m = np.repeat([0, 2], pairs // 2)
+            x = np.tile(np.linspace(0.05, 0.99, pairs // 2), 2)
+            scalar, step = best_times((grow(m, x, pairs), grow(m, x, 0)), repeats)
+            out[pairs] = {
+                "scalar_loop_us": round(scalar / degrees * 1e6, 3),
+                "numpy_step_us": round(step / degrees * 1e6, 3),
+            }
+    finally:
+        rows._FEW_PAIRS = few
+    return out
+
+
 def best_times(pair, repeats: int) -> tuple[float, float]:
     best = [math.inf, math.inf]
     for rep in range(repeats):
@@ -129,6 +164,7 @@ def best_times(pair, repeats: int) -> tuple[float, float]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--degrees", type=int, default=2000)
     args = parser.parse_args()
     ledger, calls, blocks, growths = record_c08()
     layers = {}
@@ -140,8 +176,9 @@ def main() -> None:
             "package_ms": round(package * 1e3, 2),
             "ratio": round(package / earlier, 3),
         }
+    paths = laguerre_paths(args.degrees, args.repeats)
     gc.enable()
-    print(json.dumps({"ledger": ledger, "layers": layers}, indent=1))
+    print(json.dumps({"ledger": ledger, "layers": layers, "laguerre_paths": paths}, indent=1))
 
 
 if __name__ == "__main__":
