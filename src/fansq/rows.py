@@ -1,8 +1,8 @@
 """The row engine: the series of many points of one order k, summed together.
 
 A row is many points of one order k, each with its own xi and model:
-grid scans pass one eta_sq row with a shared model, boundary refinement
-one ITP probe per crossing.  Every series a point needs becomes one
+grid scans pass a run of eta_sq rows, each with one shared model,
+boundary refinement one ITP probe per crossing.  Every series a point needs becomes one
 column of a 2-D numpy block of terms over the even summation indices
 of `fansq.fanstate`'s series (the odd ones are exact zeros).
 `convergence_depth` predicts from rho = xi^2 eta^2 where each point's
@@ -53,9 +53,9 @@ from .specfun import _grow_laguerre, log_factorials
 from .squeeze import _assemble, _below_bound, _check_order, _cosine_sum, _lower_bound, _moment_pairs
 
 # up to this many pairs the float loop per pair is faster: it costs about
-# 0.2 us per pair and degree, one numpy step over all pairs 2.2-3 us per
-# degree from 2 to 16 pairs (`tools/row_kernel_ab.py`); a scan run has
-# two pairs per row of one model
+# 0.21 us per pair and degree, one numpy step over all pairs 2.6-3.1 us
+# per degree from 2 to 32 pairs, so they cross between 12 and 16 pairs
+# (`tools/row_kernel_ab.py`); a scan run has two pairs per row of one model
 _FEW_PAIRS = 12
 
 

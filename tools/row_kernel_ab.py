@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    PYTHONPATH=src:tests python3 tools/row_kernel_ab.py [--repeats 9] [--degrees 2000]
+    PYTHONPATH=src:tests python3 tools/row_kernel_ab.py [--repeats 9]
 
 One scan of the grid of gate c08 (101 x 101, k = 1, N = 4, the trapped-ion
 model) records every `_sum_columns` call, every term block and every
@@ -18,7 +18,7 @@ Laguerre growth.  The output is one JSON object:
   `tests/row_engine_ref.py`; the earlier Laguerre loop is the one below.
   The replays share one process and its caches, so compare the ratios.
 * `laguerre_paths`: for 2 to 32 pairs, the two paths of
-  `LaguerreRows.upto` grown from degree 0 to `--degrees`, the scalar
+  `LaguerreRows.upto` grown from degree 0 to 2,000, the scalar
   loop per pair and the numpy step over all pairs, as the best of
   `--repeats` timings in microseconds per degree.  A batched scan run
   has two pairs per row; `rows._FEW_PAIRS` is where the two cross.
@@ -122,9 +122,10 @@ def replays(calls, blocks, growths):
 
 
 PAIR_COUNTS = (2, 4, 8, 12, 16, 24, 32)
+DEGREES = 2000  # enough that a call's fixed cost is a small share
 
 
-def laguerre_paths(degrees: int, repeats: int) -> dict:
+def laguerre_paths(repeats: int) -> dict:
     """Microseconds per degree of each `LaguerreRows` path, per pair count."""
     few = rows._FEW_PAIRS
     out = {}
@@ -132,7 +133,7 @@ def laguerre_paths(degrees: int, repeats: int) -> dict:
     def grow(m, x, limit):
         def run():
             rows._FEW_PAIRS = limit
-            rows.LaguerreRows(m, x).upto(degrees)
+            rows.LaguerreRows(m, x).upto(DEGREES)
 
         return run
 
@@ -143,8 +144,8 @@ def laguerre_paths(degrees: int, repeats: int) -> dict:
             x = np.tile(np.linspace(0.05, 0.99, pairs // 2), 2)
             scalar, step = best_times((grow(m, x, pairs), grow(m, x, 0)), repeats)
             out[pairs] = {
-                "scalar_loop_us": round(scalar / degrees * 1e6, 3),
-                "numpy_step_us": round(step / degrees * 1e6, 3),
+                "scalar_loop_us": round(scalar / DEGREES * 1e6, 3),
+                "numpy_step_us": round(step / DEGREES * 1e6, 3),
             }
     finally:
         rows._FEW_PAIRS = few
@@ -164,7 +165,6 @@ def best_times(pair, repeats: int) -> tuple[float, float]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
-    parser.add_argument("--degrees", type=int, default=2000)
     args = parser.parse_args()
     ledger, calls, blocks, growths = record_c08()
     layers = {}
@@ -176,7 +176,7 @@ def main() -> None:
             "package_ms": round(package * 1e3, 2),
             "ratio": round(package / earlier, 3),
         }
-    paths = laguerre_paths(args.degrees, args.repeats)
+    paths = laguerre_paths(args.repeats)
     gc.enable()
     print(json.dumps({"ledger": ledger, "layers": layers, "laguerre_paths": paths}, indent=1))
 
