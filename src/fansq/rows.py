@@ -16,10 +16,13 @@ the scalar path: the same terms, the same Neumaier sums (sequential
 cumulative sums plus their exact rounding errors), the same stop rule
 on the same even terms, and the same overflow, pole and term-cap
 checks, so its value does not depend on the block sizes, on the
-prediction or on which columns or models share the block.  A node whose
-series fail gets the outcome code (SINGULAR, OVERFLOW or CAPPED) of the
-failure the scalar path would raise first; the words of that error
-exist on the scalar path only.  The row path fills none of the scalar
+prediction or on which columns or models share the block.  A cumulative
+sum or product runs down the rows of a block as numpy's accumulate
+where the block is narrow and as one addition per row where it is wide
+(`_cumulate`); both add each column in row order, so both give the
+same bits.  A node whose series fail gets the outcome code (SINGULAR,
+OVERFLOW or CAPPED) of the failure the scalar path would raise first;
+the words of that error exist on the scalar path only.  The row path fills none of the scalar
 path's memo tables.  It runs in two steps: a `MomentRowPlan` takes what
 depends on (k, xi, pairs, ctl) alone (the checks, the series and their
 order, ln xi, the column parameters and xi^(l - m)), and its `run` does
@@ -53,10 +56,10 @@ from .specfun import _grow_laguerre, log_factorials
 from .squeeze import _assemble, _below_bound, _check_order, _cosine_sum, _lower_bound, _moment_pairs
 
 # up to this many pairs the float loop per pair is faster: it costs about
-# 0.21 us per pair and degree, one numpy step over all pairs 2.6-3.1 us
-# per degree from 2 to 32 pairs, so they cross between 12 and 16 pairs
+# 0.22 us per pair and degree, one numpy step over all pairs 2.1-2.4 us
+# per degree from 2 to 32 pairs, so they cross at about 10 pairs
 # (`tools/row_kernel_ab.py`); a scan run has two pairs per row of one model
-_FEW_PAIRS = 12
+_FEW_PAIRS = 8
 
 
 class LaguerreRows:
@@ -64,8 +67,9 @@ class LaguerreRows:
 
     Row i of `upto(n)` holds degree i of every pair.  The recurrence of
     `_grow_laguerre` runs on all pairs together, one numpy step per
-    degree, with the same operations in the same order, so each value is
-    the float the scalar loop gives.  A few pairs run that loop itself.
+    degree written in place into one preallocated block, with the
+    same operations in the same order, so each value is the float the
+    scalar loop gives.  A few pairs run that loop itself.
     """
 
     def __init__(self, m: np.ndarray, x: np.ndarray) -> None:
@@ -84,13 +88,21 @@ class LaguerreRows:
                 _grow_laguerre(col, m_r, x_r, n)
             vals = np.array(cols).T
         else:
-            d = np.arange(vals.shape[0], n + 1)[:, None]  # degrees to add
-            rise = list(((2 * d - 1) + m) - x)
-            fall = list((d - 1 + m).astype(float))
-            rows = [np.zeros(x.size), *vals[-2:]][-2:]  # degree 1 comes from L_{-1} = 0
-            for r in range(d.size):
-                rows.append((rise[r] * rows[-1] - fall[r] * rows[-2]) / int(d[r, 0]))
-            vals = np.vstack([vals, *rows[2:]])
+            old = vals.shape[0]
+            grown = np.empty((n + 1, x.size))
+            grown[:old] = vals
+            d = np.arange(old, n + 1)[:, None]  # degrees to add
+            rise = ((2 * d - 1) + m) - x
+            fall = (d - 1 + m).astype(float)
+            prev = grown[old - 2] if old > 1 else np.zeros(x.size)  # L_{-1} = 0 gives degree 1
+            term = np.empty(x.size)
+            for i, up, down in zip(range(old, n + 1), rise, fall):
+                row, cur = grown[i], grown[i - 1]
+                np.multiply(up, cur, out=row)
+                row -= np.multiply(down, prev, out=term)
+                row /= i
+                prev = cur
+            vals = grown
         self._vals = vals
         return vals
 
@@ -103,6 +115,23 @@ def _nonnegative_array(name: str, values: Sequence[float]) -> np.ndarray:
         i = int(bad.argmax())
         nonnegative_float(f"{name}[{i}]", float(arr[i]))
     return arr
+
+
+def _ids(models: Sequence[NonlinearModel]) -> np.ndarray:
+    """The id of each model object, as an array."""
+    return np.fromiter(map(id, models), np.uintp, len(models))
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct key first appears, in order of appearance, and each entry's key's rank.
+
+    first[rank[i]] is the first position holding keys[i].
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
 
 
 _DEPTH_FACTOR = 1.25  # the bare count falls up to 30% short of the deepest stop of a c08 row
@@ -136,10 +165,12 @@ def convergence_depth(
     if len(models) != len(xi):
         raise DomainError(f"need one model per xi, got {len(models)} for {len(xi)}")
     # models repeat along a scan row: check each object once, unhashed
-    for model in {id(model): model for model in models}.values():
+    seen, of = _first_seen(_ids(models))
+    distinct = [models[i] for i in seen.tolist()]
+    for model in distinct:
         _check_fan(k, model)
     xi_arr = _nonnegative_array("xi", xi)
-    eta_sq = np.array([getattr(model, "eta_sq", 0.0) for model in models])
+    eta_sq = np.array([getattr(model, "eta_sq", 0.0) for model in distinct])[of]
     ion = eta_sq > 0
     log_tol = -math.log(ctl.rel_tol)
     with np.errstate(all="ignore"):  # inf or NaN from rho = 1 on: fmin takes n_max
@@ -149,6 +180,31 @@ def convergence_depth(
         geometric = _DEPTH_FACTOR * (log_tol + tail) / (2 * k * np.abs(np.log(rho)))
     depth = np.where(ion, geometric, np.maximum(math.e**2 * xi_sq, log_tol) / (2 * k))
     return rho, np.fmin(np.ceil(depth) + _DEPTH_PAD, ctl.n_max).astype(int)
+
+
+# from this many columns on, a block is cumulated one row addition at a
+# time: numpy's accumulate along axis 0 walks a C-ordered block column
+# by column, at about 3-4 ns a cell, while a row addition costs about
+# 0.7 us a call.  The width decides, not the rows: over the c08 term
+# blocks the best threshold is 190-210 columns, on lattice shapes of 9
+# and 44 rows 200-263 (`tools/row_kernel_ab.py`, section `cumulation`)
+_WIDE = 200
+
+
+def _cumulate(ufunc: np.ufunc, block: np.ndarray) -> np.ndarray:
+    """ufunc.accumulate(block, axis=0) as a new array, with the same bits.
+
+    Both forms apply ufunc down each column in row order; a block of at
+    least _WIDE columns takes one ufunc call per row, a narrower one
+    numpy's accumulate.  block itself is only read.
+    """
+    if block.shape[1] < _WIDE:
+        return ufunc.accumulate(block, axis=0)
+    out = np.empty_like(block)
+    out[:1] = block[:1]
+    for prev, row, cur in zip(out, block[1:], out[1:]):
+        ufunc(prev, row, out=cur)
+    return out
 
 
 _FIRST_BLOCK = 8  # even rows (16 indices) in the first block; each later block doubles the total
@@ -229,9 +285,11 @@ class _Lattice:
             sign[:, ion] = np.where(bad | ((num > 0) == (den > 0)), 1.0, -1.0)
             logmag[:, ion] = np.where(bad, 0.0, logf)
             self.pole[ion[new_pole]] = size + first[new_pole]
-        self.sign = np.vstack((self.sign, np.cumprod(np.vstack((self.sign[-1], sign)), axis=0)[1:]))
+        self.sign = np.vstack(
+            (self.sign, _cumulate(np.multiply, np.vstack((self.sign[-1], sign)))[1:])
+        )
         self.logmag = np.vstack(
-            (self.logmag, np.cumsum(np.vstack((self.logmag[-1], logmag)), axis=0)[1:])
+            (self.logmag, _cumulate(np.add, np.vstack((self.logmag[-1], logmag)))[1:])
         )
 
 
@@ -325,12 +383,15 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
     The rows are the even terms.  Each column's Neumaier sum is replayed
     as a sequential cumulative sum with its rounding errors summed the
     same way beside it; an error comes from Knuth's TwoSum, which gives
-    the same exact error as Neumaier's branch.  The stop rule is the
-    scalar path's, with its three exceptions applied only where they
-    can bite: an even n0's first term stops nothing (row 0 of block 0),
-    a zero sum at n0 + 2 stops there (only when n_max <= 3), and no stop
-    or failure counts past the term cap (only in the block that reaches
-    it).  ends[c] is the row after the predicted stop of column c: a
+    the same exact error as Neumaier's branch.  Both sums go through
+    `_cumulate`: numpy's accumulate below _WIDE columns, one row
+    addition at a time from there on, with the same bits, and into a
+    new array, since the terms are read from the block's rows after.
+    The stop rule is the scalar path's, with its three exceptions
+    applied only where they can bite: an even n0's first term stops
+    nothing (row 0 of block 0), a zero sum at n0 + 2 stops there (only
+    when n_max <= 3), and no stop or failure counts past the term cap
+    (only in the block that reaches it).  ends[c] is the row after the predicted stop of column c: a
     block that would run past the deepest end of the running columns
     ends there, and the blocks double again after it.
     """
@@ -356,7 +417,7 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
         partial[0] = acc
         x = partial[1:]
         fail, singular = _term_block(lat, k, a, b, here, x)
-        partial = np.cumsum(partial, axis=0)
+        partial = _cumulate(np.add, partial)
         prev, s = partial[:-1], partial[1:]
         # TwoSum: the exact rounding error of each partial sum
         back = s - prev
@@ -366,7 +427,7 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
         c = np.empty_like(partial)
         c[0] = comp
         np.add(err, back, out=c[1:])
-        c = np.cumsum(c, axis=0)[1:]
+        c = _cumulate(np.add, c)[1:]
         # a small term stops its column at the odd index after it; the
         # last row, all True, makes argmax give `rows` where none is small
         small = np.ones((rows + 1, cols.size), dtype=bool)
@@ -518,21 +579,21 @@ class MomentRowPlan:
         reps = len(models) // width if width else 1
         if not reps or len(models) != reps * width:
             raise DomainError(f"need one model per xi in each row, got {len(models)} for {width}")
-        rho, depth = convergence_depth(k, self.xi * reps, models, ctl)
+        rho, depth = convergence_depth(k, np.tile(self.xi, reps), models, ctl)
         live = (np.arange(reps)[:, None] * width + self.live).ravel()
         summed = np.flatnonzero(rho[live] < 1)  # positions in live
-        nodes = live[summed].tolist()
+        nodes = live[summed]
         # a row shares few model objects: hash each once; equal models share a column
-        objects = {id(models[j]): models[j] for j in nodes}
+        seen, of = _first_seen(_ids(models)[nodes])
         groups: dict[NonlinearModel, int] = {}
-        by_id = {i: groups.setdefault(model, len(groups)) for i, model in objects.items()}
-        group = [by_id[id(models[j])] for j in nodes]
+        column = [groups.setdefault(models[j], len(groups)) for j in nodes[seen].tolist()]
+        group = np.array(column, dtype=int)[of]
         lat = _Lattice(list(groups), 2 * k)
         # the plan's columns of every summed node: series-major, then node
         plan_live = self.live.size
         cols = (np.arange(len(series))[:, None] * plan_live + summed % plan_live).ravel()
         params, e0 = self.columns.take(cols), self.e0[cols]
-        g = np.tile(np.array(group, dtype=int), len(series))
+        g = np.tile(group, len(series))
         first, second = lat.positions(e0, e0 + params.shift, params.norm, g)
         params = params._replace(g=g, first=first, second=second)
         # a block ends after the row of the predicted stop, within the term cap

@@ -662,6 +662,87 @@ def test_a_run_hashes_each_model_object_once_and_equal_models_share_a_column(mon
     assert row.constant.tobytes() == alone.constant.tobytes()
 
 
+def _depth_by_node(k, xi, models, ctl=DEFAULT_CONTROL):
+    """`convergence_depth`'s arithmetic with each node's eta^2 read from its own model."""
+    eta_sq = np.array([getattr(model, "eta_sq", 0.0) for model in models])
+    xi_arr = np.array(xi, dtype=float)
+    ion = eta_sq > 0
+    log_tol = -math.log(ctl.rel_tol)
+    with np.errstate(all="ignore"):
+        xi_sq = xi_arr * xi_arr
+        rho = np.where(ion, xi_sq * eta_sq, 0.0)
+        tail = -np.log1p(-(rho ** (2 * k)))
+        geometric = rows._DEPTH_FACTOR * (log_tol + tail) / (2 * k * np.abs(np.log(rho)))
+    depth = np.where(ion, geometric, np.maximum(math.e**2 * xi_sq, log_tol) / (2 * k))
+    return rho, np.fmin(np.ceil(depth) + rows._DEPTH_PAD, ctl.n_max).astype(int)
+
+
+def test_a_run_groups_the_models_of_its_summed_nodes_in_order_of_appearance(monkeypatch):
+    hashed, lattices = [], []
+    model_hash = TrappedIon.__hash__
+    lattice = rows._Lattice
+
+    def counting(self):
+        hashed.append(self)
+        return model_hash(self)
+
+    def recording(models, step):
+        lattices.append(list(models))
+        return lattice(models, step)
+
+    monkeypatch.setattr(TrappedIon, "__hash__", counting)
+    monkeypatch.setattr(rows, "_Lattice", recording)
+    ion, twin = TrappedIon(eta_sq=0.3, quantum_order=2), TrappedIon(eta_sq=0.3, quantum_order=2)
+    far, past, vacuum = (TrappedIon(eta_sq=e, quantum_order=2) for e in (0.8, 2.0, 0.5))
+    identity = Identity()
+    # far first shows at xi = 0 and at rho = 1.8, past only at rho = 2 and
+    # vacuum only at xi = 0: the summed nodes see ion, identity, far
+    nodes = [
+        (0.0, far), (0.5, ion), (1.5, far), (0.4, identity), (0.6, twin),
+        (0.3, far), (1.0, past), (0.0, vacuum), (0.2, ion), (0.7, Identity()),
+    ]  # fmt: skip
+    xi, models = [x for x, _ in nodes], [model for _, model in nodes]
+    pairs = squeeze._moment_pairs(1, 4)
+    plan = MomentRowPlan(1, xi, pairs)
+    row = plan.run(models * 2)  # two stacked rows repeat every object
+    assert len(lattices) == 1
+    assert [id(model) for model in lattices[0]] == [id(ion), id(identity), id(far)]
+    assert len(hashed) == 3 and {id(model) for model in hashed} == {id(ion), id(twin), id(far)}
+    codes = row.outcome.tolist()
+    assert codes[2] == codes[6] == CAPPED and codes.count(STOPPED) == 16
+    for j, (x, model) in enumerate(nodes):
+        alone = moment_row(1, [x], [model], pairs)
+        for lm in pairs:
+            got = row.values[lm][[j, j + len(xi)]]
+            assert got.tobytes() == np.tile(alone.values[lm], 2).tobytes()
+    rho, depth = convergence_depth(1, xi * 2, models * 2)
+    want_rho, want_depth = _depth_by_node(1, xi * 2, models * 2)
+    assert rho.tobytes() == want_rho.tobytes() and depth.tobytes() == want_depth.tobytes()
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan, 1e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(min_value=1, max_value=40),
+    width=st.sampled_from(["one", "below", "at", "thrice"]),
+    pool=st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), min_size=1, max_size=24),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cumulation_has_the_bits_of_accumulate_and_leaves_its_input(n_rows, width, pool, seed):
+    wide = rows._WIDE
+    cols = {"one": 1, "below": wide - 1, "at": wide, "thrice": 3 * wide}[width]
+    block = np.random.default_rng(seed).choice(np.array(pool), size=(n_rows, cols))
+    before = block.tobytes()
+    for ufunc in (np.add, np.multiply):
+        with np.errstate(all="ignore"):
+            got = rows._cumulate(ufunc, block)
+            want = ufunc.accumulate(block, axis=0)
+        assert got.tobytes() == want.tobytes()
+        assert block.tobytes() == before and not np.may_share_memory(got, block)
+
+
 @st.composite
 def _stacked_rows(draw):
     """An xi^2 axis with xi = 0 nodes, and rows of one model each to stack on it.

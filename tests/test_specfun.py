@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fansq.rows as rows_module
 from fansq.fanstate import ProductTable, TrappedIon
 from fansq.rows import LaguerreRows
 from fansq.specfun import (
     _LogFactorialTable,
+    _grow_laguerre,
     double_factorial,
     log_factorial,
     log_factorials,
@@ -134,6 +136,23 @@ def test_laguerre_rows_hold_the_table_values_bit_for_bit(pairs):
     for r, (m, x) in enumerate(zip(ms[:pairs], xs[:pairs])):
         den, num = _table(m or 2, x).laguerre(90)  # order 0 is every table's denominator
         assert got[:, r].tolist() == (num if m else den).tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), pairs=st.integers(min_value=13, max_value=40))
+def test_laguerre_rows_grown_in_uneven_steps_equal_one_shot_and_the_scalar_loop(data, pairs):
+    assert pairs > rows_module._FEW_PAIRS  # the numpy step, from start > 1 after upto(2)
+    m = np.array(data.draw(st.lists(st.integers(0, 7), min_size=pairs, max_size=pairs)))
+    x = np.array(data.draw(st.lists(st.floats(0.0, 50.0), min_size=pairs, max_size=pairs)))
+    stepped = LaguerreRows(m, x)
+    for n in (0, 1, 2, 37, 300):
+        got = stepped.upto(n)
+        assert got.shape == (n + 1, pairs)
+    assert got.tobytes() == LaguerreRows(m, x).upto(300).tobytes()
+    for r, (m_r, x_r) in enumerate(zip(m.tolist(), x.tolist())):
+        vals = [1.0]
+        _grow_laguerre(vals, m_r, x_r, 300)
+        assert np.array(vals).tobytes() == got[:, r].tobytes()
 
 
 # ---------------------------------------------------------------------------

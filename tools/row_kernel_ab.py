@@ -22,6 +22,17 @@ Laguerre growth.  The output is one JSON object:
   loop per pair and the numpy step over all pairs, as the best of
   `--repeats` timings in microseconds per degree.  A batched scan run
   has two pairs per row; `rows._FEW_PAIRS` is where the two cross.
+* `cumulation`: the two forms of `rows._cumulate`, numpy's accumulate
+  along axis 0 and one addition per row, as the best of `--repeats`
+  timings in microseconds.  `term_blocks` replays the shape of every
+  recorded term block (its rows plus the carried row), the one each of
+  the two cumulative sums of `_sum_columns` takes: the total of each
+  form, of the package's choice at `rows._WIDE`, and `crossover_width`,
+  the threshold that gives the least total (the narrowest block that
+  takes the row form).  `lattice` times shapes of 2 to 526 columns
+  at three row counts, as `_Lattice.extend` cumulates: per width the
+  accumulate and the row-addition time, and the narrowest width from
+  which the row form wins at each row count.
 """
 
 from __future__ import annotations
@@ -121,7 +132,7 @@ def replays(calls, blocks, growths):
     }
 
 
-PAIR_COUNTS = (2, 4, 8, 12, 16, 24, 32)
+PAIR_COUNTS = (2, 4, 8, 10, 12, 16, 24, 32)
 DEGREES = 2000  # enough that a call's fixed cost is a small share
 
 
@@ -152,6 +163,63 @@ def laguerre_paths(repeats: int) -> dict:
     return out
 
 
+LATTICE_WIDTHS = (2, 8, 32, 128, 200, 263, 300, 400, 526)
+LATTICE_ROWS = (9, 44, 1025)  # a first block, a refinement-width lattice, a deep row
+
+
+def cumulation(blocks, repeats: int) -> dict:
+    """Microseconds of each form of `rows._cumulate`, per c08 term block and lattice shape."""
+    wide = rows._WIDE
+    rng = np.random.default_rng(0)
+
+    def forms(shape):
+        block = rng.random(shape)
+
+        def form(limit):
+            def run():
+                rows._WIDE = limit
+                rows._cumulate(np.add, block)
+
+            return run
+
+        along, by_row = best_times((form(math.inf), form(0)), repeats)
+        return along * 1e6, by_row * 1e6
+
+    try:
+        shapes = [(b - a + 1, p.n0.size) for _, _, a, b, p, _ in blocks]
+        timed = [forms(shape) for shape in shapes]
+        lattice = {
+            height: {width: forms((height, width)) for width in LATTICE_WIDTHS}
+            for height in LATTICE_ROWS
+        }
+    finally:
+        rows._WIDE = wide
+
+    def total(threshold):
+        return sum(t[shape[1] >= threshold] for shape, t in zip(shapes, timed))
+
+    thresholds = sorted({width for _, width in shapes}) + [math.inf]
+    best = min(thresholds, key=total)
+    return {
+        "term_blocks": {
+            "blocks": len(shapes),
+            "accumulate_us": round(total(math.inf)),
+            "row_additions_us": round(total(0)),
+            "at_wide_us": round(total(wide)),
+            "crossover_width": best if best < math.inf else None,
+            "at_crossover_us": round(total(best)),
+        },
+        "lattice": {
+            height: {
+                "us": {w: [round(a, 1), round(r, 1)] for w, (a, r) in by_width.items()},
+                "row_form_wins_from": next((w for w, (a, r) in by_width.items() if r < a), None),
+            }
+            for height, by_width in lattice.items()
+        },
+        "wide": wide,
+    }
+
+
 def best_times(pair, repeats: int) -> tuple[float, float]:
     best = [math.inf, math.inf]
     for rep in range(repeats):
@@ -177,8 +245,14 @@ def main() -> None:
             "ratio": round(package / earlier, 3),
         }
     paths = laguerre_paths(args.repeats)
+    cumulated = cumulation(blocks, args.repeats)
     gc.enable()
-    print(json.dumps({"ledger": ledger, "layers": layers, "laguerre_paths": paths}, indent=1))
+    print(
+        json.dumps(
+            {"ledger": ledger, "layers": layers, "laguerre_paths": paths, "cumulation": cumulated},
+            indent=1,
+        )
+    )
 
 
 if __name__ == "__main__":
