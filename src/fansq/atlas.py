@@ -26,15 +26,8 @@ from .errors import (
     positive_float,
     positive_int,
 )
-from .fanstate import (
-    DEFAULT_CONTROL,
-    FanConfig,
-    Identity,
-    NonlinearModel,
-    SeriesControl,
-    TrappedIon,
-)
-from .rows import CAPPED, OVERFLOW, SINGULAR, STOPPED, SqueezeRowPlan, convergence_depth
+from .fanstate import DEFAULT_CONTROL, FanConfig, SeriesControl, TrappedIon
+from .rows import CAPPED, OVERFLOW, SINGULAR, STOPPED, squeeze_rows
 from .squeeze import (
     SqueezeCoeffs,
     _check_order,
@@ -105,35 +98,15 @@ class PhaseDiagram:
     status: list[list[str]]
 
 
-def _model_for(kind: str, k: int, eta_sq: float) -> NonlinearModel:
+def _eta_sq_of(kind: str, eta_sq: list[float]) -> np.ndarray:
+    """The row engine's eta_sq of each value: checked for a trapped ion, 0.0 for the identity."""
     if kind == "identity":
-        return Identity()
+        return np.zeros(len(eta_sq))
     if kind == "trapped-ion":
-        return TrappedIon(eta_sq=eta_sq, quantum_order=2 * k)
+        for value in eta_sq:
+            positive_float("eta_sq", value)
+        return np.array(eta_sq, dtype=float)
     raise DomainError(f"unknown model kind {kind!r}")
-
-
-_RUN_DEPTH = 1.1  # a run's rows predict at most this multiple of its first row's depth
-_RUN_NODES = 2048  # nodes per run, unless one row is wider
-
-
-def _row_runs(depth: list[int], width: int) -> list[range]:
-    """Contiguous rows of `width` nodes, split where the predicted depth grows or the run fills.
-
-    A run's lattice grows every model to the run's deepest row, so a
-    row joins only while its depth is at most `_RUN_DEPTH` times that of
-    the run's first row, and while the run holds at most `_RUN_NODES`
-    nodes, or exactly one row.
-    """
-    most = max(1, _RUN_NODES // width)
-    runs = []
-    start = 0
-    for i, d in enumerate(depth):
-        if i - start == most or d > _RUN_DEPTH * depth[start]:
-            runs.append(range(start, i))
-            start = i
-    runs.append(range(start, len(depth)))
-    return runs
 
 
 def scan(
@@ -143,27 +116,20 @@ def scan(
 ) -> PhaseDiagram:
     """Evaluate the squeeze parameter at every grid node.
 
-    The xi_sq axis is prepared once (`SqueezeRowPlan`).  Contiguous
-    eta_sq rows of like depth, predicted by `convergence_depth` at the
-    axis's largest xi, where a row goes deepest, share one run of that
-    plan and one evaluation of S over its arrays (`_row_runs`).  A node's
-    value does not depend on its run.  Rows run in order (eta_sq outer,
-    xi_sq inner), so outputs are reproducible byte for byte, and the
-    first node below the positivity bound raises first.
+    The whole grid is one `squeeze_rows` call: the xi_sq axis, and
+    one eta_sq per node, each eta_sq row repeated along the axis.  The
+    engine groups contiguous rows of like depth into runs itself; a
+    node's value does not depend on its run.  Rows run in order (eta_sq
+    outer, xi_sq inner), so outputs are reproducible byte for byte, and
+    the first node below the positivity bound raises first.
     """
     xi_vals = grid.xi_sq.values()
-    width = len(xi_vals)
-    plan = SqueezeRowPlan(grid.k, xi_vals, grid.N, ctl)
-    models = [_model_for(model_kind, grid.k, eta_sq) for eta_sq in grid.eta_sq.values()]
-    xi_top = [math.sqrt(max(xi_vals))] * len(models)
-    _, depth = convergence_depth(grid.k, xi_top, models, ctl)
-    values: list[np.ndarray] = []
-    status: list[list[str]] = []
-    for run in _row_runs(depth.tolist(), width):
-        row = plan.run([models[i] for i in run for _ in range(width)])
-        values.extend(row.squeeze_parameter(grid.phi).reshape(-1, width))
-        status.extend([_STATUS[c] for c in codes] for codes in row.outcome.reshape(-1, width).tolist())
-    return PhaseDiagram(grid=grid, values=np.array(values, dtype=float), status=status)
+    eta_sq = _eta_sq_of(model_kind, grid.eta_sq.values())
+    row = squeeze_rows(grid.k, xi_vals, grid.N, np.repeat(eta_sq, len(xi_vals)), ctl)
+    shape = (eta_sq.size, len(xi_vals))
+    values = row.squeeze_parameter(grid.phi).reshape(shape)
+    status = [[_STATUS[c] for c in codes] for codes in row.outcome.reshape(shape).tolist()]
+    return PhaseDiagram(grid=grid, values=values, status=status)
 
 
 class _Crossing(NamedTuple):
@@ -213,9 +179,11 @@ def _refine_crossings(
 
     Each crossing keeps its own bracket and end values, seeded by the
     scan, and each step evaluates S at the probe of every open crossing
-    in one `SqueezeRowPlan` run.  S is then evaluated once more at every
-    root.  A crossing whose series fail at any of its points is dropped
-    (None).  Returns the (xi_sq, eta_sq) points in input order.
+    in one `squeeze_rows` call, with the probes' eta_sq as an array
+    (zeros for the identity).  A probe lies inside a bracket of checked
+    grid values.  S is then evaluated once more at every root.  A
+    crossing whose series fail at any of its points is dropped (None).
+    Returns the (xi_sq, eta_sq) points in input order.
     """
     if not crossings:
         return []
@@ -223,10 +191,11 @@ def _refine_crossings(
 
     def s_at(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """S at position x along the lines of `rows`, and where it failed."""
-        xi_sq = np.where(along_xi[rows], x, fixed[rows]).tolist()
-        eta_sq = np.where(along_xi[rows], fixed[rows], x).tolist()
-        models = [_model_for(kind, grid.k, e) for e in eta_sq]
-        row = SqueezeRowPlan(grid.k, xi_sq, grid.N, ctl).run(models)
+        along = along_xi[rows]
+        xi_sq, eta_sq = np.where(along, x, fixed[rows]), np.where(along, fixed[rows], x)
+        if kind == "identity":
+            eta_sq = np.zeros_like(eta_sq)
+        row = squeeze_rows(grid.k, xi_sq, grid.N, eta_sq, ctl)
         return row.squeeze_parameter(grid.phi), ~row.ok
 
     root, dropped = refine_brackets(a, b, fa, fb, s_at, _XTOL)
@@ -306,9 +275,10 @@ def find_intersections(
     gap changing sign: there the nonlinearity has a pole, the state
     collapses toward vacuum, and both terms reach zero together.  Such
     a root is pinned at the flip and accepted only if the gap there is
-    within `_TOUCH_TOL` of zero.  The grid nodes are one `SqueezeRowPlan`
-    run; `refine_brackets` refines all brackets together, and a probe (a
-    scalar `coefficients` call) that fails raises.  A flip bracket
+    within `_TOUCH_TOL` of zero.  The grid nodes, their eta_sq checked,
+    are one `squeeze_rows` call; `refine_brackets` refines all brackets
+    together, and a probe (a scalar `coefficients` call) that fails
+    raises.  A flip bracket
     carries only the harmonic's signs, so its probes are bisection's
     midpoints and do not chase the pole there, as ITP would.
     """
@@ -330,8 +300,7 @@ def find_intersections(
         return coeffs_at(eta_sq).harmonics[0]
 
     nodes = eta_range.values()
-    models = [TrappedIon(eta_sq=e, quantum_order=2 * k) for e in nodes]
-    row = SqueezeRowPlan(k, [xi_sq] * len(nodes), N, ctl).run(models)
+    row = squeeze_rows(k, [xi_sq] * len(nodes), N, _eta_sq_of("trapped-ion", nodes), ctl)
     codes = row.outcome.tolist()
     ok = [code == STOPPED for code in codes]
     skipped = [(e, _STATUS[code]) for e, code in zip(nodes, codes) if code != STOPPED]

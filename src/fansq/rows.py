@@ -1,36 +1,37 @@
 """The row engine: the series of many points of one order k, summed together.
 
-A row is many points of one order k, each with its own xi and model:
-grid scans pass a run of eta_sq rows, each with one shared model,
-boundary refinement one ITP probe per crossing.  Every series a point needs becomes one
-column of a 2-D numpy block of terms over the even summation indices
-of `fansq.fanstate`'s series (the odd ones are exact zeros).
+A row is many points of one order k, each with its own xi and eta_sq,
+0.0 standing for the identity model: grid scans pass every eta_sq row
+of the grid over one xi axis, boundary refinement one ITP probe per
+crossing.  Every series a point needs becomes one column of a 2-D
+numpy block of terms over the even summation indices of
+`fansq.fanstate`'s series (the odd ones are exact zeros).
 `convergence_depth` predicts from rho = xi^2 eta^2 where each point's
 series stop.  The block grows by doubling, for the columns still
 running only, with one block boundary put at the deepest predicted stop
 of those columns.  The products of the nonlinearity come from a lattice
-with one column per distinct model, built once up front to the deepest
+with one column per distinct eta_sq, built once up front to the deepest
 predicted index, in numpy, from Laguerre values equal bit for bit to
 the scalar path's, so both find the same poles.  Each column replays
 the scalar path: the same terms, the same Neumaier sums (sequential
 cumulative sums plus their exact rounding errors), the same stop rule
 on the same even terms, and the same overflow, pole and term-cap
 checks, so its value does not depend on the block sizes, on the
-prediction or on which columns or models share the block.  A cumulative
+prediction or on which columns or eta_sq share the block.  A cumulative
 sum or product runs down the rows of a block as numpy's accumulate
 where the block is narrow and as one addition per row where it is wide
 (`_cumulate`); both add each column in row order, so both give the
 same bits.  A node whose series fail gets the outcome code (SINGULAR,
 OVERFLOW or CAPPED) of the failure the scalar path would raise first;
-the words of that error exist on the scalar path only.  The row path fills none of the scalar
-path's memo tables.  It runs in two steps: a `MomentRowPlan` takes what
-depends on (k, xi, pairs, ctl) alone (the checks, the series and their
-order, ln xi, the column parameters and xi^(l - m)), and its `run` does
-the rest for R stacked rows of models over that xi, tiling the plan's
-per-node columns.  A scan makes one plan for its xi axis and runs it
-once per run of contiguous eta_sq rows of like predicted depth, since
-the lattice grows every model of a run to its deepest row; a
-`SqueezeRowPlan` assembles the decomposition of `fansq.squeeze` from
+the words of that error exist on the scalar path only.  The row path
+fills none of the scalar path's memo tables.  `moment_rows` takes what
+depends on the xi axis alone once per call (the checks, the series and
+their order, ln xi, the column parameters and xi^(l - m)) and tiles it
+over R rows of eta_sq.  It predicts every node's depth once and splits
+the rows into runs of contiguous rows of like predicted depth
+(`_row_runs`), since the lattice grows every eta_sq of a run to its
+deepest row; each run is one lattice and one `_sum_columns` call.
+`squeeze_rows` assembles the decomposition of `fansq.squeeze` from
 those moments.
 """
 
@@ -43,15 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, nonnegative_float, nonnegative_int, positive_int
-from .fanstate import (
-    _LAGUERRE_FLOOR,
-    _LOG_HUGE,
-    DEFAULT_CONTROL,
-    NonlinearModel,
-    SeriesControl,
-    TrappedIon,
-    _check_fan,
-)
+from .fanstate import _LAGUERRE_FLOOR, _LOG_HUGE, DEFAULT_CONTROL, SeriesControl
 from .specfun import _grow_laguerre, log_factorials
 from .squeeze import _assemble, _below_bound, _check_order, _cosine_sum, _lower_bound, _moment_pairs
 
@@ -117,23 +110,6 @@ def _nonnegative_array(name: str, values: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def _ids(models: Sequence[NonlinearModel]) -> np.ndarray:
-    """The id of each model object, as an array."""
-    return np.fromiter(map(id, models), np.uintp, len(models))
-
-
-def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each distinct key first appears, in order of appearance, and each entry's key's rank.
-
-    first[rank[i]] is the first position holding keys[i].
-    """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
-
-
 _DEPTH_FACTOR = 1.25  # the bare count falls up to 30% short of the deepest stop of a c08 row
 _DEPTH_PAD = 8  # summation indices added after the margin
 
@@ -141,10 +117,10 @@ _DEPTH_PAD = 8  # summation indices added after the margin
 def convergence_depth(
     k: int,
     xi: Sequence[float],
-    models: Sequence[NonlinearModel],
+    eta_sq: Sequence[float],
     ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """rho and the predicted stop index of the series of each point (xi[j], models[j]).
+    """rho and the predicted stop index of the series of each point (xi[j], eta_sq[j]).
 
     For `TrappedIon(eta_sq, 2k)`, Fejer's asymptotics of the Laguerre
     polynomials (Szego, Orthogonal Polynomials, 8.22) give f(m) ~
@@ -157,29 +133,49 @@ def convergence_depth(
     the second logarithm standing for the tail past the last term.  At
     rho >= 1 the series diverges, and both engines fail it unsummed; the
     count is then infinite or NaN, so the prediction is n_max.  The
-    identity model's series are entire (rho = 0): a term xi^2m / m! with
-    m = 2kn is below rel_tol once m >= max(e^2 xi^2, ln(1/rel_tol)), by
-    ln m! >= m ln(m/e).  Indices are at most n_max.  The row engine
-    sizes its blocks from these; no value depends on them.
+    identity model, eta_sq = 0.0, has entire series (rho = 0): a term
+    xi^2m / m! with m = 2kn is below rel_tol once m >= max(e^2 xi^2,
+    ln(1/rel_tol)), by ln m! >= m ln(m/e).  Indices are at most n_max.
+    The prediction never falls as xi grows at a fixed eta_sq.  The row
+    engine sizes its blocks from these; no value depends on them.
     """
-    if len(models) != len(xi):
-        raise DomainError(f"need one model per xi, got {len(models)} for {len(xi)}")
-    # models repeat along a scan row: check each object once, unhashed
-    seen, of = _first_seen(_ids(models))
-    distinct = [models[i] for i in seen.tolist()]
-    for model in distinct:
-        _check_fan(k, model)
+    positive_int("fan order k", k)
     xi_arr = _nonnegative_array("xi", xi)
-    eta_sq = np.array([getattr(model, "eta_sq", 0.0) for model in distinct])[of]
-    ion = eta_sq > 0
+    eta_arr = _nonnegative_array("eta_sq", eta_sq)
+    if eta_arr.size != xi_arr.size:
+        raise DomainError(f"need one eta_sq per xi, got {eta_arr.size} for {xi_arr.size}")
+    ion = eta_arr > 0
     log_tol = -math.log(ctl.rel_tol)
     with np.errstate(all="ignore"):  # inf or NaN from rho = 1 on: fmin takes n_max
         xi_sq = xi_arr * xi_arr
-        rho = np.where(ion, xi_sq * eta_sq, 0.0)
+        rho = np.where(ion, xi_sq * eta_arr, 0.0)
         tail = -np.log1p(-(rho ** (2 * k)))
         geometric = _DEPTH_FACTOR * (log_tol + tail) / (2 * k * np.abs(np.log(rho)))
     depth = np.where(ion, geometric, np.maximum(math.e**2 * xi_sq, log_tol) / (2 * k))
     return rho, np.fmin(np.ceil(depth) + _DEPTH_PAD, ctl.n_max).astype(int)
+
+
+_RUN_DEPTH = 1.1  # a run's rows predict at most this multiple of its first row's depth
+_RUN_NODES = 2048  # nodes per run, unless one row is wider
+
+
+def _row_runs(depth: list[int], width: int) -> list[range]:
+    """Contiguous rows of `width` nodes, split where the predicted depth grows or the run fills.
+
+    A run's lattice grows every eta_sq to the run's deepest row, so a
+    row joins only while its depth is at most `_RUN_DEPTH` times that of
+    the run's first row, and while the run holds at most `_RUN_NODES`
+    nodes, or exactly one row.
+    """
+    most = max(1, _RUN_NODES // width)
+    runs = []
+    start = 0
+    for i, d in enumerate(depth):
+        if i - start == most or d > _RUN_DEPTH * depth[start]:
+            runs.append(range(start, i))
+            start = i
+    runs.append(range(start, len(depth)))
+    return runs
 
 
 # from this many columns on, a block is cumulated one row addition at a
@@ -212,25 +208,25 @@ _NO_POLE = np.iinfo(np.int64).max
 
 
 class _Lattice:
-    """Signed log-products of f at multiples of 2k, one column per distinct model.
+    """Signed log-products of f at multiples of 2k, one column per distinct eta_sq.
 
     Entry [i, g] holds the product that `fanstate.ProductTable` holds at
-    index i for model g, f(2k) f(4k) ... f(2k i).  It is built from the same
-    Laguerre values and log-factorials in the same order, so only the
-    logs may round differently.  pole[g] is the first index whose
+    index i for eta_sq[g], f(2k) f(4k) ... f(2k i), with f = 1 for the
+    identity (eta_sq = 0.0).  It is built from the same Laguerre values
+    and log-factorials in the same order, so only the logs may round
+    differently.  pole[g] is the first index whose
     product is singular, or _NO_POLE; entries from there on repeat the
     last product before it, finite and unused.
     """
 
-    def __init__(self, models: Sequence[NonlinearModel], step: int) -> None:
+    def __init__(self, eta_sq: np.ndarray, step: int) -> None:
         self.step = step
-        self.ion = np.flatnonzero([isinstance(model, TrappedIon) for model in models])
-        eta_sq = [models[g].eta_sq for g in self.ion]
+        self.ion = np.flatnonzero(eta_sq > 0)
         # the quantum order K is 2k = step: both Laguerre orders in one table
-        self.laguerre = LaguerreRows(np.repeat([0, step], len(eta_sq)), np.tile(eta_sq, 2))
-        self.sign = np.ones((1, len(models)))
-        self.logmag = np.zeros((1, len(models)))
-        self.pole = np.full(len(models), _NO_POLE)
+        self.laguerre = LaguerreRows(np.repeat([0, step], self.ion.size), np.tile(eta_sq[self.ion], 2))
+        self.sign = np.ones((1, eta_sq.size))
+        self.logmag = np.zeros((1, eta_sq.size))
+        self.pole = np.full(eta_sq.size, _NO_POLE)
         self._tables: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -465,23 +461,6 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
     return sums, outcome
 
 
-@dataclass(frozen=True)
-class MomentRow:
-    """Moments of a row of fan states of one order k, one per (xi, model).
-
-    values[(l, m)][j] is `fanstate.moment(FanConfig(k, xi[j], models[j]), l, m,
-    ctl)` up to rounding.  outcome[j] is STOPPED where every series of
-    node j stopped (xi = 0 included), else the code of the failure the
-    scalar path raises first when it evaluates the pairs in the given
-    order: SINGULAR for its `SingularNonlinearity`, OVERFLOW and CAPPED
-    for its `SeriesNotConverged` of a term past float range and of the
-    term cap.  Values are NaN at a failed node.
-    """
-
-    values: dict[tuple[int, int], np.ndarray]
-    outcome: np.ndarray
-
-
 def _xi_power(xi: float, diff: int) -> float:
     """xi**diff, with the scalar path's `**`, or inf past float range.
 
@@ -493,133 +472,119 @@ def _xi_power(xi: float, diff: int) -> float:
         return math.inf
 
 
-class MomentRowPlan:
-    """Normally-ordered moments at many xi of one order k, in one term block per run.
+def moment_rows(
+    k: int,
+    xi: Sequence[float],
+    pairs: Sequence[tuple[int, int]],
+    eta_sq: Sequence[float],
+    ctl: SeriesControl = DEFAULT_CONTROL,
+) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
+    """Normally-ordered moments of R stacked rows of fan states over one xi axis.
+
+    eta_sq holds R * len(xi) values, row-major, 0.0 for the identity:
+    node r * len(xi) + j is xi[j] with eta_sq[r * len(xi) + j].  Returns
+    (values, outcome).  values[(l, m)][i] is `fanstate.moment` of node i
+    up to rounding.  outcome[i] is STOPPED where every series of node i
+    stopped (xi = 0 included), else the code of the failure the scalar
+    path raises first when it evaluates the pairs in the given order:
+    SINGULAR for its `SingularNonlinearity`, OVERFLOW and CAPPED for its
+    `SeriesNotConverged` of a term past float range and of the term cap.
+    Values are NaN at a failed node.
 
     Each series the pairs need (the normalization and every moment not
-    zero by symmetry) is one column per positive xi, and columns stop
-    on the scalar stop rule.  A scan runs one xi axis against every
-    eta_sq row, so what depends only on (k, xi, pairs, ctl) is taken
-    once, here: the checks of k, xi and the pairs, the live (positive)
-    xi, the series each node needs and their order, ln xi per live node
-    and the column parameters of the term block, and xi^(l - m) per
-    series and live node, with `math.log` and `**` as the scalar path
-    takes them.  `run` does the rest for R rows of models, one per xi in
-    each row, and tiles these R times, so one plan serves every row.
+    zero by symmetry) is one column per positive xi.  What depends on
+    the axis alone is taken once and tiled R times: the checks, the
+    series and their order, ln xi and the column parameters, and
+    xi^(l - m), with `math.log` and `**` as the scalar path takes them.
+    A node at rho >= 1 is CAPPED without a term summed, as the scalar
+    path raises there at once.  The rows run in runs of like depth
+    (`_row_runs`, fed by each row's deepest node), each with one lattice
+    over the distinct eta_sq of its summed nodes, built up front to the
+    deepest index `convergence_depth` predicts.  A node's value does not
+    depend on its run.
     """
+    positive_int("fan order k", k)
+    xi_arr = _nonnegative_array("xi", xi)
+    xi_list = xi_arr.tolist()
+    for l, m in pairs:
+        nonnegative_int("moment power l", l)
+        nonnegative_int("moment power m", m)
+    eta_arr = _nonnegative_array("eta_sq", eta_sq)
+    width = len(xi_list)
+    reps = eta_arr.size // width if width else 1
+    if not reps or eta_arr.size != reps * width:
+        raise DomainError(f"need one eta_sq per xi in each row, got {eta_arr.size} for {width}")
+    step = 2 * k
+    zero = xi_arr == 0.0
+    axis_live = np.flatnonzero(~zero)
+    ordered = {(max(l, m), min(l, m)): None for l, m in pairs}
+    series = [lm for lm in ordered if (lm[0] - lm[1]) % (2 * step) == 0]
+    # the scalar path sums the first moment, then the normalization it
+    # divides by, then the others: that order decides which error a
+    # node reports
+    if series:
+        series.insert(1, None)
 
-    def __init__(
-        self,
-        k: int,
-        xi: Sequence[float],
-        pairs: Sequence[tuple[int, int]],
-        ctl: SeriesControl = DEFAULT_CONTROL,
-    ) -> None:
-        positive_int("fan order k", k)
-        zero = _nonnegative_array("xi", xi) == 0.0
-        for l, m in pairs:
-            nonnegative_int("moment power l", l)
-            nonnegative_int("moment power m", m)
-        self.k, self.xi, self.ctl = k, list(xi), ctl
-        step = 2 * k
-        self.live = live = np.flatnonzero(~zero)
-        ordered = {(max(l, m), min(l, m)): None for l, m in pairs}
-        series = [lm for lm in ordered if (lm[0] - lm[1]) % (2 * step) == 0]
-        # the scalar path sums the first moment, then the normalization it
-        # divides by, then the others: that order decides which error a
-        # node reports
-        if series:
-            series.insert(1, None)
-        self.series = series
-        log_xi = np.array([math.log(self.xi[j]) for j in live])
+    def per_column(f):
+        return np.repeat([f(lm) for lm in series], axis_live.size)
 
-        def per_column(f):
-            return np.repeat([f(lm) for lm in series], live.size)
+    n0 = per_column(lambda lm: 0 if lm is None else -(-lm[1] // step))
+    m_col = per_column(lambda lm: 0 if lm is None else lm[1])
+    e0_axis = n0 + n0 % 2  # row r of a column is the even index e0 + 2r
+    unset = np.zeros_like(n0)  # g and the lattice positions come with each run
+    columns = _Columns(
+        g=unset,
+        n0=n0,
+        shift=per_column(lambda lm: 0 if lm is None else (lm[0] - lm[1]) // step),
+        m=m_col,
+        norm=per_column(lambda lm: lm is None),
+        log_xi=np.tile([math.log(xi_list[j]) for j in axis_live], len(series)),
+        power=(2 * step * e0_axis).astype(float),
+        lf=step * e0_axis - m_col,
+        first=unset,
+        second=unset,
+    )
 
-        n0 = per_column(lambda lm: 0 if lm is None else -(-lm[1] // step))
-        m = per_column(lambda lm: 0 if lm is None else lm[1])
-        self.e0 = e0 = n0 + n0 % 2  # row r of a column is the even index e0 + 2r
-        # g and the lattice positions come with the models
-        unset = np.zeros_like(n0)
-        self.columns = _Columns(
-            g=unset,
-            n0=n0,
-            shift=per_column(lambda lm: 0 if lm is None else (lm[0] - lm[1]) // step),
-            m=m,
-            norm=per_column(lambda lm: lm is None),
-            log_xi=np.tile(log_xi, len(series)),
-            power=(2 * step * e0).astype(float),
-            lf=step * e0 - m,
-            first=unset,
-            second=unset,
-        )
-        self.powers = [
-            None if lm is None else np.array([_xi_power(self.xi[j], lm[0] - lm[1]) for j in live])
-            for lm in series
-        ]
-        # per pair: its series, and its value at xi = 0 (the vacuum)
-        self.outputs = []
-        for l, m in pairs:
-            lm = (max(l, m), min(l, m))
-            at_zero = np.where(zero, float(lm == (0, 0)), 0.0)
-            self.outputs.append(((l, m), series.index(lm) if lm in series else None, at_zero))
-
-    def run(self, models: Sequence[NonlinearModel]) -> MomentRow:
-        """The moments of R stacked rows of the plan's xi, in one term block.
-
-        models holds R * len(xi) models, row-major: node r * len(xi) + j
-        is xi[j] with models[r * len(xi) + j].  The per-node columns, ln xi
-        and xi^(l - m) are the plan's, tiled R times, never recomputed.
-        A trapped-ion node at rho >= 1 is CAPPED without a term summed,
-        as the scalar path raises there at once.  The lattice of products
-        is built once per distinct model of the other nodes, up front to
-        the deepest index `convergence_depth` predicts.
-        """
-        k, ctl, series, width = self.k, self.ctl, self.series, len(self.xi)
-        reps = len(models) // width if width else 1
-        if not reps or len(models) != reps * width:
-            raise DomainError(f"need one model per xi in each row, got {len(models)} for {width}")
-        rho, depth = convergence_depth(k, np.tile(self.xi, reps), models, ctl)
-        live = (np.arange(reps)[:, None] * width + self.live).ravel()
-        summed = np.flatnonzero(rho[live] < 1)  # positions in live
-        nodes = live[summed]
-        # a row shares few model objects: hash each once; equal models share a column
-        seen, of = _first_seen(_ids(models)[nodes])
-        groups: dict[NonlinearModel, int] = {}
-        column = [groups.setdefault(models[j], len(groups)) for j in nodes[seen].tolist()]
-        group = np.array(column, dtype=int)[of]
-        lat = _Lattice(list(groups), 2 * k)
-        # the plan's columns of every summed node: series-major, then node
-        plan_live = self.live.size
-        cols = (np.arange(len(series))[:, None] * plan_live + summed % plan_live).ravel()
-        params, e0 = self.columns.take(cols), self.e0[cols]
+    rho, depth = convergence_depth(k, np.tile(xi_arr, reps), eta_arr, ctl)
+    per_row = axis_live.size
+    live = (np.arange(reps)[:, None] * width + axis_live).ravel()
+    sums = np.full((len(series), live.size), np.nan)
+    outcome = np.full((len(series), live.size), CAPPED)
+    last_row = (ctl.n_max + 1) // 2 - 1
+    deepest = depth.reshape(reps, width).max(axis=1, initial=0).tolist()
+    for run in _row_runs(deepest, max(width, 1)):  # an empty axis is one empty row
+        part = np.arange(run.start * per_row, run.stop * per_row)  # positions in live
+        summed = part[rho[live[part]] < 1]
+        eta_run, group = np.unique(eta_arr[live[summed]], return_inverse=True)
+        lat = _Lattice(eta_run, step)
+        # the axis columns of every summed node: series-major, then node
+        cols = (np.arange(len(series))[:, None] * per_row + summed % per_row).ravel()
+        params, e0 = columns.take(cols), e0_axis[cols]
         g = np.tile(group, len(series))
         first, second = lat.positions(e0, e0 + params.shift, params.norm, g)
         params = params._replace(g=g, first=first, second=second)
         # a block ends after the row of the predicted stop, within the term cap
-        last_row = (ctl.n_max + 1) // 2 - 1
-        stop_row = np.clip((np.tile(depth[nodes], len(series)) - e0) // 2, 0, last_row)
-        if stop_row.size:
-            lat.extend(int((e0 + 2 * stop_row + params.shift).max()))
-        sums = np.full((len(series), live.size), np.nan)
-        outcome = np.full((len(series), live.size), CAPPED)
-        shape = (len(series), summed.size)
+        stop_row = np.clip((np.tile(depth[live[summed]], len(series)) - e0) // 2, 0, last_row)
+        lat.extend(int((e0 + 2 * stop_row + params.shift).max(initial=0)))
         part_sums, part_outcome = _sum_columns(lat, k, params, ctl, stop_row + 1)
-        sums[:, summed] = part_sums.reshape(shape)
-        outcome[:, summed] = part_outcome.reshape(shape)
-        code = np.full(len(models), STOPPED)
-        if series:  # the first series that did not stop, in the scalar path's order
-            code[live] = outcome[(outcome != STOPPED).argmax(axis=0), np.arange(live.size)]
-        failed = code != STOPPED
-        values = {}
-        for pair, s_idx, at_zero in self.outputs:
-            v = np.tile(at_zero, reps)
-            if s_idx is not None:
-                scale = np.where(failed[live], 0.0, np.tile(self.powers[s_idx], reps))
-                v[live] = scale * sums[s_idx] / sums[1]
-            v[failed] = np.nan
-            values[pair] = v
-        return MomentRow(values=values, outcome=code)
+        sums[:, summed] = part_sums.reshape(len(series), summed.size)
+        outcome[:, summed] = part_outcome.reshape(len(series), summed.size)
+
+    code = np.full(eta_arr.size, STOPPED)
+    if series:  # the first series that did not stop, in the scalar path's order
+        code[live] = outcome[(outcome != STOPPED).argmax(axis=0), np.arange(live.size)]
+    failed = code != STOPPED
+    powers = {lm: [_xi_power(xi_list[j], lm[0] - lm[1]) for j in axis_live] for lm in series if lm}
+    values = {}
+    for l, m in pairs:
+        lm = (max(l, m), min(l, m))
+        v = np.tile(np.where(zero, float(lm == (0, 0)), 0.0), reps)  # the vacuum at xi = 0
+        if lm in powers:
+            scale = np.where(failed[live], 0.0, np.tile(powers[lm], reps))
+            v[live] = scale * sums[series.index(lm)] / sums[1]
+        v[failed] = np.nan
+        values[(l, m)] = v
+    return values, code
 
 
 @dataclass(frozen=True)
@@ -627,7 +592,7 @@ class SqueezeRow:
     """`squeeze.SqueezeCoeffs` of a row of points of one order k, as arrays over the nodes.
 
     constant[j] and harmonics[p-1][j] belong to node j.  outcome[j] is
-    the `MomentRow` outcome code of node j: STOPPED where its series
+    the `moment_rows` outcome code of node j: STOPPED where its series
     converged, else how the first one failed; its coefficients are NaN
     then.
     """
@@ -657,31 +622,26 @@ class SqueezeRow:
         return np.where(ok, s, np.nan)
 
 
-class SqueezeRowPlan:
-    """`squeeze.coefficients` for many points of one order k, as arrays.
+def squeeze_rows(
+    k: int,
+    xi_sq: Sequence[float],
+    N: int,
+    eta_sq: Sequence[float],
+    ctl: SeriesControl = DEFAULT_CONTROL,
+) -> SqueezeRow:
+    """`squeeze.coefficients` of R stacked rows over one xi_sq axis, as arrays.
 
-    `run(models)` takes R stacked rows, R * len(xi_sq) models, row-major.
-    Its node r * len(xi_sq) + j holds what `coefficients(FanConfig.from_xi_sq(k,
-    xi_sq[j], models[r * len(xi_sq) + j]), N, ctl)` returns, up to
-    rounding, or the outcome code of the error it raises, whichever rows
-    share the run.  The plan checks N and every xi_sq, takes the square
-    roots and holds the `MomentRowPlan` of the moments the decomposition
-    needs, so all series of a run are summed together and no per-node
-    object is built.  A scan keeps one plan for its whole xi_sq axis.
+    eta_sq holds R * len(xi_sq) values, row-major, 0.0 for the
+    identity.  Node r * len(xi_sq) + j holds what
+    `coefficients(FanConfig.from_xi_sq(k, xi_sq[j], model), N, ctl)`
+    returns for the model of eta_sq[r * len(xi_sq) + j], up to rounding,
+    or the outcome code of the error it raises, whichever rows share
+    the call.  All series are summed by `moment_rows`, and no per-node
+    object is built.
     """
-
-    def __init__(
-        self, k: int, xi_sq: Sequence[float], N: int, ctl: SeriesControl = DEFAULT_CONTROL
-    ) -> None:
-        _check_order(N)
-        xi = np.sqrt(_nonnegative_array("xi_sq", xi_sq)).tolist()
-        positive_int("fan order k", k)  # before `_moment_pairs` divides by it
-        self.k, self.N = k, N
-        self.moments = MomentRowPlan(k, xi, _moment_pairs(k, N), ctl)
-
-    def run(self, models: Sequence[NonlinearModel]) -> SqueezeRow:
-        row = self.moments.run(models)
-        const, harmonics = _assemble(self.k, self.N, row.values)
-        return SqueezeRow(
-            k=self.k, N=self.N, constant=const, harmonics=tuple(harmonics), outcome=row.outcome
-        )
+    _check_order(N)
+    xi = np.sqrt(_nonnegative_array("xi_sq", xi_sq))
+    positive_int("fan order k", k)  # before `_moment_pairs` divides by it
+    values, outcome = moment_rows(k, xi, _moment_pairs(k, N), eta_sq, ctl)
+    const, harmonics = _assemble(k, N, values)
+    return SqueezeRow(k=k, N=N, constant=const, harmonics=tuple(harmonics), outcome=outcome)

@@ -35,7 +35,7 @@ from fansq.fanstate import (
     SeriesControl,
     TrappedIon,
 )
-from fansq.rows import STOPPED, SqueezeRow, SqueezeRowPlan
+from fansq.rows import STOPPED, SqueezeRow
 from fansq.squeeze import (
     SqueezeCoeffs,
     coefficients,
@@ -283,15 +283,15 @@ def c08_crossings():
 
 
 def _counting_engine(monkeypatch):
-    """Record the number of points of every `SqueezeRowPlan` run."""
+    """Record the number of points of every `squeeze_rows` call."""
     calls = []
+    squeeze_rows = fansq.atlas.squeeze_rows
 
-    class Counted(SqueezeRowPlan):
-        def run(self, models):
-            calls.append(len(models))
-            return super().run(models)
+    def counted(k, xi_sq, N, eta_sq, ctl):
+        calls.append(len(eta_sq))
+        return squeeze_rows(k, xi_sq, N, eta_sq, ctl)
 
-    monkeypatch.setattr(fansq.atlas, "SqueezeRowPlan", Counted)
+    monkeypatch.setattr(fansq.atlas, "squeeze_rows", counted)
     return calls
 
 
@@ -416,19 +416,17 @@ def test_find_intersections_reports_an_exact_zero_gap_once(monkeypatch, gaps):
     def fake(cfg, N, ctl):  # constant - |harmonic| is the tabulated gap
         return SqueezeCoeffs(cfg.k, N, 1.0 + gap_at[cfg.model.eta_sq], (1.0,))
 
-    class FakePlan:  # the grid nodes
-        def __init__(self, k, xi_sq, N, ctl):
-            self.args = k, xi_sq, N, ctl
-
-        def run(self, models):
-            k, xi_sq, N, ctl = self.args
-            nodes = [fake(FanConfig.from_xi_sq(k, x, m), N, ctl) for x, m in zip(xi_sq, models)]
-            constant = np.array([c.constant for c in nodes])
-            harmonics = (np.array([c.harmonics[0] for c in nodes]),)
-            return SqueezeRow(k, N, constant, harmonics, np.full(len(nodes), STOPPED))
+    def fake_rows(k, xi_sq, N, eta_sq, ctl):  # the grid nodes
+        nodes = [
+            fake(FanConfig.from_xi_sq(k, x, TrappedIon(e, 2 * k)), N, ctl)
+            for x, e in zip(xi_sq, eta_sq.tolist())
+        ]
+        constant = np.array([c.constant for c in nodes])
+        harmonics = (np.array([c.harmonics[0] for c in nodes]),)
+        return SqueezeRow(k, N, constant, harmonics, np.full(len(nodes), STOPPED))
 
     monkeypatch.setattr(fansq.atlas, "coefficients", fake)
-    monkeypatch.setattr(fansq.atlas, "SqueezeRowPlan", FakePlan)
+    monkeypatch.setattr(fansq.atlas, "squeeze_rows", fake_rows)
     result = find_intersections(0.1, 1, 4, eta_range)
     zero = eta_range.values()[gaps.index(0.0)]
     assert result.roots == (zero,)

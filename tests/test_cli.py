@@ -175,6 +175,34 @@ def test_intersect_at_zero_xi_is_exit_two(capsys):
     assert "xi_sq must be a finite float > 0" in err
 
 
+@pytest.mark.parametrize(
+    "sub",
+    [
+        ["scan", "--phi", "0.3", "--xi-sq", "0.1:0.5:3"],
+        ["boundary", "--phi", "0.3", "--xi-sq", "0.1:0.5:3"],
+        ["intersect", "--xi-sq", "0.3"],
+    ],
+    ids=["scan", "boundary", "intersect"],
+)
+@pytest.mark.parametrize("axis, first", [("0:0.5:11", "0.0"), ("-0.1:0.5:11", "-0.1")])
+def test_a_trapped_ion_eta_sq_axis_reaching_zero_is_exit_two(capsys, sub, axis, first):
+    # the row engine reads eta_sq = 0.0 as the identity: no such node may reach it
+    code = main(sub + ["--k", "1", "--N", "4", f"--eta-sq={axis}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"fansq: invalid parameters: eta_sq must be a finite float > 0, got {first}\n"
+
+
+def test_an_identity_scan_ignores_its_eta_sq_axis(capsys):
+    argv = ["scan", "--model", "identity", "--k", "1", "--N", "4", "--phi", "0.3",
+            "--xi-sq", "0.1:0.5:3"]  # fmt: skip
+    below, _ = run_cli(capsys, argv + ["--eta-sq=-0.1:0.5:3"])
+    above, _ = run_cli(capsys, argv + ["--eta-sq=0.2:0.8:3"])
+    values = [[line.split(",")[2:] for line in out.splitlines()[2:]] for out in (below, above)]
+    assert values[0] == values[1] and len(values[0]) == 9
+
+
 def test_squeeze_at_rho_past_one_is_exit_three_naming_rho(capsys):
     # rho = xi^2 eta^2 = 1.05: the series diverges; S was 1.48e161 at exit 0
     argv = ["squeeze", "--k", "3", "--N", "12", "--xi-sq", "5", "--eta-sq", "0.21", "--phi", "0"]

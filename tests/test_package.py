@@ -214,7 +214,7 @@ def test_only_atlas_imports_the_row_engine_and_its_names_live_in_rows_alone():
     importers = sorted(name for name, tree in trees.items() if "rows" in _package_imports(tree))
     assert importers == ["atlas"]
     engine = _top_level_names(trees["rows"], imports=False)
-    assert {"LaguerreRows", "convergence_depth", "MomentRowPlan", "SqueezeRowPlan"} <= engine
+    assert {"LaguerreRows", "convergence_depth", "moment_rows", "squeeze_rows"} <= engine
     # defined or re-exported by a module the engine was taken out of
     for home in ("fanstate", "squeeze", "specfun"):
         assert _top_level_names(trees[home]) & engine == set(), home

@@ -1,19 +1,21 @@
 """The row engine against the scalar path, and the guards that keep both honest.
 
-`SqueezeRowPlan` sums every series of a row of points, each with its
-own model, in one numpy term block; `coefficients` sums one point at a
+`squeeze_rows` sums every series of a row of points, each with its
+own eta_sq, in numpy term blocks; `coefficients` sums one point at a
 time.  The two must give the same status at every node and the same
 squeeze parameter up to rounding.  Where the scalar path raises, the
 row engine gives the outcome code of that error (`_code`).
 """
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
 import sys
 import types
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -48,10 +50,10 @@ from fansq.rows import (
     OVERFLOW,
     SINGULAR,
     STOPPED,
-    MomentRowPlan,
     SqueezeRow,
-    SqueezeRowPlan,
     convergence_depth,
+    moment_rows,
+    squeeze_rows,
 )
 from fansq.squeeze import (
     SqueezeCoeffs,
@@ -65,12 +67,22 @@ from laguerre_ref import laguerre
 XI_SQ = [0.0, 0.02, 0.15, 0.4, 0.7, 1.0, 1.6]
 
 
+def _eta_sq(models):
+    """The eta_sq the row engine takes for each model: 0.0 for the identity."""
+    return [getattr(model, "eta_sq", 0.0) for model in models]
+
+
+class _Moments(NamedTuple):
+    values: dict
+    outcome: np.ndarray
+
+
 def moment_row(k, xi, models, pairs, ctl=DEFAULT_CONTROL):
-    return MomentRowPlan(k, xi, pairs, ctl).run(models)
+    return _Moments(*moment_rows(k, xi, pairs, _eta_sq(models), ctl))
 
 
 def coefficients_row(k, xi_sq, models, N, ctl=DEFAULT_CONTROL):
-    return SqueezeRowPlan(k, xi_sq, N, ctl).run(models)
+    return squeeze_rows(k, xi_sq, N, _eta_sq(models), ctl)
 
 
 def _code(want):
@@ -397,6 +409,26 @@ def test_c08_scan_builds_only_even_term_rows(monkeypatch):
     assert 0 < sum(cells) <= 720_000
 
 
+def test_the_kernel_tool_runs_and_reads_a_c08_ledger_within_the_bounds():
+    # the tool patches the engine's private names by attribute, so a rename breaks it unseen
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fansq.__file__)))
+    root = os.path.dirname(src)
+    env = dict(os.environ)
+    paths = (src, os.path.join(root, "tests"), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    tool = os.path.join(root, "tools", "row_kernel_ab.py")
+    out = subprocess.run(
+        [sys.executable, tool, "--repeats", "1"], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert list(report) == ["ledger", "layers", "laguerre_paths", "cumulation"]
+    ledger = report["ledger"]
+    assert 0 < ledger["engine_calls"] <= 40 and 0 < ledger["term_blocks"] <= 160
+    assert 0 < ledger["term_cells"] <= 720_000
+    assert 0 < ledger["laguerre_degree_pairs"] <= 72_000
+
+
 def _laguerre_degree_pairs(monkeypatch):
     """Count degrees times pairs that `LaguerreRows` adds to its tables."""
     count = [0]
@@ -457,18 +489,20 @@ def test_c08_scan_shares_engine_calls_between_rows_of_like_depth(monkeypatch):
 
 
 def test_an_identity_scan_hands_no_call_more_than_2048_nodes(monkeypatch):
-    # every row of an identity scan predicts the same depth, so only the node cap splits runs
-    sizes = []
-    run = MomentRowPlan.run
+    # every row of an identity scan predicts the same depth, so only the
+    # node cap splits runs; a k = 1, N = 4 node is four columns, the
+    # normalization and the moments (1, 1), (2, 2) and (4, 0)
+    columns = []
+    sum_columns = rows._sum_columns
 
-    def recording(self, models):
-        sizes.append(len(models))
-        return run(self, models)
+    def recording(lat, k, p, ctl, ends):
+        columns.append(p.n0.size)
+        return sum_columns(lat, k, p, ctl, ends)
 
-    monkeypatch.setattr(MomentRowPlan, "run", recording)
+    monkeypatch.setattr(rows, "_sum_columns", recording)
     scan(_c08_grid(), "identity")
-    assert sum(sizes) == 101 * 101
-    assert max(sizes) == 20 * 101  # 20 whole rows: the most within 2,048 nodes
+    assert sum(columns) == 4 * 101 * 101
+    assert max(columns) == 4 * 20 * 101  # 20 whole rows: the most within 2,048 nodes
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +562,7 @@ def _run_on_both_kernels(k, xi, models, pairs, ctl):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rows, "_sum_columns", both)
-        row = MomentRowPlan(k, xi, pairs, ctl).run(models)
+        row = moment_row(k, xi, models, pairs, ctl)
     return row, calls
 
 
@@ -587,14 +621,7 @@ def test_the_kernel_is_silent(capsys):
 
 
 # ---------------------------------------------------------------------------
-# one plan per xi axis, one run per list of models
-
-
-def _same_moment_rows(a, b):
-    assert list(a.values) == list(b.values)
-    for lm in a.values:
-        assert a.values[lm].tobytes() == b.values[lm].tobytes(), lm
-    assert a.outcome.tobytes() == b.outcome.tobytes()
+# many rows of eta_sq in one call
 
 
 # xi = 0, a point whose xi^4 passes float range, and points on both
@@ -617,107 +644,122 @@ def _model_lists(k):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_a_plan_run_on_many_rows_gives_each_row_its_one_call_bits(k):
+def test_a_call_on_many_rows_gives_each_row_its_one_row_bits(k):
     N = 4 * k + 4
     pairs = squeeze._moment_pairs(k, N) + [(0, 0), (0, 4 * k), (3, 3)]
     xi = [math.sqrt(x) for x in PLAN_XI_SQ]
-    moments = MomentRowPlan(k, xi, pairs)
-    plan = SqueezeRowPlan(k, PLAN_XI_SQ, N)
     lists = _model_lists(k)
-    # twice round, in both orders: a run carries nothing to the next
-    for models in lists + lists[::-1]:
-        _same_moment_rows(moments.run(models), moment_row(k, xi, models, pairs))
-        got, want = plan.run(models), coefficients_row(k, PLAN_XI_SQ, models, N)
-        for a, b in zip((got.constant, *got.harmonics), (want.constant, *want.harmonics)):
-            assert a.tobytes() == b.tobytes()
-        assert got.outcome.tobytes() == want.outcome.tobytes()
+    stacked = lists + lists[::-1]  # rows of mixed models, each row twice
+    eta_sq = [e for models in stacked for e in _eta_sq(models)]
+    values, outcome = moment_rows(k, xi, pairs, eta_sq)
+    got = squeeze_rows(k, PLAN_XI_SQ, N, eta_sq)
+    n = len(xi)
+    for r, models in enumerate(stacked):
+        at = slice(r * n, (r + 1) * n)
+        alone = moment_row(k, xi, models, pairs)
+        assert list(values) == list(alone.values)
+        for lm in pairs:
+            assert values[lm][at].tobytes() == alone.values[lm].tobytes(), (r, lm)
+        assert outcome[at].tobytes() == alone.outcome.tobytes()
+        want = coefficients_row(k, PLAN_XI_SQ, models, N)
+        for a, b in zip(
+            (got.constant, *got.harmonics, got.outcome),
+            (want.constant, *want.harmonics, want.outcome),
+            strict=True,
+        ):
+            assert a[at].tobytes() == b.tobytes(), r
     # the statuses are the scalar path's, the pole and the overflow included
     names = assert_row_matches(k, PLAN_XI_SQ, lists[3], N)
     assert names[0] == names[6] == "SqueezeCoeffs"
     assert names[3] == "SeriesNotConverged" and "SingularNonlinearity" in names
 
 
-def test_a_run_hashes_each_model_object_once_and_equal_models_share_a_column(monkeypatch):
-    hashed, lattices = [], []
-    model_hash = TrappedIon.__hash__
+def _recording_lattices(monkeypatch):
+    """The eta_sq columns of every lattice the engine builds, as lists."""
+    lattices = []
     lattice = rows._Lattice
 
-    def counting(self):
-        hashed.append(self)
-        return model_hash(self)
+    def recording(eta_sq, step):
+        lattices.append(eta_sq.tolist())
+        return lattice(eta_sq, step)
 
-    def recording(models, step):
-        lattices.append(list(models))
-        return lattice(models, step)
-
-    monkeypatch.setattr(TrappedIon, "__hash__", counting)
     monkeypatch.setattr(rows, "_Lattice", recording)
-    model, twin = TrappedIon(eta_sq=0.3, quantum_order=2), TrappedIon(eta_sq=0.3, quantum_order=2)
+    return lattices
+
+
+def test_equal_eta_sq_share_one_lattice_column(monkeypatch):
+    lattices = _recording_lattices(monkeypatch)
     xi_sq = [0.02 * i for i in range(1, 51)]
-    row = coefficients_row(1, xi_sq, [model, twin] * 25, 4)
-    # one hash per node when the models were grouped by value alone
-    assert len(hashed) == 2
-    assert len(lattices) == 1 and lattices[0] == [model]
-    alone = coefficients_row(1, xi_sq, [model] * 50, 4)
-    assert row.constant.tobytes() == alone.constant.tobytes()
+    row = squeeze_rows(1, xi_sq, 4, [0.3, 0.0] * 25)
+    assert lattices == [[0.0, 0.3]]
+    alone = squeeze_rows(1, xi_sq[::2], 4, [0.3] * 25)
+    assert row.constant[::2].tobytes() == alone.constant.tobytes()
 
 
-def _depth_by_node(k, xi, models, ctl=DEFAULT_CONTROL):
-    """`convergence_depth`'s arithmetic with each node's eta^2 read from its own model."""
-    eta_sq = np.array([getattr(model, "eta_sq", 0.0) for model in models])
-    xi_arr = np.array(xi, dtype=float)
-    ion = eta_sq > 0
-    log_tol = -math.log(ctl.rel_tol)
-    with np.errstate(all="ignore"):
-        xi_sq = xi_arr * xi_arr
-        rho = np.where(ion, xi_sq * eta_sq, 0.0)
-        tail = -np.log1p(-(rho ** (2 * k)))
-        geometric = rows._DEPTH_FACTOR * (log_tol + tail) / (2 * k * np.abs(np.log(rho)))
-    depth = np.where(ion, geometric, np.maximum(math.e**2 * xi_sq, log_tol) / (2 * k))
-    return rho, np.fmin(np.ceil(depth) + rows._DEPTH_PAD, ctl.n_max).astype(int)
-
-
-def test_a_run_groups_the_models_of_its_summed_nodes_in_order_of_appearance(monkeypatch):
-    hashed, lattices = [], []
-    model_hash = TrappedIon.__hash__
-    lattice = rows._Lattice
-
-    def counting(self):
-        hashed.append(self)
-        return model_hash(self)
-
-    def recording(models, step):
-        lattices.append(list(models))
-        return lattice(models, step)
-
-    monkeypatch.setattr(TrappedIon, "__hash__", counting)
-    monkeypatch.setattr(rows, "_Lattice", recording)
-    ion, twin = TrappedIon(eta_sq=0.3, quantum_order=2), TrappedIon(eta_sq=0.3, quantum_order=2)
-    far, past, vacuum = (TrappedIon(eta_sq=e, quantum_order=2) for e in (0.8, 2.0, 0.5))
-    identity = Identity()
-    # far first shows at xi = 0 and at rho = 1.8, past only at rho = 2 and
-    # vacuum only at xi = 0: the summed nodes see ion, identity, far
+def test_a_run_builds_one_lattice_column_per_summed_eta_sq_in_ascending_order(monkeypatch):
+    lattices = _recording_lattices(monkeypatch)
+    # 0.8 shows at xi = 0 and at rho = 1.8 as well, 2.0 only at rho = 2
+    # and 0.5 only at xi = 0: the summed nodes see 0.3, 0.0 (the
+    # identity) and 0.8
     nodes = [
-        (0.0, far), (0.5, ion), (1.5, far), (0.4, identity), (0.6, twin),
-        (0.3, far), (1.0, past), (0.0, vacuum), (0.2, ion), (0.7, Identity()),
+        (0.0, 0.8), (0.5, 0.3), (1.5, 0.8), (0.4, 0.0), (0.6, 0.3),
+        (0.3, 0.8), (1.0, 2.0), (0.0, 0.5), (0.2, 0.3), (0.7, 0.0),
     ]  # fmt: skip
-    xi, models = [x for x, _ in nodes], [model for _, model in nodes]
+    xi, eta_sq = [x for x, _ in nodes], [e for _, e in nodes]
     pairs = squeeze._moment_pairs(1, 4)
-    plan = MomentRowPlan(1, xi, pairs)
-    row = plan.run(models * 2)  # two stacked rows repeat every object
-    assert len(lattices) == 1
-    assert [id(model) for model in lattices[0]] == [id(ion), id(identity), id(far)]
-    assert len(hashed) == 3 and {id(model) for model in hashed} == {id(ion), id(twin), id(far)}
-    codes = row.outcome.tolist()
+    values, outcome = moment_rows(1, xi, pairs, eta_sq * 2)  # two stacked rows, one run
+    assert lattices == [[0.0, 0.3, 0.8]]
+    codes = outcome.tolist()
     assert codes[2] == codes[6] == CAPPED and codes.count(STOPPED) == 16
-    for j, (x, model) in enumerate(nodes):
-        alone = moment_row(1, [x], [model], pairs)
+    for j, (x, e) in enumerate(nodes):
+        alone, _ = moment_rows(1, [x], pairs, [e])
         for lm in pairs:
-            got = row.values[lm][[j, j + len(xi)]]
-            assert got.tobytes() == np.tile(alone.values[lm], 2).tobytes()
-    rho, depth = convergence_depth(1, xi * 2, models * 2)
-    want_rho, want_depth = _depth_by_node(1, xi * 2, models * 2)
-    assert rho.tobytes() == want_rho.tobytes() and depth.tobytes() == want_depth.tobytes()
+            got = values[lm][[j, j + len(xi)]]
+            assert got.tobytes() == np.tile(alone[lm], 2).tobytes()
+
+
+def _axis_runs(k, xi_sq, eta_sq, ctl=DEFAULT_CONTROL):
+    """The depths and runs of the rule the scan used before the engine scheduled its own runs.
+
+    One prediction per eta_sq row, at the axis's largest xi, where a
+    row goes deepest.
+    """
+    xi_top = [math.sqrt(max(xi_sq))] * len(eta_sq)
+    _, depth = convergence_depth(k, xi_top, eta_sq, ctl)
+    return depth.tolist(), rows._row_runs(depth.tolist(), len(xi_sq))
+
+
+@st.composite
+def _scan_rows(draw):
+    """An order k, an xi^2 axis with xi = 0 nodes, and eta_sq rows over it.
+
+    The rows come from a small pool, so that rows repeat and runs form;
+    they reach past rho = 1 (xi^2 eta^2 up to 9), and 0.0 is the identity.
+    """
+    k = draw(st.sampled_from([1, 2, 3]))
+    xi_sq = draw(st.lists(st.floats(min_value=1e-3, max_value=3.0), min_size=1, max_size=6))
+    xi_sq = draw(st.permutations(xi_sq + [0.0] * draw(st.integers(min_value=0, max_value=2))))
+    eta = st.just(0.0) | st.floats(min_value=0.01, max_value=3.0)
+    pool = draw(st.lists(eta, min_size=1, max_size=5))
+    return k, xi_sq, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_scan_rows())
+@example(case=(1, [0.0, 0.0], [0.0, 0.5, 0.5, 2.0]))  # an axis of xi = 0 only
+def test_runs_from_each_rows_deepest_node_are_the_runs_of_the_axis_largest_xi(case):
+    k, xi_sq, eta_sq = case
+    runs = []
+    row_runs = rows._row_runs
+
+    def recording(depth, width):
+        runs.append((depth, row_runs(depth, width)))
+        return runs[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rows, "_row_runs", recording)
+        squeeze_rows(k, xi_sq, 4 * k, np.repeat(eta_sq, len(xi_sq)))
+    assert runs == [_axis_runs(k, xi_sq, eta_sq)]
 
 
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan, 1e308]
@@ -766,9 +808,8 @@ def _stacked_rows(draw):
 )
 def test_a_run_of_stacked_rows_gives_each_row_its_one_row_bits(case):
     k, xi_sq, models, N = case
-    plan = SqueezeRowPlan(k, xi_sq, N)
-    stacked = plan.run([model for model in models for _ in xi_sq])
-    alone = [plan.run([model] * len(xi_sq)) for model in models]
+    stacked = coefficients_row(k, xi_sq, [model for model in models for _ in xi_sq], N)
+    alone = [coefficients_row(k, xi_sq, [model] * len(xi_sq), N) for model in models]
     got = (stacked.constant, *stacked.harmonics, stacked.outcome)
     for a, b in zip(got, zip(*((r.constant, *r.harmonics, r.outcome) for r in alone)), strict=True):
         assert a.tobytes() == np.concatenate(b).tobytes()
@@ -803,21 +844,24 @@ def test_a_batched_scan_raises_the_first_node_below_the_bound_in_node_order(xi, 
     assert str(raised.value) == str(squeeze._below_bound(low[0], grid.N))
 
 
-def test_a_plan_checks_its_axis_and_its_run_checks_the_models():
+def test_a_call_checks_its_axis_and_its_eta_sq():
     with pytest.raises(DomainError):
-        MomentRowPlan(1, [0.1, -0.2], [(1, 1)])
+        moment_rows(1, [0.1, -0.2], [(1, 1)], [0.0] * 2)
     with pytest.raises(DomainError):
-        MomentRowPlan(1, [0.1], [(1, -1)])
+        moment_rows(1, [0.1], [(1, -1)], [0.0])
     with pytest.raises(DomainError):
-        MomentRowPlan(0, [0.1], [(1, 1)])
+        moment_rows(0, [0.1], [(1, 1)], [0.0])
     with pytest.raises(DomainError):
-        SqueezeRowPlan(1, [0.1, math.inf], 4)
-    plan = MomentRowPlan(1, [0.1, 0.2], [(1, 1)])
-    for count in (0, 1, 3):  # a run takes whole rows of the axis
-        with pytest.raises(DomainError, match="one model per xi in each row"):
-            plan.run([Identity()] * count)
-    with pytest.raises(DomainError):
-        plan.run([Identity(), TrappedIon(eta_sq=0.2, quantum_order=4)])
+        squeeze_rows(1, [0.1, math.inf], 4, [0.0] * 2)
+    for count in (0, 1, 3):  # a call takes whole rows of the axis
+        with pytest.raises(DomainError, match="one eta_sq per xi in each row"):
+            moment_rows(1, [0.1, 0.2], [(1, 1)], [0.0] * count)
+    # no quantum order to mismatch: an eta_sq is finite and >= 0, 0.0 the identity
+    for bad in (-0.2, -5e-324, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=r"eta_sq\[1\] must be a finite float >= 0"):
+            moment_rows(1, [0.1, 0.2], [(1, 1)], [0.3, bad])
+        with pytest.raises(DomainError, match=r"eta_sq\[3\] must be a finite float >= 0"):
+            squeeze_rows(1, [0.1, 0.2], 4, [0.0, 0.3, 0.3, bad])
 
 
 def _c08_grid():
@@ -860,11 +904,10 @@ def test_rho_per_config_and_per_row():
         for k, xi_sq, eta_sq in [(1, 0.5, 0.3), (2, 0.99, 0.97), (3, 1.7, 0.8), (1, 0.0, 0.4)]
     ]
     for cfg in configs:
-        (rho,), _ = convergence_depth(cfg.k, [cfg.xi], [cfg.model])
+        (rho,), _ = convergence_depth(cfg.k, [cfg.xi], [cfg.model.eta_sq])
         assert rho == cfg.xi_sq * cfg.model.eta_sq
     xi = [0.0, 0.3, 0.9, 1.0, 2.5]
-    models = [TrappedIon(eta_sq=0.95, quantum_order=2), Identity()] * 2 + [Identity()]
-    rho, depth = convergence_depth(1, xi, models)
+    rho, depth = convergence_depth(1, xi, [0.95, 0.0] * 2 + [0.0])
     assert rho.tolist() == [0.0, 0.0, 0.9 * 0.9 * 0.95, 0.0, 0.0]
     assert depth.shape == (5,) and all(8 <= d <= DEFAULT_CONTROL.n_max for d in depth.tolist())
 
@@ -874,22 +917,15 @@ def test_rho_at_or_past_one_predicts_the_cap_or_the_first_overflow(k, monkeypatc
     eta_sq = [1.0, 1.01, 0.5, 0.25, 0.9]
     xi = [1.0, 1.0, 2.0, 3.0, 1e200]  # rho = 1, 1.01, 2, 2.25 and past float range
     models = [TrappedIon(e, 2 * k) for e in eta_sq]
-    rho, depth = convergence_depth(k, xi, models)
+    rho, depth = convergence_depth(k, xi, eta_sq)
     assert rho.tolist()[:4] == [1.0, 1.01, 2.0, 2.25] and rho[4] == math.inf
     n_max = DEFAULT_CONTROL.n_max
     # the series diverge, so the prediction is the cap
     assert depth.tolist() == [n_max] * 5
     capped = SeriesControl(n_max=40)
-    assert convergence_depth(k, xi, models, capped)[1].tolist() == [40] * 5
+    assert convergence_depth(k, xi, eta_sq, capped)[1].tolist() == [40] * 5
     # both engines fail them at once, naming rho, with the cap's error and code
-    lattices = []
-    lattice = rows._Lattice
-
-    def recording(models, step):
-        lattices.append(list(models))
-        return lattice(models, step)
-
-    monkeypatch.setattr(rows, "_Lattice", recording)
+    lattices = _recording_lattices(monkeypatch)
     row = moment_row(k, xi, models, squeeze._moment_pairs(k, 4 * k))
     assert row.outcome.tolist() == [CAPPED] * 5
     assert lattices == [[]]  # no term summed, no product built
@@ -899,7 +935,7 @@ def test_rho_at_or_past_one_predicts_the_cap_or_the_first_overflow(k, monkeypatc
             coefficients(FanConfig(k, x, model), 4 * k)
     # c08's corner: AxisRange ends a hair below 1, so rho is just below it
     corner = AxisRange(0.01, 1.0, 101).values()[-1]
-    (rho,), (depth,) = convergence_depth(k, [math.sqrt(corner)], [TrappedIon(corner, 2 * k)])
+    (rho,), (depth,) = convergence_depth(k, [math.sqrt(corner)], [corner])
     assert rho < 1 and depth == n_max
 
 
@@ -966,8 +1002,8 @@ def test_prediction_follows_the_stops_of_the_c08_rows(monkeypatch):
 def _no_prediction(depth):
     """A `convergence_depth` that predicts the same stop index for every point."""
 
-    def predict(k, xi, models, ctl=DEFAULT_CONTROL):
-        rho, _ = convergence_depth(k, xi, models, ctl)
+    def predict(k, xi, eta_sq, ctl=DEFAULT_CONTROL):
+        rho, _ = convergence_depth(k, xi, eta_sq, ctl)
         return rho, np.full(len(xi), min(depth, ctl.n_max))
 
     return predict
@@ -1020,13 +1056,14 @@ def test_prediction_moves_no_value_and_no_error(data, k, extra):
 
 def test_depth_rejects_bad_inputs():
     with pytest.raises(DomainError):
-        convergence_depth(1, [0.1, -0.2], [Identity()] * 2)
+        convergence_depth(1, [0.1, -0.2], [0.0] * 2)
     with pytest.raises(DomainError):
-        convergence_depth(1, [0.1, math.nan], [Identity()] * 2)
+        convergence_depth(1, [0.1, math.nan], [0.0] * 2)
+    for bad in (-0.2, math.nan, math.inf):  # in place of a quantum order other than 2k
+        with pytest.raises(DomainError):
+            convergence_depth(1, [0.1], [bad])
     with pytest.raises(DomainError):
-        convergence_depth(1, [0.1], [TrappedIon(eta_sq=0.2, quantum_order=4)])
-    with pytest.raises(DomainError):
-        convergence_depth(1, [0.1, 0.2], [Identity()])
+        convergence_depth(1, [0.1, 0.2], [0.0])
 
 
 def test_row_rejects_bad_inputs():
@@ -1034,8 +1071,9 @@ def test_row_rejects_bad_inputs():
         coefficients_row(1, [0.1, -0.2], [Identity()] * 2, 4)
     with pytest.raises(DomainError):
         coefficients_row(1, [0.1, math.nan], [Identity()] * 2, 4)
-    with pytest.raises(DomainError):
-        coefficients_row(1, [0.1, 0.2], [Identity(), TrappedIon(eta_sq=0.2, quantum_order=4)], 4)
+    for bad in (-0.2, math.nan, math.inf):  # in place of a quantum order other than 2k
+        with pytest.raises(DomainError):
+            squeeze_rows(1, [0.1, 0.2], 4, [0.0, bad])
     with pytest.raises(DomainError):
         coefficients_row(1, [0.1], [Identity()], 5)
     with pytest.raises(DomainError):
