@@ -74,7 +74,7 @@ def refine_brackets(
     step = 0
     while True:
         mid = 0.5 * (a + b)
-        rows = np.flatnonzero(np.isnan(root) & ~failed & (b - a > xtol) & (mid > a) & (mid < b))
+        rows = (np.isnan(root) & ~failed & (b - a > xtol) & (mid > a) & (mid < b)).nonzero()[0]
         if not rows.size:
             break
         x = itp_probe(a[rows], b[rows], fa[rows], fb[rows], width0[rows], step, xtol)

@@ -52,7 +52,7 @@ from .errors import (
     positive_float,
     positive_int,
 )
-from .specfun import _grow_laguerre, log_factorial
+from .specfun import _grow_laguerre_pair, log_factorial
 
 _LOG_HUGE = 700.0  # ln of near-overflow; a term this large means divergence
 
@@ -203,8 +203,7 @@ class ProductTable:
     def _grow(self, n: int) -> tuple[array, array]:
         den, num = self._den, self._num
         if n >= len(den):
-            _grow_laguerre(den, 0, self.model.eta_sq, n)
-            _grow_laguerre(num, self.model.quantum_order, self.model.eta_sq, n)
+            _grow_laguerre_pair(den, num, self.model.quantum_order, self.model.eta_sq, n)
         return den, num
 
     def laguerre(self, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,97 +5,97 @@ A row is many points of one order k, each with its own xi and eta_sq,
 of the grid over one xi axis, boundary refinement one ITP probe per
 crossing.  Every series a point needs becomes one column of a 2-D
 numpy block of terms over the even summation indices of
-`fansq.fanstate`'s series (the odd ones are exact zeros).
-`convergence_depth` predicts from rho = xi^2 eta^2 where each point's
-series stop.  The block grows by doubling, for the columns still
-running only, with one block boundary put at the deepest predicted stop
-of those columns.  The products of the nonlinearity come from a lattice
-with one column per distinct eta_sq, built once up front to the deepest
-predicted index, in numpy, from Laguerre values equal bit for bit to
-the scalar path's, so both find the same poles.  Each column replays
-the scalar path: the same terms, the same Neumaier sums (sequential
-cumulative sums plus their exact rounding errors), the same stop rule
-on the same even terms, and the same overflow, pole and term-cap
-checks, so its value does not depend on the block sizes, on the
-prediction or on which columns or eta_sq share the block.  A cumulative
-sum or product runs down the rows of a block as numpy's accumulate
-where the block is narrow and as one addition per row where it is wide
-(`_cumulate`); both add each column in row order, so both give the
-same bits.  A node whose series fail gets the outcome code (SINGULAR,
-OVERFLOW or CAPPED) of the failure the scalar path would raise first;
-the words of that error exist on the scalar path only.  The row path
-fills none of the scalar path's memo tables.  `moment_rows` takes what
-depends on the xi axis alone once per call (the checks, the series and
-their order, ln xi, the column parameters and xi^(l - m)) and tiles it
-over R rows of eta_sq.  It predicts every node's depth once and splits
-the rows into runs of contiguous rows of like predicted depth
-(`_row_runs`), since the lattice grows every eta_sq of a run to its
-deepest row; each run is one lattice and one `_sum_columns` call.
-`squeeze_rows` assembles the decomposition of `fansq.squeeze` from
-those moments.
+`fansq.fanstate`'s series (the odd ones are exact zeros).  From rho =
+xi^2 eta^2 `convergence_depth` predicts where each series stops; the
+block grows by doubling, for the running columns only, with one block
+boundary at their deepest predicted stop.  The products of the
+nonlinearity come from a lattice with one column per distinct eta_sq,
+built up front to the deepest predicted index from Laguerre values
+equal bit for bit to the scalar path's, so both find the same poles.
+Each column replays the scalar path's terms, Neumaier sums (cumulative
+sums, `_cumulate`, plus their exact rounding errors), stop rule and
+overflow, pole and term-cap checks, so no value depends on the blocks,
+the prediction or what shares them.  A failed node gets the outcome
+code (SINGULAR, OVERFLOW or CAPPED) of the error the scalar path raises
+first, whose words exist there only; the row path fills none of its
+memo tables.  A call costs little beyond its points: the public
+functions check each input once and pass checked arrays to private
+cores, the series of the pairs are planned once per (k, pairs)
+(`_series`), and ln xi and xi^(l - m) (l != m only) are taken once per
+axis value.  `moment_rows` splits R stacked rows into runs of like
+depth (`_row_runs`), each one lattice and one `_sum_columns` call;
+`squeeze_rows` assembles the decomposition of `fansq.squeeze`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, nonnegative_float, nonnegative_int, positive_int
 from .fanstate import _LAGUERRE_FLOOR, _LOG_HUGE, DEFAULT_CONTROL, SeriesControl
-from .specfun import _grow_laguerre, log_factorials
+from .specfun import _grow_laguerre_pair, log_factorials
 from .squeeze import _assemble, _below_bound, _check_order, _cosine_sum, _lower_bound, _moment_pairs
 
-# up to this many pairs the float loop per pair is faster: it costs about
-# 0.22 us per pair and degree, one numpy step over all pairs 2.1-2.4 us
-# per degree from 2 to 32 pairs, so they cross at about 10 pairs
-# (`tools/row_kernel_ab.py`); a scan run has two pairs per row of one model
+# up to this many pairs the float loop over both orders is about as fast:
+# 0.22 us per pair and degree, one numpy step over all pairs 1.4-2.0 us per
+# degree from 2 to 32 pairs; they cross at 6-8 pairs at 2,000 degrees and
+# 8-10 at 80 (`tools/row_kernel_ab.py`); a scan run has two pairs per row
 _FEW_PAIRS = 8
 
 
 class LaguerreRows:
-    """L_0^m[r](x[r]) .. L_n^m[r](x[r]) for many pairs (m[r], x[r]) at once.
+    """L_0^m(x) .. L_n^m(x) of orders m = 0 and K at many points x[r] at once.
 
-    Row i of `upto(n)` holds degree i of every pair.  The recurrence of
-    `_grow_laguerre` runs on all pairs together, one numpy step per
-    degree written in place into one preallocated block, with the
-    same operations in the same order, so each value is the float the
-    scalar loop gives.  A few pairs run that loop itself.
+    Pair r < len(x) is (0, x[r]), pair len(x) + r is (K, x[r]); `self.x`
+    holds each pair's point.  Row i of `upto(n)` holds degree i of every
+    pair.  One numpy step per degree grows all pairs in place in one
+    preallocated block, with the operations of `_grow_laguerre_pair` in
+    its order, so each value is the float of that loop, which a few
+    pairs run themselves.
     """
 
-    def __init__(self, m: np.ndarray, x: np.ndarray) -> None:
-        self.m = np.asarray(m)
-        self.x = np.asarray(x, dtype=float)
+    def __init__(self, K: int, x: np.ndarray) -> None:
+        self.K = K
+        self.x = np.concatenate((x, x))
         self._vals = np.ones((1, self.x.size))
 
     def upto(self, n: int) -> np.ndarray:
         vals = self._vals
         if n < vals.shape[0]:
             return vals[: n + 1]
-        m, x = self.m, self.x
+        x = self.x
         if 0 < x.size <= _FEW_PAIRS:
             cols = vals.T.tolist()
-            for col, m_r, x_r in zip(cols, m.tolist(), x.tolist()):
-                _grow_laguerre(col, m_r, x_r, n)
+            half = len(cols) // 2
+            for den, num, x_r in zip(cols, cols[half:], x[:half].tolist()):
+                _grow_laguerre_pair(den, num, self.K, x_r, n)
             vals = np.array(cols).T
         else:
+            m = np.repeat([0.0, self.K], x.size // 2)
             old = vals.shape[0]
-            grown = np.empty((n + 1, x.size))
-            grown[:old] = vals
-            d = np.arange(old, n + 1)[:, None]  # degrees to add
-            rise = ((2 * d - 1) + m) - x
-            fall = (d - 1 + m).astype(float)
-            prev = grown[old - 2] if old > 1 else np.zeros(x.size)  # L_{-1} = 0 gives degree 1
-            term = np.empty(x.size)
-            for i, up, down in zip(range(old, n + 1), rise, fall):
-                row, cur = grown[i], grown[i - 1]
-                np.multiply(up, cur, out=row)
-                row -= np.multiply(down, prev, out=term)
-                row /= i
-                prev = cur
-            vals = grown
+            grown = np.zeros((n + 2, x.size))  # row d + 1 holds degree d, row 0 L_{-1} = 0
+            grown[1 : old + 1] = vals
+            # coef[i] multiplies degrees d - 2 and d - 1 (windows[i]) to give degree d = old + i,
+            # in floats: every integer here is exact, so the sums are the int sums
+            d = np.arange(old, n + 1, dtype=float)[:, None]
+            coef = np.empty((n + 1 - old, 2, x.size))
+            np.add(d - 1, m, out=coef[:, 0])
+            np.subtract(np.add(2 * d - 1, m, out=coef[:, 1]), x, out=coef[:, 1])
+            row, item = grown.strides
+            windows = np.ndarray(coef.shape, float, grown, (old - 1) * row, (row, row, item))
+            products = np.empty((2, x.size))
+            down, up = products
+            mul, sub, div = np.multiply, np.subtract, np.divide
+            for i, c, window, out in zip(d.ravel(), coef, windows, grown[old + 1 :]):
+                mul(c, window, products)  # out passed by position: no keyword to parse
+                sub(up, down, out)
+                div(out, i, out)
+            vals = grown[1:]
         self._vals = vals
         return vals
 
@@ -103,9 +103,8 @@ class LaguerreRows:
 def _nonnegative_array(name: str, values: Sequence[float]) -> np.ndarray:
     """values as a float array, or the DomainError of its first entry not finite and >= 0."""
     arr = np.array(values, dtype=float)
-    bad = ~(np.isfinite(arr) & (arr >= 0))
-    if bad.any():
-        i = int(bad.argmax())
+    if not (arr.min(initial=0.0) >= 0 and arr.max(initial=0.0) < math.inf):  # NaN fails the first
+        i = int((~(np.isfinite(arr) & (arr >= 0))).argmax())
         nonnegative_float(f"{name}[{i}]", float(arr[i]))
     return arr
 
@@ -144,11 +143,16 @@ def convergence_depth(
     eta_arr = _nonnegative_array("eta_sq", eta_sq)
     if eta_arr.size != xi_arr.size:
         raise DomainError(f"need one eta_sq per xi, got {eta_arr.size} for {xi_arr.size}")
-    ion = eta_arr > 0
+    return _depth(k, xi_arr, eta_arr, ctl)
+
+
+def _depth(k: int, xi: np.ndarray, eta_sq: np.ndarray, ctl: SeriesControl):
+    """`convergence_depth` of checked arrays; xi broadcasts against eta_sq."""
+    ion = eta_sq > 0
     log_tol = -math.log(ctl.rel_tol)
     with np.errstate(all="ignore"):  # inf or NaN from rho = 1 on: fmin takes n_max
-        xi_sq = xi_arr * xi_arr
-        rho = np.where(ion, xi_sq * eta_arr, 0.0)
+        xi_sq = xi * xi
+        rho = np.where(ion, xi_sq * eta_sq, 0.0)
         tail = -np.log1p(-(rho ** (2 * k)))
         geometric = _DEPTH_FACTOR * (log_tol + tail) / (2 * k * np.abs(np.log(rho)))
     depth = np.where(ion, geometric, np.maximum(math.e**2 * xi_sq, log_tol) / (2 * k))
@@ -187,19 +191,20 @@ def _row_runs(depth: list[int], width: int) -> list[range]:
 _WIDE = 200
 
 
-def _cumulate(ufunc: np.ufunc, block: np.ndarray) -> np.ndarray:
-    """ufunc.accumulate(block, axis=0) as a new array, with the same bits.
+def _cumulate(ufunc: np.ufunc, block: np.ndarray, out: Optional[np.ndarray] = None):
+    """ufunc.accumulate(block, axis=0, out=out), with the same bits.
 
     Both forms apply ufunc down each column in row order; a block of at
     least _WIDE columns takes one ufunc call per row, a narrower one
-    numpy's accumulate.  block itself is only read.
+    numpy's accumulate.  out may be block itself, else block is only read.
     """
     if block.shape[1] < _WIDE:
-        return ufunc.accumulate(block, axis=0)
-    out = np.empty_like(block)
+        return ufunc.accumulate(block, axis=0, out=out)
+    if out is None:
+        out = np.empty_like(block)
     out[:1] = block[:1]
     for prev, row, cur in zip(out, block[1:], out[1:]):
-        ufunc(prev, row, out=cur)
+        ufunc(prev, row, cur)
     return out
 
 
@@ -210,83 +215,67 @@ _NO_POLE = np.iinfo(np.int64).max
 class _Lattice:
     """Signed log-products of f at multiples of 2k, one column per distinct eta_sq.
 
-    Entry [i, g] holds the product that `fanstate.ProductTable` holds at
-    index i for eta_sq[g], f(2k) f(4k) ... f(2k i), with f = 1 for the
-    identity (eta_sq = 0.0).  It is built from the same Laguerre values
-    and log-factorials in the same order, so only the logs may round
-    differently.  pole[g] is the first index whose
-    product is singular, or _NO_POLE; entries from there on repeat the
-    last product before it, finite and unused.
+    Index i of group g holds the product that `fanstate.ProductTable`
+    holds at index i for eta_sq[g], f(2k) f(4k) ... f(2k i), f = 1 for
+    the identity (eta_sq = 0.0), from the same Laguerre values and
+    log-factorials in the same order, so only the logs may round
+    differently.  pole[g] is the first index whose product is singular,
+    or _NO_POLE; entries from there on repeat the last product before
+    it, finite and unused.  The flat `log_table` and `sign_table` hold,
+    at (3 i + slot) groups + g, the log-products, their doubles and
+    zeros, and the signs, ones and ones: a normalization column reads
+    its first product doubled and its second as one.
     """
 
     def __init__(self, eta_sq: np.ndarray, step: int) -> None:
         self.step = step
-        self.ion = np.flatnonzero(eta_sq > 0)
+        # eta_sq ascends: the identity's 0.0 comes first
+        self.ion = slice(int(eta_sq.size > 0 and eta_sq[0] == 0.0), eta_sq.size)
         # the quantum order K is 2k = step: both Laguerre orders in one table
-        self.laguerre = LaguerreRows(np.repeat([0, step], self.ion.size), np.tile(eta_sq[self.ion], 2))
-        self.sign = np.ones((1, eta_sq.size))
-        self.logmag = np.zeros((1, eta_sq.size))
+        self.laguerre = LaguerreRows(step, eta_sq[self.ion])
         self.pole = np.full(eta_sq.size, _NO_POLE)
-        self._tables: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The log-products and signs as flat tables of 3 x groups entries per index.
-
-        Index i holds the log-products at i, their doubles and zeros, and
-        the signs, ones and ones.  Built once per growth of the lattice.
-        """
-        if self._tables is None:
-            zeros, ones = np.zeros_like(self.logmag), np.ones_like(self.sign)
-            self._tables = (
-                np.hstack((self.logmag, 2 * self.logmag, zeros)).ravel(),
-                np.hstack((self.sign, ones, ones)).ravel(),
-            )
-        return self._tables
-
-    def positions(self, first, second, norm, g) -> tuple[np.ndarray, np.ndarray]:
-        """Where a column's products at indices first and second sit in the tables.
-
-        A normalization column reads its first product doubled and its
-        second as one, so one formula serves both kinds of column.
-        """
-        groups = self.pole.size
-        return (3 * first + norm) * groups + g, (3 * second + 2 * norm) * groups + g
+        self._log, self._sign = np.zeros((1, 3, eta_sq.size)), np.ones((1, 3, eta_sq.size))
+        self.log_table, self.sign_table = self._log.ravel(), self._sign.ravel()
 
     def extend(self, j: int) -> None:
         """Hold products up to index j."""
-        size = self.sign.shape[0]
+        size = self._log.shape[0]
         if j < size:
             return
-        self._tables = None
-        step, count, ion = self.step, len(self.ion), self.ion
-        fock = step * np.arange(size, j + 1)[:, None]
-        sign = np.ones((fock.size, self.pole.size))
-        logmag = np.zeros((fock.size, self.pole.size))
+        # one new block per growth, the new indices written in place
+        log, sign = np.zeros((j + 1, 3, self.pole.size)), np.ones((j + 1, 3, self.pole.size))
+        log[:size], sign[:size] = self._log, self._sign
+        self._log, self._sign = log, sign
+        # row 0 carries the last products in, rows 1.. take the factors
+        logmag, sign = self._log[size - 1 :, 0], self._sign[size - 1 :, 0]
+        step, ion = self.step, self.ion
+        count = ion.stop - ion.start
         if count:
+            fock = step * np.arange(size, j + 1)
             # factor f(m) divides L^K by L^0, both of degree m - K
-            lag = self.laguerre.upto(step * (j - 1))[fock[:, 0] - step]
+            lag = self.laguerre.upto(step * (j - 1))[fock - step]
             den, num = lag[:, :count], lag[:, count:]
-            bad = (np.abs(den) < _LAGUERRE_FLOOR) | (num == 0.0)
+            den_size, num_size = np.abs(den), np.abs(num)
+            bad = (den_size < _LAGUERRE_FLOOR) | (num_size == 0.0)
+            held = self.pole[ion] == _NO_POLE
             first = bad.argmax(axis=0)
-            new_pole = bad[first, np.arange(count)] & (self.pole[ion] == _NO_POLE)
-            # unused from the first pole on
-            bad |= np.arange(fock.size)[:, None] >= np.where(new_pole, first, fock.size)
-            bad[:, self.pole[ion] != _NO_POLE] = True
+            new_pole = bad[first, np.arange(count)] & held
+            # unused from the first pole on, and all past an earlier one
+            cut = np.where(new_pole, first, np.where(held, fock.size, 0))
+            bad |= np.arange(fock.size)[:, None] >= cut
             lf = log_factorials(step * j)
             logf = (
-                (lf[fock - step] - lf[fock])
-                + np.log(np.where(bad, 1.0, np.abs(num)))
-                - np.log(np.where(bad, 1.0, np.abs(den)))
+                (lf[fock - step] - lf[fock])[:, None]
+                + np.log(np.where(bad, 1.0, num_size))
+                - np.log(np.where(bad, 1.0, den_size))
             )
-            sign[:, ion] = np.where(bad | ((num > 0) == (den > 0)), 1.0, -1.0)
-            logmag[:, ion] = np.where(bad, 0.0, logf)
-            self.pole[ion[new_pole]] = size + first[new_pole]
-        self.sign = np.vstack(
-            (self.sign, _cumulate(np.multiply, np.vstack((self.sign[-1], sign)))[1:])
-        )
-        self.logmag = np.vstack(
-            (self.logmag, _cumulate(np.add, np.vstack((self.logmag[-1], logmag)))[1:])
-        )
+            sign[1:, ion] = np.where(bad | ((num > 0) == (den > 0)), 1.0, -1.0)
+            logmag[1:, ion] = np.where(bad, 0.0, logf)
+            self.pole[ion][new_pole] = size + first[new_pole]
+        _cumulate(np.multiply, sign, out=sign)
+        _cumulate(np.add, logmag, out=logmag)
+        np.multiply(2, logmag[1:], out=self._log[size:, 1])
+        self.log_table, self.sign_table = self._log.ravel(), self._sign.ravel()
 
 
 class _Columns(NamedTuple):
@@ -341,7 +330,6 @@ def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns, out: np.ndar
     wide = 3 * lat.pole.size  # flat-table entries per lattice index
     width = int(p.second.max()) + 1
     lat.extend(2 * (b - 1) + (width - 1) // wide)
-    logmag, sign = lat.tables()
     lf_width = int(p.lf.max()) + 1
     lf = log_factorials(2 * step * (b - 1) + lf_width - 1)
     # 2 ln 2k + 4kn ln xi - ln (2kn - m)! minus the two log-products
@@ -349,7 +337,7 @@ def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns, out: np.ndar
     out *= p.log_xi
     out += 2 * math.log(step)
     out -= _rows(lf, 2 * step * a, 2 * step, rows, lf_width).take(p.lf, axis=1)
-    products = _rows(logmag, 2 * wide * a, 2 * wide, rows, width)
+    products = _rows(lat.log_table, 2 * wide * a, 2 * wide, rows, width)
     out -= products.take(p.first, axis=1)
     out -= products.take(p.second, axis=1)
     fail = np.full(p.first.size, rows)
@@ -357,7 +345,7 @@ def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns, out: np.ndar
         fail = _first(out > _LOG_HUGE)
         np.minimum(out, _LOG_HUGE, out=out)
     np.exp(out, out=out)
-    signs = _rows(sign, 2 * wide * a, 2 * wide, rows, width)
+    signs = _rows(lat.sign_table, 2 * wide * a, 2 * wide, rows, width)
     out *= signs.take(p.first, axis=1)
     out *= signs.take(p.second, axis=1)
     if a == 0:  # the leading normalization term is exactly (2k)^2, as in `fanstate.normalization`
@@ -380,28 +368,26 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
     as a sequential cumulative sum with its rounding errors summed the
     same way beside it; an error comes from Knuth's TwoSum, which gives
     the same exact error as Neumaier's branch.  Both sums go through
-    `_cumulate`: numpy's accumulate below _WIDE columns, one row
-    addition at a time from there on, with the same bits, and into a
-    new array, since the terms are read from the block's rows after.
-    The stop rule is the scalar path's, with its three exceptions
-    applied only where they can bite: an even n0's first term stops
-    nothing (row 0 of block 0), a zero sum at n0 + 2 stops there (only
-    when n_max <= 3), and no stop or failure counts past the term cap
-    (only in the block that reaches it).  ends[c] is the row after the predicted stop of column c: a
-    block that would run past the deepest end of the running columns
-    ends there, and the blocks double again after it.
+    `_cumulate` (numpy's accumulate below _WIDE columns, one row
+    addition at a time from there on, with the same bits): the partial
+    sums into a new array, since the terms are read from the block's
+    rows after, the compensations in place.  The stop rule is the scalar
+    path's, with its three exceptions applied only where they can bite:
+    an even n0's first term stops nothing (row 0 of block 0), a zero sum
+    at n0 + 2 stops there (only when n_max <= 3), and no stop or failure
+    counts past the term cap (only in the block that reaches it).
+    ends[c] is the row after the predicted stop of column c: a block
+    that would run past the deepest end of the running columns ends
+    there, and the blocks double again after it.
     """
     width = p.n0.size
     sums = np.full(width, np.nan)
     outcome = np.full(width, RUNNING)
     cols = np.arange(width)
-    acc = np.zeros(width)  # Neumaier sum and compensation, carried
-    comp = np.zeros(width)
+    acc, comp = np.zeros(width), np.zeros(width)  # Neumaier sum and compensation, carried
     rel_tol, n_max = ctl.rel_tol, ctl.n_max
     last = (n_max + 1) // 2
-    a = 0
-    size = _FIRST_BLOCK
-    here = p
+    a, size, here = 0, _FIRST_BLOCK, p
     deepest = int(ends.max(initial=0))
     while cols.size:
         b = min(a + size, last)
@@ -423,7 +409,7 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
         c = np.empty_like(partial)
         c[0] = comp
         np.add(err, back, out=c[1:])
-        c = _cumulate(np.add, c)[1:]
+        c = _cumulate(np.add, c, out=c)[1:]
         # a small term stops its column at the odd index after it; the
         # last row, all True, makes argmax give `rows` where none is small
         small = np.ones((rows + 1, cols.size), dtype=bool)
@@ -445,14 +431,14 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
         ended = np.minimum(stop, fail) < rows
         code = np.where(stopped, STOPPED, np.where(singular, SINGULAR, OVERFLOW))
         outcome[cols[ended]] = code[ended]
-        at = np.flatnonzero(stopped)
+        at = stopped.nonzero()[0]
         row = stop[at]
         sums[cols[at]] = s[row, at] + c[row, at]
         if b == last:
             outcome[cols[~ended]] = CAPPED
             break
         acc, comp = s[-1], c[-1]
-        if ended.any():
+        if np.count_nonzero(ended):
             rest = ~ended
             cols = cols[rest]
             acc, comp, here = acc[rest], comp[rest], p.take(cols)
@@ -492,99 +478,109 @@ def moment_rows(
     Values are NaN at a failed node.
 
     Each series the pairs need (the normalization and every moment not
-    zero by symmetry) is one column per positive xi.  What depends on
-    the axis alone is taken once and tiled R times: the checks, the
-    series and their order, ln xi and the column parameters, and
-    xi^(l - m), with `math.log` and `**` as the scalar path takes them.
-    A node at rho >= 1 is CAPPED without a term summed, as the scalar
-    path raises there at once.  The rows run in runs of like depth
-    (`_row_runs`, fed by each row's deepest node), each with one lattice
-    over the distinct eta_sq of its summed nodes, built up front to the
-    deepest index `convergence_depth` predicts.  A node's value does not
-    depend on its run.
+    zero by symmetry) is one column per positive xi, with ln xi and
+    xi^(l - m) taken once per axis value by `math.log` and `**`, as the
+    scalar path takes them.  A node at rho >= 1 is CAPPED without a term
+    summed, as the scalar path raises there at once.  The rows run in
+    runs of like depth (`_row_runs`, fed by each row's deepest node),
+    each with one lattice over the distinct eta_sq of its summed nodes,
+    built up front to the deepest index `convergence_depth` predicts.  A
+    node's value does not depend on its run.
     """
     positive_int("fan order k", k)
     xi_arr = _nonnegative_array("xi", xi)
-    xi_list = xi_arr.tolist()
     for l, m in pairs:
         nonnegative_int("moment power l", l)
         nonnegative_int("moment power m", m)
-    eta_arr = _nonnegative_array("eta_sq", eta_sq)
-    width = len(xi_list)
-    reps = eta_arr.size // width if width else 1
-    if not reps or eta_arr.size != reps * width:
-        raise DomainError(f"need one eta_sq per xi in each row, got {eta_arr.size} for {width}")
+    return _moment_rows(k, xi_arr, pairs, _nonnegative_array("eta_sq", eta_sq), ctl)
+
+
+@lru_cache(maxsize=64)
+def _series(k: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple, np.ndarray]:
+    """The pairs as (l >= m), the series they need in the scalar path's order, and a spec.
+
+    That order (the first moment, the normalization None it divides by,
+    the others) decides which error a node reports; a moment zero by
+    symmetry has no series.  Read-only spec row i holds series i's n0,
+    shift, m, norm, lf, power (`_Columns`), e0 (n0 rounded up to even:
+    row r of a column is the even index e0 + 2r) and its lattice slots.
+    """
     step = 2 * k
-    zero = xi_arr == 0.0
-    axis_live = np.flatnonzero(~zero)
-    ordered = {(max(l, m), min(l, m)): None for l, m in pairs}
+    ordered = tuple({(max(l, m), min(l, m)): None for l, m in pairs})
     series = [lm for lm in ordered if (lm[0] - lm[1]) % (2 * step) == 0]
-    # the scalar path sums the first moment, then the normalization it
-    # divides by, then the others: that order decides which error a
-    # node reports
-    if series:
-        series.insert(1, None)
+    series[1:1] = [None] if series else []
+    spec = []
+    for lm in series:
+        l, m = lm or (0, 0)
+        n0, norm = -(-m // step), lm is None
+        e0, shift = n0 + n0 % 2, (l - m) // step
+        row = (n0, shift, m, norm, step * e0 - m, 2 * step * e0, e0)
+        spec.append(row + (3 * e0 + norm, 3 * (e0 + shift) + 2 * norm))
+    spec = np.array(spec, dtype=int).reshape(len(series), 9)
+    spec.flags.writeable = False
+    return ordered, tuple(series), spec
 
-    def per_column(f):
-        return np.repeat([f(lm) for lm in series], axis_live.size)
 
-    n0 = per_column(lambda lm: 0 if lm is None else -(-lm[1] // step))
-    m_col = per_column(lambda lm: 0 if lm is None else lm[1])
-    e0_axis = n0 + n0 % 2  # row r of a column is the even index e0 + 2r
-    unset = np.zeros_like(n0)  # g and the lattice positions come with each run
-    columns = _Columns(
-        g=unset,
-        n0=n0,
-        shift=per_column(lambda lm: 0 if lm is None else (lm[0] - lm[1]) // step),
-        m=m_col,
-        norm=per_column(lambda lm: lm is None),
-        log_xi=np.tile([math.log(xi_list[j]) for j in axis_live], len(series)),
-        power=(2 * step * e0_axis).astype(float),
-        lf=step * e0_axis - m_col,
-        first=unset,
-        second=unset,
-    )
-
-    rho, depth = convergence_depth(k, np.tile(xi_arr, reps), eta_arr, ctl)
+def _moment_rows(
+    k: int, xi: np.ndarray, pairs: Sequence[tuple[int, int]], eta_sq: np.ndarray, ctl: SeriesControl
+) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
+    """`moment_rows` of a checked order, xi axis, pairs and eta_sq array."""
+    width = xi.size
+    reps = eta_sq.size // width if width else 1
+    if not reps or eta_sq.size != reps * width:
+        raise DomainError(f"need one eta_sq per xi in each row, got {eta_sq.size} for {width}")
+    zero = xi == 0.0
+    axis_live = (~zero).nonzero()[0]
     per_row = axis_live.size
+    xi_live = xi[axis_live].tolist()
+    logs = np.array([math.log(x) for x in xi_live])
+    ordered, series, spec = _series(k, tuple(map(tuple, pairs)))
+
+    rho, depth = _depth(k, np.concatenate([xi] * reps), eta_sq, ctl)
     live = (np.arange(reps)[:, None] * width + axis_live).ravel()
     sums = np.full((len(series), live.size), np.nan)
     outcome = np.full((len(series), live.size), CAPPED)
     last_row = (ctl.n_max + 1) // 2 - 1
     deepest = depth.reshape(reps, width).max(axis=1, initial=0).tolist()
-    for run in _row_runs(deepest, max(width, 1)):  # an empty axis is one empty row
+    # an empty axis is one empty row; with no series nothing is summed
+    for run in _row_runs(deepest, max(width, 1)) if series else ():
         part = np.arange(run.start * per_row, run.stop * per_row)  # positions in live
         summed = part[rho[live[part]] < 1]
-        eta_run, group = np.unique(eta_arr[live[summed]], return_inverse=True)
-        lat = _Lattice(eta_run, step)
-        # the axis columns of every summed node: series-major, then node
-        cols = (np.arange(len(series))[:, None] * per_row + summed % per_row).ravel()
-        params, e0 = columns.take(cols), e0_axis[cols]
-        g = np.tile(group, len(series))
-        first, second = lat.positions(e0, e0 + params.shift, params.norm, g)
-        params = params._replace(g=g, first=first, second=second)
+        nodes = live[summed]
+        # distinct eta_sq, ascending; `np.unique` would import numpy.ma on its first call
+        sorted_eta = np.sort(eta_sq[nodes])
+        new = np.concatenate(([True], sorted_eta[1:] != sorted_eta[:-1]))[: sorted_eta.size]
+        eta_run = sorted_eta[new]
+        group = eta_run.searchsorted(eta_sq[nodes])
+        lat = _Lattice(eta_run, 2 * k)
+        # the columns of every summed node: series-major, then node
+        n0, shift, m, norm, lf, power, e0, first, second = np.repeat(spec.T, summed.size, axis=1)
+        g = np.concatenate([group] * len(series))
+        first, second = first * eta_run.size + g, second * eta_run.size + g
+        log_xi = np.concatenate([logs[summed % per_row]] * len(series))
+        p = _Columns(g, n0, shift, m, norm == 1, log_xi, power.astype(float), lf, first, second)
         # a block ends after the row of the predicted stop, within the term cap
-        stop_row = np.clip((np.tile(depth[live[summed]], len(series)) - e0) // 2, 0, last_row)
-        lat.extend(int((e0 + 2 * stop_row + params.shift).max(initial=0)))
-        part_sums, part_outcome = _sum_columns(lat, k, params, ctl, stop_row + 1)
+        node_depth = np.concatenate([depth[nodes]] * len(series))
+        stop_row = np.minimum(np.maximum((node_depth - e0) // 2, 0), last_row)
+        lat.extend(int((e0 + 2 * stop_row + shift).max(initial=0)))
+        part_sums, part_outcome = _sum_columns(lat, k, p, ctl, stop_row + 1)
         sums[:, summed] = part_sums.reshape(len(series), summed.size)
         outcome[:, summed] = part_outcome.reshape(len(series), summed.size)
 
-    code = np.full(eta_arr.size, STOPPED)
+    code = np.full(eta_sq.size, STOPPED)
+    values = np.zeros((len(series) + 1, eta_sq.size))  # the last row: pairs zero by symmetry
     if series:  # the first series that did not stop, in the scalar path's order
         code[live] = outcome[(outcome != STOPPED).argmax(axis=0), np.arange(live.size)]
-    failed = code != STOPPED
-    powers = {lm: [_xi_power(xi_list[j], lm[0] - lm[1]) for j in axis_live] for lm in series if lm}
-    values = {}
-    for l, m in pairs:
-        lm = (max(l, m), min(l, m))
-        v = np.tile(np.where(zero, float(lm == (0, 0)), 0.0), reps)  # the vacuum at xi = 0
-        if lm in powers:
-            scale = np.where(failed[live], 0.0, np.tile(powers[lm], reps))
-            v[live] = scale * sums[series.index(lm)] / sums[1]
-        v[failed] = np.nan
-        values[(l, m)] = v
-    return values, code
+        for i, lm in enumerate(series):
+            if lm and lm[0] != lm[1]:  # else xi^0 = 1.0, and 1.0 s = s
+                power = np.array([_xi_power(x, lm[0] - lm[1]) for x in xi_live])
+                sums[i] *= np.where(code[live] != STOPPED, 0.0, np.concatenate([power] * reps))
+        values[:-1, live] = sums / sums[1]
+    if (0, 0) in ordered:  # the vacuum at xi = 0
+        values[series.index((0, 0)), np.concatenate([zero] * reps)] = 1.0
+    values[:, code != STOPPED] = np.nan
+    row = {lm: i for i, lm in enumerate(series)}
+    return {(l, m): values[row.get((max(l, m), min(l, m)), -1)] for l, m in pairs}, code
 
 
 @dataclass(frozen=True)
@@ -617,7 +613,7 @@ class SqueezeRow:
         s = _cosine_sum(self.constant, self.harmonics, self.k, phi)
         ok = self.ok
         low = ok & ~(s >= _lower_bound(self.N))
-        if low.any():
+        if np.count_nonzero(low):
             raise _below_bound(float(s[low.argmax()]), self.N)
         return np.where(ok, s, np.nan)
 
@@ -642,6 +638,7 @@ def squeeze_rows(
     _check_order(N)
     xi = np.sqrt(_nonnegative_array("xi_sq", xi_sq))
     positive_int("fan order k", k)  # before `_moment_pairs` divides by it
-    values, outcome = moment_rows(k, xi, _moment_pairs(k, N), eta_sq, ctl)
+    eta = _nonnegative_array("eta_sq", eta_sq)
+    values, outcome = _moment_rows(k, xi, _moment_pairs(k, N), eta, ctl)
     const, harmonics = _assemble(k, N, values)
     return SqueezeRow(k=k, N=N, constant=const, harmonics=tuple(harmonics), outcome=outcome)

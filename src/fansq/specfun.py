@@ -69,16 +69,19 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def _grow_laguerre(vals, m: int, x: float, n: int) -> None:
-    """Append degrees up to n to the values L_0^m(x), L_1^m(x), ... in vals.
+def _grow_laguerre_pair(den, num, K: int, x: float, n: int) -> None:
+    """Append degrees up to n to L_j^0(x) in den and L_j^K(x) in num, which hold as many.
 
-    One loop over local variables, with the recurrence's expression in
-    its one order.  Degree 1 comes from L_{-1} = 0, which gives
-    1 + m - x exactly, so every value is the float of
-    `tests/laguerre_ref.py`, however the list was grown.
+    One loop over local variables keeps each recurrence's expression in
+    its one order; degree 1 comes from L_{-1} = 0, which gives 1 + m - x
+    exactly, so every value is the float of `tests/laguerre_ref.py`,
+    however the lists were grown.
     """
-    i = len(vals) - 1
-    prev, cur = (vals[i - 1] if i else 0.0), vals[i]
+    i = len(den) - 1
+    d_prev, d_cur = (den[i - 1] if i else 0.0), den[i]
+    n_prev, n_cur = (num[i - 1] if i else 0.0), num[i]
     for i in range(i, n):
-        prev, cur = cur, ((2 * i + 1 + m - x) * cur - (i + m) * prev) / (i + 1)
-        vals.append(cur)
+        d_prev, d_cur = d_cur, ((2 * i + 1 - x) * d_cur - i * d_prev) / (i + 1)
+        n_prev, n_cur = n_cur, ((2 * i + 1 + K - x) * n_cur - (i + K) * n_prev) / (i + 1)
+        den.append(d_cur)
+        num.append(n_cur)

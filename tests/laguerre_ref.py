@@ -3,7 +3,8 @@
 The package keeps Laguerre values in tables (the lists of
 `fanstate.ProductTable`, and `rows.LaguerreRows`).  The tests check
 those tables against this plain evaluation of the same recurrence, and
-use it to locate poles.
+use it to locate poles.  `grow_laguerre` is the package's loop for one
+order, which grew each of the two orders of a table on its own.
 """
 
 # ascending lists L_0^m(x), L_1^m(x), ... of `laguerre_upto`, by (m, x)
@@ -38,3 +39,18 @@ def laguerre_upto(n: int, m: int, x: float) -> list:
         i = len(vals) - 1
         vals.append(((2 * i + 1 + m - x) * vals[i] - (i + m) * vals[i - 1]) / (i + 1))
     return vals
+
+
+def grow_laguerre(vals, m: int, x: float, n: int) -> None:
+    """Append degrees up to n to the values L_0^m(x), L_1^m(x), ... in vals.
+
+    One loop over local variables, with the recurrence's expression in
+    its one order.  Degree 1 comes from L_{-1} = 0, which gives
+    1 + m - x exactly, so every value is the float of `laguerre`,
+    however the list was grown.
+    """
+    i = len(vals) - 1
+    prev, cur = (vals[i - 1] if i else 0.0), vals[i]
+    for i in range(i, n):
+        prev, cur = cur, ((2 * i + 1 + m - x) * cur - (i + m) * prev) / (i + 1)
+        vals.append(cur)

@@ -42,7 +42,10 @@ def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns):
     groups = lat.pole.size
     i1 = np.where(ok, n, 0) * groups + p.g
     i2 = np.where(ok, top, 0) * groups + p.g
-    lat_logmag, lat_sign = lat.logmag.ravel(), lat.sign.ravel()
+    # the lattice's first slot of each index holds the products themselves
+    lat_logmag, lat_sign = (
+        t.reshape(-1, 3, groups)[:, 0].ravel() for t in (lat.log_table, lat.sign_table)
+    )
     lf = log_factorials(2 * k * int(n.max()))
     logmag = (2 * math.log(2 * k) + (4 * k * n) * p.log_xi) - lf[2 * k * n - p.m]
     p1 = lat_logmag[i1]

@@ -35,6 +35,7 @@ from fansq.atlas import (
     AxisRange,
     GridSpec,
     scan,
+    trace_boundary,
 )
 from fansq.errors import DomainError, FansqError, SeriesNotConverged, SingularNonlinearity
 from fansq.fanstate import (
@@ -422,11 +423,16 @@ def test_the_kernel_tool_runs_and_reads_a_c08_ledger_within_the_bounds():
     )
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
-    assert list(report) == ["ledger", "layers", "laguerre_paths", "cumulation"]
+    assert list(report) == ["ledger", "layers", "laguerre_paths", "cumulation", "engine_calls"]
     ledger = report["ledger"]
     assert 0 < ledger["engine_calls"] <= 40 and 0 < ledger["term_blocks"] <= 160
     assert 0 < ledger["term_cells"] <= 720_000
     assert 0 < ledger["laguerre_degree_pairs"] <= 72_000
+    # the refinement calls of a c08 boundary, one per ITP step and one at the roots
+    refinement = report["engine_calls"]
+    assert 0 < len(refinement["calls"]) <= 40
+    assert {7, 263} <= {call["probes"] for call in refinement["calls"]}
+    assert list(refinement["phases_ms"]) == ["7", "263"]
 
 
 def _laguerre_degree_pairs(monkeypatch):
@@ -781,7 +787,11 @@ def test_cumulation_has_the_bits_of_accumulate_and_leaves_its_input(n_rows, widt
         with np.errstate(all="ignore"):
             got = rows._cumulate(ufunc, block)
             want = ufunc.accumulate(block, axis=0)
-        assert got.tobytes() == want.tobytes()
+            # in place, into a strided view, as the lattice cumulates its tables
+            strided = np.zeros((n_rows, 2, cols))
+            strided[:, 0] = block
+            rows._cumulate(ufunc, strided[:, 0], out=strided[:, 0])
+        assert got.tobytes() == want.tobytes() == strided[:, 0].tobytes()
         assert block.tobytes() == before and not np.may_share_memory(got, block)
 
 
@@ -864,6 +874,43 @@ def test_a_call_checks_its_axis_and_its_eta_sq():
             squeeze_rows(1, [0.1, 0.2], 4, [0.0, 0.3, 0.3, bad])
 
 
+def test_a_call_checks_each_input_once_and_tiles_nothing(monkeypatch):
+    checked, engine = [], []
+    nonnegative, squeeze_call = rows._nonnegative_array, fansq.atlas.squeeze_rows
+
+    def counting(name, values):
+        checked.append(name)
+        return nonnegative(name, values)
+
+    def counted_call(*args):
+        engine.append(1)
+        return squeeze_call(*args)
+
+    def no_tile(*args, **kwargs):
+        raise AssertionError("np.tile called")
+
+    monkeypatch.setattr(rows, "_nonnegative_array", counting)
+    monkeypatch.setattr(fansq.atlas, "squeeze_rows", counted_call)
+    monkeypatch.setattr(np, "tile", no_tile)
+    squeeze_rows(1, [0.0, 0.1, 0.2], 4, [0.3, 0.0, 0.5] * 2)
+    assert checked == ["xi_sq", "eta_sq"]
+    # a scan and its refinement steps: each engine call checks xi_sq and eta_sq once
+    checked.clear()
+    trace_boundary(GridSpec(AxisRange(0.05, 1.0, 21), AxisRange(0.05, 1.0, 21), 1, 4, math.pi / 4))
+    assert len(engine) > 1 and checked == ["xi_sq", "eta_sq"] * len(engine)
+    # called directly, the public functions check their own inputs in the same words
+    with pytest.raises(DomainError, match=r"xi\[1\] must be a finite float >= 0"):
+        moment_rows(1, [0.1, -0.2], [(1, 1)], [0.0] * 2)
+    with pytest.raises(DomainError, match=r"moment power m must be a nonnegative integer"):
+        moment_rows(1, [0.1], [(1, -1)], [0.0])
+    with pytest.raises(DomainError, match=r"xi\[1\] must be a finite float >= 0"):
+        convergence_depth(1, [0.1, math.nan], [0.0] * 2)
+    with pytest.raises(DomainError, match=r"eta_sq\[0\] must be a finite float >= 0"):
+        convergence_depth(1, [0.1], [math.inf])
+    with pytest.raises(DomainError, match="need one eta_sq per xi, got 1 for 2"):
+        convergence_depth(1, [0.1, 0.2], [0.0])
+
+
 def _c08_grid():
     return GridSpec(
         xi_sq=AxisRange(0.01, 1.0, 101), eta_sq=AxisRange(0.01, 1.0, 101), k=1, N=4, phi=math.pi / 4
@@ -890,8 +937,9 @@ def test_c08_scan_takes_ln_xi_and_xi_powers_once_per_axis_value(monkeypatch):
     scan(grid, "trapped-ion")
     # one per node of the grid, 10,201, when every row took its own
     assert sorted(logs) == sorted(xi)
-    # k = 1, N = 4: the normalization and the moments (1, 1), (2, 2) and (4, 0)
-    assert len(powers) == 3 * len(xi) and set(powers) == xi
+    # k = 1, N = 4: of the moments (1, 1), (2, 2) and (4, 0) only (4, 0)
+    # needs xi^(l - m); xi^0 = 1.0 scales nothing
+    assert sorted(powers) == sorted(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,10 +1048,11 @@ def test_prediction_follows_the_stops_of_the_c08_rows(monkeypatch):
 
 
 def _no_prediction(depth):
-    """A `convergence_depth` that predicts the same stop index for every point."""
+    """A depth prediction (`rows._depth`) that predicts the same stop index for every point."""
+    predict_rho = rows._depth
 
-    def predict(k, xi, eta_sq, ctl=DEFAULT_CONTROL):
-        rho, _ = convergence_depth(k, xi, eta_sq, ctl)
+    def predict(k, xi, eta_sq, ctl):
+        rho, _ = predict_rho(k, xi, eta_sq, ctl)
         return rho, np.full(len(xi), min(depth, ctl.n_max))
 
     return predict
@@ -1047,7 +1096,7 @@ def test_prediction_moves_no_value_and_no_error(data, k, extra):
     # no prediction, all at the cap, and one that ends a block mid-series
     for depth in (0, ctl.n_max, data.draw(st.integers(min_value=2, max_value=400))):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rows, "convergence_depth", _no_prediction(depth))
+            mp.setattr(rows, "_depth", _no_prediction(depth))
             off = moment_row(k, xi, models, pairs, ctl)
         for lm in pairs:
             assert off.values[lm].tobytes() == row.values[lm].tobytes(), (lm, depth)

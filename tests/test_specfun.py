@@ -15,12 +15,12 @@ from fansq.fanstate import ProductTable, TrappedIon
 from fansq.rows import LaguerreRows
 from fansq.specfun import (
     _LogFactorialTable,
-    _grow_laguerre,
+    _grow_laguerre_pair,
     double_factorial,
     log_factorial,
     log_factorials,
 )
-from laguerre_ref import laguerre
+from laguerre_ref import grow_laguerre, laguerre
 from signed_log_ref import SL_ONE, SL_ZERO, SignedLog, div, mul, pow_int, signed_log, to_real
 from test_series_loop import interference_factor
 
@@ -124,35 +124,53 @@ def test_laguerre_table_grown_in_one_step_equals_grown_degree_by_degree():
         assert want[0][300] == laguerre(300, 0, x) and want[1][300] == laguerre(300, K, x)
 
 
-@pytest.mark.parametrize("pairs", [1, 2, 4, 5, 40])
-def test_laguerre_rows_hold_the_table_values_bit_for_bit(pairs):
-    # pairs near the L_2^0 and L_4^0 poles, where the floor test is decided
+@pytest.mark.parametrize("points", [1, 2, 4, 5, 40])
+def test_laguerre_rows_hold_the_table_values_bit_for_bit(points):
+    # points near the L_2^0 and L_4^0 poles, where the floor test is decided
     xs = [2 - math.sqrt(2), 0.3225476896193923, 0.2, 0.97, 1e-9] * 8
-    ms = [0, 4, 2, 6, 0] * 8
-    rows = LaguerreRows(np.array(ms[:pairs]), np.array(xs[:pairs]))
-    for n in (0, 1, 7, 8, 90):  # grown in steps, as the lattice grows
-        got = rows.upto(n)
-        assert got.shape == (n + 1, pairs)
-    for r, (m, x) in enumerate(zip(ms[:pairs], xs[:pairs])):
-        den, num = _table(m or 2, x).laguerre(90)  # order 0 is every table's denominator
-        assert got[:, r].tolist() == (num if m else den).tolist()
+    for K in (2, 4, 6):
+        rows = LaguerreRows(K, np.array(xs[:points]))
+        for n in (0, 1, 7, 8, 90):  # grown in steps, as the lattice grows
+            got = rows.upto(n)
+            assert got.shape == (n + 1, 2 * points)
+        for r, x in enumerate(xs[:points]):
+            den, num = _table(K, x).laguerre(90)
+            assert got[:, r].tolist() == den.tolist()
+            assert got[:, points + r].tolist() == num.tolist()
 
 
 @settings(max_examples=20, deadline=None)
-@given(data=st.data(), pairs=st.integers(min_value=13, max_value=40))
-def test_laguerre_rows_grown_in_uneven_steps_equal_one_shot_and_the_scalar_loop(data, pairs):
-    assert pairs > rows_module._FEW_PAIRS  # the numpy step, from start > 1 after upto(2)
-    m = np.array(data.draw(st.lists(st.integers(0, 7), min_size=pairs, max_size=pairs)))
-    x = np.array(data.draw(st.lists(st.floats(0.0, 50.0), min_size=pairs, max_size=pairs)))
-    stepped = LaguerreRows(m, x)
+@given(data=st.data(), points=st.integers(min_value=7, max_value=20), K=st.integers(1, 7))
+def test_laguerre_rows_grown_in_uneven_steps_equal_one_shot_and_the_scalar_loop(data, points, K):
+    assert 2 * points > rows_module._FEW_PAIRS  # the numpy step, from start > 1 after upto(2)
+    x = np.array(data.draw(st.lists(st.floats(0.0, 50.0), min_size=points, max_size=points)))
+    stepped = LaguerreRows(K, x)
     for n in (0, 1, 2, 37, 300):
         got = stepped.upto(n)
-        assert got.shape == (n + 1, pairs)
-    assert got.tobytes() == LaguerreRows(m, x).upto(300).tobytes()
-    for r, (m_r, x_r) in enumerate(zip(m.tolist(), x.tolist())):
-        vals = [1.0]
-        _grow_laguerre(vals, m_r, x_r, 300)
-        assert np.array(vals).tobytes() == got[:, r].tobytes()
+        assert got.shape == (n + 1, 2 * points)
+    assert got.tobytes() == LaguerreRows(K, x).upto(300).tobytes()
+    for r, x_r in enumerate(x.tolist()):
+        for m, col in ((0, r), (K, points + r)):
+            vals = [1.0]
+            grow_laguerre(vals, m, x_r, 300)
+            assert np.array(vals).tobytes() == got[:, col].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(0, 12),
+    x=st.floats(0.0, 50.0),
+    steps=st.lists(st.integers(0, 400), min_size=1, max_size=6),
+)
+def test_the_pair_loop_equals_one_loop_per_order_grown_in_uneven_steps(K, x, steps):
+    den, num = [1.0], [1.0]
+    for n in steps:  # a step below the held degree adds nothing
+        _grow_laguerre_pair(den, num, K, x, n)
+    assert len(den) == len(num) == max(steps) + 1
+    for m, got in ((0, den), (K, num)):
+        want = [1.0]
+        grow_laguerre(want, m, x, max(steps))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
