@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from ._optimize import refine_brackets
 from .errors import (
     DomainError,
     EmptyBoundary,
-    SeriesNotConverged,
-    SingularNonlinearity,
+    FansqError,
+    _check_cells,
     finite_float,
     nonnegative_float,
     positive_float,
@@ -28,13 +28,7 @@ from .errors import (
 )
 from .fanstate import DEFAULT_CONTROL, FanConfig, SeriesControl, TrappedIon
 from .rows import CAPPED, OVERFLOW, SINGULAR, STOPPED, squeeze_rows
-from .squeeze import (
-    SqueezeCoeffs,
-    _check_order,
-    coefficients,
-    squeeze_parameter,
-    vacuum_benchmark,
-)
+from .squeeze import _check_order, coefficients, squeeze_parameter, vacuum_benchmark
 
 STATUS_OK = "OK"
 STATUS_SINGULAR = "Singular"
@@ -65,6 +59,7 @@ class AxisRange:
         positive_int("axis count", self.count)
         if self.count < 2:
             raise DomainError(f"axis count must be >= 2, got {self.count}")
+        _check_cells("axis count", self.count)
 
     def values(self) -> list[float]:
         step = (self.max - self.min) / (self.count - 1)
@@ -85,6 +80,8 @@ class GridSpec:
         positive_int("fan order k", self.k)
         _check_order(self.N)
         nonnegative_float("xi_sq axis min", self.xi_sq.min)
+        rows, cols = self.eta_sq.count, self.xi_sq.count
+        _check_cells(f"a grid of {rows} x {cols}", rows * cols)
         # checked here too: a grid whose nodes all fail never evaluates S
         finite_float("phase", self.phi)
 
@@ -132,48 +129,37 @@ def scan(
     return PhaseDiagram(grid=grid, values=values, status=status)
 
 
-class _Crossing(NamedTuple):
-    """A sign change of S between two neighbouring OK grid nodes."""
-
-    fixed: float  # the grid value of the other coordinate
-    lo: float
-    hi: float
-    s_lo: float
-    s_hi: float
-    along_xi: bool  # True when xi_sq varies and eta_sq is fixed
-
-
 _XTOL = 1e-12  # absolute width at which a crossing counts as refined
 
 
-def _crossings(diagram: PhaseDiagram) -> list[_Crossing]:
+def _crossings(diagram: PhaseDiagram) -> tuple[np.ndarray, ...]:
     """Sign changes along every eta_sq row, then along every xi_sq column.
 
     S changes sign between neighbouring OK nodes of opposite signs, and
     through an OK node where S is exactly 0.0 whose OK neighbours have
     opposite signs; that crossing is the zero node and its right
     neighbour, so it refines to the node.  A zero that S only touches,
-    or a zero with a zero or failed neighbour, is no crossing.
+    or a zero with a zero or failed neighbour, is no crossing.  Returns
+    the arrays (fixed, lo, hi, s_lo, s_hi, along_xi) over the crossings:
+    the grid value of the other coordinate, the bracket and S at its
+    ends, and True where xi_sq varies and eta_sq is fixed.
     """
     grid = diagram.grid
-    xi_vals = grid.xi_sq.values()
-    eta_vals = grid.eta_sq.values()
-    ok = np.array([[st == STATUS_OK for st in row] for row in diagram.status], dtype=bool)
-    sign = np.where(ok, np.sign(diagram.values), np.nan)  # NaN compares False
-    out: list[_Crossing] = []
+    xi_vals, eta_vals = np.array(grid.xi_sq.values()), np.array(grid.eta_sq.values())
+    sign = np.sign(diagram.values)  # NaN at a failed node, and NaN compares False
+    parts = []
     for along_xi, fixed_vals, line_vals in ((True, eta_vals, xi_vals), (False, xi_vals, eta_vals)):
-        lines = sign if along_xi else sign.T
-        vals = (diagram.values if along_xi else diagram.values.T).tolist()
+        lines, vals = (sign, diagram.values) if along_xi else (sign.T, diagram.values.T)
         change = lines[:, :-1] * lines[:, 1:] < 0
         change[:, 1:] |= (lines[:, 1:-1] == 0) & (lines[:, :-2] * lines[:, 2:] < 0)
-        for i, j in zip(*np.nonzero(change)):
-            lo, hi = line_vals[j], line_vals[j + 1]
-            out.append(_Crossing(fixed_vals[i], lo, hi, vals[i][j], vals[i][j + 1], along_xi))
-    return out
+        i, j = np.nonzero(change)
+        ends = (line_vals[j], line_vals[j + 1], vals[i, j], vals[i, j + 1])
+        parts.append((fixed_vals[i], *ends, np.full(i.size, along_xi)))
+    return tuple(np.concatenate(c) for c in zip(*parts))
 
 
 def _refine_crossings(
-    grid: GridSpec, kind: str, ctl: SeriesControl, crossings: list[_Crossing]
+    grid: GridSpec, kind: str, ctl: SeriesControl, crossings: tuple[np.ndarray, ...]
 ) -> list[Optional[tuple[float, float]]]:
     """Refine every crossing by `refine_brackets` to 1e-12: one engine call per step.
 
@@ -183,11 +169,11 @@ def _refine_crossings(
     (zeros for the identity).  A probe lies inside a bracket of checked
     grid values.  S is then evaluated once more at every root.  A
     crossing whose series fail at any of its points is dropped (None).
-    Returns the (xi_sq, eta_sq) points in input order.
+    Returns the (xi_sq, eta_sq) points in the order of `_crossings`.
     """
-    if not crossings:
+    fixed, a, b, fa, fb, along_xi = crossings
+    if not fixed.size:
         return []
-    fixed, a, b, fa, fb, along_xi = (np.array(c) for c in zip(*crossings))
 
     def s_at(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """S at position x along the lines of `rows`, and where it failed."""
@@ -275,12 +261,14 @@ def find_intersections(
     gap changing sign: there the nonlinearity has a pole, the state
     collapses toward vacuum, and both terms reach zero together.  Such
     a root is pinned at the flip and accepted only if the gap there is
-    within `_TOUCH_TOL` of zero.  The grid nodes, their eta_sq checked,
-    are one `squeeze_rows` call; `refine_brackets` refines all brackets
-    together, and a probe (a scalar `coefficients` call) that fails
-    raises.  A flip bracket
-    carries only the harmonic's signs, so its probes are bisection's
-    midpoints and do not chase the pole there, as ITP would.
+    within `_TOUCH_TOL` of zero.  `refine_brackets` refines all brackets
+    together; a flip bracket carries only the harmonic's signs, so its
+    probes are bisection's midpoints and do not chase the pole there,
+    as ITP would.  One `squeeze_rows` call evaluates the grid nodes
+    (their eta_sq checked), each step's probes, the tangent checks, or
+    the midpoints between roots that give `signs`; a check or midpoint
+    whose series fail counts as no touch or as sign 0, and a failed
+    probe raises what scalar `coefficients` raises at the first one.
     """
     positive_int("fan order k", k)
     _check_order(N)
@@ -288,23 +276,19 @@ def find_intersections(
     if N < 4 * k:
         raise DomainError(f"need N >= 4k for a harmonic term, got N={N}, k={k}")
 
-    def coeffs_at(eta_sq: float) -> SqueezeCoeffs:
-        cfg = FanConfig.from_xi_sq(k, xi_sq, TrappedIon(eta_sq=eta_sq, quantum_order=2 * k))
-        return coefficients(cfg, N, ctl)
+    def at(eta_sq: np.ndarray):
+        """The engine's `SqueezeRow` at each eta_sq."""
+        return squeeze_rows(k, np.full(eta_sq.size, xi_sq), N, eta_sq, ctl)
 
-    def gap_at(eta_sq: float) -> float:
-        c = coeffs_at(eta_sq)
-        return c.constant - abs(c.harmonics[0])
-
-    def harmonic_at(eta_sq: float) -> float:
-        return coeffs_at(eta_sq).harmonics[0]
+    def gap(row) -> np.ndarray:
+        return row.constant - np.abs(row.harmonics[0])
 
     nodes = eta_range.values()
-    row = squeeze_rows(k, [xi_sq] * len(nodes), N, _eta_sq_of("trapped-ion", nodes), ctl)
+    row = at(_eta_sq_of("trapped-ion", nodes))
     codes = row.outcome.tolist()
     ok = [code == STOPPED for code in codes]
     skipped = [(e, _STATUS[code]) for e, code in zip(nodes, codes) if code != STOPPED]
-    gaps = (row.constant - np.abs(row.harmonics[0])).tolist()
+    gaps = gap(row).tolist()
     harms = row.harmonics[0].tolist()
 
     # a node where the gap is exactly 0.0 is a root; sign changes are
@@ -323,40 +307,34 @@ def find_intersections(
         lo, hi, f_lo, f_hi, on_gap = (np.array(c) for c in zip(*brackets))
 
         def at_probes(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """The gap, or the harmonic's sign, at each probe; a failure raises."""
-            c = [coeffs_at(e) for e in x.tolist()]
-            gap = np.array([t.constant - abs(t.harmonics[0]) for t in c])
-            sign = np.sign([t.harmonics[0] for t in c])
-            return np.where(on_gap[rows], gap, sign), np.zeros(len(c), dtype=bool)
+            """The gap, or the harmonic's sign, at each probe; a failed probe raises."""
+            probe = at(x)
+            if not probe.ok.all():
+                e = float(x[probe.ok.argmin()])
+                coefficients(FanConfig.from_xi_sq(k, xi_sq, TrappedIon(e, 2 * k)), N, ctl)
+                raise FansqError(f"the row engine failed at the probe eta_sq={e!r}")
+            flip = np.sign(probe.harmonics[0])
+            return np.where(on_gap[rows], gap(probe), flip), np.zeros(x.size, dtype=bool)
 
         roots, _ = refine_brackets(lo, hi, f_lo, f_hi, at_probes, _ROOT_XTOL)
-        for root, gap in zip(roots.tolist(), on_gap.tolist()):
-            if gap:
-                found.append((root, "crossing"))
-                continue
-            try:
-                touch = abs(gap_at(root))
-            except (SingularNonlinearity, SeriesNotConverged):
-                touch = math.inf
-            if touch <= _TOUCH_TOL:
-                found.append((root, "tangent"))
+        flips = roots[~on_gap]
+        touch = at(flips)
+        found += [(r, "crossing") for r in roots[on_gap].tolist()]
+        tangent = flips[touch.ok & (np.abs(gap(touch)) <= _TOUCH_TOL)]
+        found += [(r, "tangent") for r in tangent.tolist()]
 
     found.sort(key=lambda t: t[0])
     roots = tuple(r for r, _ in found)
     kinds = tuple(kind for _, kind in found)
-    signs: list[int] = []
-    for a, b in zip(roots, roots[1:]):
-        try:
-            h = harmonic_at(0.5 * (a + b))
-            signs.append(0 if h == 0.0 else (1 if h > 0 else -1))
-        except (SingularNonlinearity, SeriesNotConverged):
-            signs.append(0)
+    ends = np.array(roots)
+    between = at(0.5 * (ends[:-1] + ends[1:]))
+    signs = np.where(between.ok, np.sign(between.harmonics[0]), 0).astype(int)
     return IntersectionSet(
         xi_sq=xi_sq,
         k=k,
         N=N,
         roots=roots,
-        signs=tuple(signs),
+        signs=tuple(signs.tolist()),
         kinds=kinds,
         skipped=tuple(skipped),
     )
@@ -378,6 +356,7 @@ def polar_profile(
 ) -> PolarProfile:
     """Sample (phi, S, S + benchmark) on a uniform phi grid over [0, 2 pi)."""
     positive_int("samples", samples)
+    _check_cells("samples", samples)
     if samples < 8 * cfg.k:
         raise DomainError(f"need at least {8 * cfg.k} samples for k={cfg.k}, got {samples}")
     coeffs = coefficients(cfg, N, ctl)

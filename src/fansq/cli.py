@@ -36,7 +36,7 @@ from .atlas import (
     scan,
     trace_boundary,
 )
-from .errors import DomainError, FansqError, nonnegative_int
+from .errors import DomainError, FansqError, _check_cells, nonnegative_int
 from .fanstate import (
     DEFAULT_CONTROL,
     DriveParams,
@@ -179,8 +179,10 @@ def _grid(args: argparse.Namespace) -> GridSpec:
 
 def _cmd_squeeze(args, ctl, parser) -> Output:
     cfg = _point_config(args, parser)
-    if args.phi is None and args.samples < 2:
-        raise DomainError(f"need at least 2 samples to span a period, got {args.samples}")
+    if args.phi is None:  # else the samples are not read
+        if args.samples < 2:
+            raise DomainError(f"need at least 2 samples to span a period, got {args.samples}")
+        _check_cells("samples", args.samples)
     coeffs = coefficients(cfg, args.N, ctl)
     bench = vacuum_benchmark(args.N)
     if args.phi is not None:

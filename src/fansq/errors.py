@@ -7,7 +7,8 @@ callers (and the CLI) can distinguish "you asked for something invalid"
 Each rule below checks the kind of one argument and raises a DomainError
 naming it: an int is a Python int that is not a bool, a float is an int
 or a float but never a bool, NaN or +-inf.  Rules about what a value
-means (an even moment order, min < max) stay with the code they serve.
+means (an even moment order, min < max) stay with the code they serve,
+but for one: no request may ask for more than `_MAX_CELLS` cells.
 """
 
 import math
@@ -80,3 +81,12 @@ def positive_float(name: str, value: float) -> None:
     """DomainError unless value is a finite float > 0."""
     if not (_finite(value) and value > 0):
         raise DomainError(f"{name} must be a finite float > 0, got {value!r}")
+
+
+_MAX_CELLS = 1 << 22  # cells one request may allocate: 64 MiB of complex amplitudes
+
+
+def _check_cells(what: str, cells: int) -> None:
+    """DomainError, before anything is allocated, past the `_MAX_CELLS` ceiling."""
+    if cells > _MAX_CELLS:
+        raise DomainError(f"{what} needs {cells} cells, past the ceiling of {_MAX_CELLS}")

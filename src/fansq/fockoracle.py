@@ -14,8 +14,9 @@ it is real, the ladder weights sqrt(n), and, built on first use, the
 Gram matrix of its ladder images a^0 psi .. a^P psi and, for its last
 few phases, the phase-rotated off-diagonals of X_phi with the
 quadrature chains (X_phi - mu)^j psi.  A normally-ordered moment is one
-entry of the Gram.  No vector may allocate more than `_MAX_CELLS`
-complex cells, for its amplitudes or for its Gram's image rows.
+entry of the Gram.  No vector may allocate more than the package's
+ceiling of cells (`errors._MAX_CELLS`), for its amplitudes or for its
+Gram's image rows.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, FansqError, TruncationTooSmall, finite_float
+from .errors import DomainError, FansqError, TruncationTooSmall, _check_cells, finite_float
 from .errors import nonnegative_float, nonnegative_int, positive_int
 from .fanstate import (
     _LAGUERRE_FLOOR,
@@ -49,13 +50,6 @@ _SQRT2 = math.sqrt(2.0)
 _SUPPORT_CUTOFF = 1e-14  # amplitude magnitude above which a level counts as support
 _CHAIN_PHASES = 8  # quadrature chains one vector keeps, least recently used out
 _TAIL_TARGET = 1e-30  # support weight below which `oracle_vector` truncates
-_MAX_CELLS = 1 << 22  # cells one vector may allocate: 64 MiB of complex amplitudes
-
-
-def _check_cells(what: str, cells: int) -> None:
-    """DomainError, before anything is allocated, past the `_MAX_CELLS` ceiling."""
-    if cells > _MAX_CELLS:
-        raise DomainError(f"{what} needs {cells} cells, past the ceiling of {_MAX_CELLS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,8 +300,8 @@ def oracle_vector(
     `guard` extra rows so repeated ladder maps never touch the
     truncation edge; the amplitudes are those of `fock_coefficients`,
     bit for bit.  The vector's Gram is sized for ladder powers up to
-    guard // 2, and it and the vector are checked against `_MAX_CELLS`
-    before either is allocated.
+    guard // 2, and it and the vector are checked against the ceiling of
+    cells before either is allocated.
     """
     nonnegative_int("guard", guard)
     k = cfg.k

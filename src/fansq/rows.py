@@ -1,30 +1,29 @@
 """The row engine: the series of many points of one order k, summed together.
 
-A row is many points of one order k, each with its own xi and eta_sq,
-0.0 standing for the identity model: grid scans pass every eta_sq row
-of the grid over one xi axis, boundary refinement one ITP probe per
-crossing.  Every series a point needs becomes one column of a 2-D
-numpy block of terms over the even summation indices of
-`fansq.fanstate`'s series (the odd ones are exact zeros).  From rho =
-xi^2 eta^2 `convergence_depth` predicts where each series stops; the
-block grows by doubling, for the running columns only, with one block
-boundary at their deepest predicted stop.  The products of the
-nonlinearity come from a lattice with one column per distinct eta_sq,
-built up front to the deepest predicted index from Laguerre values
-equal bit for bit to the scalar path's, so both find the same poles.
-Each column replays the scalar path's terms, Neumaier sums (cumulative
-sums, `_cumulate`, plus their exact rounding errors), stop rule and
-overflow, pole and term-cap checks, so no value depends on the blocks,
-the prediction or what shares them.  A failed node gets the outcome
-code (SINGULAR, OVERFLOW or CAPPED) of the error the scalar path raises
-first, whose words exist there only; the row path fills none of its
-memo tables.  A call costs little beyond its points: the public
-functions check each input once and pass checked arrays to private
-cores, the series of the pairs are planned once per (k, pairs)
+`squeeze_rows` is its one entry point: the decomposition of
+`fansq.squeeze` at many points of one order k, each with its own xi
+and eta_sq, 0.0 standing for the identity model (the nodes of a grid,
+the probes of a root finder's step).  Every series a point needs
+becomes one column of a 2-D numpy block of terms over the even
+summation indices of `fansq.fanstate`'s series (the odd ones are exact
+zeros).  From rho = xi^2 eta^2 `_depth` predicts where each series
+stops; the block grows by doubling, for the running columns only, with
+one block boundary at their deepest predicted stop.  The products of
+the nonlinearity come from a lattice with one column per distinct
+eta_sq, built up front to the deepest predicted index from Laguerre
+values equal bit for bit to the scalar path's, so both find the same
+poles.  Each column replays the scalar path's terms, Neumaier sums
+(cumulative sums, `_cumulate`, plus their exact rounding errors), stop
+rule and overflow, pole and term-cap checks, so no value depends on
+the blocks, the prediction or what shares them.  A failed node gets
+the outcome code (SINGULAR, OVERFLOW or CAPPED) of the error the
+scalar path raises first, whose words exist there only; the row path
+fills none of its memo tables.  A call costs little beyond its points:
+`squeeze_rows` checks each input once and passes checked arrays to the
+private cores, the series of the pairs are planned once per (k, pairs)
 (`_series`), and ln xi and xi^(l - m) (l != m only) are taken once per
-axis value.  `moment_rows` splits R stacked rows into runs of like
-depth (`_row_runs`), each one lattice and one `_sum_columns` call;
-`squeeze_rows` assembles the decomposition of `fansq.squeeze`.
+axis value.  `_moment_rows` splits R stacked rows into runs of like
+depth (`_row_runs`), each one lattice and one `_sum_columns` call.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, nonnegative_float, nonnegative_int, positive_int
+from .errors import DomainError, nonnegative_float, positive_int
 from .fanstate import _LAGUERRE_FLOOR, _LOG_HUGE, DEFAULT_CONTROL, SeriesControl
 from .specfun import _grow_laguerre_pair, log_factorials
 from .squeeze import _assemble, _below_bound, _check_order, _cosine_sum, _lower_bound, _moment_pairs
@@ -113,17 +112,13 @@ _DEPTH_FACTOR = 1.25  # the bare count falls up to 30% short of the deepest stop
 _DEPTH_PAD = 8  # summation indices added after the margin
 
 
-def convergence_depth(
-    k: int,
-    xi: Sequence[float],
-    eta_sq: Sequence[float],
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> tuple[np.ndarray, np.ndarray]:
+def _depth(k: int, xi: np.ndarray, eta_sq: np.ndarray, ctl: SeriesControl):
     """rho and the predicted stop index of the series of each point (xi[j], eta_sq[j]).
 
-    For `TrappedIon(eta_sq, 2k)`, Fejer's asymptotics of the Laguerre
-    polynomials (Szego, Orthogonal Polynomials, 8.22) give f(m) ~
-    (m eta_sq)^-k, so the terms of every series fall like rho^(2kn) in
+    xi and eta_sq are checked float arrays, and xi broadcasts against
+    eta_sq.  For `TrappedIon(eta_sq, 2k)`, Fejer's asymptotics of the
+    Laguerre polynomials (Szego, Orthogonal Polynomials, 8.22) give f(m)
+    ~ (m eta_sq)^-k, so the terms of every series fall like rho^(2kn) in
     the summation index n, with rho = xi^2 eta_sq: they converge for
     rho < 1 only.  The prediction is
 
@@ -138,16 +133,6 @@ def convergence_depth(
     The prediction never falls as xi grows at a fixed eta_sq.  The row
     engine sizes its blocks from these; no value depends on them.
     """
-    positive_int("fan order k", k)
-    xi_arr = _nonnegative_array("xi", xi)
-    eta_arr = _nonnegative_array("eta_sq", eta_sq)
-    if eta_arr.size != xi_arr.size:
-        raise DomainError(f"need one eta_sq per xi, got {eta_arr.size} for {xi_arr.size}")
-    return _depth(k, xi_arr, eta_arr, ctl)
-
-
-def _depth(k: int, xi: np.ndarray, eta_sq: np.ndarray, ctl: SeriesControl):
-    """`convergence_depth` of checked arrays; xi broadcasts against eta_sq."""
     ion = eta_sq > 0
     log_tol = -math.log(ctl.rel_tol)
     with np.errstate(all="ignore"):  # inf or NaN from rho = 1 on: fmin takes n_max
@@ -458,43 +443,6 @@ def _xi_power(xi: float, diff: int) -> float:
         return math.inf
 
 
-def moment_rows(
-    k: int,
-    xi: Sequence[float],
-    pairs: Sequence[tuple[int, int]],
-    eta_sq: Sequence[float],
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
-    """Normally-ordered moments of R stacked rows of fan states over one xi axis.
-
-    eta_sq holds R * len(xi) values, row-major, 0.0 for the identity:
-    node r * len(xi) + j is xi[j] with eta_sq[r * len(xi) + j].  Returns
-    (values, outcome).  values[(l, m)][i] is `fanstate.moment` of node i
-    up to rounding.  outcome[i] is STOPPED where every series of node i
-    stopped (xi = 0 included), else the code of the failure the scalar
-    path raises first when it evaluates the pairs in the given order:
-    SINGULAR for its `SingularNonlinearity`, OVERFLOW and CAPPED for its
-    `SeriesNotConverged` of a term past float range and of the term cap.
-    Values are NaN at a failed node.
-
-    Each series the pairs need (the normalization and every moment not
-    zero by symmetry) is one column per positive xi, with ln xi and
-    xi^(l - m) taken once per axis value by `math.log` and `**`, as the
-    scalar path takes them.  A node at rho >= 1 is CAPPED without a term
-    summed, as the scalar path raises there at once.  The rows run in
-    runs of like depth (`_row_runs`, fed by each row's deepest node),
-    each with one lattice over the distinct eta_sq of its summed nodes,
-    built up front to the deepest index `convergence_depth` predicts.  A
-    node's value does not depend on its run.
-    """
-    positive_int("fan order k", k)
-    xi_arr = _nonnegative_array("xi", xi)
-    for l, m in pairs:
-        nonnegative_int("moment power l", l)
-        nonnegative_int("moment power m", m)
-    return _moment_rows(k, xi_arr, pairs, _nonnegative_array("eta_sq", eta_sq), ctl)
-
-
 @lru_cache(maxsize=64)
 def _series(k: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple, np.ndarray]:
     """The pairs as (l >= m), the series they need in the scalar path's order, and a spec.
@@ -524,7 +472,29 @@ def _series(k: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple, n
 def _moment_rows(
     k: int, xi: np.ndarray, pairs: Sequence[tuple[int, int]], eta_sq: np.ndarray, ctl: SeriesControl
 ) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
-    """`moment_rows` of a checked order, xi axis, pairs and eta_sq array."""
+    """Normally-ordered moments of R stacked rows of fan states over one xi axis.
+
+    k, the xi axis, the pairs and eta_sq are checked; eta_sq holds R *
+    len(xi) values, row-major, 0.0 for the identity: node r * len(xi) +
+    j is xi[j] with eta_sq[r * len(xi) + j].  Returns (values, outcome).
+    values[(l, m)][i] is `fanstate.moment` of node i up to rounding.
+    outcome[i] is STOPPED where every series of node i stopped (xi = 0
+    included), else the code of the failure the scalar path raises first
+    when it evaluates the pairs in the given order: SINGULAR for its
+    `SingularNonlinearity`, OVERFLOW and CAPPED for its
+    `SeriesNotConverged` of a term past float range and of the term cap.
+    Values are NaN at a failed node.
+
+    Each series the pairs need (the normalization and every moment not
+    zero by symmetry) is one column per positive xi, with ln xi and
+    xi^(l - m) taken once per axis value by `math.log` and `**`, as the
+    scalar path takes them.  A node at rho >= 1 is CAPPED without a term
+    summed, as the scalar path raises there at once.  The rows run in
+    runs of like depth (`_row_runs`, fed by each row's deepest node),
+    each with one lattice over the distinct eta_sq of its summed nodes,
+    built up front to the deepest index `_depth` predicts.  A node's
+    value does not depend on its run.
+    """
     width = xi.size
     reps = eta_sq.size // width if width else 1
     if not reps or eta_sq.size != reps * width:
@@ -588,7 +558,7 @@ class SqueezeRow:
     """`squeeze.SqueezeCoeffs` of a row of points of one order k, as arrays over the nodes.
 
     constant[j] and harmonics[p-1][j] belong to node j.  outcome[j] is
-    the `moment_rows` outcome code of node j: STOPPED where its series
+    the `_moment_rows` outcome code of node j: STOPPED where its series
     converged, else how the first one failed; its coefficients are NaN
     then.
     """
@@ -632,7 +602,7 @@ def squeeze_rows(
     `coefficients(FanConfig.from_xi_sq(k, xi_sq[j], model), N, ctl)`
     returns for the model of eta_sq[r * len(xi_sq) + j], up to rounding,
     or the outcome code of the error it raises, whichever rows share
-    the call.  All series are summed by `moment_rows`, and no per-node
+    the call.  All series are summed by `_moment_rows`, and no per-node
     object is built.
     """
     _check_order(N)

@@ -1,5 +1,8 @@
 """The row engine's kernel as it was before its passes were cut, for the tests.
 
+`moment_rows` calls the engine's moment core with float arrays, as
+`squeeze_rows` does, for any pairs.
+
 `_term_block`, `_first` and `_sum_columns` below are the earlier
 kernel, kept verbatim: each term block returns full-size masks of where
 the scalar path raises, and each Neumaier error comes from Neumaier's
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 
-from fansq.fanstate import _LOG_HUGE, SeriesControl
+from fansq.fanstate import _LOG_HUGE, DEFAULT_CONTROL, SeriesControl
 from fansq.rows import (
     _FIRST_BLOCK,
     CAPPED,
@@ -22,8 +25,14 @@ from fansq.rows import (
     STOPPED,
     _Columns,
     _Lattice,
+    _moment_rows,
 )
 from fansq.specfun import log_factorials
+
+
+def moment_rows(k, xi, pairs, eta_sq, ctl=DEFAULT_CONTROL):
+    """`_moment_rows` of the xi axis and eta_sq as float arrays: (values by pair, outcome)."""
+    return _moment_rows(k, np.array(xi, dtype=float), pairs, np.array(eta_sq, dtype=float), ctl)
 
 
 def _term_block(lat: _Lattice, k: int, a: int, b: int, p: _Columns):

@@ -25,6 +25,7 @@ from fansq.atlas import (
 from fansq.errors import (
     DomainError,
     EmptyBoundary,
+    FansqError,
     SeriesNotConverged,
     SingularNonlinearity,
 )
@@ -35,7 +36,7 @@ from fansq.fanstate import (
     SeriesControl,
     TrappedIon,
 )
-from fansq.rows import STOPPED, SqueezeRow
+from fansq.rows import CAPPED, STOPPED, SqueezeRow
 from fansq.squeeze import (
     SqueezeCoeffs,
     coefficients,
@@ -191,10 +192,15 @@ def test_crossing_through_an_exact_zero_node(row, want):
         grid, np.array([row, [math.nan] * 3]), [[STATUS_OK] * 3, [STATUS_SINGULAR] * 3]
     )
     crossings = _crossings(diagram)
-    assert [(c.lo, c.hi, c.s_lo, c.s_hi) for c in crossings] == want
-    assert [tuple(c) for c in crossings] == _loop_crossings(diagram)
+    assert [c[1:5] for c in _listed(crossings)] == want
+    assert _listed(crossings) == _loop_crossings(diagram)
     if want:  # a sign change through the node refines to the node
         assert _refine_crossings(grid, "trapped-ion", DEFAULT_CONTROL, crossings) == [(0.5, 0.2)]
+
+
+def _listed(crossings):
+    """The arrays of `_crossings` as one (fixed, lo, hi, s_lo, s_hi, along_xi) per crossing."""
+    return list(zip(*(c.tolist() for c in crossings)))
 
 
 def _loop_crossings(diagram):
@@ -230,34 +236,34 @@ XTOL = 1e-12
 
 def _scalar_refinement(grid, crossing):
     """One crossing refined alone: scalar bisection over scalar `coefficients`."""
+    fixed, lo, hi, s_lo, s_hi, along_xi = crossing
 
     def s_of(x):
-        xi_sq, eta_sq = (x, crossing.fixed) if crossing.along_xi else (crossing.fixed, x)
+        xi_sq, eta_sq = (x, fixed) if along_xi else (fixed, x)
         model = TrappedIon(eta_sq=eta_sq, quantum_order=2 * grid.k)
         cfg = FanConfig.from_xi_sq(grid.k, xi_sq, model)
         return squeeze_parameter(coefficients(cfg, grid.N), grid.phi)
 
-    c = crossing
     try:
-        root = bisect_root(s_of, c.lo, c.hi, XTOL, fa=c.s_lo, fb=c.s_hi)
+        root = bisect_root(s_of, lo, hi, XTOL, fa=s_lo, fb=s_hi)
         s_of(root)
     except (SingularNonlinearity, SeriesNotConverged):
         return None
-    return (root, c.fixed) if c.along_xi else (c.fixed, root)
+    return (root, fixed) if along_xi else (fixed, root)
 
 
 @pytest.mark.parametrize("grid", [GRID_K1, GRID_K2_POLE], ids=["k1", "k2-pole"])
 def test_crossings_match_the_loop_over_neighbours(grid):
     # GRID_K1 starts at xi_sq = 0, where S is exactly 0 on the whole column
     diagram = scan(grid, "trapped-ion")
-    assert [tuple(c) for c in _crossings(diagram)] == _loop_crossings(diagram)
+    assert _listed(_crossings(diagram)) == _loop_crossings(diagram)
 
 
 @pytest.mark.parametrize("grid", [GRID_K1, GRID_K2_POLE], ids=["k1", "k2-pole"])
 def test_lockstep_refinement_matches_scalar_bisection(grid):
     crossings = _crossings(scan(grid, "trapped-ion"))
     got = _refine_crossings(grid, "trapped-ion", DEFAULT_CONTROL, crossings)
-    want = [_scalar_refinement(grid, c) for c in crossings]
+    want = [_scalar_refinement(grid, c) for c in _listed(crossings)]
     assert [p is None for p in got] == [p is None for p in want]
     assert 0 < sum(p is None for p in want) < len(want)  # some kept, some dropped
     for g, w in zip(got, want):
@@ -298,7 +304,7 @@ def _counting_engine(monkeypatch):
 def test_lockstep_refinement_makes_one_engine_call_per_step(monkeypatch, c08_crossings):
     calls = _counting_engine(monkeypatch)
     points = _refine_crossings(GRID_C08, "trapped-ion", DEFAULT_CONTROL, c08_crossings)
-    assert len(c08_crossings) == 263 and sum(p is not None for p in points) == 176
+    assert len(c08_crossings[0]) == 263 and sum(p is not None for p in points) == 176
     assert len(calls) <= 35 and calls[0] == 263
     assert sum(calls) <= 3000  # bisection to the same xtol evaluates 9,031 points
 
@@ -306,11 +312,13 @@ def test_lockstep_refinement_makes_one_engine_call_per_step(monkeypatch, c08_cro
 def test_each_crossing_refined_alone_gives_the_batch_result(monkeypatch, c08_crossings):
     batch = _refine_crossings(GRID_C08, "trapped-ion", DEFAULT_CONTROL, c08_crossings)
     calls = _counting_engine(monkeypatch)
-    for c, want in zip(c08_crossings, batch):
+    _, lo, hi, *_ = c08_crossings
+    for i, want in enumerate(batch):
         del calls[:]
-        assert _refine_crossings(GRID_C08, "trapped-ion", DEFAULT_CONTROL, [c]) == [want]
+        alone = tuple(c[i : i + 1] for c in c08_crossings)
+        assert _refine_crossings(GRID_C08, "trapped-ion", DEFAULT_CONTROL, alone) == [want]
         steps = len(calls) - (want is not None)  # the check call follows the steps
-        assert steps <= math.ceil(math.log2((c.hi - c.lo) / XTOL))
+        assert steps <= math.ceil(math.log2((hi[i] - lo[i]) / XTOL))
 
 
 def test_trace_boundary_fills_no_memo_table():
@@ -385,19 +393,78 @@ def test_find_intersections_roots_match_scalar_bisection(xi_sq, k, N, eta_range)
             assert abs(root - bisect_root(gap_at, lo, hi, 1e-9)) <= 1e-9
 
 
-def test_find_intersections_raises_what_a_probe_raises(monkeypatch):
-    calls = []
+def _failing_probes(monkeypatch, failed):
+    """Fail probes `failed` of the first refinement step on the engine; record the scalar calls.
 
-    def failing(cfg, N, ctl):
-        calls.append(cfg.model.eta_sq)
-        if len(calls) == 3:  # a probe of the first refinement step
-            raise SeriesNotConverged("probe 3 failed")
+    The engine sums every call with the default control, so the grid
+    converges.  Returns the probes of that step and the eta_sq of every
+    scalar `coefficients` call.
+    """
+    probes, scalar = [], []
+    squeeze_rows, coefficients = fansq.atlas.squeeze_rows, fansq.atlas.coefficients
+
+    def engine(k, xi_sq, N, eta_sq, ctl):
+        row = squeeze_rows(k, xi_sq, N, eta_sq, DEFAULT_CONTROL)
+        if len(eta_sq) == 81:  # the grid
+            return row
+        if not probes:
+            probes.extend(eta_sq.tolist())
+            row.outcome[failed] = CAPPED
+        return row
+
+    def recorded(cfg, N, ctl):
+        scalar.append(cfg.model.eta_sq)
         return coefficients(cfg, N, ctl)
 
-    monkeypatch.setattr(fansq.atlas, "coefficients", failing)
-    with pytest.raises(SeriesNotConverged, match="probe 3 failed"):
+    monkeypatch.setattr(fansq.atlas, "squeeze_rows", engine)
+    monkeypatch.setattr(fansq.atlas, "coefficients", recorded)
+    return probes, scalar
+
+
+def test_find_intersections_raises_what_a_probe_raises(monkeypatch):
+    # c01's first step has one probe per bracket; the engine fails the
+    # last two, and the scalar path, summed to 2 terms, fails them too
+    probes, scalar = _failing_probes(monkeypatch, [1, 2])
+    ctl = SeriesControl(n_max=2)
+    with pytest.raises(SeriesNotConverged) as raised:
+        find_intersections(0.1, 3, 12, AxisRange(0.05, 0.45, 81), ctl)
+    assert len(probes) == 3 and scalar == [probes[1]]  # the first failed probe alone
+    cfg = FanConfig.from_xi_sq(3, 0.1, TrappedIon(eta_sq=probes[1], quantum_order=6))
+    with pytest.raises(SeriesNotConverged) as want:
+        coefficients(cfg, 12, ctl)
+    assert str(raised.value) == str(want.value)
+    assert "tail criterion not met after 2 terms" in str(want.value)
+
+
+def test_find_intersections_names_a_probe_only_the_engine_fails(monkeypatch):
+    probes, scalar = _failing_probes(monkeypatch, [1])
+    with pytest.raises(FansqError, match="the row engine failed at the probe eta_sq=") as raised:
         find_intersections(0.1, 3, 12, AxisRange(0.05, 0.45, 81))
-    assert len(calls) == 3
+    assert type(raised.value) is FansqError
+    assert scalar == [probes[1]] and repr(probes[1]) in str(raised.value)
+
+
+def test_find_intersections_evaluates_every_point_on_the_engine(monkeypatch):
+    # c01: one engine call for the grid, one per refinement step, one
+    # for the tangent checks and one for the signs; no scalar call
+    calls, steps = _counting_engine(monkeypatch), []
+    refine = fansq.atlas.refine_brackets
+
+    def counted_steps(a, b, fa, fb, evaluate, xtol):
+        def step(x, rows):
+            steps.append(x.size)
+            return evaluate(x, rows)
+
+        return refine(a, b, fa, fb, step, xtol)
+
+    def no_scalar(*args):
+        raise AssertionError("scalar coefficients called")
+
+    monkeypatch.setattr(fansq.atlas, "refine_brackets", counted_steps)
+    monkeypatch.setattr(fansq.atlas, "coefficients", no_scalar)
+    result = find_intersections(0.1, 3, 12, AxisRange(0.05, 0.45, 81))
+    assert result.kinds == ("crossing", "tangent", "crossing")
+    assert steps and calls == [81, *steps, 1, 2]
 
 
 def test_find_intersections_signs_record_harmonic_exchange():
@@ -425,7 +492,6 @@ def test_find_intersections_reports_an_exact_zero_gap_once(monkeypatch, gaps):
         harmonics = (np.array([c.harmonics[0] for c in nodes]),)
         return SqueezeRow(k, N, constant, harmonics, np.full(len(nodes), STOPPED))
 
-    monkeypatch.setattr(fansq.atlas, "coefficients", fake)
     monkeypatch.setattr(fansq.atlas, "squeeze_rows", fake_rows)
     result = find_intersections(0.1, 1, 4, eta_range)
     zero = eta_range.values()[gaps.index(0.0)]

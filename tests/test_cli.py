@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+import fansq.errors
 from fansq.cli import _axis_range, build_parser, main
 from fansq.fanstate import FanConfig, Identity, SeriesControl
 from fansq.squeeze import coefficients, squeeze_parameter
@@ -112,18 +113,43 @@ def test_scan_csv_layout(capsys):
     assert all(line.endswith(",OK") for line in lines[2:])
 
 
-def test_scan_byte_identical_across_runs_and_threads(capsys, monkeypatch, tmp_path):
+def test_scan_byte_identical_across_runs(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     outputs = []
-    for name, threads in (("a.csv", None), ("b.csv", None), ("c.csv", "3")):
-        if threads is None:
-            monkeypatch.delenv("FANSQ_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FANSQ_THREADS", threads)
+    for name in ("a.csv", "b.csv", "c.csv"):
         path = tmp_path / name
         run_cli(capsys, SCAN_ARGS + ["--output", str(path)])
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _asks(cells):
+    """argv that ask for `cells` cells of a sample grid, by the flag that sizes it."""
+    side = math.isqrt(cells) + 1  # a grid of side x side nodes, each axis within the ceiling
+    point = ["--k", "1", "--N", "4", "--xi-sq", "0.2", "--samples", str(cells)]
+    return {
+        "squeeze --samples": ["squeeze", *point],
+        "polar --samples": ["polar", *point],
+        "scan --xi-sq": [*SCAN_ARGS[:8], f"0.05:0.95:{cells}", *SCAN_ARGS[9:]],
+        "boundary --eta-sq": ["boundary", *SCAN_ARGS[1:10], f"0.1:0.9:{cells}"],
+        "intersect --eta-sq": ["intersect", *point[:6], "--eta-sq", f"0.05:0.45:{cells}"],
+        "scan grid": [*SCAN_ARGS[:8], f"0.05:0.95:{side}", "--eta-sq", f"0.1:0.9:{side}"],
+    }
+
+
+@pytest.mark.parametrize("flag", list(_asks(1)))
+def test_a_sample_grid_past_the_cell_ceiling_is_exit_two(capsys, monkeypatch, flag):
+    # nothing capped these: 2**40 asked for that many floats before any work
+    # began; the check comes first, so neither run allocates what it asks for
+    assert fansq.errors._MAX_CELLS == 1 << 22
+    for cells, ceiling in ((2**40, 1 << 22), (101, 100)):
+        monkeypatch.setattr(fansq.errors, "_MAX_CELLS", ceiling)
+        try:
+            code = main(_asks(cells)[flag])
+        except SystemExit as exc:  # an axis fails as its flag's argparse type
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2 and err.rstrip().endswith(f"past the ceiling of {ceiling}"), err
 
 
 def test_scan_json_nodes(capsys):

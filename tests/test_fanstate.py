@@ -28,7 +28,7 @@ from fansq.fanstate import (
     xi_from_drive,
 )
 from fansq.fockoracle import fock_coefficients, nonlinearity_values
-from fansq.rows import moment_rows
+from fansq.rows import squeeze_rows
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_fan_and_quantum_orders_must_be_ints(order):
     with pytest.raises(DomainError, match="fan order k must be a positive integer"):
         FanConfig(order, 0.5, Identity())
     with pytest.raises(DomainError, match="fan order k must be a positive integer"):
-        moment_rows(order, [0.5], [(1, 1)], [0.0])
+        squeeze_rows(order, [0.5], 4, [0.0])
     with pytest.raises(DomainError, match="quantum_order must be a positive integer"):
         TrappedIon(eta_sq=0.3, quantum_order=order)
     with pytest.raises(DomainError, match="quantum_order must be a positive integer"):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import fansq.errors
 import fansq.fockoracle as fockoracle
 from fansq.cli import main
 from fansq.errors import DomainError, FansqError, SingularNonlinearity, TruncationTooSmall
@@ -500,7 +501,7 @@ def test_one_gram_per_vector_on_the_oracle_check_pattern(monkeypatch):
 def test_the_oracle_refuses_past_its_cell_ceiling_before_allocating(monkeypatch, capsys):
     # a huge guard (oracle-check --max-power 100000) or dim reached
     # np.zeros unchecked, and the Gram grows as (P + 1) * dim
-    monkeypatch.setattr(fockoracle, "_MAX_CELLS", 100)
+    monkeypatch.setattr(fansq.errors, "_MAX_CELLS", 100)  # the package's one ceiling
     small = _fock(40, 2)
     assert moment_oracle(small, 1, 1).real == pytest.approx(2.0)  # 2 rows, 80 cells
     zeros = np.zeros

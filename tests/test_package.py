@@ -214,7 +214,16 @@ def test_only_atlas_imports_the_row_engine_and_its_names_live_in_rows_alone():
     importers = sorted(name for name, tree in trees.items() if "rows" in _package_imports(tree))
     assert importers == ["atlas"]
     engine = _top_level_names(trees["rows"], imports=False)
-    assert {"LaguerreRows", "convergence_depth", "moment_rows", "squeeze_rows"} <= engine
+    assert {"LaguerreRows", "squeeze_rows"} <= engine
+    # one entry point: the wrappers around the cores `_moment_rows` and `_depth` are gone
+    assert not {"moment_rows", "convergence_depth"} & engine
+    taken = {
+        alias.name
+        for node in ast.walk(trees["atlas"])
+        if isinstance(node, ast.ImportFrom) and node.module == "rows"
+        for alias in node.names
+    }
+    assert taken == {"squeeze_rows", "STOPPED", "SINGULAR", "OVERFLOW", "CAPPED"}
     # defined or re-exported by a module the engine was taken out of
     for home in ("fanstate", "squeeze", "specfun"):
         assert _top_level_names(trees[home]) & engine == set(), home

@@ -52,8 +52,6 @@ from fansq.rows import (
     SINGULAR,
     STOPPED,
     SqueezeRow,
-    convergence_depth,
-    moment_rows,
     squeeze_rows,
 )
 from fansq.squeeze import (
@@ -64,6 +62,7 @@ from fansq.squeeze import (
 )
 import row_engine_ref
 from laguerre_ref import laguerre
+from row_engine_ref import moment_rows
 
 XI_SQ = [0.0, 0.02, 0.15, 0.4, 0.7, 1.0, 1.6]
 
@@ -84,6 +83,11 @@ def moment_row(k, xi, models, pairs, ctl=DEFAULT_CONTROL):
 
 def coefficients_row(k, xi_sq, models, N, ctl=DEFAULT_CONTROL):
     return squeeze_rows(k, xi_sq, N, _eta_sq(models), ctl)
+
+
+def predicted_depth(k, xi, eta_sq, ctl=DEFAULT_CONTROL):
+    """`rows._depth` of xi and eta_sq as float arrays: rho and the predicted stop of each point."""
+    return rows._depth(k, np.array(xi, dtype=float), np.array(eta_sq, dtype=float), ctl)
 
 
 def _code(want):
@@ -731,7 +735,7 @@ def _axis_runs(k, xi_sq, eta_sq, ctl=DEFAULT_CONTROL):
     row goes deepest.
     """
     xi_top = [math.sqrt(max(xi_sq))] * len(eta_sq)
-    _, depth = convergence_depth(k, xi_top, eta_sq, ctl)
+    _, depth = predicted_depth(k, xi_top, eta_sq, ctl)
     return depth.tolist(), rows._row_runs(depth.tolist(), len(xi_sq))
 
 
@@ -856,20 +860,18 @@ def test_a_batched_scan_raises_the_first_node_below_the_bound_in_node_order(xi, 
 
 def test_a_call_checks_its_axis_and_its_eta_sq():
     with pytest.raises(DomainError):
-        moment_rows(1, [0.1, -0.2], [(1, 1)], [0.0] * 2)
+        squeeze_rows(1, [0.1, -0.2], 4, [0.0] * 2)
     with pytest.raises(DomainError):
-        moment_rows(1, [0.1], [(1, -1)], [0.0])
-    with pytest.raises(DomainError):
-        moment_rows(0, [0.1], [(1, 1)], [0.0])
+        squeeze_rows(0, [0.1], 4, [0.0])
     with pytest.raises(DomainError):
         squeeze_rows(1, [0.1, math.inf], 4, [0.0] * 2)
     for count in (0, 1, 3):  # a call takes whole rows of the axis
         with pytest.raises(DomainError, match="one eta_sq per xi in each row"):
-            moment_rows(1, [0.1, 0.2], [(1, 1)], [0.0] * count)
+            squeeze_rows(1, [0.1, 0.2], 4, [0.0] * count)
     # no quantum order to mismatch: an eta_sq is finite and >= 0, 0.0 the identity
     for bad in (-0.2, -5e-324, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match=r"eta_sq\[1\] must be a finite float >= 0"):
-            moment_rows(1, [0.1, 0.2], [(1, 1)], [0.3, bad])
+            squeeze_rows(1, [0.1, 0.2], 4, [0.3, bad])
         with pytest.raises(DomainError, match=r"eta_sq\[3\] must be a finite float >= 0"):
             squeeze_rows(1, [0.1, 0.2], 4, [0.0, 0.3, 0.3, bad])
 
@@ -898,17 +900,15 @@ def test_a_call_checks_each_input_once_and_tiles_nothing(monkeypatch):
     checked.clear()
     trace_boundary(GridSpec(AxisRange(0.05, 1.0, 21), AxisRange(0.05, 1.0, 21), 1, 4, math.pi / 4))
     assert len(engine) > 1 and checked == ["xi_sq", "eta_sq"] * len(engine)
-    # called directly, the public functions check their own inputs in the same words
-    with pytest.raises(DomainError, match=r"xi\[1\] must be a finite float >= 0"):
-        moment_rows(1, [0.1, -0.2], [(1, 1)], [0.0] * 2)
-    with pytest.raises(DomainError, match=r"moment power m must be a nonnegative integer"):
-        moment_rows(1, [0.1], [(1, -1)], [0.0])
-    with pytest.raises(DomainError, match=r"xi\[1\] must be a finite float >= 0"):
-        convergence_depth(1, [0.1, math.nan], [0.0] * 2)
+    # called directly, the one entry point checks its own inputs in the same words
+    with pytest.raises(DomainError, match=r"xi_sq\[1\] must be a finite float >= 0"):
+        squeeze_rows(1, [0.1, -0.2], 4, [0.0] * 2)
+    with pytest.raises(DomainError, match=r"xi_sq\[1\] must be a finite float >= 0"):
+        squeeze_rows(1, [0.1, math.nan], 4, [0.0] * 2)
     with pytest.raises(DomainError, match=r"eta_sq\[0\] must be a finite float >= 0"):
-        convergence_depth(1, [0.1], [math.inf])
-    with pytest.raises(DomainError, match="need one eta_sq per xi, got 1 for 2"):
-        convergence_depth(1, [0.1, 0.2], [0.0])
+        squeeze_rows(1, [0.1], 4, [math.inf])
+    with pytest.raises(DomainError, match="need one eta_sq per xi in each row, got 1 for 2"):
+        squeeze_rows(1, [0.1, 0.2], 4, [0.0])
 
 
 def _c08_grid():
@@ -952,10 +952,10 @@ def test_rho_per_config_and_per_row():
         for k, xi_sq, eta_sq in [(1, 0.5, 0.3), (2, 0.99, 0.97), (3, 1.7, 0.8), (1, 0.0, 0.4)]
     ]
     for cfg in configs:
-        (rho,), _ = convergence_depth(cfg.k, [cfg.xi], [cfg.model.eta_sq])
+        (rho,), _ = predicted_depth(cfg.k, [cfg.xi], [cfg.model.eta_sq])
         assert rho == cfg.xi_sq * cfg.model.eta_sq
     xi = [0.0, 0.3, 0.9, 1.0, 2.5]
-    rho, depth = convergence_depth(1, xi, [0.95, 0.0] * 2 + [0.0])
+    rho, depth = predicted_depth(1, xi, [0.95, 0.0] * 2 + [0.0])
     assert rho.tolist() == [0.0, 0.0, 0.9 * 0.9 * 0.95, 0.0, 0.0]
     assert depth.shape == (5,) and all(8 <= d <= DEFAULT_CONTROL.n_max for d in depth.tolist())
 
@@ -965,13 +965,13 @@ def test_rho_at_or_past_one_predicts_the_cap_or_the_first_overflow(k, monkeypatc
     eta_sq = [1.0, 1.01, 0.5, 0.25, 0.9]
     xi = [1.0, 1.0, 2.0, 3.0, 1e200]  # rho = 1, 1.01, 2, 2.25 and past float range
     models = [TrappedIon(e, 2 * k) for e in eta_sq]
-    rho, depth = convergence_depth(k, xi, eta_sq)
+    rho, depth = predicted_depth(k, xi, eta_sq)
     assert rho.tolist()[:4] == [1.0, 1.01, 2.0, 2.25] and rho[4] == math.inf
     n_max = DEFAULT_CONTROL.n_max
     # the series diverge, so the prediction is the cap
     assert depth.tolist() == [n_max] * 5
     capped = SeriesControl(n_max=40)
-    assert convergence_depth(k, xi, eta_sq, capped)[1].tolist() == [40] * 5
+    assert predicted_depth(k, xi, eta_sq, capped)[1].tolist() == [40] * 5
     # both engines fail them at once, naming rho, with the cap's error and code
     lattices = _recording_lattices(monkeypatch)
     row = moment_row(k, xi, models, squeeze._moment_pairs(k, 4 * k))
@@ -983,7 +983,7 @@ def test_rho_at_or_past_one_predicts_the_cap_or_the_first_overflow(k, monkeypatc
             coefficients(FanConfig(k, x, model), 4 * k)
     # c08's corner: AxisRange ends a hair below 1, so rho is just below it
     corner = AxisRange(0.01, 1.0, 101).values()[-1]
-    (rho,), (depth,) = convergence_depth(k, [math.sqrt(corner)], [corner])
+    (rho,), (depth,) = predicted_depth(k, [math.sqrt(corner)], [corner])
     assert rho < 1 and depth == n_max
 
 
@@ -1103,18 +1103,6 @@ def test_prediction_moves_no_value_and_no_error(data, k, extra):
         assert off.outcome.tobytes() == row.outcome.tobytes()
 
 
-def test_depth_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        convergence_depth(1, [0.1, -0.2], [0.0] * 2)
-    with pytest.raises(DomainError):
-        convergence_depth(1, [0.1, math.nan], [0.0] * 2)
-    for bad in (-0.2, math.nan, math.inf):  # in place of a quantum order other than 2k
-        with pytest.raises(DomainError):
-            convergence_depth(1, [0.1], [bad])
-    with pytest.raises(DomainError):
-        convergence_depth(1, [0.1, 0.2], [0.0])
-
-
 def test_row_rejects_bad_inputs():
     with pytest.raises(DomainError):
         coefficients_row(1, [0.1, -0.2], [Identity()] * 2, 4)
@@ -1200,6 +1188,56 @@ def test_positivity_guard_survives_optimized_mode():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def _scan_in_child(argv, disabled):
+    """`fansq` argv in a child with numpy's CPU features `disabled` (None: the default).
+
+    Returns its stdout and the numpy features it reports enabled.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fansq.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    code = (
+        "import json, sys\n"
+        "try:\n"
+        "    from numpy._core._multiarray_umath import __cpu_features__ as features\n"
+        "except ImportError:  # numpy 1\n"
+        "    from numpy.core._multiarray_umath import __cpu_features__ as features\n"
+        "from fansq.cli import main\n"
+        "print(json.dumps(sorted(f for f, on in features.items() if on)), file=sys.stderr)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout, json.loads(out.stderr.splitlines()[-1])
+
+
+def test_scan_values_agree_across_numpy_simd_targets():
+    # the row engine takes exp and log from numpy, whose SIMD kernels
+    # (AVX512 and AVX2 on x86) may differ in the last bits: bytes hold for
+    # one numpy build and target, values within 1e-12 across targets
+    argv = [
+        "scan", "--k", "1", "--N", "4", "--phi", repr(math.pi / 4),
+        "--xi-sq", "0.01:1.0:101", "--eta-sq", "0.9:0.99:2",
+    ]  # fmt: skip
+    (default, ours), (other, theirs) = (
+        _scan_in_child(argv, disabled) for disabled in (None, "AVX512_SPR AVX512_ICL X86_V4")
+    )
+    rows, other_rows = default.splitlines(), other.splitlines()
+    assert rows[:2] == other_rows[:2] and len(rows) == len(other_rows) == 2 + 202
+    for row, other_row in zip(rows[2:], other_rows[2:]):
+        *node, s, status = row.split(",")
+        *other_node, other_s, other_status = other_row.split(",")
+        assert node == other_node and status == other_status == "OK", (row, other_row)
+        assert abs(float(s) - float(other_s)) <= 1e-12 * abs(float(other_s)), (row, other_row)
+    if ours == theirs:  # one dispatch target: the same bytes
+        assert default == other
 
 
 def test_both_engines_fail_an_exact_zero_numerator_alike():

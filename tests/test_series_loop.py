@@ -35,10 +35,11 @@ from fansq.fockoracle import (
     nonlinearity_values,
     oracle_vector,
 )
-from fansq.rows import CAPPED, STOPPED, moment_rows
+from fansq.rows import CAPPED, STOPPED
 from fansq.specfun import log_factorial
 from fansq.squeeze import coefficients
 from laguerre_ref import laguerre
+from row_engine_ref import moment_rows
 from signed_log_ref import SL_ONE, mul, pow_int, ref_nonlinearity_value, signed_log, to_real
 
 _LOG_HUGE = 700.0
