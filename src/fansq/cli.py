@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -68,8 +69,9 @@ class Output(NamedTuple):
 
     `data` is the JSON document's data; `rows` hold the CSV cells under
     `header`, floats written with 17 significant digits and strings as
-    they are.  Either may hold generators, so that only the requested
-    format is built.
+    they are, or a row may be a str of CSV lines already written by that
+    rule.  Either may hold generators, so that only the requested format
+    is built.
     """
 
     data: dict
@@ -141,10 +143,12 @@ def _render(
         return json.dumps(doc, sort_keys=True, indent=2, default=list) + "\n"
     lines = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(out.header)]
     for row in out.rows:
-        cells = [x if type(x) is str else f"{x:.17g}" if isinstance(x, float) else str(x)
-                 for x in row]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        if type(row) is not str:
+            row = ",".join([x if type(x) is str else f"{x:.17g}" if isinstance(x, float)
+                            else str(x) for x in row])
+        lines.append(row)
+    lines.append("")  # the closing newline, with no second copy of the text
+    return "\n".join(lines)
 
 
 def _point_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FanConfig:
@@ -227,14 +231,16 @@ def _cmd_scan(args, ctl, parser) -> Output:
             for x, s, status in zip(xi_vals, row, statuses)
         )
     }
-    # each axis value is written once, as the CSV writes a float
-    xi_text, eta_text = [f"{x:.17g}" for x in xi_vals], [f"{e:.17g}" for e in eta_vals]
-    rows = (
-        (x, e, s, status)
-        for e, row, statuses in zip(eta_text, values, diagram.status)
-        for x, s, status in zip(xi_text, row, statuses)
-    )
-    return Output(data, ("xi_sq", "eta_sq", "squeeze", "status"), rows)
+
+    def lines():
+        """The CSV lines of each eta_sq row by `_render`'s rule, from one `%` template."""
+        xi_text = [f"{x:.17g}," for x in xi_vals]  # each axis value formatted once
+        template = "\n".join(["%s%s%.17g,%s"] * len(xi_text))
+        for e, row, statuses in zip(eta_vals, values, diagram.status):
+            cells = zip(xi_text, repeat(f"{e:.17g},"), row, statuses)
+            yield template % tuple(chain.from_iterable(cells))
+
+    return Output(data, ("xi_sq", "eta_sq", "squeeze", "status"), lines())
 
 
 def _cmd_boundary(args, ctl, parser) -> Output:
@@ -285,9 +291,9 @@ def _cmd_directions(args, ctl, parser) -> Output:
 def _cmd_oracle_check(args, ctl, parser) -> Output:
     cfg = _point_config(args, parser)
     nonnegative_int("max-power", args.max_power)
+    bench = vacuum_benchmark(args.N)  # checks N before the oracle's guard rows are sized from it
     guard = max(args.N, 2 * args.max_power) + 2
     vec = oracle_vector(cfg, guard, ctl)
-    bench = vacuum_benchmark(args.N)
     coeffs = coefficients(cfg, args.N, ctl)
 
     moment_rows = []

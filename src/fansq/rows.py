@@ -355,12 +355,15 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
     the same exact error as Neumaier's branch.  Both sums go through
     `_cumulate` (numpy's accumulate below _WIDE columns, one row
     addition at a time from there on, with the same bits): the partial
-    sums into a new array, since the terms are read from the block's
-    rows after, the compensations in place.  The stop rule is the scalar
-    path's, with its three exceptions applied only where they can bite:
-    an even n0's first term stops nothing (row 0 of block 0), a zero sum
-    at n0 + 2 stops there (only when n_max <= 3), and no stop or failure
-    counts past the term cap (only in the block that reaches it).
+    sums into rows of their own, since the terms are read after, the
+    compensations in place.  A block's six arrays are views of one flat
+    buffer per call, regrown only when a block needs more cells, so the
+    carried row is copied out before the next block writes there.  The
+    stop rule is the scalar path's, with its three exceptions applied
+    only where they can bite: an even n0's first term stops nothing (row
+    0 of block 0), a zero sum at n0 + 2 stops there (only when n_max <=
+    3), and no stop or failure counts past the term cap (only in the
+    block that reaches it).
     ends[c] is the row after the predicted stop of column c: a block
     that would run past the deepest end of the running columns ends
     there, and the blocks double again after it.
@@ -374,31 +377,37 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
     last = (n_max + 1) // 2
     a, size, here = 0, _FIRST_BLOCK, p
     deepest = int(ends.max(initial=0))
+    work, mask = np.empty(0), np.empty(0, dtype=bool)
     while cols.size:
         b = min(a + size, last)
         if a < deepest < b:
             b = deepest
         rows = b - a
-        # row 0 carries the sums in, rows 1.. take the terms
-        partial = np.empty((rows + 1, cols.size))
-        partial[0] = acc
-        x = partial[1:]
+        shape = (rows + 1, cols.size)
+        cells = shape[0] * shape[1]
+        if 6 * cells > work.size:
+            work, mask = np.empty(6 * cells), np.empty(cells, dtype=bool)
+        # row 0 of each carries the sums in, rows 1.. take the terms
+        terms, partial, c, back, err, bound = work[: 6 * cells].reshape(6, *shape)
+        terms[0] = acc
+        x = terms[1:]
         fail, singular = _term_block(lat, k, a, b, here, x)
-        partial = _cumulate(np.add, partial)
+        _cumulate(np.add, terms, out=partial)
         prev, s = partial[:-1], partial[1:]
         # TwoSum: the exact rounding error of each partial sum
-        back = s - prev
-        err = s - back
+        back, err, bound = back[1:], err[1:], bound[1:]
+        np.subtract(s, prev, out=back)
+        np.subtract(s, back, out=err)
         np.subtract(prev, err, out=err)
         np.subtract(x, back, out=back)
-        c = np.empty_like(partial)
         c[0] = comp
         np.add(err, back, out=c[1:])
         c = _cumulate(np.add, c, out=c)[1:]
         # a small term stops its column at the odd index after it; the
         # last row, all True, makes argmax give `rows` where none is small
-        small = np.ones((rows + 1, cols.size), dtype=bool)
-        bound = np.abs(s + c)
+        small = mask[:cells].reshape(shape)
+        small[-1] = True
+        np.abs(np.add(s, c, out=bound), out=bound)
         bound *= rel_tol
         np.less_equal(np.abs(x, out=back), bound, out=small[:-1])
         if a == 0:  # a term at an even n0 has underflowed, and stops nothing
@@ -422,7 +431,7 @@ def _sum_columns(lat: _Lattice, k: int, p: _Columns, ctl: SeriesControl, ends: n
         if b == last:
             outcome[cols[~ended]] = CAPPED
             break
-        acc, comp = s[-1], c[-1]
+        acc, comp = s[-1].copy(), c[-1].copy()
         if np.count_nonzero(ended):
             rest = ~ended
             cols = cols[rest]

@@ -7,6 +7,7 @@ recurrence, a cumulative-sum log-factorial table and double factorials.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 import numpy as np
 
 
@@ -25,9 +26,8 @@ class _LogFactorialTable:
         if n < 0:
             raise ValueError(f"factorial of negative index {n}")
         t = self._table
-        if n >= len(t):
-            for i in range(len(t), n + 1):
-                t.append(t[-1] + math.log(i))
+        if n >= len(t):  # the left-to-right sums t[-1] + ln i of a plain loop, run in C
+            t[-1:] = accumulate(map(math.log, range(len(t), n + 1)), initial=t[-1])
         return t[n]
 
     def live(self, n: int) -> list[float]:

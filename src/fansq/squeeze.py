@@ -19,7 +19,8 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FansqError, finite_float, nonnegative_float, positive_int
+from .errors import DomainError, FansqError, _check_cells, finite_float, nonnegative_float
+from .errors import positive_int
 from .fanstate import DEFAULT_CONTROL, FanConfig, SeriesControl, moment
 from .specfun import double_factorial
 
@@ -34,6 +35,9 @@ def _check_order(N: int) -> None:
     positive_int("moment order", N)
     if N % 2:
         raise DomainError(f"moment order must be even, got {N}")
+    # before the pairs or (N - 1)!! are built: the `_moment_pairs` of k = 1, the most of any k
+    half, top = N // 2, N // 4
+    _check_cells(f"moment order {N} (its moment pairs at k = 1)", half + top * (half - top))
 
 
 def vacuum_benchmark(N: int) -> float:

@@ -10,10 +10,12 @@ import dataclasses
 import io
 import json
 import math
+import time
 
 import pytest
 
 import fansq.errors
+from fansq.atlas import GridSpec, scan
 from fansq.cli import _axis_range, build_parser, main
 from fansq.fanstate import FanConfig, Identity, SeriesControl
 from fansq.squeeze import coefficients, squeeze_parameter
@@ -158,6 +160,36 @@ def test_scan_json_nodes(capsys):
     assert len(nodes) == 35
     assert {n["status"] for n in nodes} == {"OK"}
     assert all(n["squeeze"] is not None for n in nodes)
+
+
+_POLE = repr(2 - math.sqrt(2))  # the zero of L_2^0: a pole in the first products of k = 1
+
+
+@pytest.mark.parametrize(
+    "model, xi_sq, eta_sq",
+    [("trapped-ion", "0:1:5", f"{_POLE}:1.5857864376269049:3"), ("identity", "0:60:4", "0.1:0.2:2")],
+)
+def test_scan_csv_bytes_are_the_diagram_written_cell_by_cell(capsys, model, xi_sq, eta_sq):
+    # failed nodes (NaN S): at the pole (Singular), at rho >= 1 and past the term cap (NotConverged)
+    argv = ["scan", "--k", "1", "--N", "4", "--phi", "0.3", "--xi-sq", xi_sq, "--eta-sq", eta_sq,
+            "--model", model, "--n-max", "40"]
+    out, _ = run_cli(capsys, argv)
+    grid = GridSpec(xi_sq=_axis_range(xi_sq), eta_sq=_axis_range(eta_sq), k=1, N=4, phi=0.3)
+    diagram = scan(grid, model, SeriesControl(n_max=40))
+    statuses = {status for row in diagram.status for status in row}
+    assert statuses == ({"OK", "NotConverged"} | ({"Singular"} if model == "trapped-ion" else set()))
+
+    def cell(x):  # the per-cell rule of every other subcommand
+        return x if type(x) is str else f"{x:.17g}" if isinstance(x, float) else str(x)
+
+    lines = [
+        ",".join(map(cell, (x, e, s, status)))
+        for e, row, statuses in zip(grid.eta_sq.values(), diagram.values.tolist(), diagram.status)
+        for x, s, status in zip(grid.xi_sq.values(), row, statuses)
+    ]
+    assert sum(line.startswith(tuple("0123456789")) and ",nan," in line for line in lines) > 1
+    header = out.split("\n", 2)[:2]
+    assert out.encode() == "\n".join([*header, *lines, ""]).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +385,25 @@ def test_xi_from_drive_with_eta_power_outside_float_range_is_exit_two(eta):
 
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["squeeze", "--k", "1", "--xi-sq", "0.2"],
+        ["oracle-check", "--k", "1", "--xi-sq", "0.2", "--eta-sq", "0.3"],
+        [*SCAN_ARGS[:3], *SCAN_ARGS[5:]],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_moment_order_past_the_pair_ceiling_is_exit_two_at_once(capsys, argv):
+    # about N^2/16 moment pairs and (N - 1)!! were asked for before any check
+    start = time.perf_counter()
+    code = main([*argv, "--N", "1048576"])
+    took = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and took < 1.0
+    assert "moment order 1048576" in err and f"ceiling of {fansq.errors._MAX_CELLS}" in err, err
 
 
 def test_odd_order_is_exit_two(capsys):

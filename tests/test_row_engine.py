@@ -427,7 +427,9 @@ def test_the_kernel_tool_runs_and_reads_a_c08_ledger_within_the_bounds():
     )
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
-    assert list(report) == ["ledger", "layers", "laguerre_paths", "cumulation", "engine_calls"]
+    assert list(report) == [
+        "ledger", "layers", "laguerre_paths", "cumulation", "engine_calls", "first_call"
+    ]
     ledger = report["ledger"]
     assert 0 < ledger["engine_calls"] <= 40 and 0 < ledger["term_blocks"] <= 160
     assert 0 < ledger["term_cells"] <= 720_000
@@ -437,6 +439,10 @@ def test_the_kernel_tool_runs_and_reads_a_c08_ledger_within_the_bounds():
     assert 0 < len(refinement["calls"]) <= 40
     assert {7, 263} <= {call["probes"] for call in refinement["calls"]}
     assert list(refinement["phases_ms"]) == ["7", "263"]
+    # one fresh child: its first c08 scan call and its second, both timed
+    first = report["first_call"]
+    assert first["children"] == 1 and first["first_cpu_ms"] > 0 and first["second_cpu_ms"] > 0
+    assert first["first_minor_faults"] > 0
 
 
 def _laguerre_degree_pairs(monkeypatch):
@@ -605,6 +611,38 @@ def test_the_kernel_keeps_the_earlier_kernels_bits_on_every_outcome():
                 _, calls = _run_on_both_kernels(k, xi, models, pairs, SeriesControl(n_max=n_max))
                 seen.update(code for call in calls for code in call)
     assert seen == {STOPPED, SINGULAR, OVERFLOW, CAPPED}
+
+
+def test_the_kernel_carries_its_sums_across_reused_block_arrays(monkeypatch):
+    # one call's lattice and columns: the two small-xi nodes stop in the
+    # first block, the other two run on for about 150 rows
+    calls, kernel = [], rows._sum_columns
+    monkeypatch.setattr(rows, "_sum_columns", lambda *args: calls.append(args) or kernel(*args))
+    xi = [math.sqrt(x) for x in (0.02, 0.2, 0.95, 0.99)]
+    moment_rows(1, xi, squeeze._moment_pairs(1, 4), [0.95] * 4)
+    lat, k, p, ctl, _ = calls[0]
+    shapes, block = [], rows._term_block
+
+    def recording(lat, k, a, b, p, out):
+        shapes.append(out.shape)
+        return block(lat, k, a, b, p, out)
+
+    monkeypatch.setattr(rows, "_term_block", recording)
+    # a predicted end of row 9 cuts the second block to one row, and the
+    # third, of 9 rows and as many columns, fits the first block's arrays
+    # (no regrowth); it writes where the cut block's last sums were held
+    ends = np.full(p.n0.size, 9)
+    got = kernel(lat, k, p, ctl, ends)
+    want = row_engine_ref._sum_columns(lat, k, p, ctl, ends)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert (got[1] == STOPPED).all()
+    cells = [(rows + 1) * width for rows, width in shapes]
+    assert len(shapes) >= 3
+    assert any(
+        cut[0] < later[0] / 5 and cut[1] == later[1] and after <= max(cells[:i])
+        for i, (cut, later, after) in enumerate(zip(shapes, shapes[1:], cells[1:]), start=1)
+    )
+    assert any(c > max(cells[:i]) for i, c in enumerate(cells[1:], start=1))  # a regrowth
 
 
 def test_the_kernel_is_silent(capsys):

@@ -21,6 +21,7 @@ from fansq.specfun import (
     log_factorials,
 )
 from laguerre_ref import grow_laguerre, laguerre
+from log_factorial_ref import log_factorial_table
 from signed_log_ref import SL_ONE, SL_ZERO, SignedLog, div, mul, pow_int, signed_log, to_real
 from test_series_loop import interference_factor
 
@@ -203,6 +204,31 @@ def test_log_factorial_table_grown_in_one_step_equals_grown_index_by_index():
     values = [by_index(n) for n in range(3001)]
     assert values == [one_step(n) for n in range(3001)]
     assert values == [log_factorial(n) for n in range(3001)]
+
+
+_LOG_FACTORIAL_REF = log_factorial_table(100_000)  # `upto` may double past the last step
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=5_000), st.booleans()), min_size=1, max_size=8
+    )
+)
+def test_log_factorial_table_grown_in_uneven_steps_holds_the_loops_bits(steps):
+    # each step asks for entry n or for the array up to n; the last goes past 20,000
+    table = _LogFactorialTable()
+    n = 0
+    for i, (step, as_array) in enumerate(steps):
+        n = max(n + step, 20_001) if i == len(steps) - 1 else n + step
+        if as_array:
+            got = table.upto(n)
+            assert got.tobytes() == np.array(_LOG_FACTORIAL_REF[: n + 1]).tobytes()
+        else:
+            assert table(n) == _LOG_FACTORIAL_REF[n]
+        held = table.live(0)
+        assert np.array(held).tobytes() == np.array(_LOG_FACTORIAL_REF[: len(held)]).tobytes()
+    assert len(table.live(0)) > 20_000
 
 
 def test_log_factorial_negative_rejected():

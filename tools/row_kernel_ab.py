@@ -46,6 +46,17 @@ Laguerre growth.  The output is one JSON object:
   `_assemble`, and everywhere else (the checks, the depth prediction,
   the run set-up and the values), each the best over the repetitions;
   the wrappers that split them add a little to each.
+* `first_call`: the c08 `scan` CLI call run twice in each of `--repeats`
+  fresh child interpreters, with `fansq.cli` imported before the first.
+  Per call, the main thread's CPU time (`time.thread_time`, in ms) and
+  minor page faults (`resource.getrusage(RUSAGE_THREAD)`), as medians
+  over the children, and the median per-child gap between the first
+  call's CPU time and the second's.  perfbench times the main thread of one
+  call per child, so its `cpu_s` is a first call; the whole process's
+  time would add the 20-60 ms that numpy's OpenBLAS worker thread spins
+  for after import, during the first call.
+  The children import `fansq` from where this process found it, so
+  `PYTHONPATH=<other checkout>/src:tests` measures another tree.
 """
 
 from __future__ import annotations
@@ -54,10 +65,15 @@ import argparse
 import gc
 import json
 import math
+import os
+import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import fansq
 import fansq.atlas as atlas
 import fansq.rows as rows
 import row_engine_ref
@@ -320,6 +336,46 @@ def engine_calls(repeats: int) -> dict:
     }
 
 
+SCAN_ARGV = [
+    "scan", "--k", "1", "--N", "4", "--phi", repr(math.pi / 4),
+    "--xi-sq", "0.01:1.0:101", "--eta-sq", "0.01:1.0:101", "--output", os.devnull,
+]
+
+FIRST_CALL_CHILD = """
+import json, resource, sys, time
+from fansq.cli import main
+
+calls = []
+for _ in range(2):
+    faults, start = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt, time.thread_time()
+    main(sys.argv[1:])
+    cpu = time.thread_time() - start
+    calls.append((cpu * 1e3, resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - faults))
+print(json.dumps(calls))
+"""
+
+
+def first_call(repeats: int) -> dict:
+    """Medians over fresh children of the first and the second c08 `scan` CLI call."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fansq.__file__)))
+    children = []
+    for _ in range(repeats):
+        out = subprocess.run(
+            [sys.executable, "-c", FIRST_CALL_CHILD, *SCAN_ARGV],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        children.append(json.loads(out.stdout))
+    first, second = zip(*children)
+    return {
+        "children": repeats,
+        "first_cpu_ms": round(statistics.median(c[0] for c in first), 1),
+        "second_cpu_ms": round(statistics.median(c[0] for c in second), 1),
+        "gap_cpu_ms": round(statistics.median(f[0] - s[0] for f, s in children), 1),
+        "first_minor_faults": statistics.median(c[1] for c in first),
+        "second_minor_faults": statistics.median(c[1] for c in second),
+    }
+
+
 def best_times(pair, repeats: int) -> tuple[float, float]:
     best = [math.inf, math.inf]
     for rep in range(repeats):
@@ -354,6 +410,7 @@ def main() -> None:
         "laguerre_paths": paths,
         "cumulation": cumulated,
         "engine_calls": calls,
+        "first_call": first_call(args.repeats),
     }
     print(json.dumps(report, indent=1))
 
